@@ -1,9 +1,9 @@
 """The independent determinant oracles, and why exactness matters.
 
 Three scheme-free routes to the same number: the n!-term permutation
-expansion, recursive cofactor expansion, and fraction-free elimination.
-Everything runs over exact integers and rationals, so agreement is equality,
-not closeness.
+expansion, first-row cofactor expansion with each minor computed once per
+column subset, and fraction-free elimination. Everything runs over exact
+integers and rationals, so agreement is equality, not closeness.
 """
 
 import random
@@ -57,6 +57,8 @@ for _ in range(3):
     print(f"  det = {bareiss_det(M)} either way")
 print()
 
-print("elimination scales where the expansions cannot (n = 12 has 479M terms):")
+print("elimination and the shared-minor cofactor expansion scale where the")
+print("permutation expansion cannot (n = 12 has 479M terms, 4095 column subsets):")
 big = random_matrix(12, rng)
-print("  bareiss at n=12:", bareiss_det(big))
+print("  bareiss at n=12: ", bareiss_det(big))
+print("  cofactor at n=12:", cofactor_det(big))

@@ -4,8 +4,8 @@ Matrix CSV is one row per line, comma-separated integers or rationals written
 as "p/q". Matrix JSON is an array of arrays whose entries are integers or
 "p/q" strings; floats are rejected rather than silently rounded, since the
 whole point of the library is exactness. Scheme JSON is
-{"n": int, "strips": [{"columns": [...], "starts": [...]}]}; signs are never
-stored, they are recomputed from window parity.
+{"n": int, "strips": [{"columns": [int, ...], "starts": [int, ...]}]}; signs
+are never stored, they are recomputed from window parity.
 """
 
 from __future__ import annotations
@@ -102,6 +102,16 @@ def scheme_to_json(sch: Scheme, *, indent: int | None = 2) -> str:
     return json.dumps(payload, indent=indent)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _int_list(value, what: str) -> tuple[int, ...]:
+    if not isinstance(value, list) or not all(map(_is_int, value)):
+        raise ParseError(1, 0, f"malformed scheme JSON: {what} must be a list of integers")
+    return tuple(value)
+
+
 def scheme_from_json(text: str) -> Scheme:
     try:
         data = json.loads(text)
@@ -109,11 +119,13 @@ def scheme_from_json(text: str) -> Scheme:
         raise ParseError(e.lineno, e.colno, e.msg) from None
     try:
         n = data["n"]
+        if not _is_int(n):
+            raise ParseError(1, 0, "malformed scheme JSON: n must be an integer")
         strips = tuple(
             SchemeStrip(
                 n=n,
-                columns=tuple(int(c) for c in s["columns"]),
-                starts=tuple(int(p) for p in s["starts"]),
+                columns=_int_list(s["columns"], "columns"),
+                starts=_int_list(s["starts"], "starts"),
             )
             for s in data["strips"]
         )

@@ -19,12 +19,13 @@ from sarrus.bench import random_matrix
 
 
 def cofactor_mult_count(n):
-    # expansion along the first row: n products of entry * minor at each level
-    return 0 if n == 1 else n + n * cofactor_mult_count(n - 1)
+    # each m-column minor, m >= 2, is computed once: m products of entry * minor
+    return sum(m * math.comb(n, m) for m in range(2, n + 1))
 
 
 def cofactor_add_count(n):
-    return 0 if n == 1 else (n - 1) + n * cofactor_add_count(n - 1)
+    # ... and m - 1 additions to combine them
+    return sum((m - 1) * math.comb(n, m) for m in range(2, n + 1))
 
 
 def test_scheme_and_leibniz_counts_match():
@@ -53,11 +54,11 @@ def test_counting_does_not_change_results():
 
 
 def test_cofactor_counts_match_the_recurrence():
-    for n in (2, 3, 4, 5):
+    for n in range(1, 9):
         ops = OpCounter()
         cofactor_det(Matrix.identity(n), ops=ops)
-        assert ops.mul_factors == ops.mul_chained == cofactor_mult_count(n)
-        assert ops.adds == cofactor_add_count(n)
+        assert ops.mul_factors == ops.mul_chained == cofactor_mult_count(n) == n * 2 ** (n - 1) - n
+        assert ops.adds == cofactor_add_count(n) == (n - 2) * 2 ** (n - 1) + 1
 
 
 def test_bareiss_counts_are_cubic_not_factorial():

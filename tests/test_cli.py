@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 
@@ -6,7 +7,8 @@ import pytest
 
 from conftest import WORKED_ROWS
 
-from sarrus import load_scheme, scheme_to_json, scheme_4x4, validate
+from sarrus import Matrix, bareiss_det, load_scheme, scheme_to_json, scheme_4x4, validate
+from sarrus.bench import random_matrix
 from sarrus.cli import main
 
 WORKED_CSV = "2,3,4,-1\n1,-2,0,5\n5,2,2,-3\n8,1,1,1\n"
@@ -74,6 +76,34 @@ def test_det_usage_and_computation_errors(capsys, tmp_path, worked_csv):
     assert code == 2 and "error" in err
     code, _, err = run(capsys, "nonsense")
     assert code == 1
+
+
+def _write_rows(path, rows):
+    path.write_text("\n".join(",".join(str(x) for x in row) for row in rows) + "\n")
+    return str(path)
+
+
+def test_det_cofactor_12x12(capsys, tmp_path):
+    rng = random.Random(12)
+    M = random_matrix(12, rng)
+    path = _write_rows(tmp_path / "m12.csv", M.rows)
+    code, out, _ = run(capsys, "det", "--matrix", path, "--method", "cofactor")
+    assert code == 0 and out.strip() == str(bareiss_det(M))
+
+
+def test_det_cofactor_beyond_its_limit_is_an_error(capsys, tmp_path):
+    path = _write_rows(tmp_path / "m17.csv", Matrix.identity(17).rows)
+    code, out, err = run(capsys, "det", "--matrix", path, "--method", "cofactor")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "cofactor_det" in err
+    assert "Traceback" not in err
+
+
+def test_scheme_with_string_columns_is_an_error(capsys, tmp_path):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"n": 4, "strips": [{"columns": "1234", "starts": [1]}]}))
+    code, _, err = run(capsys, "validate", "--scheme", str(path))
+    assert code == 2 and err.startswith("error:")
 
 
 def test_validate_exit_codes(capsys, tmp_path):

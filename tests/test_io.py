@@ -126,6 +126,23 @@ def test_scheme_json_rejects_garbage():
         scheme_from_json('{"strips": []}')
 
 
+STRIP_4X4 = {"columns": [1, 2, 3, 4], "starts": [1]}
+
+
+@pytest.mark.parametrize("field", ["columns", "starts"])
+@pytest.mark.parametrize("bad", ["1234", [1, 2.0, 3, 4], [1, True, 3, 4], [[1], 2, 3, 4], 1])
+def test_scheme_json_requires_integer_lists(field, bad):
+    data = {"n": 4, "strips": [dict(STRIP_4X4, **{field: bad})]}
+    with pytest.raises(ParseError, match=f"{field} must be a list of integers"):
+        scheme_from_json(json.dumps(data))
+
+
+@pytest.mark.parametrize("bad", ["4", 4.0, True, [4]])
+def test_scheme_json_requires_integer_n(bad):
+    with pytest.raises(ParseError, match="n must be an integer"):
+        scheme_from_json(json.dumps({"n": bad, "strips": [STRIP_4X4]}))
+
+
 def test_permutation_json():
     p = Permutation((4, 3, 5, 2, 1))
     assert permutation_to_json(p) == "[4, 3, 5, 2, 1]"

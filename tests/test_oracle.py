@@ -11,6 +11,7 @@ from sarrus import (
     SizeLimitExceeded,
     bareiss_det,
     cofactor_det,
+    format_scalar,
     leibniz_det,
     parity_partition_sums,
 )
@@ -143,3 +144,64 @@ def test_factorial_guard():
         parity_partition_sums(M)
     # the elimination oracle has no factorial guard
     assert bareiss_det(M) == 1
+
+
+def test_cofactor_guard():
+    with pytest.raises(SizeLimitExceeded, match="cofactor_det"):
+        cofactor_det(Matrix.identity(17))
+
+
+def _pq(rng):
+    # p/q in lowest terms with q > 1, never an integer
+    while True:
+        x = Fraction(rng.randint(-9, 9), rng.randint(2, 9))
+        if x.denominator != 1:
+            return x
+
+
+def _pq_rows(n, rng):
+    return [[_pq(rng) for _ in range(n)] for _ in range(n)]
+
+
+def _routes_agree(M):
+    det = leibniz_det(M)
+    assert det == cofactor_det(M) == bareiss_det(M)
+    s_plus, s_minus = parity_partition_sums(M)
+    assert s_plus - s_minus == det
+    return det
+
+
+@pytest.mark.parametrize("n, count", [(6, 8), (7, 3), (8, 1)])
+def test_rational_oracles_agree(n, count):
+    rng = random.Random(100 + n)
+    for _ in range(count):
+        det = _routes_agree(Matrix.from_rows(_pq_rows(n, rng)))
+        assert det != 0
+
+
+def test_rational_oracles_integer_and_zero_rows():
+    rng = random.Random(17)
+    rows = _pq_rows(6, rng)
+    rows[2] = [rng.randint(-9, 9) for _ in range(6)]  # row lcm 1
+    _routes_agree(Matrix.from_rows(rows))
+    rows[4] = [0] * 6
+    M = Matrix.from_rows(rows)
+    assert _routes_agree(M) == 0
+    s_plus, s_minus = parity_partition_sums(M)
+    assert s_plus == s_minus == 0
+    assert format_scalar(leibniz_det(M)) == "0"
+
+
+def test_rational_oracles_integer_determinant():
+    # upper triangular with diagonal 1/2, 2, 3/4, 4/3, 5/6, 6/5 and p/q entries
+    # above it: det 1
+    rng = random.Random(18)
+    diag = [Fraction(1, 2), 2, Fraction(3, 4), Fraction(4, 3), Fraction(5, 6), Fraction(6, 5)]
+    rows = [[diag[i] if i == j else _pq(rng) if j > i else 0 for j in range(6)] for i in range(6)]
+    M = Matrix.from_rows(rows)
+    assert _routes_agree(M) == 1
+    for det in (leibniz_det(M), cofactor_det(M), bareiss_det(M)):
+        assert format_scalar(det) == "1"
+    # an integral value prints alike as an int and as a Fraction over 1
+    for x in parity_partition_sums(M):
+        assert format_scalar(x) == str(Fraction(x))
