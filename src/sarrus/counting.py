@@ -20,11 +20,11 @@ class OpCounter:
     adds: int = 0
     divs: int = 0
 
-    def term(self, n_factors: int) -> None:
-        """Record one signed product of n_factors entries."""
-        self.terms += 1
-        self.mul_factors += n_factors
-        self.mul_chained += n_factors - 1
+    def term(self, n_factors: int, k: int = 1) -> None:
+        """Record k signed products of n_factors entries each."""
+        self.terms += k
+        self.mul_factors += k * n_factors
+        self.mul_chained += k * (n_factors - 1)
 
     def mul(self, k: int = 1) -> None:
         """Record k standalone multiplications (both conventions coincide)."""

@@ -108,7 +108,7 @@ def _is_int(x) -> bool:
 
 def _int_list(value, what: str) -> tuple[int, ...]:
     if not isinstance(value, list) or not all(map(_is_int, value)):
-        raise ParseError(1, 0, f"malformed scheme JSON: {what} must be a list of integers")
+        raise ParseError(1, 0, f"malformed {what} must be a list of integers")
     return tuple(value)
 
 
@@ -124,8 +124,8 @@ def scheme_from_json(text: str) -> Scheme:
         strips = tuple(
             SchemeStrip(
                 n=n,
-                columns=_int_list(s["columns"], "columns"),
-                starts=_int_list(s["starts"], "starts"),
+                columns=_int_list(s["columns"], "scheme JSON: columns"),
+                starts=_int_list(s["starts"], "scheme JSON: starts"),
             )
             for s in data["strips"]
         )
@@ -147,8 +147,11 @@ def permutation_to_json(p: Permutation) -> str:
 
 
 def permutation_from_json(text: str) -> Permutation:
-    data = json.loads(text)
-    return Permutation(tuple(int(v) for v in data))
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(e.lineno, e.colno, e.msg) from None
+    return Permutation(_int_list(data, "permutation JSON: the word"))
 
 
 def format_scalar(x: Scalar) -> str:

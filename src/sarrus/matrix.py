@@ -15,14 +15,15 @@ from typing import Sequence, Union
 Scalar = Union[int, Fraction]
 
 
-def _as_scalar(x) -> Scalar:
+def _check_exact(x) -> None:
     if isinstance(x, bool):
         raise TypeError("bool is not a matrix entry")
-    if isinstance(x, int):
-        return x
-    if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else x
-    raise TypeError(f"exact entry expected (int or Fraction), got {type(x).__name__}")
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"exact entry expected (int or Fraction), got {type(x).__name__}")
+
+
+def _normalized(x):
+    return int(x) if isinstance(x, Fraction) and x.denominator == 1 else x
 
 
 @dataclass(frozen=True, slots=True)
@@ -37,10 +38,16 @@ class Matrix:
             raise ValueError("matrix needs n >= 1")
         if any(len(row) != n for row in self.rows):
             raise ValueError("matrix must be square")
+        # plain ints, the common case, skip the call
+        for row in self.rows:
+            for x in row:
+                if type(x) is not int:
+                    _check_exact(x)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "Matrix":
-        return cls(tuple(tuple(_as_scalar(x) for x in row) for row in rows))
+        """The matrix with integral Fractions stored as ints."""
+        return cls(tuple(tuple(x if type(x) is int else _normalized(x) for x in row) for row in rows))
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":

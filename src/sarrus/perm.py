@@ -65,17 +65,23 @@ class Permutation:
 
 
 def parity(p: Permutation) -> Sign:
-    """+1 if p is even, -1 if odd, via cycle decomposition.
-
-    A cycle of length L contributes L-1 transpositions, so the sign is
-    (-1)**(n - number_of_cycles).
+    """+1 if p is even, -1 if odd.
 
     >>> parity(Permutation((1, 2, 3, 4, 5)))
     1
     >>> parity(Permutation((1, 2, 4, 3, 5)))
     -1
     """
-    images = p.images
+    return _word_parity(p.images)
+
+
+def _word_parity(images: tuple[int, ...]) -> Sign:
+    """The sign of a word on {1..n} that is known to be a bijection, via
+    cycle decomposition.
+
+    A cycle of length L contributes L-1 transpositions, so the sign is
+    (-1)**(n - number_of_cycles).
+    """
     n = len(images)
     seen = [False] * n
     cycles = 0

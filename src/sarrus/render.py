@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidScheme
-from .perm import parity
-from .scheme import Scheme, validate, windows
+from .scheme import Scheme, _Diagonals, _signed_windows, validate
 
 
 @dataclass(frozen=True, slots=True)
@@ -35,16 +34,21 @@ def render(spec: RenderSpec) -> str:
     report = validate(spec.scheme)
     if not report.is_valid:
         raise InvalidScheme("refusing to render a defective scheme:\n" + report.summary())
+    strips = _signed_windows(spec.scheme).strips
     if spec.output_format == "svg":
-        return _render_svg(spec)
-    return _render_ascii(spec)
+        return _render_svg(spec, strips)
+    return _render_ascii(spec, strips)
 
 
 def _fmt(v: float) -> str:
     return str(int(v)) if v == int(v) else f"{v:.1f}"
 
 
-def _render_svg(spec: RenderSpec) -> str:
+def _mark(sign: int) -> str:
+    return "+" if sign == 1 else "-"
+
+
+def _render_svg(spec: RenderSpec, strips: tuple[tuple[_Diagonals, ...], ...]) -> str:
     sch = spec.scheme
     s = spec.cell_size
     n = sch.n
@@ -63,8 +67,9 @@ def _render_svg(spec: RenderSpec) -> str:
     ]
     font = max(10, int(s * 0.45))
     badge_font = max(9, int(s * 0.4))
+    color = {1: spec.positive_color, -1: spec.negative_color}
 
-    for si, strip in enumerate(sch.strips):
+    for si, (strip, diagonals) in enumerate(zip(sch.strips, strips)):
         x0 = margin
         y0 = margin + si * (strip_height + gap)
         grid_top = y0 + badge
@@ -80,21 +85,15 @@ def _render_svg(spec: RenderSpec) -> str:
                 f'<rect x="{_fmt(x0 + c * s)}" y="{_fmt(grid_top)}" width="{s}" '
                 f'height="{n * s}" fill="none" stroke="#bbbbbb" stroke-width="1"/>'
             )
-        for win in windows(strip):
-            dcolor = spec.positive_color if parity(win.descending) == 1 else spec.negative_color
-            acolor = spec.positive_color if parity(win.ascending) == 1 else spec.negative_color
-            p = win.start
-            parts.append(
-                f'<line x1="{_fmt(cx(p))}" y1="{_fmt(cy(1))}" '
-                f'x2="{_fmt(cx(p + n - 1))}" y2="{_fmt(cy(n))}" '
-                f'stroke="{dcolor}" stroke-width="{_fmt(s * 0.25)}" '
-                f'stroke-opacity="0.45" stroke-linecap="round"/>'
-            )
-            if n > 1:
+        for d in diagonals:
+            # (sign, first row, last row): descending, then ascending unless
+            # the two coincide (n = 1)
+            strokes = [(d.sign, 1, n), (d.back_sign, n, 1)] if n > 1 else [(d.sign, 1, n)]
+            for sign, first, last in strokes:
                 parts.append(
-                    f'<line x1="{_fmt(cx(p))}" y1="{_fmt(cy(n))}" '
-                    f'x2="{_fmt(cx(p + n - 1))}" y2="{_fmt(cy(1))}" '
-                    f'stroke="{acolor}" stroke-width="{_fmt(s * 0.25)}" '
+                    f'<line x1="{_fmt(cx(d.start))}" y1="{_fmt(cy(first))}" '
+                    f'x2="{_fmt(cx(d.start + n - 1))}" y2="{_fmt(cy(last))}" '
+                    f'stroke="{color[sign]}" stroke-width="{_fmt(s * 0.25)}" '
                     f'stroke-opacity="0.45" stroke-linecap="round"/>'
                 )
         for c, col in enumerate(strip.columns, start=1):
@@ -105,54 +104,40 @@ def _render_svg(spec: RenderSpec) -> str:
                     f'fill="#222222">{col}</text>'
                 )
         if spec.show_signs:
-            for win in windows(strip):
-                dsign = parity(win.descending)
-                asign = parity(win.ascending)
-                dcolor = spec.positive_color if dsign == 1 else spec.negative_color
-                acolor = spec.positive_color if asign == 1 else spec.negative_color
-                parts.append(
-                    f'<text x="{_fmt(cx(win.start))}" y="{_fmt(y0 + badge / 2)}" '
-                    f'font-family="monospace" font-size="{badge_font}" text-anchor="middle" '
-                    f'dominant-baseline="central" fill="{dcolor}">'
-                    f'{"+" if dsign == 1 else "-"}</text>'
-                )
-                parts.append(
-                    f'<text x="{_fmt(cx(win.start))}" y="{_fmt(grid_top + n * s + badge / 2)}" '
-                    f'font-family="monospace" font-size="{badge_font}" text-anchor="middle" '
-                    f'dominant-baseline="central" fill="{acolor}">'
-                    f'{"+" if asign == 1 else "-"}</text>'
-                )
+            # descending sign above the grid, ascending sign below it
+            for d in diagonals:
+                for sign, y in ((d.sign, y0 + badge / 2), (d.back_sign, grid_top + n * s + badge / 2)):
+                    parts.append(
+                        f'<text x="{_fmt(cx(d.start))}" y="{_fmt(y)}" '
+                        f'font-family="monospace" font-size="{badge_font}" text-anchor="middle" '
+                        f'dominant-baseline="central" fill="{color[sign]}">{_mark(sign)}</text>'
+                    )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
-def _render_ascii(spec: RenderSpec) -> str:
+def _render_ascii(spec: RenderSpec, strips: tuple[tuple[_Diagonals, ...], ...]) -> str:
     sch = spec.scheme
     n = sch.n
     cell = max(len(str(c)) for st in sch.strips for c in st.columns) + 1
     lines: list[str] = []
-    for si, strip in enumerate(sch.strips, start=1):
-        wins = windows(strip)
+    for si, (strip, diagonals) in enumerate(zip(sch.strips, strips), start=1):
         lines.append(f"strip {si}: {n} rows x {len(strip.columns)} columns")
+        grid = ["".join(str(c).rjust(cell) for c in strip.columns)] * n
         if spec.show_signs:
-            badges = [" " * cell] * len(strip.columns)
-            for win in wins:
-                mark = "+" if parity(win.descending) == 1 else "-"
-                badges[win.start - 1] = mark.rjust(cell)
-            lines.append("".join(badges))
-        row = "".join(str(c).rjust(cell) for c in strip.columns)
-        lines.extend([row] * n)
-        if spec.show_signs:
-            badges = [" " * cell] * len(strip.columns)
-            for win in wins:
-                mark = "+" if parity(win.ascending) == 1 else "-"
-                badges[win.start - 1] = mark.rjust(cell)
-            lines.append("".join(badges))
-        for win in wins:
-            d = "-".join(str(v) for v in win.descending.images)
-            a = "-".join(str(v) for v in win.ascending.images)
-            ds = "+" if parity(win.descending) == 1 else "-"
-            as_ = "+" if parity(win.ascending) == 1 else "-"
-            lines.append(f"  start {win.start:>3}: desc {d} ({ds})  asc {a} ({as_})")
+            top = [" " * cell] * len(strip.columns)
+            bottom = list(top)
+            for d in diagonals:
+                top[d.start - 1] = _mark(d.sign).rjust(cell)
+                bottom[d.start - 1] = _mark(d.back_sign).rjust(cell)
+            grid = ["".join(top), *grid, "".join(bottom)]
+        lines.extend(grid)
+        for d in diagonals:
+            w = strip.window_at(d.start)
+            desc = "-".join(map(str, w))
+            asc = "-".join(map(str, w[::-1]))
+            lines.append(
+                f"  start {d.start:>3}: desc {desc} ({_mark(d.sign)})  asc {asc} ({_mark(d.back_sign)})"
+            )
         lines.append("")
     return "\n".join(lines)

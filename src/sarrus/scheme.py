@@ -5,8 +5,13 @@ start yields two length-n windows: the descending diagonal (read with rows
 1..n) and the ascending diagonal (rows n..1, i.e. the reversed word). A
 *scheme* is a list of strips; it is complete when the windows, taken over all
 starts of all strips, hit every permutation of {1..n} exactly once. Signs are
-never stored: each window contributes with the sign of its permutation, which
-is what makes a complete scheme compute the determinant.
+never stored in a scheme: each window contributes with the sign of its
+permutation, which is what makes a complete scheme compute the determinant.
+
+One cached pass per scheme walks each start once and signs its two words on
+the raw tuples. Validation, evaluation, the two sums, float evaluation,
+``windows`` and rendering all read that pass, so the words of a scheme are
+signed once however many matrices it evaluates.
 
 Everything here is an immutable value and every function is pure, so
 evaluation and validation are safe to run concurrently; exact arithmetic
@@ -16,6 +21,7 @@ makes summation order irrelevant.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -23,7 +29,8 @@ from typing import NamedTuple, Sequence
 from .counting import OpCounter
 from .errors import ChainMismatch, InvalidScheme, InvalidWindow, SizeMismatch
 from .matrix import Matrix, Scalar
-from .perm import Permutation, parity, reverse
+from .oracle import _guard
+from .perm import Permutation, Sign, _word_parity
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,8 +124,6 @@ class ValidationReport:
 
     @property
     def is_valid(self) -> bool:
-        import math
-
         return (
             not self.duplicates
             and not self.missing
@@ -127,8 +132,6 @@ class ValidationReport:
         )
 
     def summary(self) -> str:
-        import math
-
         lines = [
             f"n = {self.n}",
             f"windows:    {self.window_count}",
@@ -192,128 +195,152 @@ def stitch_blocks(blocks: Sequence[Block]) -> SchemeStrip:
     return SchemeStrip(n=n, columns=tuple(columns), starts=tuple(starts))
 
 
+class _Diagonals(NamedTuple):
+    """The signs of both diagonals at one start: descending, then ascending."""
+
+    start: int
+    sign: Sign
+    back_sign: Sign
+
+
+@dataclass(frozen=True, slots=True)
+class _SignedWindows:
+    """The signed words of every start of every strip.
+
+    ``strips`` holds the diagonals of the valid starts, strip by strip;
+    ``invalid`` the 1-based (strip, start) of each window that repeats a
+    column; ``duplicates`` each word hit more than once, in lexicographic
+    order, with where it was hit. ``covered`` and ``even`` count distinct
+    words. ``plus`` and ``minus`` hold each even and each odd diagonal as the
+    row-major positions of its n matrix entries. ``exact_cover``: no window
+    is invalid and the diagonals hit every permutation exactly once.
+    """
+
+    strips: tuple[tuple[_Diagonals, ...], ...]
+    invalid: tuple[tuple[int, int], ...]
+    duplicates: tuple[tuple[tuple[int, ...], tuple[WindowRef, ...]], ...]
+    covered: int
+    even: int
+    plus: tuple[tuple[int, ...], ...]
+    minus: tuple[tuple[int, ...], ...]
+    exact_cover: bool
+
+
+@lru_cache(maxsize=128)
+def _signed_windows(sch: Scheme) -> _SignedWindows:
+    # Schemes are immutable, so the pass is shared by every later call. Words
+    # are kept only as entry positions, so a cached scheme stays small.
+    n = sch.n
+    # Reversing a word of length n multiplies its sign by (-1)**(n // 2).
+    flip = -1 if n // 2 % 2 else 1
+    strips: list[tuple[_Diagonals, ...]] = []
+    invalid: list[tuple[int, int]] = []
+    occurrences: dict[tuple[int, ...], list[WindowRef]] = {}
+    signed: dict[int, list[tuple[int, ...]]] = {1: [], -1: []}
+    for si, strip in enumerate(sch.strips, start=1):
+        diagonals = []
+        for p in strip.starts:
+            w = strip.window_at(p)
+            if len(set(w)) != n:
+                invalid.append((si, p))
+                continue
+            sign = _word_parity(w)
+            diagonals.append(_Diagonals(p, sign, sign * flip))
+            back = w[::-1]
+            if w == back:
+                hits = ((w, sign, "both"),)
+            else:
+                hits = ((w, sign, "descending"), (back, sign * flip, "ascending"))
+            for word, word_sign, direction in hits:
+                occurrences.setdefault(word, []).append(WindowRef(si, p, direction))
+                signed[word_sign].append(tuple(r * n + c - 1 for r, c in enumerate(word)))
+        strips.append(tuple(diagonals))
+    duplicates = tuple(
+        sorted((w, tuple(refs)) for w, refs in occurrences.items() if len(refs) > 1)
+    )
+    plus, minus = tuple(signed[1]), tuple(signed[-1])
+    return _SignedWindows(
+        strips=tuple(strips),
+        invalid=tuple(invalid),
+        duplicates=duplicates,
+        covered=len(occurrences),
+        even=len(set(plus)),
+        plus=plus,
+        minus=minus,
+        exact_cover=not invalid and not duplicates and len(occurrences) == math.factorial(n),
+    )
+
+
 def windows(s: SchemeStrip) -> list[Window]:
     """Both diagonals at every start; raises InvalidWindow if a window repeats
     a column index."""
+    signed = _signed_windows(Scheme(n=s.n, strips=(s,)))
+    if signed.invalid:
+        raise InvalidWindow(signed.invalid[0][1])
     out = []
-    for p in s.starts:
-        w = s.window_at(p)
-        if len(set(w)) != s.n:
-            raise InvalidWindow(p)
-        desc = Permutation(w)
-        out.append(Window(p, desc, reverse(desc)))
+    for d in signed.strips[0]:
+        w = s.window_at(d.start)
+        out.append(Window(d.start, Permutation(w), Permutation(w[::-1])))
     return out
 
 
 def validate(sch: Scheme) -> ValidationReport:
-    """Check a scheme against S_n. Never raises: defects are reported.
+    """Check a scheme against S_n. Defects are reported, not raised.
 
-    Cost is O(total windows + n!) since the missing list requires a sweep of
-    all of S_n.
+    Cost is O(total windows), plus a sweep of all of S_n to list the missing
+    permutations when some are missing. That sweep is refused with
+    SizeLimitExceeded beyond n = 10.
     """
-    import math
-
-    occurrences: dict[tuple[int, ...], list[WindowRef]] = {}
-    invalid: list[tuple[int, int]] = []
-    window_count = 0
-    for si, strip in enumerate(sch.strips, start=1):
-        for p in strip.starts:
-            w = strip.window_at(p)
-            window_count += 2
-            if len(set(w)) != sch.n:
-                invalid.append((si, p))
-                continue
-            back = w[::-1]
-            if w == back:
-                occurrences.setdefault(w, []).append(WindowRef(si, p, "both"))
-            else:
-                occurrences.setdefault(w, []).append(WindowRef(si, p, "descending"))
-                occurrences.setdefault(back, []).append(WindowRef(si, p, "ascending"))
-
-    duplicates = tuple(
-        (Permutation(w), tuple(refs))
-        for w, refs in sorted(occurrences.items())
-        if len(refs) > 1
-    )
-    missing = tuple(
-        Permutation(w)
-        for w in itertools.permutations(range(1, sch.n + 1))
-        if w not in occurrences
-    )
-    even = sum(1 for w in occurrences if parity(Permutation(w)) == 1)
+    n = sch.n
+    signed = _signed_windows(sch)
+    missing: tuple[Permutation, ...] = ()
+    if signed.covered < math.factorial(n):
+        _guard(n, "validate", "lists missing permutations by sweeping all n!")
+        # entry position r * n + c - 1 holds column c of the word
+        hit = {tuple(i % n + 1 for i in w) for w in signed.plus + signed.minus}
+        missing = tuple(
+            Permutation(w) for w in itertools.permutations(range(1, n + 1)) if w not in hit
+        )
     return ValidationReport(
-        n=sch.n,
-        window_count=window_count,
-        covered=len(occurrences),
-        duplicates=duplicates,
+        n=n,
+        window_count=2 * sum(len(strip.starts) for strip in sch.strips),
+        covered=signed.covered,
+        duplicates=tuple((Permutation(w), refs) for w, refs in signed.duplicates),
         missing=missing,
-        invalid_windows=tuple(invalid),
-        even_count=even,
-        odd_count=len(occurrences) - even,
+        invalid_windows=signed.invalid,
+        even_count=signed.even,
+        odd_count=signed.covered - signed.even,
     )
 
 
-@lru_cache(maxsize=128)
-def _validated(sch: Scheme) -> ValidationReport:
-    # Schemes are immutable, so reports can be memoized for the evaluate path.
-    return validate(sch)
+def _complete(sch: Scheme) -> _SignedWindows:
+    signed = _signed_windows(sch)
+    if not signed.exact_cover:
+        raise InvalidScheme("scheme failed validation:\n" + validate(sch).summary())
+    return signed
 
 
-@lru_cache(maxsize=128)
-def _window_table(sch: Scheme) -> tuple[tuple[tuple[int, ...], int, int, bool], ...]:
-    """(window word, descending sign, ascending sign, self_reverse) per start."""
-    table = []
-    for strip in sch.strips:
-        for p in strip.starts:
-            w = strip.window_at(p)
-            d = parity(Permutation(w))
-            back = w[::-1]
-            if w == back:
-                table.append((w, d, d, True))
-            else:
-                table.append((w, d, parity(Permutation(back)), False))
-    return tuple(table)
+def _sum_of_products(entries: Sequence, words: tuple[tuple[int, ...], ...]) -> Scalar | float:
+    total = 0
+    for word in words:
+        prod = 1
+        for i in word:
+            prod *= entries[i]
+        total += prod
+    return total
 
 
 def _signed_sums(sch: Scheme, M: Matrix, ops: OpCounter | None) -> tuple[Scalar, Scalar]:
-    n = sch.n
-    rows = M.rows
-    s_plus: Scalar = 0
-    s_minus: Scalar = 0
-    for w, dsign, asign, self_reverse in _window_table(sch):
-        dprod: Scalar = 1
-        aprod: Scalar = 1
-        for r in range(n):
-            c = w[r] - 1
-            dprod *= rows[r][c]
-            aprod *= rows[n - 1 - r][c]
-        if ops is not None:
-            ops.term(n)
-            ops.add(1)
-        if dsign == 1:
-            s_plus += dprod
-        else:
-            s_minus += dprod
-        if self_reverse:
-            continue
-        if ops is not None:
-            ops.term(n)
-            ops.add(1)
-        if asign == 1:
-            s_plus += aprod
-        else:
-            s_minus += aprod
-    if ops is not None:
-        ops.add(-2)  # first term landing in each running sum is not an addition
-    return s_plus, s_minus
-
-
-def _checked(sch: Scheme, M: Matrix) -> None:
     if M.n != sch.n:
         raise SizeMismatch(f"matrix is {M.n}x{M.n} but scheme expects n = {sch.n}")
-    report = _validated(sch)
-    if not report.is_valid:
-        raise InvalidScheme("scheme failed validation:\n" + report.summary())
+    signed = _complete(sch)
+    if ops is not None:
+        terms = len(signed.plus) + len(signed.minus)
+        ops.term(sch.n, terms)
+        # the first term landing in each running sum is not an addition
+        ops.add(terms - 2)
+    entries = [x for row in M.rows for x in row]
+    return _sum_of_products(entries, signed.plus), _sum_of_products(entries, signed.minus)
 
 
 def evaluate(sch: Scheme, M: Matrix, *, ops: OpCounter | None = None) -> Scalar:
@@ -323,7 +350,6 @@ def evaluate(sch: Scheme, M: Matrix, *, ops: OpCounter | None = None) -> Scalar:
     ``ops`` counter tallies terms, multiplications (both conventions) and
     additions on the real code path.
     """
-    _checked(sch, M)
     s_plus, s_minus = _signed_sums(sch, M, ops)
     if ops is not None:
         ops.add(1)
@@ -334,7 +360,6 @@ def positive_negative_sums(
     sch: Scheme, M: Matrix, *, ops: OpCounter | None = None
 ) -> tuple[Scalar, Scalar]:
     """The even-window and odd-window product sums; det = S_plus - S_minus."""
-    _checked(sch, M)
     return _signed_sums(sch, M, ops)
 
 
@@ -347,20 +372,7 @@ def evaluate_float(sch: Scheme, rows: Sequence[Sequence[float]]) -> float:
     n = sch.n
     if len(rows) != n or any(len(r) != n for r in rows):
         raise SizeMismatch(f"need a {n}x{n} array of numbers")
-    report = _validated(sch)
-    if not report.is_valid:
-        raise InvalidScheme("scheme failed validation:\n" + report.summary())
-    total = 0.0
-    for strip in sch.strips:
-        cols = strip.columns
-        for p in strip.starts:
-            w = cols[p - 1 : p - 1 + n]
-            dprod = aprod = 1.0
-            for r in range(n):
-                c = w[r] - 1
-                dprod *= rows[r][c]
-                aprod *= rows[n - 1 - r][c]
-            terms = ((w, dprod),) if w == w[::-1] else ((w, dprod), (w[::-1], aprod))
-            for word, prod in terms:
-                total += parity(Permutation(word)) * prod
-    return total
+    signed = _complete(sch)
+    # 1.0 * x: each entry meets float arithmetic, and a non-number fails here
+    entries = [1.0 * x for row in rows for x in row]
+    return _sum_of_products(entries, signed.plus) - _sum_of_products(entries, signed.minus)

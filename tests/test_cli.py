@@ -2,6 +2,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -104,6 +105,24 @@ def test_scheme_with_string_columns_is_an_error(capsys, tmp_path):
     path.write_text(json.dumps({"n": 4, "strips": [{"columns": "1234", "starts": [1]}]}))
     code, _, err = run(capsys, "validate", "--scheme", str(path))
     assert code == 2 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["validate", "det", "render"])
+def test_missing_sweep_beyond_its_limit_is_an_error(tmp_path, command):
+    # one window at n = 13 leaves 13! - 2 permutations to list as missing
+    path = tmp_path / "s13.json"
+    path.write_text(json.dumps({"n": 13, "strips": [{"columns": list(range(1, 14)), "starts": [1]}]}))
+    argv = [command, "--scheme", str(path)]
+    if command == "det":
+        argv += ["--matrix", _write_rows(tmp_path / "m13.csv", Matrix.identity(13).rows)]
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "sarrus", *argv], capture_output=True, text=True, timeout=60
+    )
+    assert time.perf_counter() - t0 < 5
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and "n = 13 exceeds the limit" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_validate_exit_codes(capsys, tmp_path):

@@ -149,6 +149,12 @@ def test_permutation_json():
     assert permutation_from_json("[4,3,5,2,1]") == p
 
 
+@pytest.mark.parametrize("text", ['"312"', "[3.7, 1, 2]", "[3,1,2"])
+def test_permutation_json_rejects_non_integer_lists(text):
+    with pytest.raises(ParseError):
+        permutation_from_json(text)
+
+
 def test_format_scalar():
     assert format_scalar(140) == "140"
     assert format_scalar(Fraction(3, 2)) == "3/2"

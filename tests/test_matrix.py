@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from sarrus import Matrix
+from sarrus import Matrix, bareiss_det, cofactor_det, leibniz_det, parity_partition_sums
 
 
 def test_from_rows_and_entry_are_one_based():
@@ -40,3 +40,12 @@ def test_exact_entries_only():
         Matrix.from_rows([[0.5]])
     with pytest.raises(TypeError):
         Matrix.from_rows([[True]])
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, "3", None])
+def test_direct_construction_checks_entries_too(bad):
+    # a float used to reach the oracles, which truncated it (bareiss_det) or
+    # failed with AttributeError; now no route gets such a matrix
+    for route in (lambda M: M, leibniz_det, cofactor_det, bareiss_det, parity_partition_sums):
+        with pytest.raises(TypeError, match="entry"):
+            route(Matrix(((bad, 0), (0, 2))))

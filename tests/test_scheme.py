@@ -15,6 +15,7 @@ from sarrus import (
     Permutation,
     Scheme,
     SchemeStrip,
+    SizeLimitExceeded,
     SizeMismatch,
     evaluate,
     evaluate_float,
@@ -142,6 +143,26 @@ def test_validate_mutated_strip_reports_defects():
     assert report.missing  # something is no longer covered
 
 
+def test_validate_lists_missing_words_of_a_defective_6x6():
+    scheme = Scheme(n=6, strips=(SchemeStrip(n=6, columns=(1, 2, 3, 4, 5, 6), starts=(1,)),))
+    report = validate(scheme)
+    assert report.covered == 2 and not report.is_valid
+    words = [p.images for p in report.missing]
+    assert len(words) == 718 and words == sorted(words)
+    assert (1, 2, 3, 4, 5, 6) not in words and (1, 2, 3, 4, 6, 5) in words
+    assert "(+708 more)" in report.summary()
+
+
+def test_missing_sweep_is_guarded():
+    scheme = Scheme(n=11, strips=(SchemeStrip(n=11, columns=tuple(range(1, 12)), starts=(1,)),))
+    with pytest.raises(SizeLimitExceeded, match="validate"):
+        validate(scheme)
+    with pytest.raises(SizeLimitExceeded):
+        evaluate(scheme, Matrix.identity(11))
+    # a window listing needs no sweep
+    assert len(windows(scheme.strips[0])) == 1
+
+
 def test_validate_reports_are_lexicographically_ordered():
     # two copies of the classic strip: every permutation covered twice
     strip = SchemeStrip(n=3, columns=(1, 2, 3, 1, 2), starts=(1, 2, 3))
@@ -263,3 +284,39 @@ def test_evaluate_float_is_close(worked_matrix):
     assert got == pytest.approx(140.0)
     with pytest.raises(SizeMismatch):
         evaluate_float(scheme_4x4(), [[1.0, 2.0], [3.0, 4.0]])
+    with pytest.raises(TypeError):
+        evaluate_float(scheme_4x4(), [["1", "2", "3", "4"]] * 4)
+
+
+def single_column_mutants(scheme):
+    """The scheme with one strip column set to another value, every way."""
+    for si, strip in enumerate(scheme.strips):
+        for pos, col in enumerate(strip.columns):
+            for v in range(1, scheme.n + 1):
+                if v == col:
+                    continue
+                cols = strip.columns[:pos] + (v,) + strip.columns[pos + 1 :]
+                strips = list(scheme.strips)
+                strips[si] = SchemeStrip(n=scheme.n, columns=cols, starts=strip.starts)
+                yield Scheme(n=scheme.n, strips=tuple(strips))
+
+
+def test_every_single_column_mutant_is_refused():
+    import hashlib
+
+    from sarrus import classic_sarrus
+
+    summaries = []
+    for scheme in (classic_sarrus(3), scheme_4x4(), scheme_5x5()):
+        for mutant in single_column_mutants(scheme):
+            report = validate(mutant)
+            assert not report.is_valid
+            summaries.append(report.summary())
+            with pytest.raises(InvalidScheme):
+                evaluate(mutant, Matrix.identity(scheme.n))
+    assert len(summaries) == 10 + 57 + 392
+    # the report text of every mutant, pinned before the validator was rewritten
+    text = "\n".join(summaries).encode()
+    assert hashlib.sha256(text).hexdigest() == (
+        "dae35d25bfe617d5fb9fa04544a7fd5e9ebdc8084b2bc29505f4e95a0a7d2ab1"
+    )
