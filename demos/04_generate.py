@@ -32,7 +32,7 @@ for m in cls.members:
     print("   ", m.images)
 print()
 
-for n in (4, 5, 6, 7):
+for n in (4, 5, 6, 7, 8):
     t0 = time.monotonic()
     scheme = search_scheme(SearchConfig(n=n, random_seed=7))
     took = time.monotonic() - t0

@@ -39,9 +39,9 @@ def _add_scheme_source(p: argparse.ArgumentParser) -> None:
 
 
 def _resolve_scheme(args, n: int | None = None) -> Scheme:
-    if args.scheme:
+    if args.scheme is not None:
         return load_scheme(args.scheme)
-    if args.builtin:
+    if args.builtin is not None:
         return builtin_scheme(args.builtin)
     if n is not None:
         return builtin_scheme(n)

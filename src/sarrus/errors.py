@@ -54,7 +54,8 @@ class SizeTooSmall(SarrusError):
 
 
 class NotFound(SarrusError):
-    """The scheme search exhausted its options or ran out of time."""
+    """The scheme search found no valid scheme: it ran out of time, the
+    classes are undersized (n = 2), or the result failed validation."""
 
 
 class VerificationFailed(SarrusError):

@@ -5,9 +5,8 @@ with all cyclic shifts of its reversal. One block covers exactly one class, so
 a scheme is a choice of one head per class, ordered so consecutive blocks
 share a column. For n >= 3 every class has full size 2n and contains exactly
 two heads beginning with any given value (one from the shift family, one from
-the reversed family), so the chain can always be extended; the backtracking
-below is kept for clarity and for the degenerate cases, not because it is
-expected to unwind.
+the reversed family), so the chain can always be extended: one greedy pass
+over the classes builds it, with no search to undo.
 
 Strip grouping follows the class parity structure: for n ≡ 1 (mod 4) classes
 are parity-pure and split into an even strip and an odd strip; for even n and
@@ -17,6 +16,7 @@ a single strip covers everything.
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from dataclasses import dataclass
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .errors import NotFound, SizeLimitExceeded, SizeTooSmall, VerificationFailed
 from .matrix import Matrix
 from .oracle import bareiss_det
-from .perm import Permutation, cyclic_shift, parity, reverse
+from .perm import Permutation, parity
 from .scheme import Block, Scheme, ValidationReport, evaluate, stitch_blocks, validate
 
 _CLASS_LIMIT = 8
@@ -53,24 +53,19 @@ class SearchConfig:
     max_blocks_per_strip: int | None = None
     time_limit: float = 60.0
     random_seed: int = 0
-    require_full_size_classes: bool = True
 
     def __post_init__(self):
         if self.n < 2:
             raise SizeTooSmall("search needs n >= 2")
-        if self.time_limit <= 0:
+        if not self.time_limit > 0:
             raise ValueError("time_limit must be positive")
         if self.max_blocks_per_strip is not None and self.max_blocks_per_strip < 1:
             raise ValueError("max_blocks_per_strip must be positive")
 
 
-def _orbit(p: Permutation) -> set[Permutation]:
-    out = set()
-    for k in range(p.n):
-        s = cyclic_shift(p, k)
-        out.add(s)
-        out.add(reverse(s))
-    return out
+def _orbit(word: tuple[int, ...]) -> set[tuple[int, ...]]:
+    shifts = {word[k:] + word[:k] for k in range(len(word))}
+    return shifts | {w[::-1] for w in shifts}
 
 
 def necklace_classes(n: int) -> list[NecklaceClass]:
@@ -82,16 +77,17 @@ def necklace_classes(n: int) -> list[NecklaceClass]:
         raise SizeLimitExceeded(
             f"necklace_classes enumerates S_n; n = {n} exceeds the limit of {_CLASS_LIMIT}"
         )
-    import itertools
-
     seen: set[tuple[int, ...]] = set()
     classes: list[NecklaceClass] = []
+    # Words come in lexicographic order, so the first unseen word of a class
+    # is its minimum: the first of the sorted members.
     for word in itertools.permutations(range(1, n + 1)):
         if word in seen:
             continue
-        rep = Permutation(word)
-        members = _orbit(rep)
-        seen.update(m.images for m in members)
+        orbit = _orbit(word)
+        seen |= orbit
+        members = tuple(map(Permutation, sorted(orbit)))
+        rep = members[0]
         if n % 2 == 0:
             profile = "alternating"
         else:
@@ -99,7 +95,7 @@ def necklace_classes(n: int) -> list[NecklaceClass]:
         classes.append(
             NecklaceClass(
                 representative=rep,
-                members=tuple(sorted(members, key=lambda m: m.images)),
+                members=members,
                 size=len(members),
                 parity_profile=profile,
             )
@@ -123,84 +119,39 @@ def _chain_group(
 ) -> list[list[Permutation]]:
     """Order the group's classes into chains of heads; each chain becomes one strip.
 
-    Iterative depth-first search with an explicit stack (n = 8 has 2520
-    classes, far past the interpreter's recursion limit). Each stack frame is
-    the list of (class, head, closes_chain) choices open at that depth.
+    One pass over the classes in shuffled order. Each class contributes the
+    first of its shuffled members that starts with column n - 1 of the
+    previous head, or any member when a chain starts. For n >= 3 such a member
+    always exists, so no choice is ever undone.
     """
     n = group[0].representative.n
     class_order = list(group)
     rng.shuffle(class_order)
-    head_orders: list[list[Permutation]] = []
-    by_first: list[dict[int, list[Permutation]]] = []
+    chains: list[list[Permutation]] = [[]]
     for cls in class_order:
-        members = list(cls.members)
-        rng.shuffle(members)
-        head_orders.append(members)
-        index: dict[int, list[Permutation]] = {}
-        for h in members:
-            index.setdefault(h.images[0], []).append(h)
-        by_first.append(index)
-
-    k = len(class_order)
-    used = [False] * k
-    chain: list[Permutation] = []
-    chains: list[list[Permutation]] = []
-
-    def options() -> list[tuple[int, Permutation, bool]]:
-        closes = bool(chain) and max_blocks is not None and len(chain) == max_blocks
-        need = None if (not chain or closes) else chain[-1].images[n - 2]
-        out = []
-        for ci in range(k):
-            if used[ci]:
-                continue
-            heads = head_orders[ci] if need is None else by_first[ci].get(need, [])
-            out.extend((ci, h, closes) for h in heads)
-        return out
-
-    def undo(ci: int, closed: bool) -> None:
-        used[ci] = False
-        chain.pop()
-        if closed:
-            chain[:0] = chains.pop()
-
-    stack: list[tuple[list[tuple[int, Permutation, bool]], int]] = [(options(), 0)]
-    placed = 0
-    while stack:
         if time.monotonic() > deadline:
             raise NotFound("time limit reached before a scheme was found")
-        cands, idx = stack[-1]
-        if idx > 0:
-            ci, _, closed = cands[idx - 1]
-            undo(ci, closed)
-        if idx >= len(cands):
-            stack.pop()
-            continue
-        stack[-1] = (cands, idx + 1)
-        ci, head, closes = cands[idx]
-        used[ci] = True
-        if closes:
-            chains.append(list(chain))
-            chain.clear()
-        chain.append(head)
-        placed = sum(used)
-        if placed == k:
-            chains.append(list(chain))
-            return chains
-        stack.append((options(), 0))
-
-    raise NotFound("search space exhausted without a complete chain")
+        members = list(cls.members)
+        rng.shuffle(members)
+        if len(chains[-1]) == max_blocks:
+            chains.append([])
+        chain = chains[-1]
+        need = chain[-1].images[n - 2] if chain else None
+        chain.append(next(h for h in members if need is None or h.images[0] == need))
+    return chains
 
 
 def search_scheme(cfg: SearchConfig) -> Scheme:
     """Find a scheme covering S_n, deterministic for a fixed random_seed.
 
     Raises NotFound when undersized (self-symmetric) classes block the
-    construction, when time runs out, or when the search space is exhausted.
+    construction (n = 2), when time runs out, or when the result fails
+    validation.
     """
     classes = necklace_classes(cfg.n)
     full = 2 * cfg.n
     undersized = [c for c in classes if c.size < full]
-    if undersized and cfg.require_full_size_classes:
+    if undersized:
         reps = ", ".join(str(list(c.representative.images)) for c in undersized)
         raise NotFound(
             f"n = {cfg.n} has self-symmetric classes of size < {full} ({reps}); "

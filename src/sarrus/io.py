@@ -51,11 +51,17 @@ def matrix_from_csv(text: str) -> Matrix:
     return Matrix.from_rows(rows)
 
 
-def matrix_from_json(text: str) -> Matrix:
+def _load_json(text: str):
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(e.lineno, e.colno, e.msg) from None
+    except (ValueError, RecursionError) as e:  # over-long integer literal, deep nesting
+        raise ParseError(1, 0, f"unreadable JSON: {e}") from None
+
+
+def matrix_from_json(text: str) -> Matrix:
+    data = _load_json(text)
     if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
         raise ParseError(1, 0, "expected an array of arrays")
     rows: list[list[Scalar]] = []
@@ -113,10 +119,7 @@ def _int_list(value, what: str) -> tuple[int, ...]:
 
 
 def scheme_from_json(text: str) -> Scheme:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(e.lineno, e.colno, e.msg) from None
+    data = _load_json(text)
     try:
         n = data["n"]
         if not _is_int(n):
@@ -147,11 +150,11 @@ def permutation_to_json(p: Permutation) -> str:
 
 
 def permutation_from_json(text: str) -> Permutation:
+    word = _int_list(_load_json(text), "permutation JSON: the word")
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(e.lineno, e.colno, e.msg) from None
-    return Permutation(_int_list(data, "permutation JSON: the word"))
+        return Permutation(word)
+    except ValueError as e:
+        raise ParseError(1, 0, f"permutation JSON: {e}") from None
 
 
 def format_scalar(x: Scalar) -> str:

@@ -137,6 +137,16 @@ def test_validate_exit_codes(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", ["det", "validate", "render"])
+def test_builtin_zero_is_an_unsupported_size(capsys, worked_csv, command):
+    argv = [command, "--builtin", "0"]
+    if command == "det":
+        argv += ["--matrix", worked_csv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "no built-in scheme for n = 0" in err
+
+
 def test_generate_writes_a_valid_scheme(capsys, tmp_path):
     out_path = tmp_path / "s5.json"
     code, _, _ = run(capsys, "generate", "--n", "5", "--seed", "7", "--out", str(out_path))

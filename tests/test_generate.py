@@ -1,5 +1,11 @@
+import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +22,7 @@ from sarrus import (
     parity,
     reverse,
     scheme_4x4,
+    scheme_to_json,
     search_scheme,
     validate,
     verify_generated,
@@ -167,7 +174,45 @@ def test_search_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(n=4, time_limit=0)
     with pytest.raises(ValueError):
+        SearchConfig(n=4, time_limit=float("nan"))
+    with pytest.raises(ValueError):
         SearchConfig(n=4, max_blocks_per_strip=0)
+
+
+# SHA-256 of scheme_to_json(search_scheme(...)), taken before the chain search
+# became a single greedy pass; seeded schemes must not change.
+GOLDEN_SCHEMES = [
+    (3, 0, None, "24a18494aaf1749465ed8580d998f54d2e7ebeca58d63ff031bbe5ba3349c323"),
+    (4, 11, None, "d5266044dc24ea83aedc653991fa66efbf7b851a034d15503769ea121da0219f"),
+    (4, 2, 1, "f0102220a0ae5c31b3f517f58ae1b43386d63a31371e702895631b4367ba90f9"),
+    (5, 2, 2, "d6b80f024f2164f5e5474047556c51142a7365dc49aaebfa4535fa2efd204e17"),
+    (5, 11, None, "56ee16e661bbfdf9fd071f0304eb6d7f12f3535756a7ff27b0c5b1e5cbb60d52"),
+    (6, 3, None, "f05e8326e5fc71d95426715d42e334960ee1163f92a986a95df86267504daf54"),
+    (7, 11, None, "d788437f54ddc693854e5552383c17fddafcfb4d61357458b9d5a8288729aa65"),
+    (7, 7, None, "224f926253d3b831469527065cedcf71517882ac2e59c9744165db10b544d272"),
+    (8, 7, None, "d584612682bf3c260899c05897ff82c945fc222c5a51ba82a533e080a1f420c8"),
+]
+
+
+@pytest.mark.parametrize("n,seed,max_blocks,digest", GOLDEN_SCHEMES)
+def test_seeded_schemes_match_golden_digests(n, seed, max_blocks, digest):
+    sch = search_scheme(SearchConfig(n=n, random_seed=seed, max_blocks_per_strip=max_blocks))
+    assert hashlib.sha256(scheme_to_json(sch).encode()).hexdigest() == digest
+
+
+def test_cli_generate_n8_is_fast():
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "sarrus", "generate", "--n", "8", "--seed", "7"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert time.perf_counter() - t0 < 5
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_verify_generated_passes_for_good_schemes():

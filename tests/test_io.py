@@ -2,6 +2,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import WORKED_ROWS
 
@@ -149,10 +151,37 @@ def test_permutation_json():
     assert permutation_from_json("[4,3,5,2,1]") == p
 
 
-@pytest.mark.parametrize("text", ['"312"', "[3.7, 1, 2]", "[3,1,2"])
+@pytest.mark.parametrize(
+    "text", ['"312"', "[3.7, 1, 2]", "[3,1,2", "[1,1,2]", "[]", "[0,1]", "[2,3]"]
+)
 def test_permutation_json_rejects_non_integer_lists(text):
     with pytest.raises(ParseError):
         permutation_from_json(text)
+
+
+@given(
+    st.one_of(
+        st.text(),
+        st.lists(st.integers(-2, 9), max_size=9).map(json.dumps),
+        st.permutations(range(1, 7)).map(json.dumps),
+    )
+)
+def test_permutation_json_gives_a_permutation_or_a_parse_error(text):
+    try:
+        p = permutation_from_json(text)
+    except ParseError:
+        return
+    assert isinstance(p, Permutation)
+    assert permutation_from_json(permutation_to_json(p)) == p
+
+
+@pytest.mark.parametrize("parse", [matrix_from_json, scheme_from_json, permutation_from_json])
+@pytest.mark.parametrize(
+    "text", ["[" * 100000, "[[" + "9" * 5000 + "]]"], ids=["deep", "long-int"]
+)
+def test_unreadable_json_is_a_parse_error(parse, text):
+    with pytest.raises(ParseError):
+        parse(text)
 
 
 def test_format_scalar():
