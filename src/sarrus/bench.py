@@ -4,8 +4,9 @@ Counts come from an OpCounter threaded through the real evaluation code, so
 the reported numbers are measurements, not formulas. Multiplications are
 reported under both conventions (n factors per diagonal vs n-1 chained
 multiplications); for elimination-style methods the two coincide. Matrices
-are generated deterministically from the seed, and timed runs are separate
-from the counted run so counting overhead never pollutes the clock.
+are generated deterministically from the seed. The counted run goes first, so
+one-time work (the Leibniz sign table, a scheme's signed-window pass) is done
+before the timed runs start.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import partial
 
 from .builtin import builtin_scheme
 from .counting import OpCounter
@@ -23,7 +25,8 @@ from .matrix import Matrix
 from .oracle import bareiss_det, cofactor_det, leibniz_det
 from .scheme import Scheme, evaluate
 
-METHODS = ("scheme", "leibniz", "cofactor", "bareiss")
+ORACLES = {"leibniz": leibniz_det, "cofactor": cofactor_det, "bareiss": bareiss_det}
+METHODS = ("scheme", *ORACLES)
 
 
 @dataclass(frozen=True, slots=True)
@@ -39,17 +42,7 @@ class BenchReport:
     wall_times: tuple[float, ...]
 
     def to_json_obj(self) -> dict:
-        return {
-            "method": self.method,
-            "n": self.n,
-            "runs": self.runs,
-            "term_count": self.term_count,
-            "multiplications_n_factors": self.multiplications_n_factors,
-            "multiplications_chained": self.multiplications_chained,
-            "additions": self.additions,
-            "divisions": self.divisions,
-            "wall_times": list(self.wall_times),
-        }
+        return {**asdict(self), "wall_times": list(self.wall_times)}
 
 
 def _scheme_for(n: int, seed: int) -> Scheme:
@@ -81,23 +74,14 @@ def bench(
         rng = random.Random(seed * 1_000_003 + n)
         mats = [random_matrix(n, rng) for _ in range(runs)]
         for method in methods:
-            if method == "scheme":
-                sch = _scheme_for(n, seed)
-                runner = lambda M, **kw: evaluate(sch, M, **kw)
-            elif method == "leibniz":
-                runner = leibniz_det
-            elif method == "cofactor":
-                runner = cofactor_det
-            else:
-                runner = bareiss_det
-
+            runner = ORACLES.get(method) or partial(evaluate, _scheme_for(n, seed))
+            ops = OpCounter()
+            runner(mats[0], ops=ops)
             times = []
             for M in mats:
                 t0 = time.perf_counter()
                 runner(M)
                 times.append(time.perf_counter() - t0)
-            ops = OpCounter()
-            runner(mats[0], ops=ops)
             reports.append(
                 BenchReport(
                     method=method,

@@ -12,12 +12,11 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .bench import METHODS, bench, reports_to_jsonl
+from .bench import METHODS, ORACLES, bench, reports_to_jsonl
 from .builtin import builtin_scheme
 from .errors import NotFound, SarrusError
 from .generate import SearchConfig, search_scheme
-from .io import format_scalar, load_scheme, parse_matrix, save_scheme, scheme_to_json
-from .oracle import bareiss_det, cofactor_det, leibniz_det
+from .io import format_scalar, load_scheme, parse_matrix, scheme_to_json
 from .pattern import basic_strip_signs, classify
 from .render import RenderSpec, render
 from .scheme import Scheme, evaluate, positive_negative_sums, validate
@@ -114,12 +113,8 @@ def _cmd_det(args) -> int:
             s_plus, s_minus = positive_negative_sums(sch, M)
             print(f"positive sum: {format_scalar(s_plus)}")
             print(f"negative sum: {format_scalar(s_minus)}")
-    elif args.method == "leibniz":
-        value = leibniz_det(M)
-    elif args.method == "cofactor":
-        value = cofactor_det(M)
     else:
-        value = bareiss_det(M)
+        value = ORACLES[args.method](M)
     print(format_scalar(value))
     return 0
 
@@ -137,11 +132,7 @@ def _cmd_generate(args) -> int:
         time_limit=args.time_limit,
         random_seed=args.seed,
     )
-    sch = search_scheme(cfg)
-    if args.out:
-        save_scheme(sch, args.out)
-    else:
-        print(scheme_to_json(sch))
+    _emit(scheme_to_json(search_scheme(cfg)) + "\n", args.out)
     return 0
 
 
@@ -181,11 +172,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_export_builtin(args) -> int:
-    sch = builtin_scheme(args.n)
-    if args.out:
-        save_scheme(sch, args.out)
-    else:
-        print(scheme_to_json(sch))
+    _emit(scheme_to_json(builtin_scheme(args.n)) + "\n", args.out)
     return 0
 
 

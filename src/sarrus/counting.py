@@ -1,10 +1,10 @@
 """Operation counting for the benchmark harness.
 
 An OpCounter is threaded through the real evaluation and oracle code paths
-(never through instrumented copies), so reported counts are measurements of
-the code that actually runs. Products are recorded under both conventions: a
-length-n diagonal has n factors but needs only n-1 multiplications when
-chained.
+(never through instrumented copies). Each route tallies after its loops, per
+call or per step, the sizes they ran over, so counting costs nothing per term.
+Products are recorded under both conventions: a length-n diagonal has n
+factors but needs only n-1 multiplications when chained.
 """
 
 from __future__ import annotations

@@ -24,12 +24,13 @@ def _parse_exact(token: str, line: int, column: int) -> Scalar:
     text = token.strip()
     if not text:
         raise ParseError(line, column, "empty entry")
+    # before Fraction, which would expand an exponent such as 1e1000000000
+    if "." in text or "e" in text.lower():
+        raise ParseError(line, column, f"not an exact number: {text!r}; floats are refused")
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as e:
         raise ParseError(line, column, f"not an exact number: {text!r} ({e})") from None
-    if "." in text or "e" in text.lower():
-        raise ParseError(line, column, f"float literal {text!r} rejected; use p/q")
     return int(value) if value.denominator == 1 else value
 
 
@@ -132,9 +133,9 @@ def scheme_from_json(text: str) -> Scheme:
             )
             for s in data["strips"]
         )
-    except (KeyError, TypeError) as e:
+        return Scheme(n=n, strips=strips)
+    except (KeyError, TypeError, ValueError) as e:
         raise ParseError(1, 0, f"malformed scheme JSON: {e}") from None
-    return Scheme(n=n, strips=strips)
 
 
 def load_scheme(path: str | Path) -> Scheme:

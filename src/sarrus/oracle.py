@@ -1,11 +1,13 @@
 """Scheme-free determinant computations used as ground truth.
 
-Three independent routes: the permutation-expansion definition, first-row
-cofactor expansion with each minor computed once per column subset, and
-fraction-free elimination. They share no code with the scheme path:
-permutation signs here come from inversion counting, not from the cycle
-decomposition the rest of the library uses, so agreement between routes is
-meaningful.
+Three independent routes: the permutation expansion, one loop that splits
+the n! products into the even sum S_plus and the odd sum S_minus (Leibniz is
+S_plus - S_minus); first-row cofactor expansion with each minor computed once
+per column subset; and fraction-free elimination. They share no code with the
+scheme path: permutation signs here come from inversion counting, not from
+the cycle decomposition the rest of the library uses, so agreement between
+routes is meaningful. Operation counts are tallied once per call, per minor
+size or per elimination step, never per term or entry.
 
 The permutation expansion and the elimination run over integers: each row is
 first scaled by the lcm of its denominators, and the result divided by the
@@ -86,23 +88,35 @@ def _uncleared(value: int, clearing: int) -> Scalar:
     return int(result) if result.denominator == 1 else result
 
 
-def leibniz_det(M: Matrix, *, ops: OpCounter | None = None) -> Scalar:
-    """The n!-term permutation expansion, exact."""
-    _guard(M.n, "leibniz_det")
+def _parity_sums(M: Matrix, what: str, ops: OpCounter | None) -> tuple[int, int, int]:
+    """The even and odd product sums over the cleared rows, and the clearing."""
+    _guard(M.n, what)
     n = M.n
     rows, clearing = _cleared_rows(M)
-    total = 0
+    s_plus = 0
+    s_minus = 0
     for word, sign in _iter_signed_perms(n):
-        prod: Scalar = 1
+        prod = 1
         for r in range(n):
             prod *= rows[r][word[r]]
-        if ops is not None:
-            ops.term(n)
-            ops.add(1)
-        total += sign * prod
+        if sign == 1:
+            s_plus += prod
+        else:
+            s_minus += prod
     if ops is not None:
-        ops.add(-1)
-    return _uncleared(total, clearing)
+        terms = math.factorial(n)
+        ops.term(n, terms)
+        # the first term in each running sum is no addition; at n = 1 one sum is empty
+        ops.add(max(terms - 2, 0))
+    return s_plus, s_minus, clearing
+
+
+def leibniz_det(M: Matrix, *, ops: OpCounter | None = None) -> Scalar:
+    """The n!-term permutation expansion, exact: S_plus - S_minus."""
+    s_plus, s_minus, clearing = _parity_sums(M, "leibniz_det", ops)
+    if ops is not None:
+        ops.add(1)
+    return _uncleared(s_plus - s_minus, clearing)
 
 
 def parity_partition_sums(M: Matrix, *, ops: OpCounter | None = None) -> tuple[Scalar, Scalar]:
@@ -111,24 +125,7 @@ def parity_partition_sums(M: Matrix, *, ops: OpCounter | None = None) -> tuple[S
     S_plus - S_minus = det(M); for n = 5 each side collects 60 of the 120
     products.
     """
-    _guard(M.n, "parity_partition_sums")
-    n = M.n
-    rows, clearing = _cleared_rows(M)
-    s_plus = 0
-    s_minus = 0
-    for word, sign in _iter_signed_perms(n):
-        prod: Scalar = 1
-        for r in range(n):
-            prod *= rows[r][word[r]]
-        if ops is not None:
-            ops.term(n)
-            ops.add(1)
-        if sign == 1:
-            s_plus += prod
-        else:
-            s_minus += prod
-    if ops is not None:
-        ops.add(-2)
+    s_plus, s_minus, clearing = _parity_sums(M, "parity_partition_sums", ops)
     return _uncleared(s_plus, clearing), _uncleared(s_minus, clearing)
 
 
@@ -187,10 +184,11 @@ def bareiss_det(M: Matrix, *, ops: OpCounter | None = None) -> Scalar:
             rik = rows[i][k]
             for j in range(k + 1, n):
                 rows[i][j] = (rows[i][j] * pivot - rik * rows[k][j]) // prev
-                if ops is not None:
-                    ops.mul(2)
-                    ops.add(1)
-                    ops.div(1)
             rows[i][k] = 0
+        if ops is not None:
+            m = (n - k - 1) ** 2  # entries eliminated in this step
+            ops.mul(2 * m)
+            ops.add(m)
+            ops.div(m)
         prev = pivot
     return _uncleared(sign * rows[n - 1][n - 1], clearing)

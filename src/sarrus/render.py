@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidScheme
-from .scheme import Scheme, _Diagonals, _signed_windows, validate
+from .scheme import Scheme, _complete, _Diagonals
 
 
 @dataclass(frozen=True, slots=True)
@@ -31,10 +30,7 @@ class RenderSpec:
 
 
 def render(spec: RenderSpec) -> str:
-    report = validate(spec.scheme)
-    if not report.is_valid:
-        raise InvalidScheme("refusing to render a defective scheme:\n" + report.summary())
-    strips = _signed_windows(spec.scheme).strips
+    strips = _complete(spec.scheme).strips
     if spec.output_format == "svg":
         return _render_svg(spec, strips)
     return _render_ascii(spec, strips)

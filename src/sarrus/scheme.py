@@ -226,6 +226,16 @@ class _SignedWindows:
     exact_cover: bool
 
 
+def _is_factorial(count: int, n: int) -> bool:
+    """count == n!, without building n! for the huge n a file may declare."""
+    product = 1
+    for k in range(2, n + 1):
+        product *= k
+        if product > count:
+            return False
+    return product == count
+
+
 @lru_cache(maxsize=128)
 def _signed_windows(sch: Scheme) -> _SignedWindows:
     # Schemes are immutable, so the pass is shared by every later call. Words
@@ -267,7 +277,7 @@ def _signed_windows(sch: Scheme) -> _SignedWindows:
         even=len(set(plus)),
         plus=plus,
         minus=minus,
-        exact_cover=not invalid and not duplicates and len(occurrences) == math.factorial(n),
+        exact_cover=not invalid and not duplicates and _is_factorial(len(occurrences), n),
     )
 
 
@@ -294,7 +304,7 @@ def validate(sch: Scheme) -> ValidationReport:
     n = sch.n
     signed = _signed_windows(sch)
     missing: tuple[Permutation, ...] = ()
-    if signed.covered < math.factorial(n):
+    if not _is_factorial(signed.covered, n):
         _guard(n, "validate", "lists missing permutations by sweeping all n!")
         # entry position r * n + c - 1 holds column c of the word
         hit = {tuple(i % n + 1 for i in w) for w in signed.plus + signed.minus}
@@ -335,10 +345,9 @@ def _signed_sums(sch: Scheme, M: Matrix, ops: OpCounter | None) -> tuple[Scalar,
         raise SizeMismatch(f"matrix is {M.n}x{M.n} but scheme expects n = {sch.n}")
     signed = _complete(sch)
     if ops is not None:
-        terms = len(signed.plus) + len(signed.minus)
-        ops.term(sch.n, terms)
+        ops.term(sch.n, len(signed.plus) + len(signed.minus))
         # the first term landing in each running sum is not an addition
-        ops.add(terms - 2)
+        ops.add(max(len(signed.plus) - 1, 0) + max(len(signed.minus) - 1, 0))
     entries = [x for row in M.rows for x in row]
     return _sum_of_products(entries, signed.plus), _sum_of_products(entries, signed.minus)
 

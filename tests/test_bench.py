@@ -1,21 +1,30 @@
+import importlib
 import json
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from sarrus import (
     Matrix,
     OpCounter,
+    Scheme,
+    SchemeStrip,
     bareiss_det,
     bench,
+    builtin_scheme,
     cofactor_det,
     evaluate,
     leibniz_det,
+    parity_partition_sums,
+    positive_negative_sums,
     reports_to_jsonl,
     term_count_statement,
 )
 from sarrus.bench import random_matrix
+from sarrus.oracle import _signed_perms
+from sarrus.scheme import _signed_windows
 
 
 def cofactor_mult_count(n):
@@ -67,6 +76,63 @@ def test_bareiss_counts_are_cubic_not_factorial():
     bareiss_det(random_matrix(8, rng), ops=ops)
     assert 0 < ops.mul_chained < math.factorial(8)
     assert ops.divs > 0
+
+
+def _counts(route, *args):
+    ops = OpCounter()
+    route(*args, ops=ops)
+    return ops.terms, ops.mul_chained, ops.adds, ops.divs
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_expansion_counts_are_exact(n):
+    M = random_matrix(n, random.Random(n))
+    terms, chained = math.factorial(n), math.factorial(n) * (n - 1)
+    # one addition fewer than terms on each nonempty side, plus the difference
+    side_adds = max(terms - 2, 0)
+    assert _counts(parity_partition_sums, M) == (terms, chained, side_adds, 0)
+    assert _counts(leibniz_det, M) == (terms, chained, side_adds + 1, 0)
+    if n <= 5:
+        sch = Scheme(n=1, strips=(SchemeStrip(1, (1,), (1,)),)) if n == 1 else builtin_scheme(n)
+        assert _counts(positive_negative_sums, sch, M) == _counts(parity_partition_sums, M)
+        assert _counts(evaluate, sch, M) == _counts(leibniz_det, M)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_bareiss_counts_are_exact(n):
+    def tally(steps):
+        m = sum((n - k - 1) ** 2 for k in range(steps))
+        return (0, 2 * m, m, m)
+
+    # the reversed identity has a zero first pivot, so it needs row swaps
+    swapped = Matrix.from_rows([[int(i + j == n - 1) for j in range(n)] for i in range(n)])
+    assert _counts(bareiss_det, swapped) == tally(n - 1)
+    # a zero column c ends the elimination at step c, after c full steps
+    c = n // 2
+    vandermonde = [[0 if j == c else (i + 1) ** j for j in range(n)] for i in range(n)]
+    zero_column = Matrix.from_rows(vandermonde)
+    assert bareiss_det(zero_column) == 0
+    assert _counts(bareiss_det, zero_column) == tally(c)
+
+
+def test_bench_times_warm_runs(monkeypatch):
+    # each clock read records whether the one-time tables are built yet
+    reads = []
+
+    def perf_counter():
+        reads.append((_signed_perms.cache_info().currsize, _signed_windows.cache_info().currsize))
+        return 0.0
+
+    # the package exports the function ``bench`` under the module's name
+    module = importlib.import_module("sarrus.bench")
+    monkeypatch.setattr(module, "time", SimpleNamespace(perf_counter=perf_counter))
+    _signed_perms.cache_clear()
+    _signed_windows.cache_clear()
+    bench(["scheme", "leibniz"], [5], runs=2)
+    scheme_reads, leibniz_reads = reads[:4], reads[4:]
+    assert len(leibniz_reads) == 4
+    assert all(windows == 1 for _, windows in scheme_reads)
+    assert all(perms == 1 for perms, _ in leibniz_reads)
 
 
 def test_bareiss_beats_leibniz_at_n8():

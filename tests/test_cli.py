@@ -107,22 +107,47 @@ def test_scheme_with_string_columns_is_an_error(capsys, tmp_path):
     assert code == 2 and err.startswith("error:")
 
 
-@pytest.mark.parametrize("command", ["validate", "det", "render"])
-def test_missing_sweep_beyond_its_limit_is_an_error(tmp_path, command):
-    # one window at n = 13 leaves 13! - 2 permutations to list as missing
-    path = tmp_path / "s13.json"
-    path.write_text(json.dumps({"n": 13, "strips": [{"columns": list(range(1, 14)), "starts": [1]}]}))
-    argv = [command, "--scheme", str(path)]
-    if command == "det":
-        argv += ["--matrix", _write_rows(tmp_path / "m13.csv", Matrix.identity(13).rows)]
+def _refused_at_once(*argv):
+    """Run sarrus in a subprocess; it must exit 2 with an error, within 5 s."""
     t0 = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "sarrus", *argv], capture_output=True, text=True, timeout=60
     )
     assert time.perf_counter() - t0 < 5
     assert proc.returncode == 2 and proc.stdout == ""
-    assert proc.stderr.startswith("error:") and "n = 13 exceeds the limit" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+    return proc.stderr
+
+
+def _one_window_scheme(path, n):
+    strip = {"columns": list(range(1, n + 1)), "starts": [1]}
+    path.write_text(json.dumps({"n": n, "strips": [strip]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["validate", "det", "render"])
+def test_missing_sweep_beyond_its_limit_is_an_error(tmp_path, command):
+    # one window at n = 13 leaves 13! - 2 permutations to list as missing
+    argv = [command, "--scheme", _one_window_scheme(tmp_path / "s13.json", 13)]
+    if command == "det":
+        argv += ["--matrix", _write_rows(tmp_path / "m13.csv", Matrix.identity(13).rows)]
+    assert "n = 13 exceeds the limit" in _refused_at_once(*argv)
+
+
+def test_scheme_of_a_huge_n_is_refused_at_once(tmp_path):
+    # whether one window covers all n! permutations is decided without n!
+    path = _one_window_scheme(tmp_path / "huge.json", 10**6)
+    assert "n = 1000000 exceeds the limit" in _refused_at_once("validate", "--scheme", path)
+
+
+@pytest.mark.parametrize(
+    "name,text", [("m.csv", "1e10000000\n"), ("m.json", '[["1e10000000"]]')]
+)
+def test_exponent_entry_is_refused_at_once(tmp_path, name, text):
+    # Fraction would first expand the exponent into a 10-million-digit int
+    path = tmp_path / name
+    path.write_text(text)
+    assert "floats are refused" in _refused_at_once("det", "--matrix", str(path))
 
 
 def test_validate_exit_codes(capsys, tmp_path):

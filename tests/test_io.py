@@ -12,6 +12,8 @@ from sarrus import (
     NonSquare,
     ParseError,
     Permutation,
+    SarrusError,
+    Scheme,
     bareiss_det,
     format_scalar,
     load_scheme,
@@ -143,6 +145,56 @@ def test_scheme_json_requires_integer_lists(field, bad):
 def test_scheme_json_requires_integer_n(bad):
     with pytest.raises(ParseError, match="n must be an integer"):
         scheme_from_json(json.dumps({"n": bad, "strips": [STRIP_4X4]}))
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"n": 4, "strips": []},
+        {"n": 4, "strips": [{"columns": [1, 2, 3], "starts": [1]}]},
+        {"n": 4, "strips": [{"columns": [1, 2, 3, 5], "starts": [1]}]},
+        {"n": 4, "strips": [{"columns": [1, 2, 3, 4], "starts": [2]}]},
+        {"n": 0, "strips": [{"columns": [], "starts": []}]},
+    ],
+    ids=["no-strips", "short-strip", "column-outside", "start-outside", "n-below-1"],
+)
+def test_scheme_json_refuses_impossible_schemes(data):
+    with pytest.raises(ParseError, match="malformed scheme JSON"):
+        scheme_from_json(json.dumps(data))
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 6) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.sampled_from(["n", "strips", "columns", "starts"]), inner, max_size=4),
+    max_leaves=20,
+)
+_scheme_shaped = st.fixed_dictionaries(
+    {
+        "n": st.integers(-1, 5),
+        "strips": st.lists(
+            st.fixed_dictionaries(
+                {
+                    "columns": st.lists(st.integers(-1, 6), max_size=9),
+                    "starts": st.lists(st.integers(-1, 5), max_size=3),
+                }
+            ),
+            max_size=2,
+        ),
+    }
+)
+
+
+@given(
+    st.sampled_from([matrix_from_csv, matrix_from_json, scheme_from_json]),
+    st.one_of(st.text(), st.one_of(_json_values, _scheme_shaped).map(json.dumps)),
+)
+def test_parsers_give_a_value_or_a_sarrus_error(parse, text):
+    try:
+        value = parse(text)
+    except SarrusError:
+        return
+    assert isinstance(value, (Matrix, Scheme))
 
 
 def test_permutation_json():
