@@ -52,8 +52,8 @@ def _scheme_for(n: int, seed: int) -> Scheme:
         return search_scheme(SearchConfig(n=n, random_seed=seed))
 
 
-def random_matrix(n: int, rng: random.Random, lo: int = -9, hi: int = 9) -> Matrix:
-    return Matrix.from_rows([[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)])
+def random_matrix(n: int, rng: random.Random) -> Matrix:
+    return Matrix.from_rows([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
 
 
 def bench(
@@ -117,11 +117,10 @@ def term_count_statement(reports: list[BenchReport]) -> str:
     return "\n".join(lines)
 
 
-def reports_to_jsonl(reports: list[BenchReport], *, statement: bool = True) -> str:
+def reports_to_jsonl(reports: list[BenchReport]) -> str:
     """One JSON object per report, plus a trailing summary object when both
     expansion methods are present."""
     lines = [json.dumps(r.to_json_obj()) for r in reports]
-    note = term_count_statement(reports) if statement else ""
-    if note:
+    if note := term_count_statement(reports):
         lines.append(json.dumps({"summary": "term counts", "statement": note}))
     return "\n".join(lines) + "\n"

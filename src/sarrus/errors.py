@@ -45,6 +45,15 @@ class SizeLimitExceeded(SarrusError):
     """A factorial-time operation was asked for an n beyond its guard."""
 
 
+# 10! terms is desk scale; 11! is not.
+_FACTORIAL_LIMIT = 10
+
+
+def _guard(n: int, what: str, cost: str = "expands n! terms", limit: int = _FACTORIAL_LIMIT):
+    if n > limit:
+        raise SizeLimitExceeded(f"{what} {cost}; n = {n} exceeds the limit of {limit}")
+
+
 class UnsupportedSize(SarrusError):
     """A built-in constructor does not exist for this n."""
 

@@ -6,7 +6,10 @@ a scheme is a choice of one head per class, ordered so consecutive blocks
 share a column. For n >= 3 every class has full size 2n and contains exactly
 two heads beginning with any given value (one from the shift family, one from
 the reversed family), so the chain can always be extended: one greedy pass
-over the classes builds it, with no search to undo.
+over the classes builds it, with no search to undo. The pass runs on raw
+words: classes are listed by their least words, without visiting S_n, and a
+``Permutation`` is built only for each chosen head (and, for the parity split
+below, once per class).
 
 Strip grouping follows the class parity structure: for n ≡ 1 (mod 4) classes
 are parity-pure and split into an even strip and an odd strip; for even n and
@@ -21,7 +24,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from .errors import NotFound, SizeLimitExceeded, SizeTooSmall, VerificationFailed
+from .errors import NotFound, SizeTooSmall, VerificationFailed, _guard
 from .matrix import Matrix
 from .oracle import bareiss_det
 from .perm import Permutation, parity
@@ -68,76 +71,55 @@ def _orbit(word: tuple[int, ...]) -> set[tuple[int, ...]]:
     return shifts | {w[::-1] for w in shifts}
 
 
+def _representatives(n: int) -> list[tuple[int, ...]]:
+    """The least word of every class, in lexicographic order: of its two words
+    starting with 1, (1, *t) and (1, *reversed(t)), the one with t[0] <= t[-1]."""
+    if n < 2:
+        raise SizeTooSmall("necklace classes need n >= 2")
+    _guard(n, "necklace_classes", "enumerates S_n", _CLASS_LIMIT)
+    return [(1, *t) for t in itertools.permutations(range(2, n + 1)) if t[0] <= t[-1]]
+
+
 def necklace_classes(n: int) -> list[NecklaceClass]:
     """Partition S_n into necklace classes, listed by lexicographically
     minimal representative."""
-    if n < 2:
-        raise SizeTooSmall("necklace classes need n >= 2")
-    if n > _CLASS_LIMIT:
-        raise SizeLimitExceeded(
-            f"necklace_classes enumerates S_n; n = {n} exceeds the limit of {_CLASS_LIMIT}"
-        )
-    seen: set[tuple[int, ...]] = set()
-    classes: list[NecklaceClass] = []
-    # Words come in lexicographic order, so the first unseen word of a class
-    # is its minimum: the first of the sorted members.
-    for word in itertools.permutations(range(1, n + 1)):
-        if word in seen:
-            continue
-        orbit = _orbit(word)
-        seen |= orbit
-        members = tuple(map(Permutation, sorted(orbit)))
-        rep = members[0]
-        if n % 2 == 0:
-            profile = "alternating"
-        else:
-            profile = "uniform(+)" if parity(rep) == 1 else "uniform(-)"
-        classes.append(
-            NecklaceClass(
-                representative=rep,
-                members=members,
-                size=len(members),
-                parity_profile=profile,
-            )
-        )
+    classes = []
+    for rep in _representatives(n):
+        members = tuple(map(Permutation, sorted(_orbit(rep))))
+        sign = "+" if parity(members[0]) == 1 else "-"
+        profile = "alternating" if n % 2 == 0 else f"uniform({sign})"
+        classes.append(NecklaceClass(members[0], members, len(members), profile))
     return classes
 
 
-def _strip_groups(n: int, classes: list[NecklaceClass]) -> list[list[NecklaceClass]]:
-    if n % 4 == 1:
-        evens = [c for c in classes if c.parity_profile == "uniform(+)"]
-        odds = [c for c in classes if c.parity_profile == "uniform(-)"]
-        return [evens, odds]
-    return [classes]
-
-
 def _chain_group(
-    group: list[NecklaceClass],
+    reps: list[tuple[int, ...]],
     rng: random.Random,
     deadline: float,
     max_blocks: int | None,
-) -> list[list[Permutation]]:
-    """Order the group's classes into chains of heads; each chain becomes one strip.
+) -> list[list[tuple[int, ...]]]:
+    """Order the classes of a group into chains of heads; each chain becomes one strip.
 
-    One pass over the classes in shuffled order. Each class contributes the
-    first of its shuffled members that starts with column n - 1 of the
-    previous head, or any member when a chain starts. For n >= 3 such a member
-    always exists, so no choice is ever undone.
+    One pass over the class representatives in shuffled order. Each class
+    lists its members when the pass reaches it and contributes the first of
+    them, shuffled, that starts with column n - 1 of the previous head, or any
+    member when a chain starts. For n >= 3 such a member always exists, so no
+    choice is ever undone.
     """
-    n = group[0].representative.n
-    class_order = list(group)
+    n = len(reps[0])
+    class_order = list(reps)
     rng.shuffle(class_order)
-    chains: list[list[Permutation]] = [[]]
-    for cls in class_order:
+    chains: list[list[tuple[int, ...]]] = [[]]
+    for rep in class_order:
         if time.monotonic() > deadline:
             raise NotFound("time limit reached before a scheme was found")
-        members = list(cls.members)
+        members = sorted(_orbit(rep))
         rng.shuffle(members)
         if len(chains[-1]) == max_blocks:
             chains.append([])
         chain = chains[-1]
-        need = chain[-1].images[n - 2] if chain else None
-        chain.append(next(h for h in members if need is None or h.images[0] == need))
+        need = chain[-1][n - 2] if chain else None
+        chain.append(next(h for h in members if need is None or h[0] == need))
     return chains
 
 
@@ -148,25 +130,23 @@ def search_scheme(cfg: SearchConfig) -> Scheme:
     construction (n = 2), when time runs out, or when the result fails
     validation.
     """
-    classes = necklace_classes(cfg.n)
-    full = 2 * cfg.n
-    undersized = [c for c in classes if c.size < full]
-    if undersized:
-        reps = ", ".join(str(list(c.representative.images)) for c in undersized)
+    if cfg.n == 2:
         raise NotFound(
-            f"n = {cfg.n} has self-symmetric classes of size < {full} ({reps}); "
+            "n = 2 has self-symmetric classes of size < 4 ([1, 2]); "
             "blocks built from them would duplicate windows"
         )
-
+    groups = [_representatives(cfg.n)]
+    if cfg.n % 4 == 1:  # parity-pure classes: an even strip group, then an odd one
+        signs = [parity(Permutation(rep)) for rep in groups[0]]
+        groups = [[rep for rep, s in zip(groups[0], signs) if s == sign] for sign in (1, -1)]
     rng = random.Random(cfg.random_seed)
     deadline = time.monotonic() + cfg.time_limit
-    strips = []
-    for group in _strip_groups(cfg.n, classes):
-        if not group:
-            continue
-        for chain in _chain_group(group, rng, deadline, cfg.max_blocks_per_strip):
-            strips.append(stitch_blocks([Block(h) for h in chain]))
-    scheme = Scheme(n=cfg.n, strips=tuple(strips))
+    strips = tuple(
+        stitch_blocks([Block(Permutation(h)) for h in chain])
+        for group in groups
+        for chain in _chain_group(group, rng, deadline, cfg.max_blocks_per_strip)
+    )
+    scheme = Scheme(n=cfg.n, strips=strips)
 
     report = validate(scheme)
     if not report.is_valid:

@@ -34,6 +34,15 @@ def _parse_exact(token: str, line: int, column: int) -> Scalar:
     return int(value) if value.denominator == 1 else value
 
 
+def _square(rows: list[list[Scalar]]) -> Matrix:
+    if not rows:
+        raise ParseError(1, 0, "no rows")
+    widths = {len(r) for r in rows}
+    if widths != {len(rows)}:
+        raise NonSquare(f"{len(rows)} rows with widths {sorted(widths)}")
+    return Matrix.from_rows(rows)
+
+
 def matrix_from_csv(text: str) -> Matrix:
     rows: list[list[Scalar]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -44,12 +53,7 @@ def matrix_from_csv(text: str) -> Matrix:
             for col, tok in enumerate(line.split(","), start=1)
         ]
         rows.append(row)
-    if not rows:
-        raise ParseError(1, 0, "no rows")
-    widths = {len(r) for r in rows}
-    if widths != {len(rows)}:
-        raise NonSquare(f"{len(rows)} rows with widths {sorted(widths)}")
-    return Matrix.from_rows(rows)
+    return _square(rows)
 
 
 def _load_json(text: str):
@@ -69,21 +73,14 @@ def matrix_from_json(text: str) -> Matrix:
     for i, row in enumerate(data, start=1):
         out: list[Scalar] = []
         for j, x in enumerate(row, start=1):
-            if isinstance(x, bool) or isinstance(x, float):
-                raise ParseError(i, j, f"entry {x!r} is not exact; use an int or \"p/q\"")
-            if isinstance(x, int):
+            if isinstance(x, int) and not isinstance(x, bool):
                 out.append(x)
             elif isinstance(x, str):
                 out.append(_parse_exact(x, i, j))
             else:
                 raise ParseError(i, j, f"entry {x!r} is not exact; use an int or \"p/q\"")
         rows.append(out)
-    if not rows:
-        raise ParseError(1, 0, "no rows")
-    widths = {len(r) for r in rows}
-    if widths != {len(rows)}:
-        raise NonSquare(f"{len(rows)} rows with widths {sorted(widths)}")
-    return Matrix.from_rows(rows)
+    return _square(rows)
 
 
 def parse_matrix(path: str | Path, format: str | None = None) -> Matrix:
@@ -99,14 +96,14 @@ def parse_matrix(path: str | Path, format: str | None = None) -> Matrix:
     raise ValueError(f"unknown matrix format {fmt!r}")
 
 
-def scheme_to_json(sch: Scheme, *, indent: int | None = 2) -> str:
+def scheme_to_json(sch: Scheme) -> str:
     payload = {
         "n": sch.n,
         "strips": [
             {"columns": list(s.columns), "starts": list(s.starts)} for s in sch.strips
         ],
     }
-    return json.dumps(payload, indent=indent)
+    return json.dumps(payload, indent=2)
 
 
 def _is_int(x) -> bool:

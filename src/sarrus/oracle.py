@@ -23,11 +23,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .counting import OpCounter
-from .errors import SizeLimitExceeded
+from .errors import _guard
 from .matrix import Matrix, Scalar
 
-# 10! terms is desk scale; 11! is not.
-_FACTORIAL_LIMIT = 10
 # The cofactor expansion holds one minor per column subset: at n = 16 that is
 # 2^16 minors and 2^19 multiplications, still desk scale.
 _COFACTOR_LIMIT = 16
@@ -55,13 +53,6 @@ def _iter_signed_perms(n: int):
     if n <= 8:
         return _signed_perms(n)
     return ((p, _sign_by_inversions(p)) for p in itertools.permutations(range(n)))
-
-
-def _guard(
-    n: int, what: str, cost: str = "expands n! terms", limit: int = _FACTORIAL_LIMIT
-) -> None:
-    if n > limit:
-        raise SizeLimitExceeded(f"{what} {cost}; n = {n} exceeds the limit of {limit}")
 
 
 def _cleared_rows(M: Matrix) -> tuple[list[list[int]], int]:

@@ -11,7 +11,7 @@ Permutations are immutable values; every operation returns a new one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Literal
+from typing import Iterator, Literal
 
 from .errors import IndexOutOfRange, SizeMismatch
 
@@ -35,10 +35,6 @@ class Permutation:
             raise ValueError("permutation needs n >= 1")
         if sorted(self.images) != list(range(1, n + 1)):
             raise ValueError(f"not a bijection on 1..{n}: {self.images}")
-
-    @classmethod
-    def of(cls, values: Iterable[int]) -> "Permutation":
-        return cls(tuple(values))
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":

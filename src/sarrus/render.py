@@ -65,46 +65,43 @@ def _render_svg(spec: RenderSpec, strips: tuple[tuple[_Diagonals, ...], ...]) ->
     badge_font = max(9, int(s * 0.4))
     color = {1: spec.positive_color, -1: spec.negative_color}
 
+    stroke_width = _fmt(s * 0.25)
     for si, (strip, diagonals) in enumerate(zip(sch.strips, strips)):
-        x0 = margin
         y0 = margin + si * (strip_height + gap)
         grid_top = y0 + badge
-
-        def cx(col: int) -> float:
-            return x0 + (col - 0.5) * s
-
-        def cy(row: int) -> float:
-            return grid_top + (row - 0.5) * s
-
+        # the centres of strip column c and of row r are xs[c - 1] and ys[r - 1]
+        xs = [_fmt(margin + (c - 0.5) * s) for c in range(1, len(strip.columns) + 1)]
+        ys = [_fmt(grid_top + (r - 0.5) * s) for r in range(1, n + 1)]
         for c in range(len(strip.columns)):
             parts.append(
-                f'<rect x="{_fmt(x0 + c * s)}" y="{_fmt(grid_top)}" width="{s}" '
+                f'<rect x="{_fmt(margin + c * s)}" y="{_fmt(grid_top)}" width="{s}" '
                 f'height="{n * s}" fill="none" stroke="#bbbbbb" stroke-width="1"/>'
             )
         for d in diagonals:
             # (sign, first row, last row): descending, then ascending unless
             # the two coincide (n = 1)
-            strokes = [(d.sign, 1, n), (d.back_sign, n, 1)] if n > 1 else [(d.sign, 1, n)]
+            strokes = [(d.sign, 0, n - 1), (d.back_sign, n - 1, 0)] if n > 1 else [(d.sign, 0, 0)]
             for sign, first, last in strokes:
                 parts.append(
-                    f'<line x1="{_fmt(cx(d.start))}" y1="{_fmt(cy(first))}" '
-                    f'x2="{_fmt(cx(d.start + n - 1))}" y2="{_fmt(cy(last))}" '
-                    f'stroke="{color[sign]}" stroke-width="{_fmt(s * 0.25)}" '
+                    f'<line x1="{xs[d.start - 1]}" y1="{ys[first]}" '
+                    f'x2="{xs[d.start + n - 2]}" y2="{ys[last]}" '
+                    f'stroke="{color[sign]}" stroke-width="{stroke_width}" '
                     f'stroke-opacity="0.45" stroke-linecap="round"/>'
                 )
-        for c, col in enumerate(strip.columns, start=1):
-            for r in range(1, n + 1):
+        for x, col in zip(xs, strip.columns):
+            for y in ys:
                 parts.append(
-                    f'<text x="{_fmt(cx(c))}" y="{_fmt(cy(r))}" font-family="monospace" '
+                    f'<text x="{x}" y="{y}" font-family="monospace" '
                     f'font-size="{font}" text-anchor="middle" dominant-baseline="central" '
                     f'fill="#222222">{col}</text>'
                 )
         if spec.show_signs:
             # descending sign above the grid, ascending sign below it
+            above, below = _fmt(y0 + badge / 2), _fmt(grid_top + n * s + badge / 2)
             for d in diagonals:
-                for sign, y in ((d.sign, y0 + badge / 2), (d.back_sign, grid_top + n * s + badge / 2)):
+                for sign, y in ((d.sign, above), (d.back_sign, below)):
                     parts.append(
-                        f'<text x="{_fmt(cx(d.start))}" y="{_fmt(y)}" '
+                        f'<text x="{xs[d.start - 1]}" y="{y}" '
                         f'font-family="monospace" font-size="{badge_font}" text-anchor="middle" '
                         f'dominant-baseline="central" fill="{color[sign]}">{_mark(sign)}</text>'
                     )

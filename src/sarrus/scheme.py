@@ -27,9 +27,8 @@ from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 from .counting import OpCounter
-from .errors import ChainMismatch, InvalidScheme, InvalidWindow, SizeMismatch
+from .errors import _FACTORIAL_LIMIT, ChainMismatch, InvalidScheme, InvalidWindow, SizeMismatch, _guard
 from .matrix import Matrix, Scalar
-from .oracle import _guard
 from .perm import Permutation, Sign, _word_parity
 
 
@@ -128,7 +127,7 @@ class ValidationReport:
             not self.duplicates
             and not self.missing
             and not self.invalid_windows
-            and self.covered == math.factorial(self.n)
+            and _is_factorial(self.covered, self.n)
         )
 
     def summary(self) -> str:
@@ -156,9 +155,7 @@ class ValidationReport:
 def expand_block(b: Block) -> SchemeStrip:
     """Lay out a block: the head's columns followed by its first n-1 columns
     again, with a start at every one of the first n positions."""
-    head = b.head.images
-    n = len(head)
-    return SchemeStrip(n=n, columns=head + head[: n - 1], starts=tuple(range(1, n + 1)))
+    return stitch_blocks([b])
 
 
 def stitch_blocks(blocks: Sequence[Block]) -> SchemeStrip:
@@ -166,33 +163,27 @@ def stitch_blocks(blocks: Sequence[Block]) -> SchemeStrip:
 
     Each expanded block ends with its head's (n-1)-th column, which must equal
     the next head's first column; k blocks therefore stitch into
-    k*(2n-1) - (k-1) columns. Raises ChainMismatch with the 0-based junction
-    index when two consecutive blocks do not share that column.
+    k*(2n-1) - (k-1) columns, with block i's starts at i*(2n-2) + 1..n. Raises
+    ChainMismatch with the 0-based junction index when two consecutive blocks
+    do not share that column.
     """
     if not blocks:
         raise ValueError("nothing to stitch")
     n = blocks[0].head.n
-    for b in blocks[1:]:
-        if b.head.n != n:
-            raise SizeMismatch("blocks of different sizes")
-    columns: list[int] = []
-    starts: list[int] = []
-    offset = 0
+    columns = [blocks[0].head.images[0]]
     for i, b in enumerate(blocks):
-        strip = expand_block(b)
-        if i == 0:
-            columns.extend(strip.columns)
-        else:
-            if columns[-1] != strip.columns[0]:
-                raise ChainMismatch(
-                    i - 1,
-                    f"junction {i - 1}: strip ends in column {columns[-1]} "
-                    f"but next block starts with {strip.columns[0]}",
-                )
-            columns.extend(strip.columns[1:])
-        starts.extend(offset + p for p in strip.starts)
-        offset += 2 * n - 2
-    return SchemeStrip(n=n, columns=tuple(columns), starts=tuple(starts))
+        head = b.head.images
+        if len(head) != n:
+            raise SizeMismatch("blocks of different sizes")
+        if columns[-1] != head[0]:
+            raise ChainMismatch(
+                i - 1,
+                f"junction {i - 1}: strip ends in column {columns[-1]} "
+                f"but next block starts with {head[0]}",
+            )
+        columns += head[1:] + head[: n - 1]
+    starts = tuple(i * (2 * n - 2) + p for i in range(len(blocks)) for p in range(1, n + 1))
+    return SchemeStrip(n=n, columns=tuple(columns), starts=starts)
 
 
 class _Diagonals(NamedTuple):
@@ -226,14 +217,27 @@ class _SignedWindows:
     exact_cover: bool
 
 
-def _is_factorial(count: int, n: int) -> bool:
-    """count == n!, without building n! for the huge n a file may declare."""
+def _factorial_past(n: int, cap: int) -> int:
+    """n!, or its first partial product above cap: compares with a count <= cap as n! does."""
     product = 1
     for k in range(2, n + 1):
         product *= k
-        if product > count:
-            return False
-    return product == count
+        if product > cap:
+            break
+    return product
+
+
+def _is_factorial(count: int, n: int) -> bool:
+    return _factorial_past(n, count) == count
+
+
+def _refuse_unsweepable(sch: Scheme) -> None:
+    """Past the sweep limit, refuse before its pass a scheme with fewer than n!
+    windows, whose missing words only a sweep of all of S_n could list."""
+    if sch.n > _FACTORIAL_LIMIT:
+        count = 2 * sum(len(strip.starts) for strip in sch.strips)
+        if count < _factorial_past(sch.n, count):
+            _guard(sch.n, "validate", "lists missing permutations by sweeping all n!")
 
 
 @lru_cache(maxsize=128)
@@ -298,14 +302,15 @@ def validate(sch: Scheme) -> ValidationReport:
     """Check a scheme against S_n. Defects are reported, not raised.
 
     Cost is O(total windows), plus a sweep of all of S_n to list the missing
-    permutations when some are missing. That sweep is refused with
-    SizeLimitExceeded beyond n = 10.
+    permutations when some are missing. Beyond n = 10, a scheme with fewer
+    than n! windows is refused with SizeLimitExceeded before the pass; with
+    more, the sweep costs no more than the pass.
     """
     n = sch.n
+    _refuse_unsweepable(sch)
     signed = _signed_windows(sch)
     missing: tuple[Permutation, ...] = ()
     if not _is_factorial(signed.covered, n):
-        _guard(n, "validate", "lists missing permutations by sweeping all n!")
         # entry position r * n + c - 1 holds column c of the word
         hit = {tuple(i % n + 1 for i in w) for w in signed.plus + signed.minus}
         missing = tuple(
@@ -324,6 +329,7 @@ def validate(sch: Scheme) -> ValidationReport:
 
 
 def _complete(sch: Scheme) -> _SignedWindows:
+    _refuse_unsweepable(sch)
     signed = _signed_windows(sch)
     if not signed.exact_cover:
         raise InvalidScheme("scheme failed validation:\n" + validate(sch).summary())

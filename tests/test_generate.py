@@ -9,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
+import sarrus.generate
 from sarrus import (
     NotFound,
+    Permutation,
     Scheme,
     SchemeStrip,
     SearchConfig,
@@ -36,7 +38,7 @@ def test_class_counts(n, count, size):
     assert all(c.size == size for c in classes)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
 def test_classes_partition_the_symmetric_group(n):
     classes = necklace_classes(n)
     seen = set()
@@ -55,8 +57,9 @@ def test_classes_partition_the_symmetric_group(n):
 
 
 def test_classes_listed_by_representative_order():
-    reps = [c.representative.images for c in necklace_classes(5)]
-    assert reps == sorted(reps)
+    for n in range(3, 9):
+        reps = [c.representative.images for c in necklace_classes(n)]
+        assert reps == sorted(reps)
 
 
 def test_parity_profiles():
@@ -95,7 +98,8 @@ def test_n2_has_one_undersized_class():
 
 
 def test_class_size_guards():
-    with pytest.raises(SizeLimitExceeded):
+    message = "necklace_classes enumerates S_n; n = 9 exceeds the limit of 8"
+    with pytest.raises(SizeLimitExceeded, match=message):
         necklace_classes(9)
     with pytest.raises(SizeTooSmall):
         necklace_classes(1)
@@ -160,6 +164,20 @@ def test_search_n2_fails_cleanly():
     with pytest.raises(NotFound) as err:
         search_scheme(SearchConfig(n=2))
     assert "self-symmetric" in str(err.value)
+
+
+def test_search_builds_a_permutation_per_chosen_head_only(monkeypatch):
+    # the search runs on raw words; n = 7 has 360 classes, so 360 heads
+    built = []
+
+    def counting(images):
+        built.append(images)
+        return Permutation(images)
+
+    monkeypatch.setattr(sarrus.generate, "Permutation", counting)
+    sch = search_scheme(SearchConfig(n=7, random_seed=7))
+    assert validate(sch).is_valid
+    assert len(built) <= 360
 
 
 def test_search_time_limit_is_cooperative():

@@ -9,7 +9,18 @@ import hashlib
 
 import pytest
 
-from sarrus import RenderSpec, Scheme, SchemeStrip, builtin_scheme, render, scheme_4x4, scheme_5x5, validate
+from sarrus import (
+    RenderSpec,
+    Scheme,
+    SchemeStrip,
+    SearchConfig,
+    builtin_scheme,
+    render,
+    scheme_4x4,
+    scheme_5x5,
+    search_scheme,
+    validate,
+)
 
 
 def digest(text: str) -> str:
@@ -38,6 +49,14 @@ def test_svg_bytes_without_signs_in_custom_colours():
         negative_color="#445566",
     )
     assert digest(render(spec)) == "e651dcbd24a71c6f3d1558a40c68ede8b68b1c613e890a683567bee394618e6d"
+
+
+def test_searched_svg_bytes():
+    # one strip of 60 blocks and 601 columns, far past the built-in strips; taken
+    # before the SVG writer formatted each column and row centre once per strip
+    sch = search_scheme(SearchConfig(n=6, random_seed=3))
+    expected = "5211713ff47c8c363bf93b84267f2275572b2fc1cf7385af722df22cefd6f098"
+    assert digest(render(RenderSpec(scheme=sch))) == expected
 
 
 @pytest.mark.parametrize(

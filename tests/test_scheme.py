@@ -13,6 +13,7 @@ from sarrus import (
     InvalidWindow,
     Matrix,
     Permutation,
+    RenderSpec,
     Scheme,
     SchemeStrip,
     SizeLimitExceeded,
@@ -24,6 +25,7 @@ from sarrus import (
     p_block_heads,
     parity_partition_sums,
     positive_negative_sums,
+    render,
     scheme_4x4,
     scheme_5x5,
     stitch_blocks,
@@ -31,6 +33,7 @@ from sarrus import (
     windows,
 )
 from sarrus.bench import random_matrix
+from sarrus.scheme import _signed_windows
 
 # the first junction of the even quilt: two 9-column layouts sharing one column
 P1_P2_PREFIX = (1, 2, 3, 4, 5, 1, 2, 3, 4, 3, 5, 2, 1, 4, 3, 5, 2)
@@ -161,6 +164,28 @@ def test_missing_sweep_is_guarded():
         evaluate(scheme, Matrix.identity(11))
     # a window listing needs no sweep
     assert len(windows(scheme.strips[0])) == 1
+
+
+def test_uncoverable_scheme_is_refused_before_its_pass():
+    # past the sweep limit, one window can never cover n! words: the refusal
+    # comes before any window is signed, whatever the size of the strip
+    huge, small = (
+        Scheme(n=n, strips=(SchemeStrip(n=n, columns=tuple(range(1, n + 1)), starts=(1,)),))
+        for n in (10**6, 11)
+    )
+    calls = [
+        lambda: validate(huge),
+        lambda: render(RenderSpec(scheme=huge)),
+        lambda: validate(small),
+        lambda: evaluate(small, Matrix.identity(11)),
+        lambda: evaluate_float(small, [[1.0] * 11] * 11),
+        lambda: render(RenderSpec(scheme=small, output_format="ascii")),
+    ]
+    misses = _signed_windows.cache_info().misses
+    for call in calls:
+        with pytest.raises(SizeLimitExceeded, match="validate .* exceeds the limit of 10"):
+            call()
+    assert _signed_windows.cache_info().misses == misses
 
 
 def test_validate_reports_are_lexicographically_ordered():
