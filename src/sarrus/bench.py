@@ -40,6 +40,7 @@ class BenchReport:
     additions: int
     divisions: int
     wall_times: tuple[float, ...]
+    median_s: float
 
     def to_json_obj(self) -> dict:
         return {**asdict(self), "wall_times": list(self.wall_times)}
@@ -82,6 +83,7 @@ def bench(
                 t0 = time.perf_counter()
                 runner(M)
                 times.append(time.perf_counter() - t0)
+            ordered = sorted(times)  # the median, without importing statistics on every CLI start
             reports.append(
                 BenchReport(
                     method=method,
@@ -93,6 +95,7 @@ def bench(
                     additions=ops.adds,
                     divisions=ops.divs,
                     wall_times=tuple(times),
+                    median_s=(ordered[(runs - 1) // 2] + ordered[runs // 2]) / 2,
                 )
             )
     return reports

@@ -27,6 +27,12 @@ def _parse_exact(token: str, line: int, column: int) -> Scalar:
     # before Fraction, which would expand an exponent such as 1e1000000000
     if "." in text or "e" in text.lower():
         raise ParseError(line, column, f"not an exact number: {text!r}; floats are refused")
+    # plain integers, the common case, skip the Fraction parse; int accepts
+    # no text that Fraction reads differently
+    try:
+        return int(text)
+    except ValueError:
+        pass
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as e:

@@ -11,20 +11,20 @@ size or per elimination step, never per term or entry.
 
 The permutation expansion and the elimination run over integers: each row is
 first scaled by the lcm of its denominators, and the result divided by the
-product of those lcms. The cofactor expansion works on the entries as given,
-so it stays an independent check on that clearing.
+product of those lcms. That clearing (``matrix._cleared_rows``) is shared with
+scheme evaluation. The cofactor expansion works on the entries as given, so
+it stays the independent check on the clearing.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 from .counting import OpCounter
 from .errors import _guard
-from .matrix import Matrix, Scalar
+from .matrix import Matrix, Scalar, _cleared_rows, _uncleared
 
 # The cofactor expansion holds one minor per column subset: at n = 16 that is
 # 2^16 minors and 2^19 multiplications, still desk scale.
@@ -53,30 +53,6 @@ def _iter_signed_perms(n: int):
     if n <= 8:
         return _signed_perms(n)
     return ((p, _sign_by_inversions(p)) for p in itertools.permutations(range(n)))
-
-
-def _cleared_rows(M: Matrix) -> tuple[list[list[int]], int]:
-    """Row i times the lcm d_i of its denominators, as ints, and the product
-    of the d_i.
-
-    The determinant is linear in each row, and so is any sum of products that
-    take one entry from every row: over the cleared rows such a sum is the
-    same sum over M times the product of the d_i.
-    """
-    rows = []
-    clearing = 1
-    for row in M.rows:
-        d = math.lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (d // x.denominator) for x in row])
-        clearing *= d
-    return rows, clearing
-
-
-def _uncleared(value: int, clearing: int) -> Scalar:
-    if clearing == 1:
-        return value
-    result = Fraction(value, clearing)
-    return int(result) if result.denominator == 1 else result
 
 
 def _parity_sums(M: Matrix, what: str, ops: OpCounter | None) -> tuple[int, int, int]:

@@ -13,6 +13,11 @@ the raw tuples. Validation, evaluation, the two sums, float evaluation,
 ``windows`` and rendering all read that pass, so the words of a scheme are
 signed once however many matrices it evaluates.
 
+Exact evaluation runs over cleared rows, as the oracles do: each row of a
+rational matrix is scaled to integers by the lcm of its denominators. Every
+window takes one entry from each row, so the even and the odd sums both scale
+by the product of those lcms, and are divided by it once at the end.
+
 Everything here is an immutable value and every function is pure, so
 evaluation and validation are safe to run concurrently; exact arithmetic
 makes summation order irrelevant.
@@ -28,7 +33,7 @@ from typing import NamedTuple, Sequence
 
 from .counting import OpCounter
 from .errors import _FACTORIAL_LIMIT, ChainMismatch, InvalidScheme, InvalidWindow, SizeMismatch, _guard
-from .matrix import Matrix, Scalar
+from .matrix import Matrix, Scalar, _cleared_rows, _uncleared
 from .perm import Permutation, Sign, _word_parity
 
 
@@ -346,7 +351,8 @@ def _sum_of_products(entries: Sequence, words: tuple[tuple[int, ...], ...]) -> S
     return total
 
 
-def _signed_sums(sch: Scheme, M: Matrix, ops: OpCounter | None) -> tuple[Scalar, Scalar]:
+def _signed_sums(sch: Scheme, M: Matrix, ops: OpCounter | None) -> tuple[int, int, int]:
+    """The even and odd window sums over the cleared rows, and the clearing."""
     if M.n != sch.n:
         raise SizeMismatch(f"matrix is {M.n}x{M.n} but scheme expects n = {sch.n}")
     signed = _complete(sch)
@@ -354,28 +360,36 @@ def _signed_sums(sch: Scheme, M: Matrix, ops: OpCounter | None) -> tuple[Scalar,
         ops.term(sch.n, len(signed.plus) + len(signed.minus))
         # the first term landing in each running sum is not an addition
         ops.add(max(len(signed.plus) - 1, 0) + max(len(signed.minus) - 1, 0))
-    entries = [x for row in M.rows for x in row]
-    return _sum_of_products(entries, signed.plus), _sum_of_products(entries, signed.minus)
+    rows, clearing = _cleared_rows(M)
+    entries = [x for row in rows for x in row]
+    return (
+        _sum_of_products(entries, signed.plus),
+        _sum_of_products(entries, signed.minus),
+        clearing,
+    )
 
 
 def evaluate(sch: Scheme, M: Matrix, *, ops: OpCounter | None = None) -> Scalar:
     """det(M) as the signed sum over every window's diagonal product.
 
-    Exact: entries are ints/Fractions and so is the result. The optional
-    ``ops`` counter tallies terms, multiplications (both conventions) and
-    additions on the real code path.
+    Exact: the windows are summed over the cleared integer rows, and the
+    difference of the two sums is divided by the clearing once, so the result
+    is an int, or a Fraction when it is not integral. The optional ``ops``
+    counter tallies terms, multiplications (both conventions) and additions
+    on the real code path.
     """
-    s_plus, s_minus = _signed_sums(sch, M, ops)
+    s_plus, s_minus, clearing = _signed_sums(sch, M, ops)
     if ops is not None:
         ops.add(1)
-    return s_plus - s_minus
+    return _uncleared(s_plus - s_minus, clearing)
 
 
 def positive_negative_sums(
     sch: Scheme, M: Matrix, *, ops: OpCounter | None = None
 ) -> tuple[Scalar, Scalar]:
     """The even-window and odd-window product sums; det = S_plus - S_minus."""
-    return _signed_sums(sch, M, ops)
+    s_plus, s_minus, clearing = _signed_sums(sch, M, ops)
+    return _uncleared(s_plus, clearing), _uncleared(s_minus, clearing)
 
 
 def evaluate_float(sch: Scheme, rows: Sequence[Sequence[float]]) -> float:

@@ -2,6 +2,7 @@ import importlib
 import json
 import math
 import random
+import statistics
 from types import SimpleNamespace
 
 import pytest
@@ -158,7 +159,15 @@ def test_jsonl_output_parses():
     for obj in objs[:4]:
         assert obj["n"] == 4 and obj["runs"] == 2
         assert len(obj["wall_times"]) == 2
+        assert obj["median_s"] == sum(obj["wall_times"]) / 2
+        assert list(obj)[-2:] == ["wall_times", "median_s"]
     assert "statement" in objs[4]
+
+
+@pytest.mark.parametrize("runs", [1, 3, 4])
+def test_median_s_is_the_median_of_the_wall_times(runs):
+    for report in bench(["scheme", "bareiss"], [3], runs=runs):
+        assert report.median_s == statistics.median(report.wall_times)
 
 
 def test_bench_rejects_unknown_method():

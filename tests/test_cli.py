@@ -5,6 +5,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import WORKED_ROWS
 
@@ -148,6 +150,58 @@ def test_exponent_entry_is_refused_at_once(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     assert "floats are refused" in _refused_at_once("det", "--matrix", str(path))
+
+
+_entry = st.one_of(st.integers(-9, 9), st.tuples(st.integers(-9, 9), st.integers(-2, 9)))
+_matrix_like = st.lists(st.lists(_entry, max_size=6), max_size=6)
+
+
+def _csv(rows):
+    return "\n".join(",".join(f"{x[0]}/{x[1]}" if isinstance(x, tuple) else str(x) for x in row)
+                     for row in rows)
+
+
+def _json_matrix(rows):
+    return json.dumps([[f"{x[0]}/{x[1]}" if isinstance(x, tuple) else x for x in row] for row in rows])
+
+
+_scheme_like = st.fixed_dictionaries(
+    {
+        "n": st.integers(-1, 6),
+        "strips": st.lists(
+            st.fixed_dictionaries(
+                {
+                    "columns": st.lists(st.integers(-1, 7), max_size=12),
+                    "starts": st.lists(st.integers(-1, 6), max_size=4),
+                }
+            ),
+            max_size=2,
+        ),
+    }
+).map(json.dumps)
+
+_file_bytes = st.one_of(
+    st.binary(max_size=200),
+    st.text(max_size=60).map(str.encode),
+    st.one_of(_matrix_like.map(_csv), _matrix_like.map(_json_matrix), _scheme_like).map(str.encode),
+    st.sampled_from([scheme_to_json(scheme_4x4()), WORKED_CSV, json.dumps(WORKED_ROWS)]).map(str.encode),
+)
+
+
+@given(matrix=_file_bytes, scheme=_file_bytes, suffix=st.sampled_from([".csv", ".json"]))
+@settings(deadline=None)
+def test_any_file_bytes_give_an_exit_code(tmp_path_factory, matrix, scheme, suffix):
+    folder = tmp_path_factory.mktemp("files")
+    matrix_path, scheme_path = folder / f"m{suffix}", folder / "s.json"
+    matrix_path.write_bytes(matrix)
+    scheme_path.write_bytes(scheme)
+    for argv in (
+        ["det", "--matrix", str(matrix_path)],
+        ["det", "--matrix", str(matrix_path), "--scheme", str(scheme_path), "--sums"],
+        ["validate", "--scheme", str(scheme_path)],
+        ["render", "--scheme", str(scheme_path)],
+    ):
+        assert main(argv) in (0, 1, 2, 3)
 
 
 def test_validate_exit_codes(capsys, tmp_path):

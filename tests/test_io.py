@@ -2,7 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import WORKED_ROWS
@@ -31,6 +31,7 @@ from sarrus import (
     SearchConfig,
     validate,
 )
+from sarrus.io import _parse_exact
 
 WORKED_CSV = "2,3,4,-1\n1,-2,0,5\n5,2,2,-3\n8,1,1,1\n"
 
@@ -195,6 +196,48 @@ def test_parsers_give_a_value_or_a_sarrus_error(parse, text):
     except SarrusError:
         return
     assert isinstance(value, (Matrix, Scheme))
+
+
+def _parse_by_fraction(token, line, column):
+    """The entry parse with no integer fast path: every entry through Fraction."""
+    text = token.strip()
+    if not text:
+        raise ParseError(line, column, "empty entry")
+    if "." in text or "e" in text.lower():
+        raise ParseError(line, column, f"not an exact number: {text!r}; floats are refused")
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError) as e:
+        raise ParseError(line, column, f"not an exact number: {text!r} ({e})") from None
+    return int(value) if value.denominator == 1 else value
+
+
+def _outcome(parse, text):
+    try:
+        value = parse(text, 3, 4)
+    except ParseError as e:
+        return "error", str(e)
+    return type(value), value
+
+
+_number_like = st.text(alphabet="0123456789_+-/ \t\u00a0\u0663\uff17x", max_size=12)
+
+
+@given(st.one_of(st.text(), _number_like, st.integers().map(str)))
+@example("1_0")
+@example("+7")
+@example("-0")
+@example(" \u0661\u0662 ")
+@example("1__0")
+@example("_1")
+@example("007")
+@example("0x1f")
+@example("0b11")
+@example("9" * 5000)
+@example("-" + "9" * 5000)
+@example("1/" + "9" * 5000)
+def test_integer_fast_path_parses_as_fraction_does(text):
+    assert _outcome(_parse_exact, text) == _outcome(_parse_by_fraction, text)
 
 
 def test_permutation_json():

@@ -34,6 +34,8 @@ def test_exact_entries_only():
     M = Matrix.from_rows([[Fraction(1, 2), 0], [0, 2]])
     assert M.entry(1, 1) == Fraction(1, 2)
     assert not M.is_integral()
+    assert not Matrix.from_rows([[1, 2], [3, Fraction(1, 3)]]).is_integral()
+    assert Matrix.from_rows([[1, 2], [3, Fraction(8, 2)]]).is_integral()
     # integral fractions normalize to int
     assert isinstance(Matrix.from_rows([[Fraction(4, 2)]]).entry(1, 1), int)
     with pytest.raises(TypeError):

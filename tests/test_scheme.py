@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -12,15 +14,21 @@ from sarrus import (
     InvalidScheme,
     InvalidWindow,
     Matrix,
+    OpCounter,
     Permutation,
     RenderSpec,
     Scheme,
     SchemeStrip,
+    SearchConfig,
     SizeLimitExceeded,
     SizeMismatch,
+    bareiss_det,
+    builtin_scheme,
+    cofactor_det,
     evaluate,
     evaluate_float,
     expand_block,
+    format_scalar,
     leibniz_det,
     p_block_heads,
     parity_partition_sums,
@@ -28,6 +36,7 @@ from sarrus import (
     render,
     scheme_4x4,
     scheme_5x5,
+    search_scheme,
     stitch_blocks,
     validate,
     windows,
@@ -302,6 +311,67 @@ def test_evaluate_handles_rational_entries():
         ]
     )
     assert evaluate(classic_sarrus(3), M) == leibniz_det(M)
+
+
+@lru_cache(maxsize=None)
+def _scheme_for(n):
+    return builtin_scheme(n) if n <= 5 else search_scheme(SearchConfig(n=n, random_seed=1))
+
+
+def _fraction(rng):
+    """A p/q in [-9, 9] / [2, 9] that is not an integer."""
+    while True:
+        x = Fraction(rng.randint(-9, 9), rng.randint(2, 9))
+        if x.denominator != 1:
+            return x
+
+
+def _rational_matrix(kind, n, rng):
+    share = 0.25 if kind == "quarter p/q" else 1.0
+    rows = [[_fraction(rng) if rng.random() < share else rng.randint(-9, 9) for _ in range(n)]
+            for _ in range(n)]
+    k = rng.randrange(n)
+    if kind == "zero row":
+        rows[k] = [0] * n
+    elif kind == "integer row":
+        rows[k] = [rng.randint(-9, 9) for _ in range(n)]
+    elif kind == "integral det":
+        # L @ U with L unit lower and U upper triangular: p/q entries, det = prod(diag U)
+        L = [[1 if i == j else _fraction(rng) if j < i else 0 for j in range(n)] for i in range(n)]
+        U = [[rng.choice((-3, -2, -1, 1, 2, 3)) if i == j else _fraction(rng) if j > i else 0
+              for j in range(n)] for i in range(n)]
+        rows = [[sum(L[i][t] * U[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+    return Matrix.from_rows(rows)
+
+
+@pytest.mark.parametrize("kind", ["all p/q", "quarter p/q", "zero row", "integer row", "integral det"])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_rational_evaluation_matches_the_oracles(n, kind):
+    scheme = _scheme_for(n)
+    M = _rational_matrix(kind, n, random.Random(f"{kind}:{n}"))
+    ops = OpCounter()
+    det = evaluate(scheme, M, ops=ops)
+    assert det == bareiss_det(M) == cofactor_det(M)
+    sum_ops = OpCounter()
+    sums = positive_negative_sums(scheme, M, ops=sum_ops)
+    oracle_sums = parity_partition_sums(M)
+    assert sums[0] == oracle_sums[0] and sums[1] == oracle_sums[1]
+    for value in (det, *sums):
+        # an integral result is an int; a Fraction is never integral
+        assert type(value) is (int if Fraction(value).denominator == 1 else Fraction)
+        # the text a Fraction-arithmetic sum of the same value would print
+        assert format_scalar(value) == format_scalar(Fraction(value))
+    assert format_scalar(det) == format_scalar(cofactor_det(M))
+    if kind in ("zero row", "integral det"):
+        assert type(det) is int
+    if kind == "zero row":
+        assert det == 0
+    # the counts do not depend on the entries
+    integer_matrix = random_matrix(n, random.Random(n))
+    int_ops, int_sum_ops = OpCounter(), OpCounter()
+    evaluate(scheme, integer_matrix, ops=int_ops)
+    positive_negative_sums(scheme, integer_matrix, ops=int_sum_ops)
+    assert ops == int_ops and sum_ops == int_sum_ops
 
 
 def test_evaluate_float_is_close(worked_matrix):
