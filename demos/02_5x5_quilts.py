@@ -7,7 +7,6 @@ even heads with the labels 3 and 4 swapped.
 """
 
 from sarrus import (
-    Block,
     Matrix,
     compose,
     evaluate,
@@ -31,9 +30,9 @@ for k, (p, n) in enumerate(zip(p_block_heads(), n_block_heads()), start=1):
 print()
 
 print("a single block expands to nine columns and covers ten diagonals:")
-block = Block(p_block_heads()[1])
-strip = expand_block(block)
-print("  head", block.head.images, "->", "-".join(map(str, strip.columns)))
+head = p_block_heads()[1]
+strip = expand_block(head)
+print("  head", head.images, "->", "-".join(map(str, strip.columns)))
 for w in windows(strip):
     print(f"    start {w.start}: {w.descending.images} and {w.ascending.images}, "
           f"both {'even' if parity(w.descending) == 1 else 'odd'}")
@@ -42,8 +41,8 @@ print()
 print("blocks chain because each expanded block ends where the next begins:")
 heads = p_block_heads()
 for a, b in zip(heads, heads[1:]):
-    print(f"  {expand_block(Block(a)).columns[-3:]} ... joins ... {b.images[:3]}")
-stitched = stitch_blocks([Block(h) for h in heads])
+    print(f"  {expand_block(a).columns[-3:]} ... joins ... {b.images[:3]}")
+stitched = stitch_blocks(heads)
 print(f"six blocks stitched: {len(stitched.columns)} columns, {len(stitched.starts)} starts")
 print()
 

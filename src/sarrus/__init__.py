@@ -64,7 +64,6 @@ from .pattern import PatternClass, basic_strip_signs, classify
 from .perm import Permutation, Sign, compose, cyclic_shift, parity, relabel_values, reverse
 from .render import RenderSpec, render
 from .scheme import (
-    Block,
     Scheme,
     SchemeStrip,
     ValidationReport,

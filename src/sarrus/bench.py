@@ -19,7 +19,7 @@ from functools import partial
 
 from .builtin import builtin_scheme
 from .counting import OpCounter
-from .errors import UnsupportedSize
+from .errors import UnsupportedSize, _guard
 from .generate import SearchConfig, search_scheme
 from .matrix import Matrix
 from .oracle import bareiss_det, cofactor_det, leibniz_det
@@ -27,6 +27,8 @@ from .scheme import Scheme, evaluate
 
 ORACLES = {"leibniz": leibniz_det, "cofactor": cofactor_det, "bareiss": bareiss_det}
 METHODS = ("scheme", *ORACLES)
+_RUNS_LIMIT = 1000
+_SIZE_LIMIT = 64
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,8 +66,10 @@ def bench(
     seed: int = 0,
 ) -> list[BenchReport]:
     """One report per method and size; times exclude matrix and scheme setup."""
-    if runs < 1:
-        raise ValueError("runs must be positive")
+    if not 1 <= runs <= _RUNS_LIMIT:
+        raise ValueError(f"runs must be in 1..{_RUNS_LIMIT}")
+    for n in sizes:
+        _guard(n, "bench", "builds n x n matrices", _SIZE_LIMIT)
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}; choose from {METHODS}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .errors import UnsupportedSize
 from .perm import Permutation, relabel_values
-from .scheme import Block, Scheme, SchemeStrip, stitch_blocks
+from .scheme import Scheme, SchemeStrip, stitch_blocks
 
 # 19 columns, three chained 7-column segments; starts are the first four
 # positions of each segment.
@@ -63,8 +63,8 @@ def n_block_heads() -> list[Permutation]:
 
 def scheme_5x5() -> Scheme:
     """Two 49-column strips: the even quilt and the odd quilt."""
-    even = stitch_blocks([Block(h) for h in p_block_heads()])
-    odd = stitch_blocks([Block(h) for h in n_block_heads()])
+    even = stitch_blocks(p_block_heads())
+    odd = stitch_blocks(n_block_heads())
     return Scheme(n=5, strips=(even, odd))
 
 

@@ -66,7 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="search for a scheme covering S_n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--time-limit", type=float, default=60.0)
     p.add_argument("--max-blocks-per-strip", type=int, default=None)
     p.add_argument("--out", metavar="PATH", help="default: stdout")
 
@@ -108,11 +107,13 @@ def _cmd_det(args) -> int:
     M = parse_matrix(args.matrix, args.format)
     if args.method == "scheme":
         sch = _resolve_scheme(args, n=M.n)
-        value = evaluate(sch, M)
         if args.sums:
             s_plus, s_minus = positive_negative_sums(sch, M)
             print(f"positive sum: {format_scalar(s_plus)}")
             print(f"negative sum: {format_scalar(s_minus)}")
+            value = s_plus - s_minus
+        else:
+            value = evaluate(sch, M)
     else:
         value = ORACLES[args.method](M)
     print(format_scalar(value))
@@ -129,7 +130,6 @@ def _cmd_generate(args) -> int:
     cfg = SearchConfig(
         n=args.n,
         max_blocks_per_strip=args.max_blocks_per_strip,
-        time_limit=args.time_limit,
         random_seed=args.seed,
     )
     _emit(scheme_to_json(search_scheme(cfg)) + "\n", args.out)
@@ -138,11 +138,12 @@ def _cmd_generate(args) -> int:
 
 def _cmd_pattern(args) -> int:
     cls = classify(args.n)
+    signs = basic_strip_signs(args.n)
     print(f"n = {cls.n}  ({cls.residue_class})")
     print(f"descending signs alternate along starts: {'yes' if cls.shift_alternates else 'no'}")
     print(f"ascending sign flipped vs descending:    {'yes' if cls.ascending_flips else 'no'}")
     print("basic strip signs (start, descending, ascending):")
-    for p, d, a in basic_strip_signs(args.n):
+    for p, d, a in signs:
         print(f"  {p:>3}  {'+' if d == 1 else '-'}  {'+' if a == 1 else '-'}")
     return 0
 

@@ -63,8 +63,8 @@ class SizeTooSmall(SarrusError):
 
 
 class NotFound(SarrusError):
-    """The scheme search found no valid scheme: it ran out of time, the
-    classes are undersized (n = 2), or the result failed validation."""
+    """The scheme search found no valid scheme: the classes are undersized
+    (n = 2), or the result failed validation."""
 
 
 class VerificationFailed(SarrusError):

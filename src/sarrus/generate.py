@@ -8,8 +8,8 @@ two heads beginning with any given value (one from the shift family, one from
 the reversed family), so the chain can always be extended: one greedy pass
 over the classes builds it, with no search to undo. The pass runs on raw
 words: classes are listed by their least words, without visiting S_n, and a
-``Permutation`` is built only for each chosen head (and, for the parity split
-below, once per class).
+``Permutation`` is built only for each chosen head; the parity split below
+signs the raw representatives.
 
 Strip grouping follows the class parity structure: for n ≡ 1 (mod 4) classes
 are parity-pure and split into an even strip and an odd strip; for even n and
@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import itertools
 import random
-import time
 from dataclasses import dataclass
 
 from .errors import NotFound, SizeTooSmall, VerificationFailed, _guard
 from .matrix import Matrix
 from .oracle import bareiss_det
-from .perm import Permutation, parity
-from .scheme import Block, Scheme, ValidationReport, evaluate, stitch_blocks, validate
+from .perm import Permutation, _word_parity, parity
+from .scheme import Scheme, ValidationReport, evaluate, stitch_blocks, validate
 
 _CLASS_LIMIT = 8
 
@@ -54,14 +53,11 @@ class NecklaceClass:
 class SearchConfig:
     n: int
     max_blocks_per_strip: int | None = None
-    time_limit: float = 60.0
     random_seed: int = 0
 
     def __post_init__(self):
         if self.n < 2:
             raise SizeTooSmall("search needs n >= 2")
-        if not self.time_limit > 0:
-            raise ValueError("time_limit must be positive")
         if self.max_blocks_per_strip is not None and self.max_blocks_per_strip < 1:
             raise ValueError("max_blocks_per_strip must be positive")
 
@@ -95,7 +91,6 @@ def necklace_classes(n: int) -> list[NecklaceClass]:
 def _chain_group(
     reps: list[tuple[int, ...]],
     rng: random.Random,
-    deadline: float,
     max_blocks: int | None,
 ) -> list[list[tuple[int, ...]]]:
     """Order the classes of a group into chains of heads; each chain becomes one strip.
@@ -111,8 +106,6 @@ def _chain_group(
     rng.shuffle(class_order)
     chains: list[list[tuple[int, ...]]] = [[]]
     for rep in class_order:
-        if time.monotonic() > deadline:
-            raise NotFound("time limit reached before a scheme was found")
         members = sorted(_orbit(rep))
         rng.shuffle(members)
         if len(chains[-1]) == max_blocks:
@@ -127,8 +120,7 @@ def search_scheme(cfg: SearchConfig) -> Scheme:
     """Find a scheme covering S_n, deterministic for a fixed random_seed.
 
     Raises NotFound when undersized (self-symmetric) classes block the
-    construction (n = 2), when time runs out, or when the result fails
-    validation.
+    construction (n = 2), or when the result fails validation.
     """
     if cfg.n == 2:
         raise NotFound(
@@ -137,14 +129,13 @@ def search_scheme(cfg: SearchConfig) -> Scheme:
         )
     groups = [_representatives(cfg.n)]
     if cfg.n % 4 == 1:  # parity-pure classes: an even strip group, then an odd one
-        signs = [parity(Permutation(rep)) for rep in groups[0]]
+        signs = [_word_parity(rep) for rep in groups[0]]
         groups = [[rep for rep, s in zip(groups[0], signs) if s == sign] for sign in (1, -1)]
     rng = random.Random(cfg.random_seed)
-    deadline = time.monotonic() + cfg.time_limit
     strips = tuple(
-        stitch_blocks([Block(Permutation(h)) for h in chain])
+        stitch_blocks([Permutation(h) for h in chain])
         for group in groups
-        for chain in _chain_group(group, rng, deadline, cfg.max_blocks_per_strip)
+        for chain in _chain_group(group, rng, cfg.max_blocks_per_strip)
     )
     scheme = Scheme(n=cfg.n, strips=strips)
 

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import SizeTooSmall
+from .errors import SizeTooSmall, _guard
+
+_PATTERN_LIMIT = 10_000
 
 _RESIDUE_NAMES = {2: "4k+2", 3: "4k+3", 0: "4k+4", 1: "4k+5"}
 
@@ -52,6 +54,7 @@ def basic_strip_signs(n: int) -> list[tuple[int, int, int]]:
     """
     if n < 2:
         raise SizeTooSmall("basic strips start at n = 2")
+    _guard(n, "basic_strip_signs", "builds n rows", _PATTERN_LIMIT)
     flip = (-1) ** (n // 2)
     out = []
     for p in range(1, n + 1):

@@ -8,9 +8,14 @@ function of the RenderSpec: same input, byte-identical bytes.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .scheme import Scheme, _complete, _Diagonals
+
+_CELL_SIZE_LIMIT = 1000
+# colours go into SVG attributes as given, so only #rgb, #rrggbb or a name
+_COLOR = re.compile(r"#(?:[0-9a-fA-F]{3}){1,2}|[A-Za-z]+")
 
 
 @dataclass(frozen=True, slots=True)
@@ -23,8 +28,11 @@ class RenderSpec:
     output_format: str = "svg"  # "svg" or "ascii"
 
     def __post_init__(self):
-        if self.cell_size <= 0:
-            raise ValueError("cell_size must be positive")
+        if not 0 < self.cell_size <= _CELL_SIZE_LIMIT:
+            raise ValueError(f"cell_size must be in 1..{_CELL_SIZE_LIMIT}")
+        for color in (self.positive_color, self.negative_color):
+            if not _COLOR.fullmatch(color):
+                raise ValueError(f"colour {color!r} is neither #rgb, #rrggbb nor a name")
         if self.output_format not in ("svg", "ascii"):
             raise ValueError(f"unknown output format {self.output_format!r}")
 

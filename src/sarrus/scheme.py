@@ -38,14 +38,6 @@ from .perm import Permutation, Sign, _word_parity
 
 
 @dataclass(frozen=True, slots=True)
-class Block:
-    """A head permutation; expands to a strip covering all its cyclic shifts
-    and their reversals."""
-
-    head: Permutation
-
-
-@dataclass(frozen=True, slots=True)
 class SchemeStrip:
     """A column sequence with start positions.
 
@@ -157,14 +149,14 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def expand_block(b: Block) -> SchemeStrip:
-    """Lay out a block: the head's columns followed by its first n-1 columns
+def expand_block(head: Permutation) -> SchemeStrip:
+    """Lay out a head's block: its columns followed by its first n-1 columns
     again, with a start at every one of the first n positions."""
-    return stitch_blocks([b])
+    return stitch_blocks([head])
 
 
-def stitch_blocks(blocks: Sequence[Block]) -> SchemeStrip:
-    """Chain blocks into one strip, merging the shared column at each junction.
+def stitch_blocks(heads: Sequence[Permutation]) -> SchemeStrip:
+    """Chain heads into one strip, merging the shared column at each junction.
 
     Each expanded block ends with its head's (n-1)-th column, which must equal
     the next head's first column; k blocks therefore stitch into
@@ -172,14 +164,13 @@ def stitch_blocks(blocks: Sequence[Block]) -> SchemeStrip:
     ChainMismatch with the 0-based junction index when two consecutive blocks
     do not share that column.
     """
-    if not blocks:
+    if not heads:
         raise ValueError("nothing to stitch")
-    n = blocks[0].head.n
-    columns = [blocks[0].head.images[0]]
-    for i, b in enumerate(blocks):
-        head = b.head.images
+    n = heads[0].n
+    columns = [heads[0].images[0]]
+    for i, head in enumerate(h.images for h in heads):
         if len(head) != n:
-            raise SizeMismatch("blocks of different sizes")
+            raise SizeMismatch("heads of different sizes")
         if columns[-1] != head[0]:
             raise ChainMismatch(
                 i - 1,
@@ -187,7 +178,7 @@ def stitch_blocks(blocks: Sequence[Block]) -> SchemeStrip:
                 f"but next block starts with {head[0]}",
             )
         columns += head[1:] + head[: n - 1]
-    starts = tuple(i * (2 * n - 2) + p for i in range(len(blocks)) for p in range(1, n + 1))
+    starts = tuple(i * (2 * n - 2) + p for i in range(len(heads)) for p in range(1, n + 1))
     return SchemeStrip(n=n, columns=tuple(columns), starts=starts)
 
 

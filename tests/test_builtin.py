@@ -6,7 +6,6 @@ import pytest
 from conftest import WORKED_DET
 
 from sarrus import (
-    Block,
     Matrix,
     Permutation,
     UnsupportedSize,
@@ -132,7 +131,7 @@ def test_scheme_4x4_is_three_stitched_blocks():
     heads = [Permutation((1, 2, 3, 4)), Permutation((3, 2, 4, 1)), Permutation((4, 2, 1, 3))]
     from sarrus import stitch_blocks
 
-    assert stitch_blocks([Block(h) for h in heads]) == scheme_4x4().strips[0]
+    assert stitch_blocks(heads) == scheme_4x4().strips[0]
 
 
 def test_scheme_4x4_validates_and_evaluates(worked_matrix):
@@ -174,7 +173,7 @@ def test_odd_heads_are_even_heads_times_the_transposition():
 def test_heads_chain_end_to_start():
     for heads in (p_block_heads(), n_block_heads()):
         for a, b in itertools.pairwise(heads):
-            assert expand_block(Block(a)).columns[-1] == b.images[0]
+            assert expand_block(a).columns[-1] == b.images[0]
 
 
 def test_every_even_block_member_is_even_and_odd_block_member_odd():
@@ -193,7 +192,7 @@ def test_block_product_tables_match_shift_and_reverse_families(k):
     # the windows of the expanded block are exactly those ten products
     for head, table in ((even_head, EVEN_BLOCK_PRODUCTS[k]), (odd_head, ODD_BLOCK_PRODUCTS[k])):
         got = set()
-        for w in windows(expand_block(Block(head))):
+        for w in windows(expand_block(head)):
             got.add(w.descending)
             got.add(w.ascending)
         assert got == {Permutation(w) for w in table}

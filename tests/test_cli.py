@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import random
 import subprocess
@@ -5,11 +7,12 @@ import sys
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import WORKED_ROWS
 
+import sarrus.scheme
 from sarrus import Matrix, bareiss_det, load_scheme, scheme_to_json, scheme_4x4, validate
 from sarrus.bench import random_matrix
 from sarrus.cli import main
@@ -52,6 +55,30 @@ def test_det_builtin_with_sums(capsys, worked_csv):
     code, out, _ = run(capsys, "det", "--matrix", worked_csv, "--builtin", "4", "--sums")
     assert code == 0
     assert out.splitlines() == ["positive sum: 551", "negative sum: 411", "140"]
+
+
+@pytest.mark.parametrize(
+    "text, lines",
+    [
+        (WORKED_CSV, ["positive sum: 551", "negative sum: 411", "140"]),
+        ("1/2,1/3\n1/4,1\n", ["positive sum: 1/2", "negative sum: 1/12", "5/12"]),
+        ("1/2,1/2\n1,1\n", ["positive sum: 1/2", "negative sum: 1/2", "0"]),
+    ],
+)
+def test_det_sums_sums_the_windows_once(capsys, monkeypatch, tmp_path, text, lines):
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    calls = []
+    signed_sums = sarrus.scheme._signed_sums
+
+    def counting(*args):
+        calls.append(args)
+        return signed_sums(*args)
+
+    monkeypatch.setattr(sarrus.scheme, "_signed_sums", counting)
+    code, out, _ = run(capsys, "det", "--matrix", str(path), "--sums")
+    assert code == 0 and out.splitlines() == lines
+    assert len(calls) == 1
 
 
 def test_det_with_scheme_file(capsys, worked_csv, tmp_path):
@@ -267,6 +294,31 @@ def test_render_ascii_to_stdout(capsys):
     assert code == 0 and "strip 1: 3 rows x 5 columns" in out
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--positive-color", 'red"/><script>alert(1)</script>'),
+        ("--negative-color", "url(#x)"),
+        ("--positive-color", "#12345"),
+        ("--positive-color", ""),
+        ("--cell-size", "1" + "0" * 400),
+        ("--cell-size", "1001"),
+    ],
+    ids=["markup", "url", "five-hex-digits", "empty", "400-digit-size", "size-over-limit"],
+)
+def test_render_refuses_colours_and_sizes_that_break_the_svg(capsys, flag, value):
+    code, out, err = run(capsys, "render", "--builtin", "3", flag, value)
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_render_takes_hex_and_named_colours_up_to_the_size_limit(capsys):
+    code, out, _ = run(
+        capsys, "render", "--builtin", "3", "--cell-size", "1000",
+        "--positive-color", "#abc", "--negative-color", "DarkOrange",
+    )
+    assert code == 0 and 'stroke="#abc"' in out and 'stroke="DarkOrange"' in out
+
+
 def test_bench_jsonl(capsys):
     code, out, _ = run(
         capsys, "bench", "--methods", "scheme,leibniz", "--sizes", "4", "--runs", "1"
@@ -277,6 +329,60 @@ def test_bench_jsonl(capsys):
     assert "statement" in objs[-1]
     code, _, err = run(capsys, "bench", "--sizes", "4,x")
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pattern", "--n", "10001"],
+        ["bench", "--methods", "bareiss", "--sizes", "1", "--runs", "1001"],
+        ["bench", "--methods", "bareiss", "--sizes", "3,65", "--runs", "1"],
+    ],
+)
+def test_flags_that_scale_work_are_bounded(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_flags_at_their_limits_are_taken(capsys):
+    code, out, _ = run(capsys, "pattern", "--n", "10000")
+    assert code == 0 and len(out.splitlines()) == 4 + 10000
+    code, out, _ = run(capsys, "bench", "--methods", "bareiss", "--sizes", "1,64", "--runs", "1")
+    assert code == 0 and [json.loads(line)["n"] for line in out.splitlines()] == [1, 64]
+    code, out, _ = run(capsys, "bench", "--methods", "bareiss", "--sizes", "1", "--runs", "1000")
+    assert code == 0 and json.loads(out)["runs"] == 1000
+
+
+def _flag_int(lo, hi):
+    """An int flag value from the working range lo..hi, or far outside it either way."""
+    return st.one_of(
+        st.integers(lo, hi), st.integers(10**6, 10**400), st.integers(-(10**400), lo - 1)
+    ).map(str)
+
+
+_colour = st.one_of(st.sampled_from(["blue", "orange", "#112233", "#445566"]), st.text(max_size=12))
+
+_flag_argv = st.one_of(
+    st.tuples(st.integers(2, 5), _flag_int(1, 60), _colour, _colour).map(
+        lambda t: ["render", "--builtin", str(t[0]), "--cell-size", t[1],
+                   "--positive-color", t[2], "--negative-color", t[3]]
+    ),
+    _flag_int(2, 40).map(lambda n: ["pattern", "--n", n]),
+    st.tuples(st.lists(_flag_int(1, 8), min_size=1, max_size=3), _flag_int(1, 5)).map(
+        lambda t: ["bench", "--methods", "bareiss", "--sizes", ",".join(t[0]), "--runs", t[1]]
+    ),
+    st.tuples(st.integers(2, 6), _flag_int(0, 100), _flag_int(1, 5)).map(
+        lambda t: ["generate", "--n", str(t[0]), "--seed", t[1], "--max-blocks-per-strip", t[2]]
+    ),
+)
+
+
+@given(argv=_flag_argv)
+@example(argv=["render", "--builtin", "3", "--cell-size", "1" + "0" * 400])
+@settings(deadline=None)
+def test_any_flag_value_gives_an_exit_code(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) in (0, 1, 2, 3)
 
 
 def test_export_builtin_round_trip(capsys, tmp_path):

@@ -75,19 +75,19 @@ def test_parity_profiles():
 
 
 def test_even_n_blocks_alternate_parity_along_starts():
-    from sarrus import Block, expand_block, windows
+    from sarrus import expand_block, windows
 
     for c in necklace_classes(4):
-        strip = expand_block(Block(c.representative))
+        strip = expand_block(c.representative)
         signs = [parity(w.descending) for w in windows(strip)]
         assert all(a == -b for a, b in zip(signs, signs[1:]))
 
 
 def test_odd_n_blocks_keep_one_parity_along_starts():
-    from sarrus import Block, expand_block, windows
+    from sarrus import expand_block, windows
 
     for c in necklace_classes(5):
-        strip = expand_block(Block(c.representative))
+        strip = expand_block(c.representative)
         signs = {parity(w.descending) for w in windows(strip)}
         assert len(signs) == 1
 
@@ -167,7 +167,8 @@ def test_search_n2_fails_cleanly():
 
 
 def test_search_builds_a_permutation_per_chosen_head_only(monkeypatch):
-    # the search runs on raw words; n = 7 has 360 classes, so 360 heads
+    # the search runs on raw words, one head per class: n = 7 has 360 classes,
+    # and n = 5 has 12, which the parity split signs without a Permutation
     built = []
 
     def counting(images):
@@ -175,24 +176,16 @@ def test_search_builds_a_permutation_per_chosen_head_only(monkeypatch):
         return Permutation(images)
 
     monkeypatch.setattr(sarrus.generate, "Permutation", counting)
-    sch = search_scheme(SearchConfig(n=7, random_seed=7))
-    assert validate(sch).is_valid
-    assert len(built) <= 360
-
-
-def test_search_time_limit_is_cooperative():
-    with pytest.raises(NotFound) as err:
-        search_scheme(SearchConfig(n=6, random_seed=0, time_limit=1e-9))
-    assert "time limit" in str(err.value)
+    for n, classes in ((7, 360), (5, 12)):
+        built.clear()
+        sch = search_scheme(SearchConfig(n=n, random_seed=7))
+        assert validate(sch).is_valid
+        assert len(built) <= classes
 
 
 def test_search_config_validation():
     with pytest.raises(SizeTooSmall):
         SearchConfig(n=1)
-    with pytest.raises(ValueError):
-        SearchConfig(n=4, time_limit=0)
-    with pytest.raises(ValueError):
-        SearchConfig(n=4, time_limit=float("nan"))
     with pytest.raises(ValueError):
         SearchConfig(n=4, max_blocks_per_strip=0)
 

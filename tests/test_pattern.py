@@ -1,7 +1,6 @@
 import pytest
 
 from sarrus import (
-    Block,
     Permutation,
     SizeTooSmall,
     basic_strip_signs,
@@ -70,7 +69,7 @@ def inversion_sign(word):
 
 @pytest.mark.parametrize("n", range(2, 10))
 def test_basic_strip_signs_match_brute_force_window_parities(n):
-    strip = expand_block(Block(Permutation.identity(n)))
+    strip = expand_block(Permutation.identity(n))
     by_start = {w.start: w for w in windows(strip)}
     for p, d, a in basic_strip_signs(n):
         w = by_start[p]

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from conftest import WORKED_DET, WORKED_SUMS
 
 from sarrus import (
-    Block,
     ChainMismatch,
     InvalidScheme,
     InvalidWindow,
@@ -49,12 +48,12 @@ P1_P2_PREFIX = (1, 2, 3, 4, 5, 1, 2, 3, 4, 3, 5, 2, 1, 4, 3, 5, 2)
 
 
 def test_expand_block_examples():
-    s = expand_block(Block(Permutation((1, 2, 3, 4, 5))))
+    s = expand_block(Permutation((1, 2, 3, 4, 5)))
     assert s.columns == (1, 2, 3, 4, 5, 1, 2, 3, 4)
     assert s.starts == (1, 2, 3, 4, 5)
-    s = expand_block(Block(Permutation((4, 3, 5, 2, 1))))
+    s = expand_block(Permutation((4, 3, 5, 2, 1)))
     assert s.columns == (4, 3, 5, 2, 1, 4, 3, 5, 2)
-    s = expand_block(Block(Permutation((1,))))
+    s = expand_block(Permutation((1,)))
     assert s.columns == (1,)
     assert s.starts == (1,)
 
@@ -72,29 +71,28 @@ def test_strip_constructor_checks_ranges():
 
 def test_stitch_two_blocks():
     heads = p_block_heads()
-    s = stitch_blocks([Block(heads[0]), Block(heads[1])])
+    s = stitch_blocks(heads[:2])
     assert s.columns == P1_P2_PREFIX
     assert s.starts == (1, 2, 3, 4, 5, 9, 10, 11, 12, 13)
 
 
 def test_stitch_all_six_blocks():
-    s = stitch_blocks([Block(h) for h in p_block_heads()])
+    s = stitch_blocks(p_block_heads())
     assert len(s.columns) == 6 * 9 - 5 == 49
     assert len(s.starts) == 30
 
 
 def test_stitch_single_block_equals_expand():
-    b = Block(Permutation((3, 1, 2)))
-    assert stitch_blocks([b]) == expand_block(b)
+    head = Permutation((3, 1, 2))
+    assert stitch_blocks([head]) == expand_block(head)
 
 
 def test_stitch_window_union_is_the_blocks_windows():
     heads = p_block_heads()
-    blocks = [Block(h) for h in heads]
-    stitched = stitch_blocks(blocks)
+    stitched = stitch_blocks(heads)
     union = []
-    for b in blocks:
-        for w in windows(expand_block(b)):
+    for head in heads:
+        for w in windows(expand_block(head)):
             union.append((w.descending, w.ascending))
     got = [(w.descending, w.ascending) for w in windows(stitched)]
     assert got == union
@@ -102,10 +100,10 @@ def test_stitch_window_union_is_the_blocks_windows():
 
 def test_stitch_chain_mismatch():
     with pytest.raises(ChainMismatch) as err:
-        stitch_blocks([Block(Permutation((1, 2, 3))), Block(Permutation((1, 3, 2)))])
+        stitch_blocks([Permutation((1, 2, 3)), Permutation((1, 3, 2))])
     assert err.value.junction == 0
     with pytest.raises(SizeMismatch):
-        stitch_blocks([Block(Permutation((1, 2, 3))), Block(Permutation((2, 1, 4, 3)))])
+        stitch_blocks([Permutation((1, 2, 3)), Permutation((2, 1, 4, 3))])
     with pytest.raises(ValueError):
         stitch_blocks([])
 
