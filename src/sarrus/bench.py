@@ -12,6 +12,7 @@ before the timed runs start.
 from __future__ import annotations
 
 import json
+import math
 import random
 import time
 from dataclasses import asdict, dataclass
@@ -19,7 +20,7 @@ from functools import partial
 
 from .builtin import builtin_scheme
 from .counting import OpCounter
-from .errors import UnsupportedSize, _guard
+from .errors import SizeLimitExceeded, UnsupportedSize, _guard
 from .generate import SearchConfig, search_scheme
 from .matrix import Matrix
 from .oracle import bareiss_det, cofactor_det, leibniz_det
@@ -29,6 +30,13 @@ ORACLES = {"leibniz": leibniz_det, "cofactor": cofactor_det, "bareiss": bareiss_
 METHODS = ("scheme", *ORACLES)
 _RUNS_LIMIT = 1000
 _SIZE_LIMIT = 64
+# The cost of one run of each expansion method: n! terms for the scheme and
+# Leibniz, n * 2**(n-1) products for cofactor. Bareiss is cubic, and the size
+# and runs limits bound it alone (~30 ms a run at n = 64 on a 2-vCPU host).
+_RUN_COST = {"scheme": math.factorial, "leibniz": math.factorial, "cofactor": lambda n: n << (n - 1)}
+# runs x the summed run costs of one call: about a minute of Leibniz at
+# n = 9, which takes ~6 us a term on a 2-vCPU host
+_COST_BUDGET = 10**7
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,7 +73,11 @@ def bench(
     runs: int = 3,
     seed: int = 0,
 ) -> list[BenchReport]:
-    """One report per method and size; times exclude matrix and scheme setup."""
+    """One report per method and size; times exclude matrix and scheme setup.
+
+    A call whose runs times summed per-run costs exceed the budget is refused
+    with SizeLimitExceeded before anything is built.
+    """
     if not 1 <= runs <= _RUNS_LIMIT:
         raise ValueError(f"runs must be in 1..{_RUNS_LIMIT}")
     for n in sizes:
@@ -73,6 +85,13 @@ def bench(
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
+    # a size below 1 costs nothing here: the matrix refuses it
+    cost = runs * sum(_RUN_COST[m](n) for m in methods if m in _RUN_COST for n in sizes if n > 0)
+    if cost > _COST_BUDGET:
+        raise SizeLimitExceeded(
+            f"bench would cost {cost} terms and products over its runs; "
+            f"the budget is {_COST_BUDGET}"
+        )
 
     reports = []
     for n in sizes:

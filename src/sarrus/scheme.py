@@ -11,7 +11,11 @@ permutation, which is what makes a complete scheme compute the determinant.
 One cached pass per scheme walks each start once and signs its two words on
 the raw tuples. Validation, evaluation, the two sums, float evaluation,
 ``windows`` and rendering all read that pass, so the words of a scheme are
-signed once however many matrices it evaluates.
+signed once however many matrices it evaluates. The pass takes one parity per
+run of consecutive starts, which in a block is one per block: when the window
+at start p - 1 was valid and the column entering at p is the one leaving, the
+window at p is that window rotated left by one, so it is valid too and its
+sign is the previous sign times (-1)**(n - 1).
 
 Exact evaluation runs over cleared rows, as the oracles do: each row of a
 rational matrix is scaled to integers by the lcm of its denominators. Every
@@ -27,8 +31,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import add
 from typing import NamedTuple, Sequence
 
 from .counting import OpCounter
@@ -45,11 +50,15 @@ class SchemeStrip:
     bounds). Whether each window actually forms a permutation is diagnosed by
     ``validate`` and enforced by ``windows``; a mis-edited strip must remain
     representable so the validator can report on it.
+
+    The hash is taken once, at construction: every lookup of a scheme's cached
+    pass hashes its strips, and tuples do not keep their hash.
     """
 
     n: int
     columns: tuple[int, ...]
     starts: tuple[int, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -63,6 +72,10 @@ class SchemeStrip:
         for p in self.starts:
             if not 1 <= p <= limit:
                 raise ValueError(f"start {p} outside 1..{limit}")
+        object.__setattr__(self, "_hash", hash((self.n, self.columns, self.starts)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def window_at(self, p: int) -> tuple[int, ...]:
         """The n column indices beginning at start p (1-based); no bijection check."""
@@ -201,6 +214,10 @@ class _SignedWindows:
     words. ``plus`` and ``minus`` hold each even and each odd diagonal as the
     row-major positions of its n matrix entries. ``exact_cover``: no window
     is invalid and the diagonals hit every permutation exactly once.
+
+    A window is checked and its parity taken only where it starts a run: a
+    window that follows a valid one at the previous start, and takes in the
+    column that one let go, is its rotation, signed by the rotation rule.
     """
 
     strips: tuple[tuple[_Diagonals, ...], ...]
@@ -241,44 +258,74 @@ def _signed_windows(sch: Scheme) -> _SignedWindows:
     # Schemes are immutable, so the pass is shared by every later call. Words
     # are kept only as entry positions, so a cached scheme stays small.
     n = sch.n
-    # Reversing a word of length n multiplies its sign by (-1)**(n // 2).
+    # Reversing a word of length n multiplies its sign by (-1)**(n // 2), and
+    # rotating it left by one multiplies it by (-1)**(n - 1).
     flip = -1 if n // 2 % 2 else 1
+    turn = -1 if n % 2 == 0 else 1
+    # entry position r * n + c - 1 holds column c of the word's 0-based row r
+    offsets = range(-1, n * n - 1, n)
     strips: list[tuple[_Diagonals, ...]] = []
     invalid: list[tuple[int, int]] = []
-    occurrences: dict[tuple[int, ...], list[WindowRef]] = {}
-    signed: dict[int, list[tuple[int, ...]]] = {1: [], -1: []}
+    seen: set[tuple[int, ...]] = set()
+    repeated: set[tuple[int, ...]] = set()
+    even = 0
+    plus: list[tuple[int, ...]] = []
+    minus: list[tuple[int, ...]] = []
     for si, strip in enumerate(sch.strips, start=1):
+        columns = strip.columns
         diagonals = []
+        last = -1  # the last start whose window was valid
         for p in strip.starts:
-            w = strip.window_at(p)
-            if len(set(w)) != n:
+            w = columns[p - 1 : p + n - 1]
+            if p == last + 1 and w[-1] == columns[p - 2]:
+                # the window at p - 1, rotated left by one
+                sign *= turn
+            elif len(set(w)) == n:
+                sign = _word_parity(w)
+            else:
                 invalid.append((si, p))
                 continue
-            sign = _word_parity(w)
+            last = p
             diagonals.append(_Diagonals(p, sign, sign * flip))
-            back = w[::-1]
-            if w == back:
-                hits = ((w, sign, "both"),)
-            else:
-                hits = ((w, sign, "descending"), (back, sign * flip, "ascending"))
-            for word, word_sign, direction in hits:
-                occurrences.setdefault(word, []).append(WindowRef(si, p, direction))
-                signed[word_sign].append(tuple(r * n + c - 1 for r, c in enumerate(word)))
+            # at n = 1 the window is its own reverse: one word, not two
+            hits = ((w, sign),) if n == 1 else ((w, sign), (w[::-1], sign * flip))
+            for word, word_sign in hits:
+                if word in seen:
+                    repeated.add(word)
+                else:
+                    seen.add(word)
+                    if word_sign > 0:
+                        even += 1
+                (plus if word_sign > 0 else minus).append(tuple(map(add, offsets, word)))
         strips.append(tuple(diagonals))
-    duplicates = tuple(
-        sorted((w, tuple(refs)) for w, refs in occurrences.items() if len(refs) > 1)
-    )
-    plus, minus = tuple(signed[1]), tuple(signed[-1])
     return _SignedWindows(
         strips=tuple(strips),
         invalid=tuple(invalid),
-        duplicates=duplicates,
-        covered=len(occurrences),
-        even=len(set(plus)),
-        plus=plus,
-        minus=minus,
-        exact_cover=not invalid and not duplicates and _is_factorial(len(occurrences), n),
+        duplicates=_where_hit(sch, strips, repeated) if repeated else (),
+        covered=len(seen),
+        even=even,
+        plus=tuple(plus),
+        minus=tuple(minus),
+        exact_cover=not invalid and not repeated and _is_factorial(len(seen), n),
     )
+
+
+def _where_hit(
+    sch: Scheme, strips: list[tuple[_Diagonals, ...]], repeated: set[tuple[int, ...]]
+) -> tuple[tuple[tuple[int, ...], tuple[WindowRef, ...]], ...]:
+    """Each repeated word, in lexicographic order, with every diagonal that hits it."""
+    refs: dict[tuple[int, ...], list[WindowRef]] = {w: [] for w in sorted(repeated)}
+    for si, (strip, diagonals) in enumerate(zip(sch.strips, strips), start=1):
+        for d in diagonals:
+            w = strip.window_at(d.start)
+            if sch.n == 1:
+                hits = ((w, "both"),)
+            else:
+                hits = ((w, "descending"), (w[::-1], "ascending"))
+            for word, direction in hits:
+                if word in refs:
+                    refs[word].append(WindowRef(si, d.start, direction))
+    return tuple((w, tuple(r)) for w, r in refs.items())
 
 
 def windows(s: SchemeStrip) -> list[Window]:
@@ -300,15 +347,22 @@ def validate(sch: Scheme) -> ValidationReport:
     Cost is O(total windows), plus a sweep of all of S_n to list the missing
     permutations when some are missing. Beyond n = 10, a scheme with fewer
     than n! windows is refused with SizeLimitExceeded before the pass; with
-    more, the sweep costs no more than the pass.
+    more, the sweep costs no more than the pass. The pass signs one window
+    per run of consecutive starts and the rest by rotation (see the module
+    notes); the sweep checks S_n against the windows read off the strips and
+    their reverses.
     """
     n = sch.n
     _refuse_unsweepable(sch)
     signed = _signed_windows(sch)
     missing: tuple[Permutation, ...] = ()
     if not _is_factorial(signed.covered, n):
-        # entry position r * n + c - 1 holds column c of the word
-        hit = {tuple(i % n + 1 for i in w) for w in signed.plus + signed.minus}
+        hit = {
+            strip.window_at(d.start)
+            for strip, diagonals in zip(sch.strips, signed.strips)
+            for d in diagonals
+        }
+        hit.update([w[::-1] for w in hit])
         missing = tuple(
             Permutation(w) for w in itertools.permutations(range(1, n + 1)) if w not in hit
         )

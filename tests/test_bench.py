@@ -12,6 +12,7 @@ from sarrus import (
     OpCounter,
     Scheme,
     SchemeStrip,
+    SizeLimitExceeded,
     bareiss_det,
     bench,
     builtin_scheme,
@@ -23,7 +24,7 @@ from sarrus import (
     reports_to_jsonl,
     term_count_statement,
 )
-from sarrus.bench import random_matrix
+from sarrus.bench import ORACLES, random_matrix
 from sarrus.oracle import _signed_perms
 from sarrus.scheme import _signed_windows
 
@@ -175,6 +176,22 @@ def test_bench_rejects_unknown_method():
         bench(["lu"], [4])
     with pytest.raises(ValueError):
         bench(["scheme"], [4], runs=0)
+
+
+def test_bench_refuses_a_call_past_its_cost_budget(monkeypatch):
+    # runs x n! at n = 9: 27 runs fit in 10**7 terms, 28 do not
+    monkeypatch.setitem(ORACLES, "leibniz", lambda M, ops=None: 0)
+    assert [r.runs for r in bench(["leibniz"], [9], runs=27)] == [27]
+    with pytest.raises(SizeLimitExceeded, match="budget is 10000000"):
+        bench(["leibniz"], [9], runs=28)
+    # cofactor runs cost n * 2**(n-1): 1000 runs fit at n = 10, not at n = 11
+    monkeypatch.setitem(ORACLES, "cofactor", lambda M, ops=None: 0)
+    assert len(bench(["cofactor"], [10], runs=1000)) == 1
+    with pytest.raises(SizeLimitExceeded):
+        bench(["cofactor"], [11], runs=1000)
+    # the costs of every method and size add up
+    with pytest.raises(SizeLimitExceeded):
+        bench(["leibniz", "cofactor"], [9, 8], runs=27)
 
 
 def test_bench_scheme_uses_generator_beyond_builtins():

@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import io
 import json
 import random
@@ -14,7 +15,7 @@ from conftest import WORKED_ROWS
 
 import sarrus.scheme
 from sarrus import Matrix, bareiss_det, load_scheme, scheme_to_json, scheme_4x4, validate
-from sarrus.bench import random_matrix
+from sarrus.bench import ORACLES, random_matrix
 from sarrus.cli import main
 
 WORKED_CSV = "2,3,4,-1\n1,-2,0,5\n5,2,2,-3\n8,1,1,1\n"
@@ -342,6 +343,27 @@ def test_bench_jsonl(capsys):
 def test_flags_that_scale_work_are_bounded(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_bench_past_its_budget_is_refused_before_any_run(capsys, monkeypatch):
+    def no_matrix(*args):
+        raise AssertionError("a matrix was built")
+
+    # the package exports the function ``bench`` under the module's name
+    monkeypatch.setattr(importlib.import_module("sarrus.bench"), "random_matrix", no_matrix)
+    code, out, err = run(capsys, "bench", "--methods", "leibniz", "--sizes", "10", "--runs", "1000")
+    assert code == 2 and out == "" and "budget" in err
+
+
+def test_bench_within_its_budget_is_taken(capsys, monkeypatch):
+    # the oracles are stubbed: what is checked is the budget, not their speed
+    for method in ("leibniz", "cofactor"):
+        monkeypatch.setitem(ORACLES, method, lambda M, ops=None: 0)
+    code, out, _ = run(capsys, "bench", "--methods", "leibniz,cofactor", "--sizes", "9", "--runs", "3")
+    assert code == 0
+    assert [(r["method"], r["n"], r["runs"]) for r in map(json.loads, out.splitlines())] == [
+        ("leibniz", 9, 3), ("cofactor", 9, 3)
+    ]
 
 
 def test_flags_at_their_limits_are_taken(capsys):

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import WORKED_DET, WORKED_SUMS
 
+import sarrus.scheme
 from sarrus import (
     ChainMismatch,
     InvalidScheme,
@@ -30,17 +33,21 @@ from sarrus import (
     format_scalar,
     leibniz_det,
     p_block_heads,
+    parity,
     parity_partition_sums,
     positive_negative_sums,
     render,
     scheme_4x4,
     scheme_5x5,
+    scheme_from_json,
+    scheme_to_json,
     search_scheme,
     stitch_blocks,
     validate,
     windows,
 )
 from sarrus.bench import random_matrix
+from sarrus.perm import _word_parity
 from sarrus.scheme import _signed_windows
 
 # the first junction of the even quilt: two 9-column layouts sharing one column
@@ -211,6 +218,135 @@ def test_self_reverse_window_counts_once():
     assert report.covered == 1
     assert report.is_valid
     assert evaluate(scheme, Matrix.from_rows([[7]])) == 7
+
+
+def test_strip_hash_is_taken_once():
+    hashes = []
+
+    class Columns(tuple):
+        def __hash__(self):
+            hashes.append(self)
+            return super().__hash__()
+
+    strip = SchemeStrip(n=3, columns=Columns((1, 2, 3, 1, 2)), starts=(1, 2, 3))
+    scheme = Scheme(n=3, strips=(strip,))
+    assert len(hashes) == 1
+    for _ in range(3):
+        hash(strip)
+        assert validate(scheme).is_valid
+        assert evaluate(scheme, Matrix.identity(3)) == 1
+    assert len(hashes) == 1
+    # equal strips hash alike, however they were made
+    plain = SchemeStrip(n=3, columns=(1, 2, 3, 1, 2), starts=(1, 2, 3))
+    assert plain == strip and hash(plain) == hash(strip)
+    assert hash(plain) != hash(SchemeStrip(n=3, columns=(1, 2, 3, 1, 2), starts=(1, 2)))
+    searched = search_scheme(SearchConfig(n=6, random_seed=11))
+    back = scheme_from_json(scheme_to_json(searched))
+    assert back == searched and hash(back) == hash(searched)
+    assert _signed_windows(back) is _signed_windows(searched)
+
+
+def _reference_pass(sch):
+    """Every field of the pass and of the validation report, the plain way:
+    each valid window signed from scratch, every hit kept in one dict."""
+    n = sch.n
+    strips, invalid, occurrences, plus, minus = [], [], {}, [], []
+    for si, strip in enumerate(sch.strips, start=1):
+        diagonals = []
+        for p in strip.starts:
+            w = strip.columns[p - 1 : p - 1 + n]
+            if sorted(w) != list(range(1, n + 1)):
+                invalid.append((si, p))
+                continue
+            sign, back_sign = parity(Permutation(w)), parity(Permutation(w[::-1]))
+            diagonals.append((p, sign, back_sign))
+            if n == 1:
+                hits = [(w, sign, "both")]
+            else:
+                hits = [(w, sign, "descending"), (w[::-1], back_sign, "ascending")]
+            for word, word_sign, direction in hits:
+                occurrences.setdefault(word, []).append((si, p, direction))
+                positions = tuple(r * n + c - 1 for r, c in enumerate(word))
+                (plus if word_sign == 1 else minus).append(positions)
+        strips.append(diagonals)
+    duplicates = sorted((w, refs) for w, refs in occurrences.items() if len(refs) > 1)
+    return {
+        "strips": strips,
+        "invalid": invalid,
+        "duplicates": duplicates,
+        "covered": len(occurrences),
+        "even": sum(parity(Permutation(w)) == 1 for w in occurrences),
+        "plus": plus,
+        "minus": minus,
+        "missing": [w for w in itertools.permutations(range(1, n + 1)) if w not in occurrences],
+    }
+
+
+@st.composite
+def _strip_sets(draw):
+    """1-3 strips of one n in 1..6: cyclic runs of a word with a few columns
+    changed, or arbitrary columns; starts in any order, with repeats and with
+    runs of consecutive starts."""
+    n = draw(st.integers(1, 6))
+    strips = []
+    for _ in range(draw(st.integers(1, 3))):
+        length = draw(st.integers(n, 5 * n))
+        column = st.integers(1, n)
+        if draw(st.booleans()):
+            word = draw(st.permutations(range(1, n + 1)))
+            columns = [word[i % n] for i in range(length)]
+            for i, c in draw(st.lists(st.tuples(st.integers(0, length - 1), column), max_size=3)):
+                columns[i] = c
+        else:
+            columns = draw(st.lists(column, min_size=length, max_size=length))
+        limit = length - n + 1
+        starts = draw(st.lists(st.integers(1, limit), max_size=2 * limit))
+        for _ in range(draw(st.integers(0, 2))):
+            first = draw(st.integers(1, limit))
+            at = draw(st.integers(0, len(starts)))
+            starts[at:at] = range(first, draw(st.integers(first, limit)) + 1)
+        strips.append(SchemeStrip(n=n, columns=tuple(columns), starts=tuple(starts)))
+    return Scheme(n=n, strips=tuple(strips))
+
+
+@given(_strip_sets())
+@settings(max_examples=300, deadline=None)
+def test_pass_and_report_match_a_plain_reference(sch):
+    ref = _reference_pass(sch)
+    signed = _signed_windows(sch)
+    assert [[tuple(d) for d in diagonals] for diagonals in signed.strips] == ref["strips"]
+    assert list(signed.invalid) == ref["invalid"]
+    assert [(w, [tuple(r) for r in refs]) for w, refs in signed.duplicates] == ref["duplicates"]
+    assert (signed.covered, signed.even) == (ref["covered"], ref["even"])
+    assert (list(signed.plus), list(signed.minus)) == (ref["plus"], ref["minus"])
+    exact = not ref["invalid"] and not ref["duplicates"] and ref["covered"] == math.factorial(sch.n)
+    assert signed.exact_cover == exact
+    report = validate(sch)
+    assert report.window_count == 2 * sum(len(s.starts) for s in sch.strips)
+    assert list(report.invalid_windows) == ref["invalid"]
+    assert [(p.images, [tuple(r) for r in refs]) for p, refs in report.duplicates] == ref["duplicates"]
+    assert [p.images for p in report.missing] == ref["missing"]
+    assert (report.covered, report.even_count, report.odd_count) == (
+        ref["covered"], ref["even"], ref["covered"] - ref["even"]
+    )
+    assert report.is_valid == exact
+
+
+def test_a_cold_pass_takes_one_parity_per_block(monkeypatch):
+    # inside a block each window is the one before it rotated left by one,
+    # so only a block's first window needs its parity taken
+    scheme = search_scheme(SearchConfig(n=7, random_seed=1))
+    blocks = sum(len(strip.starts) for strip in scheme.strips) // 7
+    calls = []
+
+    def counted(word):
+        calls.append(word)
+        return _word_parity(word)
+
+    monkeypatch.setattr(sarrus.scheme, "_word_parity", counted)
+    _signed_windows.cache_clear()
+    assert validate(scheme).is_valid
+    assert 0 < len(calls) <= blocks
 
 
 def test_evaluate_worked_example(worked_matrix):
