@@ -6,8 +6,13 @@ S_plus - S_minus); first-row cofactor expansion with each minor computed once
 per column subset; and fraction-free elimination. They share no code with the
 scheme path: permutation signs here come from inversion counting, not from
 the cycle decomposition the rest of the library uses, so agreement between
-routes is meaningful. Operation counts are tallied once per call, per minor
-size or per elimination step, never per term or entry.
+routes is meaningful. The inversions are counted by leading-column
+composition: a word is a leading column followed by a shorter word on the
+other columns, and the leading column c adds c inversions. Words are held in
+a cached table of entry positions, split by sign, for n <= 8 only; at n = 9
+and 10 the expansion streams from the 8-table one leading column at a time.
+Operation counts are tallied once per call, per minor size or per
+elimination step, never per term or entry.
 
 The permutation expansion and the elimination run over integers: each row is
 first scaled by the lcm of its denominators, and the result divided by the
@@ -21,6 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
+from operator import itemgetter
 
 from .counting import OpCounter
 from .errors import _guard
@@ -30,52 +36,91 @@ from .matrix import Matrix, Scalar, _cleared_rows, _uncleared
 # 2^16 minors and 2^19 multiplications, still desk scale.
 _COFACTOR_LIMIT = 16
 
-
-def _sign_by_inversions(word: tuple[int, ...]) -> int:
-    inv = 0
-    for i in range(len(word)):
-        wi = word[i]
-        for j in range(i + 1, len(word)):
-            if wi > word[j]:
-                inv += 1
-    return -1 if inv % 2 else 1
+# The largest sign table held: 8! words of 8 positions, ~5 MB. Past it the
+# expansion streams from this table.
+_TABLE_LIMIT = 8
 
 
 @lru_cache(maxsize=None)
-def _signed_perms(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    # 0-based words; cached only where the table stays small.
-    return tuple(
-        (p, _sign_by_inversions(p)) for p in itertools.permutations(range(n))
-    )
+def _signed_perms(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """The words of S_n as (even, odd), each word as the row-major positions
+    r * n + w[r] of its n entries, in lexicographic order; n <= 8.
+
+    A word of S_k is a leading column c followed by a word of S_(k-1)
+    relabelled onto the other k - 1 columns. Exactly c of the later entries
+    are smaller than c (its Lehmer digit), so the word's parity is the
+    sub-word's, flipped when c is odd. The table is built from S_1 upward in
+    this one call, so the cache holds one entry per n asked for.
+    """
+    even: list[tuple[int, ...]] = [(0,)]
+    odd: list[tuple[int, ...]] = []
+    for k in range(2, n + 1):
+        m = k - 1
+        # Each getter reads from a relabelling table its slot m * m, which
+        # holds the leading column, then the sub-word's positions.
+        from_even = [itemgetter(m * m, *w) for w in even]
+        from_odd = [itemgetter(m * m, *w) for w in odd]
+        even, odd = [], []
+        for c in range(k):
+            # position r * m + j of the sub-word moves to row r + 1, and to
+            # column j, or j + 1 past the leading column
+            relabel = [(r + 1) * k + j + (j >= c) for r in range(m) for j in range(m)]
+            relabel.append(c)
+            same, flipped = (from_even, from_odd) if c % 2 == 0 else (from_odd, from_even)
+            even += [get(relabel) for get in same]
+            odd += [get(relabel) for get in flipped]
+    return tuple(even), tuple(odd)
 
 
-def _iter_signed_perms(n: int):
-    if n <= 8:
-        return _signed_perms(n)
-    return ((p, _sign_by_inversions(p)) for p in itertools.permutations(range(n)))
+def _placements(rows: list[list[int]], depth: int, columns: tuple[int, ...], lead=1, odd=0):
+    """Each way to give the first ``depth`` of ``rows`` distinct columns: the
+    product of those entries, the parity of their Lehmer digits, and the
+    columns left over, in order."""
+    if depth == 0:
+        yield lead, odd, columns
+        return
+    row = rows[len(rows) - len(columns)]
+    for i, c in enumerate(columns):
+        # exactly i of the columns left over are smaller than c
+        rest = columns[:i] + columns[i + 1 :]
+        yield from _placements(rows, depth - 1, rest, lead * row[c], odd ^ (i & 1))
+
+
+def _sum_of_products(entries: list[int], words: tuple[tuple[int, ...], ...], lead: int) -> int:
+    total = 0
+    for word in words:
+        prod = lead
+        for i in word:
+            prod *= entries[i]
+        total += prod
+    return total
 
 
 def _parity_sums(M: Matrix, what: str, ops: OpCounter | None) -> tuple[int, int, int]:
-    """The even and odd product sums over the cleared rows, and the clearing."""
+    """The even and odd product sums over the cleared rows, and the clearing.
+
+    Up to n = 8 one pass runs over the flattened rows. Past it, the first
+    n - 8 rows are placed one leading column at a time, and the terms below
+    each placement are streamed from the 8-table: the remaining rows and
+    columns are laid out as an 8 x 8 grid, which relabels the entries so the
+    table's positions read them directly.
+    """
     _guard(M.n, what)
     n = M.n
     rows, clearing = _cleared_rows(M)
-    s_plus = 0
-    s_minus = 0
-    for word, sign in _iter_signed_perms(n):
-        prod = 1
-        for r in range(n):
-            prod *= rows[r][word[r]]
-        if sign == 1:
-            s_plus += prod
-        else:
-            s_minus += prod
+    k = min(n, _TABLE_LIMIT)
+    even, odd = _signed_perms(k)
+    sums = [0, 0]
+    for lead, flip, columns in _placements(rows, n - k, tuple(range(n))):
+        entries = [row[c] for row in rows[n - k :] for c in columns]
+        sums[flip] += _sum_of_products(entries, even, lead)
+        sums[1 - flip] += _sum_of_products(entries, odd, lead)
     if ops is not None:
         terms = math.factorial(n)
         ops.term(n, terms)
         # the first term in each running sum is no addition; at n = 1 one sum is empty
         ops.add(max(terms - 2, 0))
-    return s_plus, s_minus, clearing
+    return sums[0], sums[1], clearing
 
 
 def leibniz_det(M: Matrix, *, ops: OpCounter | None = None) -> Scalar:

@@ -144,7 +144,7 @@ class ValidationReport:
         lines = [
             f"n = {self.n}",
             f"windows:    {self.window_count}",
-            f"covered:    {self.covered} of {math.factorial(self.n)}",
+            f"covered:    {self.covered} of {_factorial_text(self.n)}",
             f"even / odd: {self.even_count} / {self.odd_count}",
         ]
         if self.invalid_windows:
@@ -214,6 +214,10 @@ class _SignedWindows:
     words. ``plus`` and ``minus`` hold each even and each odd diagonal as the
     row-major positions of its n matrix entries. ``exact_cover``: no window
     is invalid and the diagonals hit every permutation exactly once.
+    ``summary`` holds the summary of the last ``validate`` report of a
+    scheme that is no exact cover, so that a refusal can quote it without
+    sweeping S_n again; the text, not the report, since the report's missing
+    words can number up to n!.
 
     A window is checked and its parity taken only where it starts a run: a
     window that follows a valid one at the previous start, and takes in the
@@ -228,6 +232,7 @@ class _SignedWindows:
     plus: tuple[tuple[int, ...], ...]
     minus: tuple[tuple[int, ...], ...]
     exact_cover: bool
+    summary: list[str] = field(default_factory=list, compare=False, repr=False)
 
 
 def _factorial_past(n: int, cap: int) -> int:
@@ -238,6 +243,11 @@ def _factorial_past(n: int, cap: int) -> int:
         if product > cap:
             break
     return product
+
+
+def _factorial_text(n: int) -> str:
+    """n! in digits up to the sweep limit, and as "n!" past it."""
+    return str(math.factorial(n)) if n <= _FACTORIAL_LIMIT else f"{n}!"
 
 
 def _is_factorial(count: int, n: int) -> bool:
@@ -355,26 +365,31 @@ def validate(sch: Scheme) -> ValidationReport:
     n = sch.n
     _refuse_unsweepable(sch)
     signed = _signed_windows(sch)
-    missing: tuple[Permutation, ...] = ()
-    if not _is_factorial(signed.covered, n):
-        hit = {
-            strip.window_at(d.start)
-            for strip, diagonals in zip(sch.strips, signed.strips)
-            for d in diagonals
-        }
-        hit.update([w[::-1] for w in hit])
-        missing = tuple(
-            Permutation(w) for w in itertools.permutations(range(1, n + 1)) if w not in hit
-        )
-    return ValidationReport(
+    report = ValidationReport(
         n=n,
         window_count=2 * sum(len(strip.starts) for strip in sch.strips),
         covered=signed.covered,
         duplicates=tuple((Permutation(w), refs) for w, refs in signed.duplicates),
-        missing=missing,
+        missing=() if _is_factorial(signed.covered, n) else _missing(sch, signed),
         invalid_windows=signed.invalid,
         even_count=signed.even,
         odd_count=signed.covered - signed.even,
+    )
+    if not signed.exact_cover:
+        signed.summary[:] = [report.summary()]
+    return report
+
+
+def _missing(sch: Scheme, signed: _SignedWindows) -> tuple[Permutation, ...]:
+    """The words of S_n that no diagonal hits, by a sweep of all of S_n."""
+    hit = {
+        strip.window_at(d.start)
+        for strip, diagonals in zip(sch.strips, signed.strips)
+        for d in diagonals
+    }
+    hit.update([w[::-1] for w in hit])
+    return tuple(
+        Permutation(w) for w in itertools.permutations(range(1, sch.n + 1)) if w not in hit
     )
 
 
@@ -382,7 +397,9 @@ def _complete(sch: Scheme) -> _SignedWindows:
     _refuse_unsweepable(sch)
     signed = _signed_windows(sch)
     if not signed.exact_cover:
-        raise InvalidScheme("scheme failed validation:\n" + validate(sch).summary())
+        # quote the report of an earlier validate, or make one
+        summary = signed.summary[0] if signed.summary else validate(sch).summary()
+        raise InvalidScheme("scheme failed validation:\n" + summary)
     return signed
 
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -8,14 +9,17 @@ from conftest import WORKED_DET, WORKED_SUMS
 
 from sarrus import (
     Matrix,
+    Permutation,
     SizeLimitExceeded,
     bareiss_det,
     cofactor_det,
     format_scalar,
     leibniz_det,
+    parity,
     parity_partition_sums,
 )
 from sarrus.bench import random_matrix
+from sarrus.oracle import _signed_perms
 
 
 def test_leibniz_worked_example(worked_matrix):
@@ -205,3 +209,48 @@ def test_rational_oracles_integer_determinant():
     # an integral value prints alike as an int and as a Fraction over 1
     for x in parity_partition_sums(M):
         assert format_scalar(x) == str(Fraction(x))
+
+
+def _inversions(word):
+    return sum(a > b for a, b in itertools.combinations(word, 2))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_sign_table_matches_a_brute_force_split(n):
+    even, odd = _signed_perms(n)
+    half = math.factorial(n) // 2
+    assert (len(even), len(odd)) == ((1, 0) if n == 1 else (half, half))
+    # position r * n + c holds column c of row r
+    decoded = [[tuple(p % n for p in term) for term in side] for side in (even, odd)]
+    words = list(itertools.permutations(range(n)))
+    assert decoded[0] == [w for w in words if _inversions(w) % 2 == 0]
+    assert decoded[1] == [w for w in words if _inversions(w) % 2 == 1]
+    # the cycle-decomposition sign of the rest of the library agrees word by word
+    for side, sign in zip(decoded, (1, -1)):
+        assert all(parity(Permutation(tuple(c + 1 for c in w))) == sign for w in side)
+
+
+def test_nine_by_nine_streams_from_the_eight_table():
+    rng = random.Random(9)
+    ints = Matrix.from_rows([[rng.randint(-9, 9) for _ in range(9)] for _ in range(9)])
+    pqs = Matrix.from_rows(_pq_rows(9, rng))
+    _signed_perms.cache_clear()
+    for M in (ints, pqs):
+        det = bareiss_det(M)
+        assert det != 0
+        assert leibniz_det(M) == det == cofactor_det(M)
+        s_plus, s_minus = parity_partition_sums(M)
+        assert s_plus - s_minus == det
+    # each side is the first row against the minors' sides, the odd columns
+    # swapping them
+    sides = [0, 0]
+    for c, x in enumerate(ints.rows[0]):
+        minor = Matrix.from_rows([[row[j] for j in range(9) if j != c] for row in ints.rows[1:]])
+        minor_plus, minor_minus = parity_partition_sums(minor)
+        sides[c % 2] += x * minor_plus
+        sides[1 - c % 2] += x * minor_minus
+    assert tuple(sides) == parity_partition_sums(ints)
+    # only the 8-table was built
+    assert _signed_perms.cache_info().currsize == 1
+    assert len(_signed_perms(8)[0]) == math.factorial(8) // 2
+    assert _signed_perms.cache_info().misses == 1

@@ -24,6 +24,7 @@ from sarrus import (
     SearchConfig,
     SizeLimitExceeded,
     SizeMismatch,
+    ValidationReport,
     bareiss_det,
     builtin_scheme,
     cofactor_det,
@@ -347,6 +348,47 @@ def test_a_cold_pass_takes_one_parity_per_block(monkeypatch):
     _signed_windows.cache_clear()
     assert validate(scheme).is_valid
     assert 0 < len(calls) <= blocks
+
+
+def test_a_refusal_after_validate_quotes_its_report(monkeypatch):
+    scheme = search_scheme(SearchConfig(n=7, random_seed=1))
+    strip = scheme.strips[0]
+    columns = (strip.columns[0] % 7 + 1,) + strip.columns[1:]
+    mutant = Scheme(n=7, strips=(SchemeStrip(7, columns, strip.starts),) + scheme.strips[1:])
+    # the text of a refusal with no validate before it
+    _signed_windows.cache_clear()
+    with pytest.raises(InvalidScheme) as cold:
+        evaluate(mutant, Matrix.identity(7))
+    sweeps = []
+
+    def counted(sch, signed):
+        sweeps.append(sch)
+        return missing(sch, signed)
+
+    missing = sarrus.scheme._missing
+    monkeypatch.setattr(sarrus.scheme, "_missing", counted)
+    _signed_windows.cache_clear()
+    report = validate(mutant)
+    with pytest.raises(InvalidScheme) as refused:
+        evaluate(mutant, Matrix.identity(7))
+    assert report.missing
+    assert sweeps == [mutant]
+    assert str(refused.value) == str(cold.value) == "scheme failed validation:\n" + report.summary()
+
+
+def test_summary_names_n_factorial_without_computing_it_past_the_sweep_limit():
+    def summary(n):
+        return ValidationReport(
+            n=n, window_count=2, covered=2, duplicates=(), missing=(),
+            invalid_windows=(), even_count=1, odd_count=1,
+        ).summary()
+
+    for n in range(1, 11):
+        assert f"covered:    2 of {math.factorial(n)}\n" in summary(n)
+    assert "covered:    2 of 11!\n" in summary(11)
+    # 10**6! has millions of digits: too many to compute or print
+    lines = summary(10**6).splitlines()
+    assert lines[2:] == ["covered:    2 of 1000000!", "even / odd: 1 / 1", "INVALID"]
 
 
 def test_evaluate_worked_example(worked_matrix):
