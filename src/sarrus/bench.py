@@ -5,8 +5,8 @@ the reported numbers are measurements, not formulas. Multiplications are
 reported under both conventions (n factors per diagonal vs n-1 chained
 multiplications); for elimination-style methods the two coincide. Matrices
 are generated deterministically from the seed. The counted run goes first, so
-one-time work (the Leibniz sign table, a scheme's signed-window pass) is done
-before the timed runs start.
+one-time work (the Leibniz sign table, a scheme's signed-window pass and its
+entry-position tables) is done before the timed runs start.
 """
 
 from __future__ import annotations

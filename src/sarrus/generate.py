@@ -19,14 +19,14 @@ a single strip covers everything.
 
 from __future__ import annotations
 
-import itertools
+import math
 import random
 from dataclasses import dataclass
 
 from .errors import NotFound, SizeTooSmall, VerificationFailed, _guard
 from .matrix import Matrix
 from .oracle import bareiss_det
-from .perm import Permutation, _word_parity, parity
+from .perm import Permutation, _least_words, _orbit, _word_parity
 from .scheme import Scheme, ValidationReport, evaluate, stitch_blocks, validate
 
 _CLASS_LIMIT = 8
@@ -41,12 +41,18 @@ class NecklaceClass:
     even ("alternating"), and keep one sign when n is odd ("uniform(+)" or
     "uniform(-)"). For n ≡ 3 (mod 4) the reversed family inside the same class
     carries the opposite uniform sign, per the reversal law.
+
+    A class is a view of its representative: ``members`` are built on demand.
     """
 
     representative: Permutation
-    members: tuple[Permutation, ...]
     size: int
     parity_profile: str
+
+    @property
+    def members(self) -> tuple[Permutation, ...]:
+        """Every word of the class, in lexicographic order."""
+        return tuple(map(Permutation, sorted(_orbit(self.representative.images))))
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,29 +68,25 @@ class SearchConfig:
             raise ValueError("max_blocks_per_strip must be positive")
 
 
-def _orbit(word: tuple[int, ...]) -> set[tuple[int, ...]]:
-    shifts = {word[k:] + word[:k] for k in range(len(word))}
-    return shifts | {w[::-1] for w in shifts}
-
-
 def _representatives(n: int) -> list[tuple[int, ...]]:
-    """The least word of every class, in lexicographic order: of its two words
-    starting with 1, (1, *t) and (1, *reversed(t)), the one with t[0] <= t[-1]."""
+    """The least word of every class, in lexicographic order (see
+    ``perm._least_words``), within the limit of class enumeration."""
     if n < 2:
         raise SizeTooSmall("necklace classes need n >= 2")
     _guard(n, "necklace_classes", "enumerates S_n", _CLASS_LIMIT)
-    return [(1, *t) for t in itertools.permutations(range(2, n + 1)) if t[0] <= t[-1]]
+    return _least_words(n)
 
 
 def necklace_classes(n: int) -> list[NecklaceClass]:
     """Partition S_n into necklace classes, listed by lexicographically
     minimal representative."""
+    # n >= 3 classes have 2n words; the one class at n = 2 has both words
+    size = min(2 * n, math.factorial(n))
     classes = []
     for rep in _representatives(n):
-        members = tuple(map(Permutation, sorted(_orbit(rep))))
-        sign = "+" if parity(members[0]) == 1 else "-"
+        sign = "+" if _word_parity(rep) == 1 else "-"
         profile = "alternating" if n % 2 == 0 else f"uniform({sign})"
-        classes.append(NecklaceClass(members[0], members, len(members), profile))
+        classes.append(NecklaceClass(Permutation(rep), size, profile))
     return classes
 
 

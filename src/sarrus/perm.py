@@ -6,10 +6,15 @@ at the API surface, matching the usual column labels 1..n; nothing in this
 module ever sees a 0-based value.
 
 Permutations are immutable values; every operation returns a new one.
+
+The necklace class of a word (its rotations and their reversals) is defined
+here once, on raw words, with its key, the class's least word: the search
+lists classes by it and the validator checks cover by it.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator, Literal
 
@@ -90,6 +95,29 @@ def _word_parity(images: tuple[int, ...]) -> Sign:
             seen[j] = True
             j = images[j] - 1
     return 1 if (n - cycles) % 2 == 0 else -1
+
+
+def _class_key(word: tuple[int, ...]) -> tuple[int, ...]:
+    """The least word of a word's necklace class (its rotations and their
+    reversals), for n >= 2: 1 rotated to the front, read in whichever
+    direction puts the smaller of 1's two neighbours second. O(n)."""
+    k = word.index(1)
+    r = word[k:] + word[:k]
+    return r if r[1] <= r[-1] else (1, *r[:0:-1])
+
+
+def _orbit(word: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """Every word of a word's necklace class: its rotations and their reversals."""
+    shifts = {word[k:] + word[:k] for k in range(len(word))}
+    return shifts | {w[::-1] for w in shifts}
+
+
+def _least_words(n: int) -> list[tuple[int, ...]]:
+    """The least word of every necklace class of S_n, in lexicographic order:
+    the words that are their own ``_class_key``, (1, *t) with t[0] <= t[-1]
+    (and (1,) at n = 1). (n-1)!/2 words for n >= 3, found without visiting
+    S_n."""
+    return [(1, *t) for t in itertools.permutations(range(2, n + 1)) if t[:1] <= t[-1:]]
 
 
 def compose(p: Permutation, q: Permutation) -> Permutation:

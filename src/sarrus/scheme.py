@@ -17,20 +17,38 @@ at start p - 1 was valid and the column entering at p is the one leaving, the
 window at p is that window rotated left by one, so it is valid too and its
 sign is the previous sign times (-1)**(n - 1).
 
+Cover is checked per necklace class. For n >= 3, n consecutive rotations
+and their reverses are the 2n words of one class, so such a run is recorded
+once, as the class's key (its least word), and its even count follows from
+its first sign by the period-4 rule. A run longer than n is cut into runs of
+n and a remainder, so a class covered twice shows as duplicate words. Only
+the windows of shorter runs are hashed word by word, each checked against
+the whole classes through its run's key; below n = 3 classes are
+undersized, and every word takes this path. The missing words of a defective
+scheme lie in the classes that no run covers whole, so they are listed from
+the class keys, without a sweep of S_n.
+
+Evaluation needs each diagonal as the positions of its n matrix entries.
+These n! tuples are built from the pass on the first evaluation only, so a
+scheme that is only validated, rendered or refused never builds them; the
+tables held across all schemes are capped by the words they hold.
+
 Exact evaluation runs over cleared rows, as the oracles do: each row of a
 rational matrix is scaled to integers by the lcm of its denominators. Every
 window takes one entry from each row, so the even and the odd sums both scale
 by the product of those lcms, and are divided by it once at the end.
 
-Everything here is an immutable value and every function is pure, so
-evaluation and validation are safe to run concurrently; exact arithmetic
+Everything here is an immutable value and every function is pure, apart
+from the tables a pass keeps, which are built and dropped under a lock; so
+evaluation and validation are safe to run concurrently. Exact arithmetic
 makes summation order irrelevant.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+import threading
+from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import add
@@ -39,7 +57,7 @@ from typing import NamedTuple, Sequence
 from .counting import OpCounter
 from .errors import _FACTORIAL_LIMIT, ChainMismatch, InvalidScheme, InvalidWindow, SizeMismatch, _guard
 from .matrix import Matrix, Scalar, _cleared_rows, _uncleared
-from .perm import Permutation, Sign, _word_parity
+from .perm import Permutation, Sign, _class_key, _least_words, _orbit, _word_parity
 
 
 @dataclass(frozen=True, slots=True)
@@ -203,21 +221,30 @@ class _Diagonals(NamedTuple):
     back_sign: Sign
 
 
+# a list of words, each as the row-major positions of its n matrix entries
+_Table = tuple[tuple[int, ...], ...]
+
+
 @dataclass(frozen=True, slots=True)
 class _SignedWindows:
-    """The signed words of every start of every strip.
+    """The signed words of every start of every strip, checked for cover.
 
     ``strips`` holds the diagonals of the valid starts, strip by strip;
     ``invalid`` the 1-based (strip, start) of each window that repeats a
     column; ``duplicates`` each word hit more than once, in lexicographic
     order, with where it was hit. ``covered`` and ``even`` count distinct
-    words. ``plus`` and ``minus`` hold each even and each odd diagonal as the
-    row-major positions of its n matrix entries. ``exact_cover``: no window
-    is invalid and the diagonals hit every permutation exactly once.
-    ``summary`` holds the summary of the last ``validate`` report of a
-    scheme that is no exact cover, so that a refusal can quote it without
-    sweeping S_n again; the text, not the report, since the report's missing
-    words can number up to n!.
+    words. When some words are missing, ``classes`` holds the key of each
+    necklace class that a run of n consecutive starts covers whole (n >= 3),
+    and ``words`` every other distinct word hit; otherwise both are empty.
+    ``exact_cover``: no window is invalid and the diagonals hit every
+    permutation exactly once. ``summary`` holds the summary of the last
+    ``validate`` report of a scheme that is no exact cover, so that a refusal
+    can quote it without listing missing words again; the text, not the
+    report, since the report's missing words can number up to n!.
+
+    ``tables`` holds, once the first evaluation has built them, each even and
+    each odd diagonal as the row-major positions of its n matrix entries (see
+    ``_entry_tables``); until then, and after ``_Tables`` drops them, None.
 
     A window is checked and its parity taken only where it starts a run: a
     window that follows a valid one at the previous start, and takes in the
@@ -229,10 +256,11 @@ class _SignedWindows:
     duplicates: tuple[tuple[tuple[int, ...], tuple[WindowRef, ...]], ...]
     covered: int
     even: int
-    plus: tuple[tuple[int, ...], ...]
-    minus: tuple[tuple[int, ...], ...]
+    classes: frozenset[tuple[int, ...]]
+    words: frozenset[tuple[int, ...]]
     exact_cover: bool
     summary: list[str] = field(default_factory=list, compare=False, repr=False)
+    tables: tuple[_Table, _Table] | None = field(default=None, compare=False, repr=False)
 
 
 def _factorial_past(n: int, cap: int) -> int:
@@ -256,7 +284,7 @@ def _is_factorial(count: int, n: int) -> bool:
 
 def _refuse_unsweepable(sch: Scheme) -> None:
     """Past the sweep limit, refuse before its pass a scheme with fewer than n!
-    windows, whose missing words only a sweep of all of S_n could list."""
+    windows, whose missing words could number nearly n!."""
     if sch.n > _FACTORIAL_LIMIT:
         count = 2 * sum(len(strip.starts) for strip in sch.strips)
         if count < _factorial_past(sch.n, count):
@@ -265,58 +293,90 @@ def _refuse_unsweepable(sch: Scheme) -> None:
 
 @lru_cache(maxsize=128)
 def _signed_windows(sch: Scheme) -> _SignedWindows:
-    # Schemes are immutable, so the pass is shared by every later call. Words
-    # are kept only as entry positions, so a cached scheme stays small.
+    # Schemes are immutable, so the pass is shared by every later call. It
+    # holds no entry positions: ``_entry_tables`` builds them on first need.
     n = sch.n
     # Reversing a word of length n multiplies its sign by (-1)**(n // 2), and
     # rotating it left by one multiplies it by (-1)**(n - 1).
     flip = -1 if n // 2 % 2 else 1
     turn = -1 if n % 2 == 0 else 1
-    # entry position r * n + c - 1 holds column c of the word's 0-based row r
-    offsets = range(-1, n * n - 1, n)
+    # n consecutive rotations cover a whole class, 2n words for n >= 3; below
+    # that classes are undersized and every word takes the word path
+    whole = n if n >= 3 else 0
+    # the even words of a whole class, by the sign of its first window: all or
+    # none for n ≡ 1 (mod 4), where rotation and reversal keep the sign, and
+    # half of them otherwise
+    whole_even = {1: 2 * n, -1: 0} if n % 4 == 1 else {1: n, -1: n}
     strips: list[tuple[_Diagonals, ...]] = []
     invalid: list[tuple[int, int]] = []
-    seen: set[tuple[int, ...]] = set()
-    repeated: set[tuple[int, ...]] = set()
-    even = 0
-    plus: list[tuple[int, ...]] = []
-    minus: list[tuple[int, ...]] = []
+    runs: list[tuple[tuple[int, ...], Sign]] = []  # each whole-class run's first window and sign
+    loose: list[tuple[tuple[int, ...], list[_Diagonals]]] = []  # the rest, run by run
     for si, strip in enumerate(sch.strips, start=1):
         columns = strip.columns
-        diagonals = []
+        diagonals: list[_Diagonals] = []
         last = -1  # the last start whose window was valid
+        chunk = 0  # where the current run's diagonals not yet claimed begin
         for p in strip.starts:
-            w = columns[p - 1 : p + n - 1]
-            if p == last + 1 and w[-1] == columns[p - 2]:
+            if p == last + 1 and columns[p + n - 2] == columns[p - 2]:
                 # the window at p - 1, rotated left by one
                 sign *= turn
-            elif len(set(w)) == n:
-                sign = _word_parity(w)
             else:
-                invalid.append((si, p))
-                continue
+                w = columns[p - 1 : p + n - 1]
+                if len(set(w)) != n:
+                    invalid.append((si, p))
+                    continue
+                if chunk < len(diagonals):
+                    loose.append((columns, diagonals[chunk:]))
+                chunk = len(diagonals)
+                sign = _word_parity(w)
             last = p
             diagonals.append(_Diagonals(p, sign, sign * flip))
+            if len(diagonals) - chunk == whole:
+                # a longer run starts a new chunk, which repeats the class
+                runs.append((columns[p - n : p], diagonals[chunk].sign))
+                chunk = len(diagonals)
+        if chunk < len(diagonals):
+            loose.append((columns, diagonals[chunk:]))
+        strips.append(tuple(diagonals))
+
+    classes: set[tuple[int, ...]] = set()
+    repeated: set[tuple[int, ...]] = set()
+    even = 0
+    for first, first_sign in runs:
+        key = _class_key(first)
+        if key in classes:
+            repeated |= _orbit(key)
+        else:
+            classes.add(key)
+            even += whole_even[first_sign]
+    words: set[tuple[int, ...]] = set()
+    for columns, diagonals in loose:
+        # a run stays inside one class: one key settles whether that class is whole
+        start = diagonals[0].start
+        whole_class = bool(classes) and _class_key(columns[start - 1 : start + n - 1]) in classes
+        for p, sign, back_sign in diagonals:
+            w = columns[p - 1 : p + n - 1]
             # at n = 1 the window is its own reverse: one word, not two
-            hits = ((w, sign),) if n == 1 else ((w, sign), (w[::-1], sign * flip))
+            hits = ((w, sign),) if n == 1 else ((w, sign), (w[::-1], back_sign))
             for word, word_sign in hits:
-                if word in seen:
+                if whole_class or word in words:
                     repeated.add(word)
                 else:
-                    seen.add(word)
+                    words.add(word)
                     if word_sign > 0:
                         even += 1
-                (plus if word_sign > 0 else minus).append(tuple(map(add, offsets, word)))
-        strips.append(tuple(diagonals))
+    covered = 2 * n * len(classes) + len(words)
+    # only a listing of missing words reads the classes and the words again
+    short = not _is_factorial(covered, n)
     return _SignedWindows(
         strips=tuple(strips),
         invalid=tuple(invalid),
         duplicates=_where_hit(sch, strips, repeated) if repeated else (),
-        covered=len(seen),
+        covered=covered,
         even=even,
-        plus=tuple(plus),
-        minus=tuple(minus),
-        exact_cover=not invalid and not repeated and _is_factorial(len(seen), n),
+        classes=frozenset(classes) if short else frozenset(),
+        words=frozenset(words) if short else frozenset(),
+        exact_cover=not invalid and not repeated and not short,
     )
 
 
@@ -354,13 +414,13 @@ def windows(s: SchemeStrip) -> list[Window]:
 def validate(sch: Scheme) -> ValidationReport:
     """Check a scheme against S_n. Defects are reported, not raised.
 
-    Cost is O(total windows), plus a sweep of all of S_n to list the missing
-    permutations when some are missing. Beyond n = 10, a scheme with fewer
-    than n! windows is refused with SizeLimitExceeded before the pass; with
-    more, the sweep costs no more than the pass. The pass signs one window
-    per run of consecutive starts and the rest by rotation (see the module
-    notes); the sweep checks S_n against the windows read off the strips and
-    their reverses.
+    Cost is O(total windows), plus a listing of the missing permutations when
+    some are missing. Beyond n = 10, a scheme with fewer than n! windows is
+    refused with SizeLimitExceeded before the pass; with more, the listing
+    costs no more than the pass. The pass signs one window per run of
+    consecutive starts and the rest by rotation, and counts a run of n starts
+    as its whole necklace class, by the class's key (see the module notes).
+    It builds no entry positions: only evaluation needs them.
     """
     n = sch.n
     _refuse_unsweepable(sch)
@@ -381,15 +441,24 @@ def validate(sch: Scheme) -> ValidationReport:
 
 
 def _missing(sch: Scheme, signed: _SignedWindows) -> tuple[Permutation, ...]:
-    """The words of S_n that no diagonal hits, by a sweep of all of S_n."""
-    hit = {
-        strip.window_at(d.start)
-        for strip, diagonals in zip(sch.strips, signed.strips)
-        for d in diagonals
-    }
-    hit.update([w[::-1] for w in hit])
+    """The words of S_n that no diagonal hits, in lexicographic order.
+
+    They lie in the classes that no run covers whole: walk the least word of
+    every class, and list the words of each such class that no other window
+    hit, with no sweep of S_n. Below n = 3 no run covers a class, and every
+    word hit is in ``signed.words``.
+    """
     return tuple(
-        Permutation(w) for w in itertools.permutations(range(1, sch.n + 1)) if w not in hit
+        map(
+            Permutation,
+            sorted(
+                w
+                for key in _least_words(sch.n)
+                if key not in signed.classes
+                for w in _orbit(key)
+                if w not in signed.words
+            ),
+        )
     )
 
 
@@ -403,7 +472,69 @@ def _complete(sch: Scheme) -> _SignedWindows:
     return signed
 
 
-def _sum_of_products(entries: Sequence, words: tuple[tuple[int, ...], ...]) -> Scalar | float:
+# Entry-position tables are kept for at most this many words in all, two 8x8
+# schemes' worth (~10 MB); a single larger table is still kept.
+_TABLE_WORDS = 2 * math.factorial(8)
+
+
+class _Tables:
+    """The passes whose entry-position tables are built, oldest first, and
+    the words those tables hold.
+
+    Past ``_TABLE_WORDS``, the oldest tables are dropped, and their pass
+    builds them again on its next evaluation. A pass that the pass cache has
+    let go lives on here until its tables are dropped, so the cap bounds it
+    too. ``cache_clear`` drops them all, as clearing the functools caches of
+    the package drops its passes.
+    """
+
+    held: deque[tuple[_SignedWindows, int]] = deque()
+    words = 0
+    _lock = threading.Lock()
+
+    @classmethod
+    def hold(cls, signed: _SignedWindows, words: int) -> None:
+        with cls._lock:
+            cls.held.append((signed, words))
+            cls.words += words
+            while cls.words > _TABLE_WORDS and len(cls.held) > 1:
+                cls._drop_oldest()
+
+    @classmethod
+    def cache_clear(cls) -> None:
+        with cls._lock:
+            while cls.held:
+                cls._drop_oldest()
+
+    @classmethod
+    def _drop_oldest(cls) -> None:
+        old, words = cls.held.popleft()
+        object.__setattr__(old, "tables", None)
+        cls.words -= words
+
+
+def _entry_tables(sch: Scheme, signed: _SignedWindows) -> tuple[_Table, _Table]:
+    """Each even and each odd diagonal of the pass, in walk order, as the
+    row-major positions of its n matrix entries; kept on the pass."""
+    n = sch.n
+    # entry position r * n + c - 1 holds column c of the word's 0-based row r
+    offsets = range(-1, n * n - 1, n)
+    plus: list[tuple[int, ...]] = []
+    minus: list[tuple[int, ...]] = []
+    for strip, diagonals in zip(sch.strips, signed.strips):
+        columns = strip.columns
+        for p, sign, back_sign in diagonals:
+            w = columns[p - 1 : p + n - 1]
+            (plus if sign > 0 else minus).append(tuple(map(add, offsets, w)))
+            if n > 1:
+                (plus if back_sign > 0 else minus).append(tuple(map(add, offsets, w[::-1])))
+    tables = (tuple(plus), tuple(minus))
+    object.__setattr__(signed, "tables", tables)
+    _Tables.hold(signed, len(plus) + len(minus))
+    return tables
+
+
+def _sum_of_products(entries: Sequence, words: _Table) -> Scalar | float:
     total = 0
     for word in words:
         prod = 1
@@ -418,17 +549,14 @@ def _signed_sums(sch: Scheme, M: Matrix, ops: OpCounter | None) -> tuple[int, in
     if M.n != sch.n:
         raise SizeMismatch(f"matrix is {M.n}x{M.n} but scheme expects n = {sch.n}")
     signed = _complete(sch)
+    plus, minus = signed.tables or _entry_tables(sch, signed)
     if ops is not None:
-        ops.term(sch.n, len(signed.plus) + len(signed.minus))
+        ops.term(sch.n, len(plus) + len(minus))
         # the first term landing in each running sum is not an addition
-        ops.add(max(len(signed.plus) - 1, 0) + max(len(signed.minus) - 1, 0))
+        ops.add(max(len(plus) - 1, 0) + max(len(minus) - 1, 0))
     rows, clearing = _cleared_rows(M)
     entries = [x for row in rows for x in row]
-    return (
-        _sum_of_products(entries, signed.plus),
-        _sum_of_products(entries, signed.minus),
-        clearing,
-    )
+    return _sum_of_products(entries, plus), _sum_of_products(entries, minus), clearing
 
 
 def evaluate(sch: Scheme, M: Matrix, *, ops: OpCounter | None = None) -> Scalar:
@@ -464,6 +592,7 @@ def evaluate_float(sch: Scheme, rows: Sequence[Sequence[float]]) -> float:
     if len(rows) != n or any(len(r) != n for r in rows):
         raise SizeMismatch(f"need a {n}x{n} array of numbers")
     signed = _complete(sch)
+    plus, minus = signed.tables or _entry_tables(sch, signed)
     # 1.0 * x: each entry meets float arithmetic, and a non-number fails here
     entries = [1.0 * x for row in rows for x in row]
-    return _sum_of_products(entries, signed.plus) - _sum_of_products(entries, signed.minus)
+    return _sum_of_products(entries, plus) - _sum_of_products(entries, minus)

@@ -14,6 +14,7 @@ from sarrus import (
     relabel_values,
     reverse,
 )
+from sarrus.perm import _class_key, _least_words, _orbit
 
 
 def inversion_sign(word):
@@ -181,3 +182,15 @@ def test_relabel_is_left_multiplication_by_a_transposition(p):
         return
     t = relabel_values(Permutation.identity(n), 1, n)
     assert relabel_values(p, 1, n) == compose(t, p)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_class_key_is_the_least_word_of_the_orbit(n):
+    keys = set()
+    for word in itertools.permutations(range(1, n + 1)):
+        shifts = [word[k:] + word[:k] for k in range(n)]
+        orbit = set(shifts) | {w[::-1] for w in shifts}
+        assert _orbit(word) == orbit
+        assert _class_key(word) == min(orbit)
+        keys.add(min(orbit))
+    assert _least_words(n) == sorted(keys)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import WORKED_DET, WORKED_SUMS
 
+import sarrus.generate
 import sarrus.scheme
 from sarrus import (
     ChainMismatch,
@@ -49,7 +50,7 @@ from sarrus import (
 )
 from sarrus.bench import random_matrix
 from sarrus.perm import _word_parity
-from sarrus.scheme import _signed_windows
+from sarrus.scheme import _TABLE_WORDS, _entry_tables, _signed_windows, _Tables
 
 # the first junction of the even quilt: two 9-column layouts sharing one column
 P1_P2_PREFIX = (1, 2, 3, 4, 5, 1, 2, 3, 4, 3, 5, 2, 1, 4, 3, 5, 2)
@@ -284,16 +285,52 @@ def _reference_pass(sch):
 
 
 @st.composite
+def _block_strip(draw, n):
+    """Runs of rotations of heads of random classes, each run's head starting
+    on the column the last run ended with: runs shorter than, equal to and
+    longer than n, classes repeated, then a few columns changed, a few starts
+    dropped and a few swapped out of order."""
+    columns, starts, heads = [], [], []
+    for _ in range(draw(st.integers(1, 4))):
+        if heads and draw(st.booleans()):
+            word = draw(st.sampled_from(heads))  # a class already laid out
+        else:
+            word = tuple(draw(st.permutations(range(1, n + 1))))
+        shifts = [word[k:] + word[:k] for k in range(n)]
+        members = sorted({w for s in shifts for w in (s, s[::-1]) if not columns or w[0] == columns[-1]})
+        head = draw(st.sampled_from(members))
+        heads.append(head)
+        count = draw(st.integers(1, 2 * n + 1))  # windows in the run
+        offset = len(columns) - 1 if columns else 0
+        run = [head[j % n] for j in range(count + n - 1)]
+        columns += run[1:] if columns else run
+        starts += range(offset + 1, offset + count + 1)
+    for i, c in draw(st.lists(st.tuples(st.integers(0, len(columns) - 1), st.integers(1, n)), max_size=2)):
+        columns[i] = c
+    for i in sorted(set(draw(st.lists(st.integers(0, len(starts) - 1), max_size=3))), reverse=True):
+        del starts[i]
+    for i, j in draw(st.lists(st.tuples(st.integers(0, len(starts)), st.integers(0, len(starts))), max_size=2)):
+        if max(i, j) < len(starts):
+            starts[i], starts[j] = starts[j], starts[i]
+    return SchemeStrip(n=n, columns=tuple(columns), starts=tuple(starts))
+
+
+@st.composite
 def _strip_sets(draw):
-    """1-3 strips of one n in 1..6: cyclic runs of a word with a few columns
-    changed, or arbitrary columns; starts in any order, with repeats and with
-    runs of consecutive starts."""
-    n = draw(st.integers(1, 6))
+    """1-3 strips of one n in 1..7: block-structured strips (see
+    ``_block_strip``), cyclic runs of a word with a few columns changed, or
+    arbitrary columns; starts in any order, with repeats and with runs of
+    consecutive starts."""
+    n = draw(st.integers(1, 7))
     strips = []
     for _ in range(draw(st.integers(1, 3))):
+        mode = draw(st.sampled_from(["blocks", "cyclic", "arbitrary"]))
+        if mode == "blocks":
+            strips.append(draw(_block_strip(n)))
+            continue
         length = draw(st.integers(n, 5 * n))
         column = st.integers(1, n)
-        if draw(st.booleans()):
+        if mode == "cyclic":
             word = draw(st.permutations(range(1, n + 1)))
             columns = [word[i % n] for i in range(length)]
             for i, c in draw(st.lists(st.tuples(st.integers(0, length - 1), column), max_size=3)):
@@ -319,7 +356,8 @@ def test_pass_and_report_match_a_plain_reference(sch):
     assert list(signed.invalid) == ref["invalid"]
     assert [(w, [tuple(r) for r in refs]) for w, refs in signed.duplicates] == ref["duplicates"]
     assert (signed.covered, signed.even) == (ref["covered"], ref["even"])
-    assert (list(signed.plus), list(signed.minus)) == (ref["plus"], ref["minus"])
+    plus, minus = _entry_tables(sch, signed)
+    assert (list(plus), list(minus)) == (ref["plus"], ref["minus"])
     exact = not ref["invalid"] and not ref["duplicates"] and ref["covered"] == math.factorial(sch.n)
     assert signed.exact_cover == exact
     report = validate(sch)
@@ -335,7 +373,8 @@ def test_pass_and_report_match_a_plain_reference(sch):
 
 def test_a_cold_pass_takes_one_parity_per_block(monkeypatch):
     # inside a block each window is the one before it rotated left by one,
-    # so only a block's first window needs its parity taken
+    # so only a block's first window needs its parity taken, and a block is
+    # one whole class, so it needs one class key
     scheme = search_scheme(SearchConfig(n=7, random_seed=1))
     blocks = sum(len(strip.starts) for strip in scheme.strips) // 7
     calls = []
@@ -345,9 +384,156 @@ def test_a_cold_pass_takes_one_parity_per_block(monkeypatch):
         return _word_parity(word)
 
     monkeypatch.setattr(sarrus.scheme, "_word_parity", counted)
+    keys = _count_calls(monkeypatch, sarrus.scheme, "_class_key")
     _signed_windows.cache_clear()
     assert validate(scheme).is_valid
     assert 0 < len(calls) <= blocks
+    assert 0 < len(keys) <= blocks
+
+
+def _count_calls(monkeypatch, module, name):
+    """Record the arguments of every call of module.name from now on."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_validate_render_and_windows_build_no_entry_positions(monkeypatch):
+    scheme = search_scheme(SearchConfig(n=7, random_seed=1))
+    builds = _count_calls(monkeypatch, sarrus.scheme, "_entry_tables")
+    _signed_windows.cache_clear()
+    assert validate(scheme).is_valid
+    assert render(RenderSpec(scheme=scheme))
+    assert sum(len(windows(strip)) for strip in scheme.strips) == math.factorial(7) // 2
+    assert builds == [] and _signed_windows(scheme).tables is None
+
+
+def test_a_refused_mutant_builds_no_entry_positions_and_sweeps_no_symmetric_group(monkeypatch):
+    scheme = search_scheme(SearchConfig(n=7, random_seed=1))
+    strip = scheme.strips[0]
+    columns = strip.columns[:30] + (strip.columns[30] % 7 + 1,) + strip.columns[31:]
+    mutant = Scheme(n=7, strips=(SchemeStrip(7, columns, strip.starts),) + scheme.strips[1:])
+    builds = _count_calls(monkeypatch, sarrus.scheme, "_entry_tables")
+    sweeps = _count_calls(monkeypatch, itertools, "permutations")
+    _signed_windows.cache_clear()
+    report = validate(mutant)
+    with pytest.raises(InvalidScheme):
+        evaluate(mutant, Matrix.identity(7))
+    assert report.missing and builds == []
+    # the class walk permutes n - 1 values, never n
+    assert sweeps and all(len(args[0]) < 7 for args in sweeps)
+
+
+def test_the_first_evaluation_builds_the_entry_positions_once(monkeypatch):
+    scheme = search_scheme(SearchConfig(n=7, random_seed=1))
+    builds = _count_calls(monkeypatch, sarrus.scheme, "_entry_tables")
+    _signed_windows.cache_clear()
+    rng = random.Random(7)
+    for _ in range(3):
+        M = random_matrix(7, rng)
+        assert evaluate(scheme, M) == bareiss_det(M)
+        assert positive_negative_sums(scheme, M) == parity_partition_sums(M)
+        assert evaluate_float(scheme, [[float(x) for x in row] for row in M.rows]) == pytest.approx(
+            float(bareiss_det(M)), abs=1e-6
+        )
+    assert len(builds) == 1
+    plus, minus = _signed_windows(scheme).tables
+    assert len(plus) == len(minus) == math.factorial(7) // 2
+
+
+def test_entry_positions_are_capped_by_the_words_they_hold():
+    _Tables.cache_clear()
+    passes = []
+    for seed in range(40):
+        scheme = search_scheme(SearchConfig(n=7, random_seed=seed))
+        assert evaluate(scheme, Matrix.identity(7)) == 1
+        passes.append(_signed_windows(scheme))
+        assert _Tables.words <= _TABLE_WORDS
+    kept = [p.tables is not None for p in passes]
+    assert 0 < sum(kept) < len(kept)
+    # the newest tables are the ones kept
+    assert kept == sorted(kept)
+    held = [p.tables for p in passes if p.tables is not None]
+    assert _Tables.words == sum(len(plus) + len(minus) for plus, minus in held)
+    _Tables.cache_clear()
+    assert _Tables.words == 0 and all(p.tables is None for p in passes)
+
+
+def test_tables_past_the_cap_are_dropped_oldest_first(monkeypatch):
+    monkeypatch.setattr(sarrus.scheme, "_TABLE_WORDS", 100)
+    five, four = scheme_5x5(), scheme_4x4()
+    _Tables.cache_clear()
+    # one table larger than the cap is still kept, until another is built
+    assert evaluate(five, Matrix.identity(5)) == 1
+    assert _Tables.words == 120 and _signed_windows(five).tables is not None
+    assert evaluate(four, Matrix.identity(4)) == 1
+    assert _Tables.words == 24 and _signed_windows(five).tables is None
+    # a dropped table is built again on the next evaluation
+    assert evaluate(five, Matrix.identity(5)) == 1
+    assert _Tables.words == 120 and _signed_windows(four).tables is None
+    _Tables.cache_clear()
+
+
+def test_the_benchmark_schemes_stay_warm_under_the_cap(monkeypatch):
+    # det-files evaluates the built-ins for n = 2..5, and det-large the
+    # searched n = 6 and 7 schemes of seed 11, all held warm
+    schemes = [builtin_scheme(n) for n in (2, 3, 4, 5)]
+    schemes += [search_scheme(SearchConfig(n=n, random_seed=11)) for n in (6, 7)]
+    _Tables.cache_clear()
+    for scheme in schemes:
+        assert evaluate(scheme, Matrix.identity(scheme.n)) == 1
+    builds = _count_calls(monkeypatch, sarrus.scheme, "_entry_tables")
+    rng = random.Random(11)
+    for _ in range(2):
+        for scheme in schemes:
+            M = random_matrix(scheme.n, rng)
+            assert evaluate(scheme, M) == bareiss_det(M)
+    assert builds == []
+
+
+def _plain_missing(sch):
+    """The words of S_n that no window or reverse hits, by a sweep of S_n."""
+    n = sch.n
+    hit = set()
+    for strip in sch.strips:
+        for p in strip.starts:
+            w = strip.window_at(p)
+            hit |= {w, w[::-1]}
+    return [w for w in itertools.permutations(range(1, n + 1)) if w not in hit]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_missing_words_from_the_class_walk_equal_a_sweep(n):
+    scheme = search_scheme(SearchConfig(n=n, random_seed=3))
+    rng = random.Random(n)
+    for _ in range(40):
+        si = rng.randrange(len(scheme.strips))
+        strip = scheme.strips[si]
+        pos = rng.randrange(len(strip.columns))
+        cols = list(strip.columns)
+        cols[pos] = (cols[pos] + rng.randrange(n - 1)) % n + 1
+        strips = list(scheme.strips)
+        strips[si] = SchemeStrip(n=n, columns=tuple(cols), starts=strip.starts)
+        mutant = Scheme(n=n, strips=tuple(strips))
+        missing = [p.images for p in validate(mutant).missing]
+        assert missing and missing == _plain_missing(mutant)
+
+
+def test_missing_words_are_listed_past_the_class_limit(monkeypatch):
+    # the listing walks the class keys up to the sweep limit, n = 10, not
+    # through the class enumeration of the search and its lower limit
+    monkeypatch.setattr(sarrus.generate, "_CLASS_LIMIT", 7)
+    scheme = Scheme(n=8, strips=(SchemeStrip(n=8, columns=(3, 1, 4, 8, 5, 2, 6, 7), starts=(1,)),))
+    report = validate(scheme)
+    missing = [p.images for p in report.missing]
+    assert report.covered == 2 and len(missing) == math.factorial(8) - 2
+    assert missing == _plain_missing(scheme)
 
 
 def test_a_refusal_after_validate_quotes_its_report(monkeypatch):
