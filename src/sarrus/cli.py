@@ -8,6 +8,7 @@ found nothing.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -96,11 +97,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str, out: str | None = None) -> None:
     if out:
         Path(out).write_text(text, encoding="utf-8")
-    else:
+        return
+    try:
         sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: the rest, and the flush at exit, go to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _cmd_det(args) -> int:
@@ -109,20 +115,19 @@ def _cmd_det(args) -> int:
         sch = _resolve_scheme(args, n=M.n)
         if args.sums:
             s_plus, s_minus = positive_negative_sums(sch, M)
-            print(f"positive sum: {format_scalar(s_plus)}")
-            print(f"negative sum: {format_scalar(s_minus)}")
+            _emit(f"positive sum: {format_scalar(s_plus)}\nnegative sum: {format_scalar(s_minus)}\n")
             value = s_plus - s_minus
         else:
             value = evaluate(sch, M)
     else:
         value = ORACLES[args.method](M)
-    print(format_scalar(value))
+    _emit(format_scalar(value) + "\n")
     return 0
 
 
 def _cmd_validate(args) -> int:
     report = validate(_resolve_scheme(args))
-    print(report.summary())
+    _emit(report.summary() + "\n")
     return 0 if report.is_valid else 2
 
 
@@ -139,12 +144,13 @@ def _cmd_generate(args) -> int:
 def _cmd_pattern(args) -> int:
     cls = classify(args.n)
     signs = basic_strip_signs(args.n)
-    print(f"n = {cls.n}  ({cls.residue_class})")
-    print(f"descending signs alternate along starts: {'yes' if cls.shift_alternates else 'no'}")
-    print(f"ascending sign flipped vs descending:    {'yes' if cls.ascending_flips else 'no'}")
-    print("basic strip signs (start, descending, ascending):")
-    for p, d, a in signs:
-        print(f"  {p:>3}  {'+' if d == 1 else '-'}  {'+' if a == 1 else '-'}")
+    _emit(
+        f"n = {cls.n}  ({cls.residue_class})\n"
+        f"descending signs alternate along starts: {'yes' if cls.shift_alternates else 'no'}\n"
+        f"ascending sign flipped vs descending:    {'yes' if cls.ascending_flips else 'no'}\n"
+        "basic strip signs (start, descending, ascending):\n"
+        + "".join(f"  {p:>3}  {'+' if d == 1 else '-'}  {'+' if a == 1 else '-'}\n" for p, d, a in signs)
+    )
     return 0
 
 
@@ -193,7 +199,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         if not args.command:
-            parser.print_help()
+            _emit(parser.format_help())
             return 1
         return _COMMANDS[args.command](args)
     except _UsageError as e:

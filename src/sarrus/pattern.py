@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import SizeTooSmall, _guard
+from .perm import Permutation
+from .scheme import _diagonals, expand_block
 
 _PATTERN_LIMIT = 10_000
 
@@ -55,9 +57,4 @@ def basic_strip_signs(n: int) -> list[tuple[int, int, int]]:
     if n < 2:
         raise SizeTooSmall("basic strips start at n = 2")
     _guard(n, "basic_strip_signs", "builds n rows", _PATTERN_LIMIT)
-    flip = (-1) ** (n // 2)
-    out = []
-    for p in range(1, n + 1):
-        d = -1 if ((p - 1) * (n - 1)) % 2 else 1
-        out.append((p, d, d * flip))
-    return out
+    return list(_diagonals(n, expand_block(Permutation.identity(n))))

@@ -97,6 +97,11 @@ def _word_parity(images: tuple[int, ...]) -> Sign:
     return 1 if (n - cycles) % 2 == 0 else -1
 
 
+def _sign_factors(n: int) -> tuple[Sign, Sign]:
+    """The sign factors of rotating a word of length n left by one and of reversing it."""
+    return (-1 if n % 2 == 0 else 1), (-1 if n // 2 % 2 else 1)
+
+
 def _class_key(word: tuple[int, ...]) -> tuple[int, ...]:
     """The least word of a word's necklace class (its rotations and their
     reversals), for n >= 2: 1 rotated to the front, read in whichever

@@ -2,8 +2,9 @@
 
 Each strip becomes a grid with one cell per (row, strip column) showing the
 column index, a diagonal stroke per window colored by its sign, and sign
-badges above (descending) and below (ascending) each start. Output is a pure
-function of the RenderSpec: same input, byte-identical bytes.
+badges above (descending) and below (ascending) each start, as the scheme
+module's walk of the strip signs them. Output is a pure function of the
+RenderSpec: same input, byte-identical bytes.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .scheme import Scheme, _complete, _Diagonals
+from .scheme import Scheme, _complete, _diagonals
 
 _CELL_SIZE_LIMIT = 1000
 # colours go into SVG attributes as given, so only #rgb, #rrggbb or a name
@@ -38,7 +39,8 @@ class RenderSpec:
 
 
 def render(spec: RenderSpec) -> str:
-    strips = _complete(spec.scheme).strips
+    _complete(spec.scheme)
+    strips = [list(_diagonals(spec.scheme.n, strip)) for strip in spec.scheme.strips]
     if spec.output_format == "svg":
         return _render_svg(spec, strips)
     return _render_ascii(spec, strips)
@@ -52,7 +54,7 @@ def _mark(sign: int) -> str:
     return "+" if sign == 1 else "-"
 
 
-def _render_svg(spec: RenderSpec, strips: tuple[tuple[_Diagonals, ...], ...]) -> str:
+def _render_svg(spec: RenderSpec, strips: list[list[tuple[int, int, int]]]) -> str:
     sch = spec.scheme
     s = spec.cell_size
     n = sch.n
@@ -85,15 +87,15 @@ def _render_svg(spec: RenderSpec, strips: tuple[tuple[_Diagonals, ...], ...]) ->
                 f'<rect x="{_fmt(margin + c * s)}" y="{_fmt(grid_top)}" width="{s}" '
                 f'height="{n * s}" fill="none" stroke="#bbbbbb" stroke-width="1"/>'
             )
-        for d in diagonals:
+        for p, sign, back_sign in diagonals:
             # (sign, first row, last row): descending, then ascending unless
             # the two coincide (n = 1)
-            strokes = [(d.sign, 0, n - 1), (d.back_sign, n - 1, 0)] if n > 1 else [(d.sign, 0, 0)]
-            for sign, first, last in strokes:
+            strokes = [(sign, 0, n - 1), (back_sign, n - 1, 0)] if n > 1 else [(sign, 0, 0)]
+            for stroke_sign, first, last in strokes:
                 parts.append(
-                    f'<line x1="{xs[d.start - 1]}" y1="{ys[first]}" '
-                    f'x2="{xs[d.start + n - 2]}" y2="{ys[last]}" '
-                    f'stroke="{color[sign]}" stroke-width="{stroke_width}" '
+                    f'<line x1="{xs[p - 1]}" y1="{ys[first]}" '
+                    f'x2="{xs[p + n - 2]}" y2="{ys[last]}" '
+                    f'stroke="{color[stroke_sign]}" stroke-width="{stroke_width}" '
                     f'stroke-opacity="0.45" stroke-linecap="round"/>'
                 )
         for x, col in zip(xs, strip.columns):
@@ -106,18 +108,18 @@ def _render_svg(spec: RenderSpec, strips: tuple[tuple[_Diagonals, ...], ...]) ->
         if spec.show_signs:
             # descending sign above the grid, ascending sign below it
             above, below = _fmt(y0 + badge / 2), _fmt(grid_top + n * s + badge / 2)
-            for d in diagonals:
-                for sign, y in ((d.sign, above), (d.back_sign, below)):
+            for p, sign, back_sign in diagonals:
+                for badge_sign, y in ((sign, above), (back_sign, below)):
                     parts.append(
-                        f'<text x="{xs[d.start - 1]}" y="{y}" '
+                        f'<text x="{xs[p - 1]}" y="{y}" '
                         f'font-family="monospace" font-size="{badge_font}" text-anchor="middle" '
-                        f'dominant-baseline="central" fill="{color[sign]}">{_mark(sign)}</text>'
+                        f'dominant-baseline="central" fill="{color[badge_sign]}">{_mark(badge_sign)}</text>'
                     )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
-def _render_ascii(spec: RenderSpec, strips: tuple[tuple[_Diagonals, ...], ...]) -> str:
+def _render_ascii(spec: RenderSpec, strips: list[list[tuple[int, int, int]]]) -> str:
     sch = spec.scheme
     n = sch.n
     cell = max(len(str(c)) for st in sch.strips for c in st.columns) + 1
@@ -128,17 +130,17 @@ def _render_ascii(spec: RenderSpec, strips: tuple[tuple[_Diagonals, ...], ...]) 
         if spec.show_signs:
             top = [" " * cell] * len(strip.columns)
             bottom = list(top)
-            for d in diagonals:
-                top[d.start - 1] = _mark(d.sign).rjust(cell)
-                bottom[d.start - 1] = _mark(d.back_sign).rjust(cell)
+            for p, sign, back_sign in diagonals:
+                top[p - 1] = _mark(sign).rjust(cell)
+                bottom[p - 1] = _mark(back_sign).rjust(cell)
             grid = ["".join(top), *grid, "".join(bottom)]
         lines.extend(grid)
-        for d in diagonals:
-            w = strip.window_at(d.start)
+        for p, sign, back_sign in diagonals:
+            w = strip.window_at(p)
             desc = "-".join(map(str, w))
             asc = "-".join(map(str, w[::-1]))
             lines.append(
-                f"  start {d.start:>3}: desc {desc} ({_mark(d.sign)})  asc {asc} ({_mark(d.back_sign)})"
+                f"  start {p:>3}: desc {desc} ({_mark(sign)})  asc {asc} ({_mark(back_sign)})"
             )
         lines.append("")
     return "\n".join(lines)

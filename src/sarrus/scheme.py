@@ -8,28 +8,28 @@ starts of all strips, hit every permutation of {1..n} exactly once. Signs are
 never stored in a scheme: each window contributes with the sign of its
 permutation, which is what makes a complete scheme compute the determinant.
 
-One cached pass per scheme walks each start once and signs its two words on
-the raw tuples. Validation, evaluation, the two sums, float evaluation,
-``windows`` and rendering all read that pass, so the words of a scheme are
-signed once however many matrices it evaluates. The pass takes one parity per
-run of consecutive starts, which in a block is one per block: when the window
-at start p - 1 was valid and the column entering at p is the one leaving, the
-window at p is that window rotated left by one, so it is valid too and its
-sign is the previous sign times (-1)**(n - 1).
+One walk, ``_runs``, takes a strip to its signed diagonals; validation,
+evaluation, the sums, float evaluation, ``windows`` and rendering all read
+it. It cuts the starts into maximal runs in which each window is the one
+before it rotated left by one: when the column entering at p is the one
+leaving, the window at p is the window at p - 1 rotated, so it is valid too
+and its sign is the previous sign times (-1)**(n - 1). A window is checked
+and signed only where a run begins, once per block.
 
-Cover is checked per necklace class. For n >= 3, n consecutive rotations
-and their reverses are the 2n words of one class, so such a run is recorded
-once, as the class's key (its least word), and its even count follows from
-its first sign by the period-4 rule. A run longer than n is cut into runs of
-n and a remainder, so a class covered twice shows as duplicate words. Only
-the windows of shorter runs are hashed word by word, each checked against
-the whole classes through its run's key; below n = 3 classes are
-undersized, and every word takes this path. The missing words of a defective
-scheme lie in the classes that no run covers whole, so they are listed from
-the class keys, without a sweep of S_n.
+One cached pass per scheme reads the walk and keeps only its verdict, with
+no record per start. Cover is checked per necklace class. For n >= 3, n
+consecutive rotations and their reverses are the 2n words of one class, so
+such a run is recorded once, as the class's key (its least word), and its
+even count follows from its first sign by the period-4 rule. A longer run is
+cut into runs of n and a remainder, so a class covered twice shows as
+duplicate words. Only the windows of remainders are hashed word by word,
+each checked against the whole classes through its run's key; below n = 3
+classes are undersized, and every word takes this path. The missing words of
+a defective scheme lie in the classes that no run covers whole, so they are
+listed from the class keys, without a sweep of S_n.
 
 Evaluation needs each diagonal as the positions of its n matrix entries.
-These n! tuples are built from the pass on the first evaluation only, so a
+These n! tuples are built from the walk on the first evaluation only, so a
 scheme that is only validated, rendered or refused never builds them; the
 tables held across all schemes are capped by the words they hold.
 
@@ -52,12 +52,12 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import add
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .counting import OpCounter
 from .errors import _FACTORIAL_LIMIT, ChainMismatch, InvalidScheme, InvalidWindow, SizeMismatch, _guard
 from .matrix import Matrix, Scalar, _cleared_rows, _uncleared
-from .perm import Permutation, Sign, _class_key, _least_words, _orbit, _word_parity
+from .perm import Permutation, Sign, _class_key, _least_words, _orbit, _sign_factors, _word_parity
 
 
 @dataclass(frozen=True, slots=True)
@@ -213,12 +213,36 @@ def stitch_blocks(heads: Sequence[Permutation]) -> SchemeStrip:
     return SchemeStrip(n=n, columns=tuple(columns), starts=starts)
 
 
-class _Diagonals(NamedTuple):
-    """The signs of both diagonals at one start: descending, then ascending."""
+def _runs(n: int, strip: SchemeStrip) -> Iterator[tuple[int, int, int]]:
+    """The starts of a strip, in order, as maximal runs of rotations: (first
+    start, length, sign of the first descending word). A start whose window
+    repeats a column comes alone, as (start, 1, 0)."""
+    columns = strip.columns
+    first = length = sign = 0
+    for p in strip.starts:
+        if length and p == first + length and columns[p + n - 2] == columns[p - 2]:
+            length += 1  # the window at p - 1, rotated left by one
+            continue
+        if length:
+            yield first, length, sign
+        w = columns[p - 1 : p + n - 1]
+        if len(set(w)) == n:
+            first, length, sign = p, 1, _word_parity(w)
+        else:
+            length = 0
+            yield p, 1, 0
+    if length:
+        yield first, length, sign
 
-    start: int
-    sign: Sign
-    back_sign: Sign
+
+def _diagonals(n: int, strip: SchemeStrip) -> Iterator[tuple[int, Sign, Sign]]:
+    """(start, descending sign, ascending sign) at each valid start, in order."""
+    turn, flip = _sign_factors(n)
+    for first, length, sign in _runs(n, strip):
+        if sign:
+            for p in range(first, first + length):
+                yield p, sign, sign * flip
+                sign *= turn
 
 
 # a list of words, each as the row-major positions of its n matrix entries
@@ -227,10 +251,9 @@ _Table = tuple[tuple[int, ...], ...]
 
 @dataclass(frozen=True, slots=True)
 class _SignedWindows:
-    """The signed words of every start of every strip, checked for cover.
+    """The verdict of a walk of every strip: the words checked for cover.
 
-    ``strips`` holds the diagonals of the valid starts, strip by strip;
-    ``invalid`` the 1-based (strip, start) of each window that repeats a
+    ``invalid`` holds the 1-based (strip, start) of each window that repeats a
     column; ``duplicates`` each word hit more than once, in lexicographic
     order, with where it was hit. ``covered`` and ``even`` count distinct
     words. When some words are missing, ``classes`` holds the key of each
@@ -245,13 +268,8 @@ class _SignedWindows:
     ``tables`` holds, once the first evaluation has built them, each even and
     each odd diagonal as the row-major positions of its n matrix entries (see
     ``_entry_tables``); until then, and after ``_Tables`` drops them, None.
-
-    A window is checked and its parity taken only where it starts a run: a
-    window that follows a valid one at the previous start, and takes in the
-    column that one let go, is its rotation, signed by the rotation rule.
     """
 
-    strips: tuple[tuple[_Diagonals, ...], ...]
     invalid: tuple[tuple[int, int], ...]
     duplicates: tuple[tuple[tuple[int, ...], tuple[WindowRef, ...]], ...]
     covered: int
@@ -288,76 +306,52 @@ def _refuse_unsweepable(sch: Scheme) -> None:
     if sch.n > _FACTORIAL_LIMIT:
         count = 2 * sum(len(strip.starts) for strip in sch.strips)
         if count < _factorial_past(sch.n, count):
-            _guard(sch.n, "validate", "lists missing permutations by sweeping all n!")
+            _guard(sch.n, "validate", "lists up to n! missing permutations")
 
 
 @lru_cache(maxsize=128)
 def _signed_windows(sch: Scheme) -> _SignedWindows:
     # Schemes are immutable, so the pass is shared by every later call. It
-    # holds no entry positions: ``_entry_tables`` builds them on first need.
+    # keeps its verdict only: whoever needs the words walks the strips again.
     n = sch.n
-    # Reversing a word of length n multiplies its sign by (-1)**(n // 2), and
-    # rotating it left by one multiplies it by (-1)**(n - 1).
-    flip = -1 if n // 2 % 2 else 1
-    turn = -1 if n % 2 == 0 else 1
-    # n consecutive rotations cover a whole class, 2n words for n >= 3; below
-    # that classes are undersized and every word takes the word path
-    whole = n if n >= 3 else 0
+    turn, flip = _sign_factors(n)
     # the even words of a whole class, by the sign of its first window: all or
     # none for n ≡ 1 (mod 4), where rotation and reversal keep the sign, and
     # half of them otherwise
     whole_even = {1: 2 * n, -1: 0} if n % 4 == 1 else {1: n, -1: n}
-    strips: list[tuple[_Diagonals, ...]] = []
     invalid: list[tuple[int, int]] = []
-    runs: list[tuple[tuple[int, ...], Sign]] = []  # each whole-class run's first window and sign
-    loose: list[tuple[tuple[int, ...], list[_Diagonals]]] = []  # the rest, run by run
-    for si, strip in enumerate(sch.strips, start=1):
-        columns = strip.columns
-        diagonals: list[_Diagonals] = []
-        last = -1  # the last start whose window was valid
-        chunk = 0  # where the current run's diagonals not yet claimed begin
-        for p in strip.starts:
-            if p == last + 1 and columns[p + n - 2] == columns[p - 2]:
-                # the window at p - 1, rotated left by one
-                sign *= turn
-            else:
-                w = columns[p - 1 : p + n - 1]
-                if len(set(w)) != n:
-                    invalid.append((si, p))
-                    continue
-                if chunk < len(diagonals):
-                    loose.append((columns, diagonals[chunk:]))
-                chunk = len(diagonals)
-                sign = _word_parity(w)
-            last = p
-            diagonals.append(_Diagonals(p, sign, sign * flip))
-            if len(diagonals) - chunk == whole:
-                # a longer run starts a new chunk, which repeats the class
-                runs.append((columns[p - n : p], diagonals[chunk].sign))
-                chunk = len(diagonals)
-        if chunk < len(diagonals):
-            loose.append((columns, diagonals[chunk:]))
-        strips.append(tuple(diagonals))
-
     classes: set[tuple[int, ...]] = set()
     repeated: set[tuple[int, ...]] = set()
     even = 0
-    for first, first_sign in runs:
-        key = _class_key(first)
-        if key in classes:
-            repeated |= _orbit(key)
-        else:
-            classes.add(key)
-            even += whole_even[first_sign]
+    loose: list[tuple[tuple[int, ...], int, int, Sign]] = []  # each run's remainder
+    for si, strip in enumerate(sch.strips, start=1):
+        columns = strip.columns
+        for first, length, sign in _runs(n, strip):
+            if not sign:
+                invalid.append((si, first))
+                continue
+            # n consecutive rotations cover a whole class, 2n words for n >= 3,
+            # and bring back the first window's sign; a longer run's next n
+            # starts repeat the class. Below n = 3 classes are undersized.
+            whole = length - length % n if n >= 3 else 0
+            for p in range(first, first + whole, n):
+                key = _class_key(columns[p - 1 : p + n - 1])
+                if key in classes:
+                    repeated |= _orbit(key)
+                else:
+                    classes.add(key)
+                    even += whole_even[sign]
+            if whole < length:
+                loose.append((columns, first + whole, length - whole, sign))
+
     words: set[tuple[int, ...]] = set()
-    for columns, diagonals in loose:
+    for columns, start, length, sign in loose:
         # a run stays inside one class: one key settles whether that class is whole
-        start = diagonals[0].start
         whole_class = bool(classes) and _class_key(columns[start - 1 : start + n - 1]) in classes
-        for p, sign, back_sign in diagonals:
+        for p in range(start, start + length):
             w = columns[p - 1 : p + n - 1]
             # at n = 1 the window is its own reverse: one word, not two
-            hits = ((w, sign),) if n == 1 else ((w, sign), (w[::-1], back_sign))
+            hits = ((w, sign),) if n == 1 else ((w, sign), (w[::-1], sign * flip))
             for word, word_sign in hits:
                 if whole_class or word in words:
                     repeated.add(word)
@@ -365,13 +359,13 @@ def _signed_windows(sch: Scheme) -> _SignedWindows:
                     words.add(word)
                     if word_sign > 0:
                         even += 1
+            sign *= turn
     covered = 2 * n * len(classes) + len(words)
     # only a listing of missing words reads the classes and the words again
     short = not _is_factorial(covered, n)
     return _SignedWindows(
-        strips=tuple(strips),
         invalid=tuple(invalid),
-        duplicates=_where_hit(sch, strips, repeated) if repeated else (),
+        duplicates=_where_hit(sch, repeated) if repeated else (),
         covered=covered,
         even=even,
         classes=frozenset(classes) if short else frozenset(),
@@ -381,33 +375,30 @@ def _signed_windows(sch: Scheme) -> _SignedWindows:
 
 
 def _where_hit(
-    sch: Scheme, strips: list[tuple[_Diagonals, ...]], repeated: set[tuple[int, ...]]
+    sch: Scheme, repeated: set[tuple[int, ...]]
 ) -> tuple[tuple[tuple[int, ...], tuple[WindowRef, ...]], ...]:
     """Each repeated word, in lexicographic order, with every diagonal that hits it."""
     refs: dict[tuple[int, ...], list[WindowRef]] = {w: [] for w in sorted(repeated)}
-    for si, (strip, diagonals) in enumerate(zip(sch.strips, strips), start=1):
-        for d in diagonals:
-            w = strip.window_at(d.start)
-            if sch.n == 1:
-                hits = ((w, "both"),)
-            else:
-                hits = ((w, "descending"), (w[::-1], "ascending"))
-            for word, direction in hits:
+    directions = ("both",) if sch.n == 1 else ("descending", "ascending")
+    for si, strip in enumerate(sch.strips, start=1):
+        for p, _, _ in _diagonals(sch.n, strip):
+            w = strip.window_at(p)
+            for word, direction in zip((w, w[::-1]), directions):
                 if word in refs:
-                    refs[word].append(WindowRef(si, d.start, direction))
+                    refs[word].append(WindowRef(si, p, direction))
     return tuple((w, tuple(r)) for w, r in refs.items())
 
 
 def windows(s: SchemeStrip) -> list[Window]:
     """Both diagonals at every start; raises InvalidWindow if a window repeats
     a column index."""
-    signed = _signed_windows(Scheme(n=s.n, strips=(s,)))
-    if signed.invalid:
-        raise InvalidWindow(signed.invalid[0][1])
     out = []
-    for d in signed.strips[0]:
-        w = s.window_at(d.start)
-        out.append(Window(d.start, Permutation(w), Permutation(w[::-1])))
+    for first, length, sign in _runs(s.n, s):
+        if not sign:
+            raise InvalidWindow(first)
+        for p in range(first, first + length):
+            w = s.window_at(p)
+            out.append(Window(p, Permutation(w), Permutation(w[::-1])))
     return out
 
 
@@ -417,10 +408,9 @@ def validate(sch: Scheme) -> ValidationReport:
     Cost is O(total windows), plus a listing of the missing permutations when
     some are missing. Beyond n = 10, a scheme with fewer than n! windows is
     refused with SizeLimitExceeded before the pass; with more, the listing
-    costs no more than the pass. The pass signs one window per run of
-    consecutive starts and the rest by rotation, and counts a run of n starts
-    as its whole necklace class, by the class's key (see the module notes).
-    It builds no entry positions: only evaluation needs them.
+    costs no more than the pass. The pass reads the walk of each strip and
+    counts a run of n starts as its whole necklace class (see the module
+    notes); it builds no entry positions, which only evaluation needs.
     """
     n = sch.n
     _refuse_unsweepable(sch)
@@ -514,16 +504,16 @@ class _Tables:
 
 
 def _entry_tables(sch: Scheme, signed: _SignedWindows) -> tuple[_Table, _Table]:
-    """Each even and each odd diagonal of the pass, in walk order, as the
+    """Each even and each odd diagonal of the scheme, in walk order, as the
     row-major positions of its n matrix entries; kept on the pass."""
     n = sch.n
     # entry position r * n + c - 1 holds column c of the word's 0-based row r
     offsets = range(-1, n * n - 1, n)
     plus: list[tuple[int, ...]] = []
     minus: list[tuple[int, ...]] = []
-    for strip, diagonals in zip(sch.strips, signed.strips):
+    for strip in sch.strips:
         columns = strip.columns
-        for p, sign, back_sign in diagonals:
+        for p, sign, back_sign in _diagonals(n, strip):
             w = columns[p - 1 : p + n - 1]
             (plus if sign > 0 else minus).append(tuple(map(add, offsets, w)))
             if n > 1:

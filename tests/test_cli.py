@@ -2,6 +2,7 @@ import contextlib
 import importlib
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -242,6 +243,26 @@ def test_validate_exit_codes(capsys, tmp_path):
     assert code == 2 and "INVALID" in out
     code, _, err = run(capsys, "validate")
     assert code == 1
+
+
+@pytest.mark.parametrize("valid", [True, False])
+def test_validate_into_a_closed_pipe_keeps_its_exit_status(tmp_path, valid):
+    # as in `sarrus validate | head -1`: the reader is gone before the
+    # summary is written, and that is no failure of the command
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps({"n": 3, "strips": [{"columns": [1, 2, 3, 1, 2], "starts": [1, 2]}]}))
+    source = ["--builtin", "5"] if valid else ["--scheme", str(path)]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "sarrus", "validate", *source],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == (0 if valid else 2)
+    assert proc.stderr == ""
 
 
 @pytest.mark.parametrize("command", ["det", "validate", "render"])

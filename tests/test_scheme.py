@@ -1,6 +1,8 @@
+import gc
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 
@@ -50,7 +52,7 @@ from sarrus import (
 )
 from sarrus.bench import random_matrix
 from sarrus.perm import _word_parity
-from sarrus.scheme import _TABLE_WORDS, _entry_tables, _signed_windows, _Tables
+from sarrus.scheme import _TABLE_WORDS, _diagonals, _entry_tables, _runs, _signed_windows, _Tables
 
 # the first junction of the even quilt: two 9-column layouts sharing one column
 P1_P2_PREFIX = (1, 2, 3, 4, 5, 1, 2, 3, 4, 3, 5, 2, 1, 4, 3, 5, 2)
@@ -352,7 +354,15 @@ def _strip_sets(draw):
 def test_pass_and_report_match_a_plain_reference(sch):
     ref = _reference_pass(sch)
     signed = _signed_windows(sch)
-    assert [[tuple(d) for d in diagonals] for diagonals in signed.strips] == ref["strips"]
+    assert [list(_diagonals(sch.n, strip)) for strip in sch.strips] == ref["strips"]
+    for strip in sch.strips:
+        runs = list(_runs(sch.n, strip))
+        # the runs spell out the starts in order, and none could go on into
+        # the next: that one's first window is no rotation of the last before it
+        assert [p for first, length, _ in runs for p in range(first, first + length)] == list(strip.starts)
+        for (first, length, sign), (p, _, next_sign) in zip(runs, runs[1:]):
+            last = strip.window_at(p - 1)
+            assert not (sign and next_sign and p == first + length and strip.window_at(p) == last[1:] + last[:1])
     assert list(signed.invalid) == ref["invalid"]
     assert [(w, [tuple(r) for r in refs]) for w, refs in signed.duplicates] == ref["duplicates"]
     assert (signed.covered, signed.even) == (ref["covered"], ref["even"])
@@ -402,6 +412,34 @@ def _count_calls(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def test_a_cached_pass_holds_no_record_per_start():
+    # the pass keeps its verdict only: after a cold validate of 2520 starts,
+    # next to nothing stays allocated (one record per start took ~0.2 MB)
+    scheme = search_scheme(SearchConfig(n=7, random_seed=1))
+    _signed_windows.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert validate(scheme).is_valid
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 0.02 * 2**20
+
+
+def test_windows_leaves_the_pass_cache_alone():
+    strip = search_scheme(SearchConfig(n=5, random_seed=1)).strips[0]
+    before = _signed_windows.cache_info()
+    assert [w.start for w in windows(strip)] == list(strip.starts)
+    # starts 5 and 4 are bad: the first of them in start order is named
+    bad = SchemeStrip(n=3, columns=(1, 2, 3, 1, 1, 2, 2), starts=(5, 1, 4, 2))
+    with pytest.raises(InvalidWindow) as caught:
+        windows(bad)
+    assert caught.value.start == 5
+    assert _signed_windows.cache_info() == before
 
 
 def test_validate_render_and_windows_build_no_entry_positions(monkeypatch):
