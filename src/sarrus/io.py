@@ -102,14 +102,21 @@ def parse_matrix(path: str | Path, format: str | None = None) -> Matrix:
     raise ValueError(f"unknown matrix format {fmt!r}")
 
 
+def _json_ints(values: tuple[int, ...]) -> str:
+    # a list of ints as json.dumps(..., indent=2) lays it out at this depth
+    if not values:
+        return "[]"
+    return "[\n        " + ",\n        ".join(map(str, values)) + "\n      ]"
+
+
 def scheme_to_json(sch: Scheme) -> str:
-    payload = {
-        "n": sch.n,
-        "strips": [
-            {"columns": list(s.columns), "starts": list(s.starts)} for s in sch.strips
-        ],
-    }
-    return json.dumps(payload, indent=2)
+    # the layout of json.dumps(payload, indent=2), written directly: with an
+    # indent, json.dumps runs its pure-Python encoder
+    strips = ",\n    ".join(
+        f'{{\n      "columns": {_json_ints(s.columns)},\n      "starts": {_json_ints(s.starts)}\n    }}'
+        for s in sch.strips
+    )
+    return f'{{\n  "n": {sch.n},\n  "strips": [\n    {strips}\n  ]\n}}'
 
 
 def _is_int(x) -> bool:

@@ -5,6 +5,11 @@ column index, a diagonal stroke per window colored by its sign, and sign
 badges above (descending) and below (ascending) each start, as the scheme
 module's walk of the strip signs them. Output is a pure function of the
 RenderSpec: same input, byte-identical bytes.
+
+The SVG writer formats the constant text of each strip once, as templates
+split where a centre goes, and then makes one string per column and one per
+start by joining centres into them. ``cell_size`` is an int, so every
+coordinate is an integer or ends in .5 and is written with integer arithmetic.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from .io import _is_int
 from .scheme import Scheme, _complete, _diagonals
 
 _CELL_SIZE_LIMIT = 1000
@@ -29,8 +35,8 @@ class RenderSpec:
     output_format: str = "svg"  # "svg" or "ascii"
 
     def __post_init__(self):
-        if not 0 < self.cell_size <= _CELL_SIZE_LIMIT:
-            raise ValueError(f"cell_size must be in 1..{_CELL_SIZE_LIMIT}")
+        if not (_is_int(self.cell_size) and 0 < self.cell_size <= _CELL_SIZE_LIMIT):
+            raise ValueError(f"cell_size must be an int in 1..{_CELL_SIZE_LIMIT}")
         for color in (self.positive_color, self.negative_color):
             if not _COLOR.fullmatch(color):
                 raise ValueError(f"colour {color!r} is neither #rgb, #rrggbb nor a name")
@@ -74,49 +80,76 @@ def _render_svg(spec: RenderSpec, strips: list[list[tuple[int, int, int]]]) -> s
     font = max(10, int(s * 0.45))
     badge_font = max(9, int(s * 0.4))
     color = {1: spec.positive_color, -1: spec.negative_color}
+    pairs = [(sign, back_sign) for sign in (1, -1) for back_sign in (1, -1)]
+    # a cell centre is an integer for even s and ends in .5 for odd s
+    half = ".5" if s % 2 else ""
 
     stroke_width = _fmt(s * 0.25)
     for si, (strip, diagonals) in enumerate(zip(sch.strips, strips)):
         y0 = margin + si * (strip_height + gap)
         grid_top = y0 + badge
+        right = margin + len(strip.columns) * s
         # the centres of strip column c and of row r are xs[c - 1] and ys[r - 1]
-        xs = [_fmt(margin + (c - 0.5) * s) for c in range(1, len(strip.columns) + 1)]
-        ys = [_fmt(grid_top + (r - 0.5) * s) for r in range(1, n + 1)]
-        for c in range(len(strip.columns)):
-            parts.append(
-                f'<rect x="{_fmt(margin + c * s)}" y="{_fmt(grid_top)}" width="{s}" '
-                f'height="{n * s}" fill="none" stroke="#bbbbbb" stroke-width="1"/>'
-            )
-        for p, sign, back_sign in diagonals:
-            # (sign, first row, last row): descending, then ascending unless
-            # the two coincide (n = 1)
-            strokes = [(sign, 0, n - 1), (back_sign, n - 1, 0)] if n > 1 else [(sign, 0, 0)]
-            for stroke_sign, first, last in strokes:
-                parts.append(
-                    f'<line x1="{xs[p - 1]}" y1="{ys[first]}" '
-                    f'x2="{xs[p + n - 2]}" y2="{ys[last]}" '
+        xs = [f"{k}{half}" for k in range(margin + s // 2, right, s)]
+        ys = [f"{k}{half}" for k in range(grid_top + s // 2, grid_top + n * s, s)]
+        # Each kind of element is formatted once per strip as a template, split
+        # where its x goes ("\0"; "\1" for a stroke's right end; no colour can
+        # hold either). One join, or one f-string, per column or per start then
+        # fills in the centres.
+        head, tail = (
+            f'<rect x="\0" y="{grid_top}" width="{s}" height="{n * s}" fill="none" '
+            f'stroke="#bbbbbb" stroke-width="1"/>'
+        ).split("\0")
+        sep = f"{tail}\n{head}"
+        parts.append(f"{head}{sep.join(map(str, range(margin, right, s)))}{tail}")
+
+        # the descending stroke, then the ascending one unless the two coincide (n = 1)
+        rows = [(0, n - 1), (n - 1, 0)] if n > 1 else [(0, 0)]
+        strokes = {
+            pair: re.split(
+                "[\0\1]",
+                "\n".join(
+                    f'<line x1="\0" y1="{ys[first]}" x2="\1" y2="{ys[last]}" '
                     f'stroke="{color[stroke_sign]}" stroke-width="{stroke_width}" '
                     f'stroke-opacity="0.45" stroke-linecap="round"/>'
-                )
-        for x, col in zip(xs, strip.columns):
-            for y in ys:
-                parts.append(
-                    f'<text x="{x}" y="{y}" font-family="monospace" '
-                    f'font-size="{font}" text-anchor="middle" dominant-baseline="central" '
-                    f'fill="#222222">{col}</text>'
-                )
+                    for stroke_sign, (first, last) in zip(pair, rows)
+                ),
+            )
+            for pair in pairs
+        }
+        for p, sign, back_sign in diagonals:
+            x1, x2 = xs[p - 1], xs[p + n - 2]
+            t = strokes[sign, back_sign]
+            # at n = 1 the two ends share x1
+            parts.append(f"{t[0]}{x1}{t[1]}{x2}{t[2]}{x1}{t[3]}{x2}{t[4]}" if n > 1 else x1.join(t))
+
+        # the n row texts of one column, for each column value
+        cells = {
+            col: "\n".join(
+                f'<text x="\0" y="{y}" font-family="monospace" '
+                f'font-size="{font}" text-anchor="middle" dominant-baseline="central" '
+                f'fill="#222222">{col}</text>'
+                for y in ys
+            ).split("\0")
+            for col in set(strip.columns)
+        }
+        parts.extend(map(str.join, xs, map(cells.__getitem__, strip.columns)))
+
         if spec.show_signs:
             # descending sign above the grid, ascending sign below it
             above, below = _fmt(y0 + badge / 2), _fmt(grid_top + n * s + badge / 2)
-            for p, sign, back_sign in diagonals:
-                for badge_sign, y in ((sign, above), (back_sign, below)):
-                    parts.append(
-                        f'<text x="{xs[p - 1]}" y="{y}" '
-                        f'font-family="monospace" font-size="{badge_font}" text-anchor="middle" '
-                        f'dominant-baseline="central" fill="{color[badge_sign]}">{_mark(badge_sign)}</text>'
-                    )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+            badges = {
+                pair: "\n".join(
+                    f'<text x="\0" y="{y}" '
+                    f'font-family="monospace" font-size="{badge_font}" text-anchor="middle" '
+                    f'dominant-baseline="central" fill="{color[badge_sign]}">{_mark(badge_sign)}</text>'
+                    for badge_sign, y in zip(pair, (above, below))
+                ).split("\0")
+                for pair in pairs
+            }
+            parts.extend([xs[p - 1].join(badges[sign, b]) for p, sign, b in diagonals])
+    parts += ("</svg>", "")
+    return "\n".join(parts)
 
 
 def _render_ascii(spec: RenderSpec, strips: list[list[tuple[int, int, int]]]) -> str:

@@ -59,6 +59,46 @@ def test_searched_svg_bytes():
     assert digest(render(RenderSpec(scheme=sch))) == expected
 
 
+# The pins below were taken from the writer that formatted every element with
+# its own f-string, before it built each strip from per-column templates.
+
+
+@pytest.mark.parametrize(
+    "show_signs,expected",
+    [
+        (True, "544804d9ebed568bf006bf2646f93ee7bd5ff931cd928185ee3b005e204d2d38"),
+        (False, "f52288c8cbf212984b2994368b6e2cc90efac58e1f1bb5f6af2697115c7210f1"),
+    ],
+)
+def test_one_by_one_svg_bytes(show_signs, expected):
+    # n = 1: one stroke per start, and its two badges share one sign
+    sch = Scheme(n=1, strips=(SchemeStrip(n=1, columns=(1,), starts=(1,)),))
+    assert digest(render(RenderSpec(scheme=sch, show_signs=show_signs))) == expected
+
+
+def test_many_strip_svg_bytes_at_an_odd_cell_size():
+    # twelve strips, so every strip's y offset shows; odd s puts centres at k.5
+    sch = search_scheme(SearchConfig(n=6, random_seed=2, max_blocks_per_strip=5))
+    assert len(sch.strips) > 1
+    spec = RenderSpec(scheme=sch, cell_size=13, positive_color="#0a0", negative_color="crimson")
+    expected = "e00a0597754f9255f5b4f7e39bff98297afa7515be7c144c7c5592138a5ec867"
+    assert digest(render(spec)) == expected
+
+
+def test_svg_bytes_at_the_smallest_cell_size():
+    # both font sizes sit on their floors, and the stroke width is 0.2
+    spec = RenderSpec(scheme=builtin_scheme(4), cell_size=1)
+    expected = "e11f0d232e2639e40585e30b244ed806539018cadf3e81c2da7717cdeb23d4f9"
+    assert digest(render(spec)) == expected
+
+
+def test_seeded_seven_by_seven_svg_bytes():
+    # one strip of 4321 columns
+    sch = search_scheme(SearchConfig(n=7, random_seed=1))
+    expected = "39124a687225b9a1158351a255a351c2bdf962df2b8cfac8c15981d858be83a5"
+    assert digest(render(RenderSpec(scheme=sch))) == expected
+
+
 @pytest.mark.parametrize(
     "n,expected",
     [

@@ -5,10 +5,12 @@ from sarrus import (
     RenderSpec,
     Scheme,
     SchemeStrip,
+    SearchConfig,
     classic_sarrus,
     render,
     scheme_4x4,
     scheme_5x5,
+    search_scheme,
 )
 
 
@@ -93,8 +95,28 @@ def test_render_refuses_invalid_schemes():
         render(RenderSpec(scheme=broken))
 
 
+def test_seeded_seven_by_seven_svg_element_counts():
+    # one strip of 4321 columns: a dropped or doubled separator in any of the
+    # per-column or per-start joins shows up in these counts
+    sch = search_scheme(SearchConfig(n=7, random_seed=1))
+    (strip,) = sch.strips
+    cols, starts = len(strip.columns), len(strip.starts)
+    out = render(RenderSpec(scheme=sch))
+    assert count(out, "<rect") == cols + 1
+    assert count(out, "<line") == 2 * starts
+    assert count(out, "<text") == 7 * cols + 2 * starts
+    assert out.endswith("</svg>\n") and count(out, "</svg>") == 1
+    assert not out.endswith("\n\n")
+    # one element per line
+    assert len(out.splitlines()) == 1 + (cols + 1) + 2 * starts + 7 * cols + 2 * starts + 1
+
+
 def test_render_spec_validation():
     with pytest.raises(ValueError):
         RenderSpec(scheme=classic_sarrus(3), cell_size=0)
     with pytest.raises(ValueError):
         RenderSpec(scheme=classic_sarrus(3), output_format="png")
+    # a bool or a float would be written into the attributes as given
+    for cell_size in (True, 28.0, 7.5):
+        with pytest.raises(ValueError, match="cell_size"):
+            RenderSpec(scheme=classic_sarrus(3), cell_size=cell_size)
