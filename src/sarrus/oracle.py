@@ -3,22 +3,27 @@
 Three independent routes: the permutation expansion, one loop that splits
 the n! products into the even sum S_plus and the odd sum S_minus (Leibniz is
 S_plus - S_minus); first-row cofactor expansion with each minor computed once
-per column subset; and fraction-free elimination. They share no code with the
-scheme path: permutation signs here come from inversion counting, not from
-the cycle decomposition the rest of the library uses, so agreement between
-routes is meaningful. The inversions are counted by leading-column
-composition: a word is a leading column followed by a shorter word on the
-other columns, and the leading column c adds c inversions. Words are held in
-a cached table of entry positions, split by sign, for n <= 8 only; at n = 9
-and 10 the expansion streams from the 8-table one leading column at a time.
-Operation counts are tallied once per call, per minor size or per
-elimination step, never per term or entry.
+per column subset; and fraction-free elimination.
 
-The permutation expansion and the elimination run over integers: each row is
-first scaled by the lcm of its denominators, and the result divided by the
-product of those lcms. That clearing (``matrix._cleared_rows``) is shared with
-scheme evaluation. The cofactor expansion works on the entries as given, so
-it stays the independent check on the clearing.
+What the permutation expansion shares with scheme evaluation is arithmetic
+only: both clear rational rows to integers (``matrix._cleared_rows``) and
+both sum their terms with one product-sum kernel (``matrix._product_sum``).
+Which words are summed, and with which sign, comes from elsewhere: here the
+words are all of S_n and each sign comes from inversion counting, where the
+scheme path reads its words off the strips and signs them by cycle
+decomposition, so agreement between the routes is meaningful. The
+inversions are counted by leading-column composition: a word is a leading
+column followed by a shorter word on the other columns, and the leading
+column c adds c inversions. Words are held in a cached table of entry
+positions, split by sign, for n <= 8 only; at n = 9 and 10 the expansion
+streams from the 8-table one leading column at a time. Operation counts are
+tallied once per call, per minor size or per elimination step, never per
+term or entry.
+
+The elimination clears its rows the same way, and divides the integer
+determinant by the product of the row lcms at the end; it shares no
+kernel. The cofactor expansion shares neither: it works on the entries as
+given, so it stays the independent check on the clearing.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from operator import itemgetter
 
 from .counting import OpCounter
 from .errors import _guard
-from .matrix import Matrix, Scalar, _cleared_rows, _uncleared
+from .matrix import Matrix, Scalar, _cleared_rows, _product_sum, _uncleared
 
 # The cofactor expansion holds one minor per column subset: at n = 16 that is
 # 2^16 minors and 2^19 multiplications, still desk scale.
@@ -86,16 +91,6 @@ def _placements(rows: list[list[int]], depth: int, columns: tuple[int, ...], lea
         yield from _placements(rows, depth - 1, rest, lead * row[c], odd ^ (i & 1))
 
 
-def _sum_of_products(entries: list[int], words: tuple[tuple[int, ...], ...], lead: int) -> int:
-    total = 0
-    for word in words:
-        prod = lead
-        for i in word:
-            prod *= entries[i]
-        total += prod
-    return total
-
-
 def _parity_sums(M: Matrix, what: str, ops: OpCounter | None) -> tuple[int, int, int]:
     """The even and odd product sums over the cleared rows, and the clearing.
 
@@ -110,11 +105,12 @@ def _parity_sums(M: Matrix, what: str, ops: OpCounter | None) -> tuple[int, int,
     rows, clearing = _cleared_rows(M)
     k = min(n, _TABLE_LIMIT)
     even, odd = _signed_perms(k)
+    product_sum = _product_sum(k)
     sums = [0, 0]
     for lead, flip, columns in _placements(rows, n - k, tuple(range(n))):
         entries = [row[c] for row in rows[n - k :] for c in columns]
-        sums[flip] += _sum_of_products(entries, even, lead)
-        sums[1 - flip] += _sum_of_products(entries, odd, lead)
+        sums[flip] += lead * product_sum(entries, even)
+        sums[1 - flip] += lead * product_sum(entries, odd)
     if ops is not None:
         terms = math.factorial(n)
         ops.term(n, terms)

@@ -38,8 +38,10 @@ class Permutation:
         n = len(self.images)
         if n < 1:
             raise ValueError("permutation needs n >= 1")
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise ValueError(f"not a bijection on 1..{n}: {self.images}")
+        # True == 1 and 2.0 == 2: the sort alone lets a bool or a float through
+        images = self.images
+        if sorted(images) != list(range(1, n + 1)) or any(type(x) is not int for x in images):
+            raise ValueError(f"not a bijection of ints on 1..{n}: {images}")
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":

@@ -36,7 +36,9 @@ tables held across all schemes are capped by the words they hold.
 Exact evaluation runs over cleared rows, as the oracles do: each row of a
 rational matrix is scaled to integers by the lcm of its denominators. Every
 window takes one entry from each row, so the even and the odd sums both scale
-by the product of those lcms, and are divided by it once at the end.
+by the product of those lcms, and are divided by it once at the end. Both
+sums are taken by the product-sum kernel the oracles use too
+(``matrix._product_sum``).
 
 Everything here is an immutable value and every function is pure, apart
 from the tables a pass keeps, which are built and dropped under a lock; so
@@ -51,12 +53,11 @@ import threading
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import add
 from typing import Iterator, NamedTuple, Sequence
 
 from .counting import OpCounter
 from .errors import _FACTORIAL_LIMIT, ChainMismatch, InvalidScheme, InvalidWindow, SizeMismatch, _guard
-from .matrix import Matrix, Scalar, _cleared_rows, _uncleared
+from .matrix import Matrix, Scalar, _cleared_rows, _product_sum, _uncleared
 from .perm import Permutation, Sign, _class_key, _least_words, _orbit, _sign_factors, _word_parity
 
 
@@ -64,10 +65,10 @@ from .perm import Permutation, Sign, _class_key, _least_words, _orbit, _sign_fac
 class SchemeStrip:
     """A column sequence with start positions.
 
-    The constructor checks ranges only (columns in 1..n, starts within
-    bounds). Whether each window actually forms a permutation is diagnosed by
-    ``validate`` and enforced by ``windows``; a mis-edited strip must remain
-    representable so the validator can report on it.
+    The constructor checks types and ranges only (int columns in 1..n, int
+    starts within bounds). Whether each window actually forms a permutation
+    is diagnosed by ``validate`` and enforced by ``windows``; a mis-edited
+    strip must remain representable so the validator can report on it.
 
     The hash is taken once, at construction: every lookup of a scheme's cached
     pass hashes its strips, and tuples do not keep their hash.
@@ -79,17 +80,19 @@ class SchemeStrip:
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("strip needs n >= 1")
+        # type(x) is int, not isinstance: a bool or an integral float would
+        # pass the range checks and reach the words
+        if type(self.n) is not int or self.n < 1:
+            raise ValueError(f"strip needs an int n >= 1, got {self.n!r}")
         if len(self.columns) < self.n:
             raise ValueError("strip shorter than one window")
-        bad = [c for c in self.columns if not 1 <= c <= self.n]
+        bad = [c for c in self.columns if type(c) is not int or not 1 <= c <= self.n]
         if bad:
-            raise ValueError(f"column indices outside 1..{self.n}: {bad}")
+            raise ValueError(f"column indices not ints in 1..{self.n}: {bad}")
         limit = len(self.columns) - self.n + 1
         for p in self.starts:
-            if not 1 <= p <= limit:
-                raise ValueError(f"start {p} outside 1..{limit}")
+            if type(p) is not int or not 1 <= p <= limit:
+                raise ValueError(f"start {p!r} not an int in 1..{limit}")
         object.__setattr__(self, "_hash", hash((self.n, self.columns, self.starts)))
 
     def __hash__(self) -> int:
@@ -505,33 +508,29 @@ class _Tables:
 
 def _entry_tables(sch: Scheme, signed: _SignedWindows) -> tuple[_Table, _Table]:
     """Each even and each odd diagonal of the scheme, in walk order, as the
-    row-major positions of its n matrix entries; kept on the pass."""
+    row-major positions of its n matrix entries; kept on the pass.
+
+    Row r of a diagonal reads position r * n + c - 1 for its column c. Each
+    strip's columns are laid out as those positions once per row, and one zip
+    over the n rows, each shifted by its row, gives the descending diagonal
+    at every position of the strip; shifted the other way, the ascending
+    one. The valid starts then pick theirs.
+    """
     n = sch.n
-    # entry position r * n + c - 1 holds column c of the word's 0-based row r
-    offsets = range(-1, n * n - 1, n)
     plus: list[tuple[int, ...]] = []
     minus: list[tuple[int, ...]] = []
     for strip in sch.strips:
-        columns = strip.columns
+        rows = [[r * n + c - 1 for c in strip.columns] for r in range(n)]
+        down = list(zip(*(row[r:] for r, row in enumerate(rows))))
+        up = list(zip(*(row[n - 1 - r :] for r, row in enumerate(rows))))
         for p, sign, back_sign in _diagonals(n, strip):
-            w = columns[p - 1 : p + n - 1]
-            (plus if sign > 0 else minus).append(tuple(map(add, offsets, w)))
+            (plus if sign > 0 else minus).append(down[p - 1])
             if n > 1:
-                (plus if back_sign > 0 else minus).append(tuple(map(add, offsets, w[::-1])))
+                (plus if back_sign > 0 else minus).append(up[p - 1])
     tables = (tuple(plus), tuple(minus))
     object.__setattr__(signed, "tables", tables)
     _Tables.hold(signed, len(plus) + len(minus))
     return tables
-
-
-def _sum_of_products(entries: Sequence, words: _Table) -> Scalar | float:
-    total = 0
-    for word in words:
-        prod = 1
-        for i in word:
-            prod *= entries[i]
-        total += prod
-    return total
 
 
 def _signed_sums(sch: Scheme, M: Matrix, ops: OpCounter | None) -> tuple[int, int, int]:
@@ -546,7 +545,8 @@ def _signed_sums(sch: Scheme, M: Matrix, ops: OpCounter | None) -> tuple[int, in
         ops.add(max(len(plus) - 1, 0) + max(len(minus) - 1, 0))
     rows, clearing = _cleared_rows(M)
     entries = [x for row in rows for x in row]
-    return _sum_of_products(entries, plus), _sum_of_products(entries, minus), clearing
+    product_sum = _product_sum(sch.n)
+    return product_sum(entries, plus), product_sum(entries, minus), clearing
 
 
 def evaluate(sch: Scheme, M: Matrix, *, ops: OpCounter | None = None) -> Scalar:
@@ -585,4 +585,5 @@ def evaluate_float(sch: Scheme, rows: Sequence[Sequence[float]]) -> float:
     plus, minus = signed.tables or _entry_tables(sch, signed)
     # 1.0 * x: each entry meets float arithmetic, and a non-number fails here
     entries = [1.0 * x for row in rows for x in row]
-    return _sum_of_products(entries, plus) - _sum_of_products(entries, minus)
+    product_sum = _product_sum(n)
+    return product_sum(entries, plus) - product_sum(entries, minus)

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,6 +21,13 @@ from sarrus.bench import ORACLES, random_matrix
 from sarrus.cli import main
 
 WORKED_CSV = "2,3,4,-1\n1,-2,0,5\n5,2,2,-3\n8,1,1,1\n"
+
+# `python -m sarrus` in a child process finds the package in src/, as the
+# tests do, whether or not PYTHONPATH names it
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+CHILD_ENV = dict(
+    os.environ, PYTHONPATH=os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+)
 
 
 @pytest.fixture
@@ -142,7 +150,8 @@ def _refused_at_once(*argv):
     """Run sarrus in a subprocess; it must exit 2 with an error, within 5 s."""
     t0 = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-m", "sarrus", *argv], capture_output=True, text=True, timeout=60
+        [sys.executable, "-m", "sarrus", *argv],
+        capture_output=True, text=True, timeout=60, env=CHILD_ENV,
     )
     assert time.perf_counter() - t0 < 5
     assert proc.returncode == 2 and proc.stdout == ""
@@ -257,7 +266,7 @@ def test_validate_into_a_closed_pipe_keeps_its_exit_status(tmp_path, valid):
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "sarrus", "validate", *source],
-            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60, env=CHILD_ENV,
         )
     finally:
         os.close(write_end)
@@ -449,6 +458,7 @@ def test_module_entry_point_subprocess(tmp_path):
         [sys.executable, "-m", "sarrus", "det", "--matrix", str(path), "--builtin", "4"],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "140"
@@ -461,6 +471,7 @@ def test_render_is_deterministic_across_processes(tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "sarrus", "render", "--builtin", "5", "--out", str(target)],
             capture_output=True,
+            env=CHILD_ENV,
         )
         assert proc.returncode == 0
         outputs.append(target.read_bytes())

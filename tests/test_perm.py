@@ -35,7 +35,7 @@ def perms(n):
 any_perm = st.integers(min_value=1, max_value=10).flatmap(perms)
 
 
-@pytest.mark.parametrize("bad", [(), (1, 1), (0, 2), (2, 3), (1, 2, 2, 4)])
+@pytest.mark.parametrize("bad", [(), (1, 1), (0, 2), (2, 3), (1, 2, 2, 4), (True, 2), (1.0, 2), (2, 1, 3.0)])
 def test_constructor_rejects_non_bijections(bad):
     with pytest.raises(ValueError):
         Permutation(bad)

@@ -76,6 +76,17 @@ def test_strip_constructor_checks_ranges():
         SchemeStrip(n=3, columns=(1, 2, 3, 1, 2), starts=(4,))
     with pytest.raises(ValueError):
         SchemeStrip(n=3, columns=(1, 2), starts=())
+    # a bool or a float passes a range check but is no column, start or size
+    for bad in (
+        dict(n=2, columns=(True, 2, 1.0), starts=(1, 2)),
+        dict(n=2, columns=(1, 2.0, 1), starts=(1,)),
+        dict(n=2, columns=(1, 2, 1), starts=(True,)),
+        dict(n=2, columns=(1, 2, 1), starts=(2.0,)),
+        dict(n=2.0, columns=(1, 2, 1), starts=(1,)),
+        dict(n=True, columns=(1,), starts=(1,)),
+    ):
+        with pytest.raises(ValueError):
+            SchemeStrip(**bad)
     # a strip whose windows repeat columns is constructible; validate reports it
     SchemeStrip(n=3, columns=(1, 2, 2, 1, 2), starts=(1,))
 
