@@ -34,8 +34,9 @@ _SIZE_LIMIT = 64
 # Leibniz, n * 2**(n-1) products for cofactor. Bareiss is cubic, and the size
 # and runs limits bound it alone (~30 ms a run at n = 64 on a 2-vCPU host).
 _RUN_COST = {"scheme": math.factorial, "leibniz": math.factorial, "cofactor": lambda n: n << (n - 1)}
-# runs x the summed run costs of one call: 2-2.6 s of Leibniz at n = 9, which
-# takes ~0.2 us a term on integers and ~0.26 us on p/q entries on a 2-vCPU host
+# runs x the summed run costs of one call: 2-3 s of Leibniz at n = 9, which
+# takes 0.18-0.22 us a term on integers and 0.26-0.32 us on p/q entries on a
+# 2-vCPU host
 _COST_BUDGET = 10**7
 
 

@@ -18,6 +18,7 @@ from .builtin import builtin_scheme
 from .errors import NotFound, SarrusError
 from .generate import SearchConfig, search_scheme
 from .io import format_scalar, load_scheme, parse_matrix, scheme_to_json
+from .oracle import parity_partition_sums
 from .pattern import basic_strip_signs, classify
 from .render import RenderSpec, render
 from .scheme import Scheme, evaluate, positive_negative_sums, validate
@@ -59,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=METHODS, default="scheme")
     _add_scheme_source(p)
     p.add_argument("--sums", action="store_true",
-                   help="also print the positive and negative sums (scheme method)")
+                   help="also print the positive and negative sums (scheme or leibniz method)")
 
     p = sub.add_parser("validate", help="check a scheme against S_n")
     _add_scheme_source(p)
@@ -110,15 +111,18 @@ def _emit(text: str, out: str | None = None) -> None:
 
 
 def _cmd_det(args) -> int:
+    if args.sums and args.method not in ("scheme", "leibniz"):
+        raise _UsageError(f"--sums needs --method scheme or leibniz, not {args.method}")
     M = parse_matrix(args.matrix, args.format)
-    if args.method == "scheme":
-        sch = _resolve_scheme(args, n=M.n)
-        if args.sums:
-            s_plus, s_minus = positive_negative_sums(sch, M)
-            _emit(f"positive sum: {format_scalar(s_plus)}\nnegative sum: {format_scalar(s_minus)}\n")
-            value = s_plus - s_minus
+    if args.sums:
+        if args.method == "scheme":
+            s_plus, s_minus = positive_negative_sums(_resolve_scheme(args, n=M.n), M)
         else:
-            value = evaluate(sch, M)
+            s_plus, s_minus = parity_partition_sums(M)
+        _emit(f"positive sum: {format_scalar(s_plus)}\nnegative sum: {format_scalar(s_minus)}\n")
+        value = s_plus - s_minus
+    elif args.method == "scheme":
+        value = evaluate(_resolve_scheme(args, n=M.n), M)
     else:
         value = ORACLES[args.method](M)
     _emit(format_scalar(value) + "\n")

@@ -91,6 +91,28 @@ def test_det_sums_sums_the_windows_once(capsys, monkeypatch, tmp_path, text, lin
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize(
+    "text, lines",
+    [
+        (WORKED_CSV, ["positive sum: 551", "negative sum: 411", "140"]),
+        ("1/2,1/3\n1/4,1\n", ["positive sum: 1/2", "negative sum: 1/12", "5/12"]),
+        ("1/2,1/2\n1,1\n", ["positive sum: 1/2", "negative sum: 1/2", "0"]),
+    ],
+)
+def test_det_sums_with_leibniz_print_the_parity_split(capsys, tmp_path, text, lines):
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    code, out, _ = run(capsys, "det", "--matrix", str(path), "--method", "leibniz", "--sums")
+    assert code == 0 and out.splitlines() == lines
+
+
+@pytest.mark.parametrize("method", ["cofactor", "bareiss"])
+def test_det_sums_with_a_method_that_has_none_is_a_usage_error(capsys, worked_csv, method):
+    code, out, err = run(capsys, "det", "--matrix", worked_csv, "--method", method, "--sums")
+    assert code == 1 and out == ""
+    assert err.startswith("usage error:") and "--sums" in err and method in err
+
+
 def test_det_with_scheme_file(capsys, worked_csv, tmp_path):
     path = tmp_path / "scheme.json"
     path.write_text(scheme_to_json(scheme_4x4()))

@@ -19,7 +19,8 @@ from sarrus import (
     parity_partition_sums,
 )
 from sarrus.bench import random_matrix
-from sarrus.oracle import _signed_perms
+from sarrus.matrix import _cleared_rows, _product_sum, _uncleared
+from sarrus.oracle import _TABLE_LIMIT, _signed_perms
 
 
 def test_leibniz_worked_example(worked_matrix):
@@ -230,7 +231,7 @@ def test_sign_table_matches_a_brute_force_split(n):
         assert all(parity(Permutation(tuple(c + 1 for c in w))) == sign for w in side)
 
 
-def test_nine_by_nine_streams_from_the_eight_table():
+def test_nine_by_nine_streams_from_the_five_table():
     rng = random.Random(9)
     ints = Matrix.from_rows([[rng.randint(-9, 9) for _ in range(9)] for _ in range(9)])
     pqs = Matrix.from_rows(_pq_rows(9, rng))
@@ -250,7 +251,33 @@ def test_nine_by_nine_streams_from_the_eight_table():
         sides[c % 2] += x * minor_plus
         sides[1 - c % 2] += x * minor_minus
     assert tuple(sides) == parity_partition_sums(ints)
-    # only the 8-table was built
+    # only the 5-table was built
+    assert _TABLE_LIMIT == 5
     assert _signed_perms.cache_info().currsize == 1
-    assert len(_signed_perms(8)[0]) == math.factorial(8) // 2
+    even, odd = _signed_perms(_TABLE_LIMIT)
+    assert len(even) == len(odd) == math.factorial(_TABLE_LIMIT) // 2
     assert _signed_perms.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+@pytest.mark.parametrize("entries", ["int", "p/q"])
+def test_placements_match_the_full_table(n, entries):
+    # placement depths 1 to 3, against the one-pass sum over the n! table
+    rng = random.Random(60 + n)
+    if entries == "int":
+        M = random_matrix(n, rng)
+    else:
+        M = Matrix.from_rows(_pq_rows(n, rng))
+    rows, clearing = _cleared_rows(M)
+    flat = [x for row in rows for x in row]
+    product_sum = _product_sum(n)
+    full = tuple(_uncleared(product_sum(flat, side), clearing) for side in _signed_perms(n))
+    assert parity_partition_sums(M) == full
+    assert full[0] != full[1]
+
+
+def test_ten_by_ten_leibniz_matches_bareiss():
+    # placement depth 5 over the 5-table
+    M = random_matrix(10, random.Random(10))
+    det = bareiss_det(M)
+    assert det != 0 and leibniz_det(M) == det
