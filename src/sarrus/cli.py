@@ -77,10 +77,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", help="draw a scheme as SVG or text")
     _add_scheme_source(p)
     p.add_argument("--as", dest="output_format", choices=("svg", "ascii"), default="svg")
-    p.add_argument("--cell-size", type=int, default=28)
+    # SVG only; unset, they take the RenderSpec defaults
+    p.add_argument("--cell-size", type=int)
     p.add_argument("--no-signs", action="store_true")
-    p.add_argument("--positive-color", default="blue")
-    p.add_argument("--negative-color", default="orange")
+    p.add_argument("--positive-color")
+    p.add_argument("--negative-color")
     p.add_argument("--out", metavar="PATH", help="default: stdout")
 
     p = sub.add_parser("bench", help="operation counts and wall times")
@@ -113,6 +114,9 @@ def _emit(text: str, out: str | None = None) -> None:
 def _cmd_det(args) -> int:
     if args.sums and args.method not in ("scheme", "leibniz"):
         raise _UsageError(f"--sums needs --method scheme or leibniz, not {args.method}")
+    if args.method != "scheme" and (args.scheme is not None or args.builtin is not None):
+        flag = "--scheme" if args.scheme is not None else "--builtin"
+        raise _UsageError(f"{flag} needs --method scheme, not {args.method}")
     M = parse_matrix(args.matrix, args.format)
     if args.sums:
         if args.method == "scheme":
@@ -159,13 +163,16 @@ def _cmd_pattern(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    styles = ("cell_size", "positive_color", "negative_color")
+    svg_only = {name: value for name in styles if (value := getattr(args, name)) is not None}
+    if svg_only and args.output_format == "ascii":
+        flags = ", ".join("--" + name.replace("_", "-") for name in svg_only)
+        raise _UsageError(f"{flags} apply to --as svg only")
     spec = RenderSpec(
         scheme=_resolve_scheme(args),
-        cell_size=args.cell_size,
         show_signs=not args.no_signs,
-        positive_color=args.positive_color,
-        negative_color=args.negative_color,
         output_format=args.output_format,
+        **svg_only,
     )
     _emit(render(spec), args.out)
     return 0

@@ -5,6 +5,11 @@ An OpCounter is threaded through the real evaluation and oracle code paths
 call or per step, the sizes they ran over, so counting costs nothing per term.
 Products are recorded under both conventions: a length-n diagonal has n
 factors but needs only n-1 multiplications when chained.
+
+The Leibniz tally is nominal past n = 5: it records n!·(n − 1) chained
+multiplications, but the oracle streams each term's last five rows from the
+5! table and multiplies each placement's leading product once for all 120
+of them, so it runs fewer.
 """
 
 from __future__ import annotations

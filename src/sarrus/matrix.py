@@ -4,8 +4,9 @@ Entries are Python ints or ``fractions.Fraction``; arithmetic on them never
 rounds, which is what makes scheme evaluation and the oracles exactly equal
 instead of approximately so. ``entry(r, c)`` is 1-based with r the row and c
 the column. ``_cleared_rows`` and ``_uncleared`` let the scheme path and the
-oracles sum over integers and divide once at the end, and ``_product_sum``
-is the loop both sum their terms with.
+oracles sum over integers and divide once at the end. ``_product_sum`` is
+the loop the permutation-expansion oracles sum their terms with; the scheme
+path sums run by run with its own kernel.
 """
 
 from __future__ import annotations

@@ -5,10 +5,11 @@ the n! products into the even sum S_plus and the odd sum S_minus (Leibniz is
 S_plus - S_minus); first-row cofactor expansion with each minor computed once
 per column subset; and fraction-free elimination.
 
-What the permutation expansion shares with scheme evaluation is arithmetic
-only: both clear rational rows to integers (``matrix._cleared_rows``) and
-both sum their terms with one product-sum kernel (``matrix._product_sum``).
-Which words are summed, and with which sign, comes from elsewhere: here the
+What the permutation expansion shares with scheme evaluation is the
+clearing only: both clear rational rows to integers
+(``matrix._cleared_rows``). The terms are summed by a product-sum kernel
+(``matrix._product_sum``) that scheme evaluation does not use, and which
+words are summed, and with which sign, comes from elsewhere: here the
 words are all of S_n and each sign comes from inversion counting, where the
 scheme path reads its words off the strips and signs them by cycle
 decomposition, so agreement between the routes is meaningful. The

@@ -16,48 +16,48 @@ leaving, the window at p is the window at p - 1 rotated, so it is valid too
 and its sign is the previous sign times (-1)**(n - 1). A window is checked
 and signed only where a run begins, once per block.
 
-One cached pass per scheme reads the walk and keeps only its verdict, with
-no record per start. Cover is checked per necklace class. For n >= 3, n
-consecutive rotations and their reverses are the 2n words of one class, so
-such a run is recorded once, as the class's key (its least word), and its
-even count follows from its first sign by the period-4 rule. A longer run is
-cut into runs of n and a remainder, so a class covered twice shows as
-duplicate words. Only the windows of remainders are hashed word by word,
-each checked against the whole classes through its run's key; below n = 3
-classes are undersized, and every word takes this path. The missing words of
-a defective scheme lie in the classes that no run covers whole, so they are
-listed from the class keys, without a sweep of S_n.
+One cached pass per scheme reads the walk and keeps its verdict and, for an
+exact cover, the first window of each run, with no record per start. Cover
+is checked per necklace class. For n >= 3, n consecutive rotations and their
+reverses are the 2n words of one class, so such a run is recorded once, as
+the class's key (its least word), and its even count follows from its first
+sign by the period-4 rule. A longer run is cut into runs of n and a
+remainder, so a class covered twice shows as duplicate words. Only the
+windows of remainders are hashed word by word, each checked against the
+whole classes through its run's key; below n = 3 classes are undersized, and
+every word takes this path. The missing words of a defective scheme lie in
+the classes that no run covers whole, so they are listed from the class
+keys, without a sweep of S_n.
 
-Evaluation needs each diagonal as the positions of its n matrix entries.
-These n! tuples are built from the walk on the first evaluation only, so a
-scheme that is only validated, rendered or refused never builds them; the
-tables held across all schemes are capped by the words they hold.
+Evaluation reads the pass only, run by run, following the cyclic pattern
+of the diagonals: a run of L starts is its first window read along 2L broken
+diagonals, each signed from the run's first sign by ``perm._sign_factors``.
+One kernel per (n, L), ``_run_sum``, unpacks the n matrix columns that a
+first window names and adds its 2L diagonal products, with no walk of the
+strips and no table of words.
 
 Exact evaluation runs over cleared rows, as the oracles do: each row of a
 rational matrix is scaled to integers by the lcm of its denominators. Every
 window takes one entry from each row, so the even and the odd sums both scale
-by the product of those lcms, and are divided by it once at the end. Both
-sums are taken by the product-sum kernel the oracles use too
-(``matrix._product_sum``).
+by the product of those lcms, and are divided by it once at the end.
 
 Everything here is an immutable value and every function is pure, apart
-from the tables a pass keeps, which are built and dropped under a lock; so
-evaluation and validation are safe to run concurrently. Exact arithmetic
-makes summation order irrelevant.
+from the summary a pass keeps of its last report; so evaluation and
+validation are safe to run concurrently. Exact arithmetic makes summation
+order irrelevant; float evaluation sums run by run, and rounds accordingly.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from collections import deque
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .counting import OpCounter
 from .errors import _FACTORIAL_LIMIT, ChainMismatch, InvalidScheme, InvalidWindow, SizeMismatch, _guard
-from .matrix import Matrix, Scalar, _cleared_rows, _product_sum, _uncleared
+from .matrix import Matrix, Scalar, _cleared_rows, _uncleared
 from .perm import Permutation, Sign, _class_key, _least_words, _orbit, _sign_factors, _word_parity
 
 
@@ -248,10 +248,6 @@ def _diagonals(n: int, strip: SchemeStrip) -> Iterator[tuple[int, Sign, Sign]]:
                 sign *= turn
 
 
-# a list of words, each as the row-major positions of its n matrix entries
-_Table = tuple[tuple[int, ...], ...]
-
-
 @dataclass(frozen=True, slots=True)
 class _SignedWindows:
     """The verdict of a walk of every strip: the words checked for cover.
@@ -268,9 +264,14 @@ class _SignedWindows:
     can quote it without listing missing words again; the text, not the
     report, since the report's missing words can number up to n!.
 
-    ``tables`` holds, once the first evaluation has built them, each even and
-    each odd diagonal as the row-major positions of its n matrix entries (see
-    ``_entry_tables``); until then, and after ``_Tables`` drops them, None.
+    ``runs`` holds, for an exact cover, every run of rotations that the walk
+    found, as (length, sign of its first descending word, first windows): the
+    first window of each run of that length and sign, n columns each, in one
+    ``bytes``, about a byte a start. Evaluation reads each run's diagonals
+    off its first window (see ``_run_sum``). Columns fit in a byte because
+    past n = 10 only a scheme with at least n! windows reaches the pass
+    (``_refuse_unsweepable``), so none with n >= 256 does. A scheme that is
+    no exact cover records no runs.
     """
 
     invalid: tuple[tuple[int, int], ...]
@@ -280,8 +281,8 @@ class _SignedWindows:
     classes: frozenset[tuple[int, ...]]
     words: frozenset[tuple[int, ...]]
     exact_cover: bool
+    runs: tuple[tuple[int, Sign, bytes], ...]
     summary: list[str] = field(default_factory=list, compare=False, repr=False)
-    tables: tuple[_Table, _Table] | None = field(default=None, compare=False, repr=False)
 
 
 def _factorial_past(n: int, cap: int) -> int:
@@ -315,7 +316,7 @@ def _refuse_unsweepable(sch: Scheme) -> None:
 @lru_cache(maxsize=128)
 def _signed_windows(sch: Scheme) -> _SignedWindows:
     # Schemes are immutable, so the pass is shared by every later call. It
-    # keeps its verdict only: whoever needs the words walks the strips again.
+    # keeps its verdict and each run's first window, not the words.
     n = sch.n
     turn, flip = _sign_factors(n)
     # the even words of a whole class, by the sign of its first window: all or
@@ -327,12 +328,14 @@ def _signed_windows(sch: Scheme) -> _SignedWindows:
     repeated: set[tuple[int, ...]] = set()
     even = 0
     loose: list[tuple[tuple[int, ...], int, int, Sign]] = []  # each run's remainder
+    firsts: defaultdict[tuple[int, Sign], list[int]] = defaultdict(list)
     for si, strip in enumerate(sch.strips, start=1):
         columns = strip.columns
         for first, length, sign in _runs(n, strip):
             if not sign:
                 invalid.append((si, first))
                 continue
+            firsts[length, sign] += columns[first - 1 : first + n - 1]
             # n consecutive rotations cover a whole class, 2n words for n >= 3,
             # and bring back the first window's sign; a longer run's next n
             # starts repeat the class. Below n = 3 classes are undersized.
@@ -366,6 +369,7 @@ def _signed_windows(sch: Scheme) -> _SignedWindows:
     covered = 2 * n * len(classes) + len(words)
     # only a listing of missing words reads the classes and the words again
     short = not _is_factorial(covered, n)
+    exact_cover = not invalid and not repeated and not short
     return _SignedWindows(
         invalid=tuple(invalid),
         duplicates=_where_hit(sch, repeated) if repeated else (),
@@ -373,7 +377,8 @@ def _signed_windows(sch: Scheme) -> _SignedWindows:
         even=even,
         classes=frozenset(classes) if short else frozenset(),
         words=frozenset(words) if short else frozenset(),
-        exact_cover=not invalid and not repeated and not short,
+        exact_cover=exact_cover,
+        runs=tuple((*run, bytes(w)) for run, w in sorted(firsts.items())) if exact_cover else (),
     )
 
 
@@ -413,7 +418,8 @@ def validate(sch: Scheme) -> ValidationReport:
     refused with SizeLimitExceeded before the pass; with more, the listing
     costs no more than the pass. The pass reads the walk of each strip and
     counts a run of n starts as its whole necklace class (see the module
-    notes); it builds no entry positions, which only evaluation needs.
+    notes); for an exact cover it also records each run's first window,
+    which is all evaluation reads.
     """
     n = sch.n
     _refuse_unsweepable(sch)
@@ -465,88 +471,61 @@ def _complete(sch: Scheme) -> _SignedWindows:
     return signed
 
 
-# Entry-position tables are kept for at most this many words in all, two 8x8
-# schemes' worth (~10 MB); a single larger table is still kept.
-_TABLE_WORDS = 2 * math.factorial(8)
-
-
-class _Tables:
-    """The passes whose entry-position tables are built, oldest first, and
-    the words those tables hold.
-
-    Past ``_TABLE_WORDS``, the oldest tables are dropped, and their pass
-    builds them again on its next evaluation. A pass that the pass cache has
-    let go lives on here until its tables are dropped, so the cap bounds it
-    too. ``cache_clear`` drops them all, as clearing the functools caches of
-    the package drops its passes.
-    """
-
-    held: deque[tuple[_SignedWindows, int]] = deque()
-    words = 0
-    _lock = threading.Lock()
-
-    @classmethod
-    def hold(cls, signed: _SignedWindows, words: int) -> None:
-        with cls._lock:
-            cls.held.append((signed, words))
-            cls.words += words
-            while cls.words > _TABLE_WORDS and len(cls.held) > 1:
-                cls._drop_oldest()
-
-    @classmethod
-    def cache_clear(cls) -> None:
-        with cls._lock:
-            while cls.held:
-                cls._drop_oldest()
-
-    @classmethod
-    def _drop_oldest(cls) -> None:
-        old, words = cls.held.popleft()
-        object.__setattr__(old, "tables", None)
-        cls.words -= words
-
-
-def _entry_tables(sch: Scheme, signed: _SignedWindows) -> tuple[_Table, _Table]:
-    """Each even and each odd diagonal of the scheme, in walk order, as the
-    row-major positions of its n matrix entries; kept on the pass.
-
-    Row r of a diagonal reads position r * n + c - 1 for its column c. Each
-    strip's columns are laid out as those positions once per row, and one zip
-    over the n rows, each shifted by its row, gives the descending diagonal
-    at every position of the strip; shifted the other way, the ascending
-    one. The valid starts then pick theirs.
-    """
-    n = sch.n
-    plus: list[tuple[int, ...]] = []
-    minus: list[tuple[int, ...]] = []
-    for strip in sch.strips:
-        rows = [[r * n + c - 1 for c in strip.columns] for r in range(n)]
-        down = list(zip(*(row[r:] for r, row in enumerate(rows))))
-        up = list(zip(*(row[n - 1 - r :] for r, row in enumerate(rows))))
-        for p, sign, back_sign in _diagonals(n, strip):
-            (plus if sign > 0 else minus).append(down[p - 1])
-            if n > 1:
-                (plus if back_sign > 0 else minus).append(up[p - 1])
-    tables = (tuple(plus), tuple(minus))
-    object.__setattr__(signed, "tables", tables)
-    _Tables.hold(signed, len(plus) + len(minus))
-    return tables
-
-
 def _signed_sums(sch: Scheme, M: Matrix, ops: OpCounter | None) -> tuple[int, int, int]:
     """The even and odd window sums over the cleared rows, and the clearing."""
     if M.n != sch.n:
         raise SizeMismatch(f"matrix is {M.n}x{M.n} but scheme expects n = {sch.n}")
     signed = _complete(sch)
-    plus, minus = signed.tables or _entry_tables(sch, signed)
     if ops is not None:
-        ops.term(sch.n, len(plus) + len(minus))
+        ops.term(sch.n, signed.covered)
         # the first term landing in each running sum is not an addition
-        ops.add(max(len(plus) - 1, 0) + max(len(minus) - 1, 0))
+        ops.add(max(signed.even - 1, 0) + max(signed.covered - signed.even - 1, 0))
     rows, clearing = _cleared_rows(M)
-    entries = [x for row in rows for x in row]
-    product_sum = _product_sum(sch.n)
-    return product_sum(entries, plus), product_sum(entries, minus), clearing
+    return *_even_odd_sums(sch.n, signed, rows), clearing
+
+
+def _even_odd_sums(n: int, signed: _SignedWindows, rows: Sequence[Sequence]) -> tuple:
+    """The even and the odd diagonal sums over rows, run by run from the pass."""
+    columns = [(), *zip(*rows)]  # 1-based, as the strips name them
+    s_plus = s_minus = 0
+    for length, sign, firsts in signed.runs:
+        same, other = _run_sum(n, length)(columns, firsts)
+        if sign < 0:
+            same, other = other, same
+        s_plus += same
+        s_minus += other
+    return s_plus, s_minus
+
+
+@lru_cache(maxsize=None)
+def _run_sum(n: int, length: int) -> Callable[[list, bytes], tuple]:
+    """The function f(columns, firsts) that sums the diagonals of runs of
+    ``length`` rotations, given each run's first window as n bytes of
+    ``firsts``, and ``columns[c]``, column c of the matrix by row.
+
+    At offset k, row r of the descending diagonal reads column (r + k) mod n
+    of the first window, and of the ascending one column (n - 1 - r + k) mod
+    n; each product takes its rows in order. Products signed as the first
+    window go to the first sum, the others to the second. Compiled from a
+    fixed template, as ``matrix._product_sum`` is, whose text depends on the
+    ints n and length only.
+    """
+    turn, flip = _sign_factors(n)
+    products: dict[int, list[str]] = {1: [], -1: []}
+    for k in range(length):
+        products[turn**k].append(" * ".join(f"e{(r + k) % n}_{r}" for r in range(n)))
+        if n > 1:  # at n = 1 the window is its own reverse
+            products[turn**k * flip].append(" * ".join(f"e{(n - 1 - r + k) % n}_{r}" for r in range(n)))
+    source = "def run_sum(columns, firsts):\n    same = other = 0\n"
+    source += f"    for {', '.join(f'c{j}' for j in range(n))}, in zip(*[iter(firsts)] * {n}):\n"
+    # e{j}_{r}: row r of the j-th column of the first window
+    source += "".join(f"        {', '.join(f'e{j}_{r}' for r in range(n))}, = columns[c{j}]\n" for j in range(n))
+    for name, side in (("same", 1), ("other", -1)):
+        if products[side]:
+            source += f"        {name} += {' + '.join(products[side])}\n"
+    namespace: dict = {}
+    exec(source + "    return same, other\n", namespace)
+    return namespace["run_sum"]
 
 
 def evaluate(sch: Scheme, M: Matrix, *, ops: OpCounter | None = None) -> Scalar:
@@ -582,8 +561,6 @@ def evaluate_float(sch: Scheme, rows: Sequence[Sequence[float]]) -> float:
     if len(rows) != n or any(len(r) != n for r in rows):
         raise SizeMismatch(f"need a {n}x{n} array of numbers")
     signed = _complete(sch)
-    plus, minus = signed.tables or _entry_tables(sch, signed)
     # 1.0 * x: each entry meets float arithmetic, and a non-number fails here
-    entries = [1.0 * x for row in rows for x in row]
-    product_sum = _product_sum(n)
-    return product_sum(entries, plus) - product_sum(entries, minus)
+    s_plus, s_minus = _even_odd_sums(n, signed, [[1.0 * x for x in row] for row in rows])
+    return s_plus - s_minus

@@ -113,6 +113,16 @@ def test_det_sums_with_a_method_that_has_none_is_a_usage_error(capsys, worked_cs
     assert err.startswith("usage error:") and "--sums" in err and method in err
 
 
+@pytest.mark.parametrize("method", ["leibniz", "cofactor", "bareiss"])
+@pytest.mark.parametrize("flag, value", [("--builtin", "7"), ("--builtin", "4"), ("--scheme", "missing.json")])
+def test_det_scheme_source_with_an_oracle_method_is_a_usage_error(capsys, tmp_path, method, flag, value):
+    # raised before the matrix file is read: this one does not exist
+    missing = str(tmp_path / "m.csv")
+    code, out, err = run(capsys, "det", "--matrix", missing, "--method", method, flag, value)
+    assert code == 1 and out == ""
+    assert err.startswith("usage error:") and flag in err and method in err
+
+
 def test_det_with_scheme_file(capsys, worked_csv, tmp_path):
     path = tmp_path / "scheme.json"
     path.write_text(scheme_to_json(scheme_4x4()))
@@ -345,6 +355,24 @@ def test_render_svg_deterministic(capsys, tmp_path):
 def test_render_ascii_to_stdout(capsys):
     code, out, _ = run(capsys, "render", "--builtin", "3", "--as", "ascii")
     assert code == 0 and "strip 1: 3 rows x 5 columns" in out
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--cell-size", "99"], ["--positive-color", "red"], ["--negative-color", "green"],
+     ["--cell-size", "99", "--positive-color", "red", "--no-signs"]],
+)
+def test_render_svg_flags_with_ascii_are_a_usage_error(capsys, flags):
+    code, out, err = run(capsys, "render", "--builtin", "3", "--as", "ascii", *flags)
+    assert code == 1 and out == ""
+    assert err.startswith("usage error:") and flags[0] in err
+
+
+def test_render_ascii_honours_no_signs(capsys):
+    code, signed, _ = run(capsys, "render", "--builtin", "3", "--as", "ascii")
+    assert code == 0
+    code, unsigned, _ = run(capsys, "render", "--builtin", "3", "--as", "ascii", "--no-signs")
+    assert code == 0 and unsigned != signed and "strip 1: 3 rows x 5 columns" in unsigned
 
 
 @pytest.mark.parametrize(

@@ -52,7 +52,7 @@ from sarrus import (
 )
 from sarrus.bench import random_matrix
 from sarrus.perm import _word_parity
-from sarrus.scheme import _TABLE_WORDS, _diagonals, _entry_tables, _runs, _signed_windows, _Tables
+from sarrus.scheme import _diagonals, _runs, _signed_windows
 
 # the first junction of the even quilt: two 9-column layouts sharing one column
 P1_P2_PREFIX = (1, 2, 3, 4, 5, 1, 2, 3, 4, 3, 5, 2, 1, 4, 3, 5, 2)
@@ -281,8 +281,7 @@ def _reference_pass(sch):
                 hits = [(w, sign, "descending"), (w[::-1], back_sign, "ascending")]
             for word, word_sign, direction in hits:
                 occurrences.setdefault(word, []).append((si, p, direction))
-                positions = tuple(r * n + c - 1 for r, c in enumerate(word))
-                (plus if word_sign == 1 else minus).append(positions)
+                (plus if word_sign == 1 else minus).append(word)
         strips.append(diagonals)
     duplicates = sorted((w, refs) for w, refs in occurrences.items() if len(refs) > 1)
     return {
@@ -377,10 +376,13 @@ def test_pass_and_report_match_a_plain_reference(sch):
     assert list(signed.invalid) == ref["invalid"]
     assert [(w, [tuple(r) for r in refs]) for w, refs in signed.duplicates] == ref["duplicates"]
     assert (signed.covered, signed.even) == (ref["covered"], ref["even"])
-    plus, minus = _entry_tables(sch, signed)
-    assert (list(plus), list(minus)) == (ref["plus"], ref["minus"])
     exact = not ref["invalid"] and not ref["duplicates"] and ref["covered"] == math.factorial(sch.n)
     assert signed.exact_cover == exact
+    if exact:
+        plus, minus = _expand_runs(sch.n, signed.runs)
+        assert (sorted(plus), sorted(minus)) == (sorted(ref["plus"]), sorted(ref["minus"]))
+    else:
+        assert signed.runs == ()
     report = validate(sch)
     assert report.window_count == 2 * sum(len(s.starts) for s in sch.strips)
     assert list(report.invalid_windows) == ref["invalid"]
@@ -390,6 +392,24 @@ def test_pass_and_report_match_a_plain_reference(sch):
         ref["covered"], ref["even"], ref["covered"] - ref["even"]
     )
     assert report.is_valid == exact
+
+
+def _expand_runs(n, runs):
+    """The even and the odd words of recorded runs: each first window's
+    rotations, each rotation taking the sign times (-1)**(n - 1), and their
+    reverses, each taking (-1)**(n // 2) more; at n = 1 the window alone."""
+    assert len({(length, sign) for length, sign, _ in runs}) == len(runs)
+    words = {1: [], -1: []}
+    for length, sign, firsts in runs:
+        assert len(firsts) % n == 0
+        for i in range(0, len(firsts), n):
+            first = tuple(firsts[i : i + n])
+            for k in range(length):
+                word, word_sign = first[k:] + first[:k], sign * (-1) ** ((n - 1) * k)
+                words[word_sign].append(word)
+                if n > 1:
+                    words[word_sign * (-1) ** (n // 2)].append(word[::-1])
+    return words[1], words[-1]
 
 
 def test_a_cold_pass_takes_one_parity_per_block(monkeypatch):
@@ -453,35 +473,23 @@ def test_windows_leaves_the_pass_cache_alone():
     assert _signed_windows.cache_info() == before
 
 
-def test_validate_render_and_windows_build_no_entry_positions(monkeypatch):
-    scheme = search_scheme(SearchConfig(n=7, random_seed=1))
-    builds = _count_calls(monkeypatch, sarrus.scheme, "_entry_tables")
-    _signed_windows.cache_clear()
-    assert validate(scheme).is_valid
-    assert render(RenderSpec(scheme=scheme))
-    assert sum(len(windows(strip)) for strip in scheme.strips) == math.factorial(7) // 2
-    assert builds == [] and _signed_windows(scheme).tables is None
-
-
-def test_a_refused_mutant_builds_no_entry_positions_and_sweeps_no_symmetric_group(monkeypatch):
+def test_a_refused_mutant_records_no_runs_and_sweeps_no_symmetric_group(monkeypatch):
     scheme = search_scheme(SearchConfig(n=7, random_seed=1))
     strip = scheme.strips[0]
     columns = strip.columns[:30] + (strip.columns[30] % 7 + 1,) + strip.columns[31:]
     mutant = Scheme(n=7, strips=(SchemeStrip(7, columns, strip.starts),) + scheme.strips[1:])
-    builds = _count_calls(monkeypatch, sarrus.scheme, "_entry_tables")
     sweeps = _count_calls(monkeypatch, itertools, "permutations")
     _signed_windows.cache_clear()
     report = validate(mutant)
     with pytest.raises(InvalidScheme):
         evaluate(mutant, Matrix.identity(7))
-    assert report.missing and builds == []
+    assert report.missing and _signed_windows(mutant).runs == ()
     # the class walk permutes n - 1 values, never n
     assert sweeps and all(len(args[0]) < 7 for args in sweeps)
 
 
-def test_the_first_evaluation_builds_the_entry_positions_once(monkeypatch):
+def test_evaluations_run_the_pass_once():
     scheme = search_scheme(SearchConfig(n=7, random_seed=1))
-    builds = _count_calls(monkeypatch, sarrus.scheme, "_entry_tables")
     _signed_windows.cache_clear()
     rng = random.Random(7)
     for _ in range(3):
@@ -491,59 +499,86 @@ def test_the_first_evaluation_builds_the_entry_positions_once(monkeypatch):
         assert evaluate_float(scheme, [[float(x) for x in row] for row in M.rows]) == pytest.approx(
             float(bareiss_det(M)), abs=1e-6
         )
-    assert len(builds) == 1
-    plus, minus = _signed_windows(scheme).tables
+    assert _signed_windows.cache_info().misses == 1
+    plus, minus = _expand_runs(7, _signed_windows(scheme).runs)
     assert len(plus) == len(minus) == math.factorial(7) // 2
 
 
-def test_entry_positions_are_capped_by_the_words_they_hold():
-    _Tables.cache_clear()
-    passes = []
-    for seed in range(40):
-        scheme = search_scheme(SearchConfig(n=7, random_seed=seed))
-        assert evaluate(scheme, Matrix.identity(7)) == 1
-        passes.append(_signed_windows(scheme))
-        assert _Tables.words <= _TABLE_WORDS
-    kept = [p.tables is not None for p in passes]
-    assert 0 < sum(kept) < len(kept)
-    # the newest tables are the ones kept
-    assert kept == sorted(kept)
-    held = [p.tables for p in passes if p.tables is not None]
-    assert _Tables.words == sum(len(plus) + len(minus) for plus, minus in held)
-    _Tables.cache_clear()
-    assert _Tables.words == 0 and all(p.tables is None for p in passes)
-
-
-def test_tables_past_the_cap_are_dropped_oldest_first(monkeypatch):
-    monkeypatch.setattr(sarrus.scheme, "_TABLE_WORDS", 100)
-    five, four = scheme_5x5(), scheme_4x4()
-    _Tables.cache_clear()
-    # one table larger than the cap is still kept, until another is built
-    assert evaluate(five, Matrix.identity(5)) == 1
-    assert _Tables.words == 120 and _signed_windows(five).tables is not None
-    assert evaluate(four, Matrix.identity(4)) == 1
-    assert _Tables.words == 24 and _signed_windows(five).tables is None
-    # a dropped table is built again on the next evaluation
-    assert evaluate(five, Matrix.identity(5)) == 1
-    assert _Tables.words == 120 and _signed_windows(four).tables is None
-    _Tables.cache_clear()
-
-
-def test_the_benchmark_schemes_stay_warm_under_the_cap(monkeypatch):
+def test_the_benchmark_schemes_stay_warm():
     # det-files evaluates the built-ins for n = 2..5, and det-large the
     # searched n = 6 and 7 schemes of seed 11, all held warm
     schemes = [builtin_scheme(n) for n in (2, 3, 4, 5)]
     schemes += [search_scheme(SearchConfig(n=n, random_seed=11)) for n in (6, 7)]
-    _Tables.cache_clear()
     for scheme in schemes:
         assert evaluate(scheme, Matrix.identity(scheme.n)) == 1
-    builds = _count_calls(monkeypatch, sarrus.scheme, "_entry_tables")
+    misses = _signed_windows.cache_info().misses
     rng = random.Random(11)
     for _ in range(2):
         for scheme in schemes:
             M = random_matrix(scheme.n, rng)
             assert evaluate(scheme, M) == bareiss_det(M)
-    assert builds == []
+    assert _signed_windows.cache_info().misses == misses
+
+
+def _short_run_schemes(n):
+    """Valid schemes whose runs are shorter than n: at n = 1 the one-column
+    strip, at n = 2 the built-in; past it, a searched scheme with its starts
+    shuffled, and the same scheme with each block cut in two, one block of
+    its first n // 2 rotations and one of the rest."""
+    if n < 3:
+        return [Scheme(1, (SchemeStrip(1, (1,), (1,)),)) if n == 1 else builtin_scheme(2)]
+    searched = search_scheme(SearchConfig(n=n, random_seed=n))
+    rng = random.Random(n)
+    shuffled, halves = [], []
+    for strip in searched.strips:
+        starts = list(strip.starts)
+        rng.shuffle(starts)
+        shuffled.append(SchemeStrip(n, strip.columns, tuple(starts)))
+        for first in strip.starts[::n]:
+            head = strip.window_at(first)
+            for k, count in ((0, n // 2), (n // 2, n - n // 2)):
+                rotated = head[k:] + head[:k]
+                halves.append(SchemeStrip(n, rotated + rotated[: n - 1], tuple(range(1, count + 1))))
+    return [Scheme(n, tuple(shuffled)), Scheme(n, tuple(halves))]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_runs_shorter_than_n_evaluate_exactly(n):
+    rng = random.Random(n)
+    for sch in _short_run_schemes(n):
+        assert validate(sch).is_valid
+        assert all(length < n for length, _, _ in _signed_windows(sch).runs) or n == 1
+        for rational_share in (0.0, 1.0):
+            rows = [
+                [Fraction(rng.randint(-9, 9), rng.randint(2, 9)) if rng.random() < rational_share
+                 else rng.randint(-9, 9) for _ in range(n)]
+                for _ in range(n)
+            ]
+            M = Matrix.from_rows(rows)
+            assert evaluate(sch, M) == bareiss_det(M)
+            assert positive_negative_sums(sch, M) == parity_partition_sums(M)
+            assert evaluate_float(sch, [[float(x) for x in row] for row in rows]) == pytest.approx(
+                float(bareiss_det(M)), abs=1e-6
+            )
+
+
+def test_a_valid_eight_by_eight_pass_holds_little():
+    # the pass keeps a first window per run, ~20 kB at n = 8; the table of
+    # 8! words it replaces held ~4.6 MB
+    scheme = search_scheme(SearchConfig(n=8, random_seed=1))
+    M = random_matrix(8, random.Random(8))
+    assert evaluate(scheme, M) == bareiss_det(M)  # compiles the kernels first
+    _signed_windows.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert validate(scheme).is_valid
+        assert evaluate(scheme, M) == bareiss_det(M)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 0.1 * 2**20
 
 
 def _plain_missing(sch):
