@@ -94,7 +94,7 @@ def parse_matrix(path: str | Path, format: str | None = None) -> Matrix:
     the suffix when omitted."""
     path = Path(path)
     fmt = format or ("json" if path.suffix.lower() == ".json" else "csv")
-    text = path.read_text(encoding="utf-8")
+    text = path.read_text(encoding="utf-8-sig")
     if fmt == "csv":
         return matrix_from_csv(text)
     if fmt == "json":
@@ -149,7 +149,7 @@ def scheme_from_json(text: str) -> Scheme:
 
 
 def load_scheme(path: str | Path) -> Scheme:
-    return scheme_from_json(Path(path).read_text(encoding="utf-8"))
+    return scheme_from_json(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def save_scheme(sch: Scheme, path: str | Path) -> None:

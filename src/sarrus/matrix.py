@@ -4,9 +4,7 @@ Entries are Python ints or ``fractions.Fraction``; arithmetic on them never
 rounds, which is what makes scheme evaluation and the oracles exactly equal
 instead of approximately so. ``entry(r, c)`` is 1-based with r the row and c
 the column. ``_cleared_rows`` and ``_uncleared`` let the scheme path and the
-oracles sum over integers and divide once at the end. ``_product_sum`` is
-the loop the permutation-expansion oracles sum their terms with; the scheme
-path sums run by run with its own kernel.
+oracles sum over integers and divide once at the end.
 """
 
 from __future__ import annotations
@@ -14,8 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -111,29 +108,3 @@ def _uncleared(value: int, clearing: int) -> Scalar:
     result = Fraction(value, clearing)
     return int(result) if result.denominator == 1 else result
 
-
-@lru_cache(maxsize=None)
-def _product_sum(k: int) -> Callable[..., Scalar | float]:
-    """The function f(entries, words) that sums, over words of k positions,
-    the product of the entries at each word's positions; 0 for no words.
-
-    Each word is unpacked into k locals and multiplied in one expression,
-    left to right, the order a running product takes, so float sums round
-    the same way; there is no loop over the word, which at desk scale costs
-    more than the products. The function is compiled from a fixed template,
-    as ``dataclasses`` compiles ``__init__``; its text depends on the int k
-    only.
-    """
-    if type(k) is not int or k < 1:
-        raise ValueError(f"word length must be an int >= 1, got {k!r}")
-    names = [f"i{j}" for j in range(k)]
-    source = (
-        "def product_sum(entries, words):\n"
-        "    total = 0\n"
-        f"    for {', '.join(names)}, in words:\n"
-        f"        total += {' * '.join(f'entries[{name}]' for name in names)}\n"
-        "    return total\n"
-    )
-    namespace: dict = {}
-    exec(source, namespace)
-    return namespace["product_sum"]

@@ -7,19 +7,17 @@ per column subset; and fraction-free elimination.
 
 What the permutation expansion shares with scheme evaluation is the
 clearing only: both clear rational rows to integers
-(``matrix._cleared_rows``). The terms are summed by a product-sum kernel
-(``matrix._product_sum``) that scheme evaluation does not use, and which
-words are summed, and with which sign, comes from elsewhere: here the
-words are all of S_n and each sign comes from inversion counting, where the
-scheme path reads its words off the strips and signs them by cycle
-decomposition, so agreement between the routes is meaningful. The
-inversions are counted by leading-column composition: a word is a leading
-column followed by a shorter word on the other columns, and the leading
-column c adds c inversions. Words are held in one cached table of entry
-positions, split by sign, for n <= 5 only: 5! = 120 words, small enough to
-stay in cache. Every n > 5 streams from that 5-table, one leading column at
-a time for each of the first n - 5 rows. Operation counts are tallied once
-per call, per minor size or per elimination step, never per term or entry.
+(``matrix._cleared_rows``). Its terms are summed by its own kernel,
+``_expansion(k)``, and which words are summed, and with which sign, comes
+from elsewhere: here the words are all of S_k, written out when the kernel
+is compiled, each signed by its inversion count, where the scheme path
+reads its words off the strips and signs them by cycle decomposition, so
+agreement between the routes is meaningful. No table of words or positions
+is held. Past n = 5 the first n - 5 rows are placed one leading column at a
+time, a column c with i smaller columns left over adding i inversions, and
+the 5-row kernel sums the rest of each term. Operation counts are tallied
+once per call, per minor size or per elimination step, never per term or
+entry.
 
 The elimination clears its rows the same way, and divides the integer
 determinant by the product of the row lcms at the end; it shares no
@@ -32,53 +30,50 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from operator import itemgetter
+from typing import Callable
 
 from .counting import OpCounter
 from .errors import _guard
-from .matrix import Matrix, Scalar, _cleared_rows, _product_sum, _uncleared
+from .matrix import Matrix, Scalar, _cleared_rows, _uncleared
 
 # The cofactor expansion holds one minor per column subset: at n = 16 that is
 # 2^16 minors and 2^19 multiplications, still desk scale.
 _COFACTOR_LIMIT = 16
 
-# The largest sign table held: 5! = 120 words of 5 positions, ~10 kB, which
-# stays in cache. Every n > 5 streams from this table; at n = 8 that is faster
-# than reading an 8! table (~5 MB), and on p/q entries each inner product has
-# 5 cleared factors instead of 8.
-_TABLE_LIMIT = 5
+# The most rows one written-out expansion covers: 5! = 120 products, each
+# word and its sign taken from its inversion count when the expansion is
+# compiled; no table is held. Every n > 5 places its first n - 5 rows and sums
+# the rest with the 5-row expansion. On a 2-vCPU host a 6-row one compiled in
+# ~14 ms and was no faster on p/q entries at n = 8, and a 4-row one was slower.
+_EXPANSION_ROWS = 5
 
 
 @lru_cache(maxsize=None)
-def _signed_perms(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """The words of S_n as (even, odd), each word as the row-major positions
-    r * n + w[r] of its n entries, in lexicographic order. The expansion
-    asks for n <= _TABLE_LIMIT only.
+def _expansion(k: int) -> Callable[[list, tuple], tuple[int, int]]:
+    """The function f(rows, columns) that gives the even and the odd sum of
+    the k! products over the k ``rows`` on the k ``columns``, in order: the
+    product of word w takes column ``columns[w[r]]`` of row r.
 
-    A word of S_k is a leading column c followed by a word of S_(k-1)
-    relabelled onto the other k - 1 columns. Exactly c of the later entries
-    are smaller than c (its Lehmer digit), so the word's parity is the
-    sub-word's, flipped when c is odd. The table is built from S_1 upward in
-    this one call, so the cache holds one entry per n asked for.
+    The entries are unpacked into locals and each side is one written-out
+    expression; each word's sign is its inversion count's parity, counted
+    here. At k = 1 the odd side is 0. Compiled from a fixed template, as
+    ``scheme._run_sum`` is, whose text depends on the int k only.
     """
-    even: list[tuple[int, ...]] = [(0,)]
-    odd: list[tuple[int, ...]] = []
-    for k in range(2, n + 1):
-        m = k - 1
-        # Each getter reads from a relabelling table its slot m * m, which
-        # holds the leading column, then the sub-word's positions.
-        from_even = [itemgetter(m * m, *w) for w in even]
-        from_odd = [itemgetter(m * m, *w) for w in odd]
-        even, odd = [], []
-        for c in range(k):
-            # position r * m + j of the sub-word moves to row r + 1, and to
-            # column j, or j + 1 past the leading column
-            relabel = [(r + 1) * k + j + (j >= c) for r in range(m) for j in range(m)]
-            relabel.append(c)
-            same, flipped = (from_even, from_odd) if c % 2 == 0 else (from_odd, from_even)
-            even += [get(relabel) for get in same]
-            odd += [get(relabel) for get in flipped]
-    return tuple(even), tuple(odd)
+    sides: tuple[list[str], list[str]] = ([], [])
+    for word in itertools.permutations(range(k)):
+        inversions = sum(a > b for a, b in itertools.combinations(word, 2))
+        sides[inversions % 2].append(" * ".join(f"e{r}_{c}" for r, c in enumerate(word)))
+    source = "def expansion(rows, columns):\n"
+    source += f"    {', '.join(f'c{j}' for j in range(k))}, = columns\n"
+    source += f"    {', '.join(f'r{r}' for r in range(k))}, = rows\n"
+    # e{r}_{j}: row r on the j-th column
+    for r in range(k):
+        entries = ", ".join(f"r{r}[c{j}]" for j in range(k))
+        source += f"    {', '.join(f'e{r}_{j}' for j in range(k))}, = {entries},\n"
+    source += f"    return {' + '.join(sides[0])}, {' + '.join(sides[1]) or 0}\n"
+    namespace: dict = {}
+    exec(source, namespace)
+    return namespace["expansion"]
 
 
 def _placements(rows: list[list[int]], depth: int, columns: tuple[int, ...], lead=1, odd=0):
@@ -98,27 +93,29 @@ def _placements(rows: list[list[int]], depth: int, columns: tuple[int, ...], lea
 def _parity_sums(M: Matrix, what: str, ops: OpCounter | None) -> tuple[int, int, int]:
     """The even and odd product sums over the cleared rows, and the clearing.
 
-    Up to n = 5 one pass runs over the flattened rows. Past it, the first
-    n - 5 rows are placed one leading column at a time, and the terms below
-    each placement are streamed from the 5-table (120 words): the last five
-    rows on the columns left over are laid out as a 5 x 5 grid, which
-    relabels the entries so the table's positions read them directly. All
-    n! terms are still summed, each once.
+    Up to n = 5 one call of the n-row expansion sums all n! terms. Past it,
+    the first n - 5 rows are placed one leading column at a time, and the
+    5-row expansion sums the last five rows on the columns each placement
+    leaves over. All n! terms are still summed, each once.
     """
     _guard(M.n, what)
     n = M.n
     rows, clearing = _cleared_rows(M)
-    k = min(n, _TABLE_LIMIT)
-    even, odd = _signed_perms(k)
-    product_sum = _product_sum(k)
+    k = min(n, _EXPANSION_ROWS)
+    expansion = _expansion(k)
+    last = rows[n - k :]
     sums = [0, 0]
     for lead, flip, columns in _placements(rows, n - k, tuple(range(n))):
-        entries = [row[c] for row in rows[n - k :] for c in columns]
-        sums[flip] += lead * product_sum(entries, even)
-        sums[1 - flip] += lead * product_sum(entries, odd)
+        even, odd = expansion(last, columns)
+        sums[flip] += lead * even
+        sums[1 - flip] += lead * odd
     if ops is not None:
         terms = math.factorial(n)
-        ops.term(n, terms)
+        ops.term(k, terms)
+        # one leading product per placement at each level, n! / (n - d)! at
+        # depth d, and two lead * per leaf placement
+        placed = sum(terms // math.factorial(n - d) for d in range(1, n - k + 1))
+        ops.mul(placed + 2 * terms // math.factorial(k))
         # the first term in each running sum is no addition; at n = 1 one sum is empty
         ops.add(max(terms - 2, 0))
     return sums[0], sums[1], clearing

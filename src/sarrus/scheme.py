@@ -507,7 +507,7 @@ def _run_sum(n: int, length: int) -> Callable[[list, bytes], tuple]:
     of the first window, and of the ascending one column (n - 1 - r + k) mod
     n; each product takes its rows in order. Products signed as the first
     window go to the first sum, the others to the second. Compiled from a
-    fixed template, as ``matrix._product_sum`` is, whose text depends on the
+    fixed template, as ``oracle._expansion`` is, whose text depends on the
     ints n and length only.
     """
     turn, flip = _sign_factors(n)

@@ -25,7 +25,7 @@ from sarrus import (
     term_count_statement,
 )
 from sarrus.bench import ORACLES, random_matrix
-from sarrus.oracle import _signed_perms
+from sarrus.oracle import _expansion
 from sarrus.scheme import _signed_windows
 
 
@@ -46,8 +46,11 @@ def test_scheme_and_leibniz_counts_match():
         s = by_key[("scheme", n)]
         l = by_key[("leibniz", n)]
         assert s.term_count == l.term_count == math.factorial(n)
-        assert s.multiplications_n_factors == l.multiplications_n_factors == math.factorial(n) * n
-        assert s.multiplications_chained == l.multiplications_chained == math.factorial(n) * (n - 1)
+        assert s.multiplications_n_factors == math.factorial(n) * n
+        assert s.multiplications_chained == math.factorial(n) * (n - 1)
+        # Leibniz also multiplies each side's sum by its leading product, 1
+        assert l.multiplications_n_factors == s.multiplications_n_factors + 2
+        assert l.multiplications_chained == s.multiplications_chained + 2
         assert s.additions == l.additions == math.factorial(n) - 1
 
 
@@ -86,18 +89,54 @@ def _counts(route, *args):
     return ops.terms, ops.mul_chained, ops.adds, ops.divs
 
 
+# The multiplications Leibniz runs: k - 1 in each of the n! written-out
+# products of the last k = min(n, 5) rows, one leading product per placement of
+# the rows above them, and two lead * per placement of all n - k of them.
+LEIBNIZ_MULS = {1: 2, 2: 4, 3: 14, 4: 74, 5: 482, 6: 2898, 7: 20293, 8: 162352}
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_expansion_counts_are_exact(n):
     M = random_matrix(n, random.Random(n))
-    terms, chained = math.factorial(n), math.factorial(n) * (n - 1)
+    terms, muls = math.factorial(n), LEIBNIZ_MULS[n]
     # one addition fewer than terms on each nonempty side, plus the difference
     side_adds = max(terms - 2, 0)
-    assert _counts(parity_partition_sums, M) == (terms, chained, side_adds, 0)
-    assert _counts(leibniz_det, M) == (terms, chained, side_adds + 1, 0)
+    assert _counts(parity_partition_sums, M) == (terms, muls, side_adds, 0)
+    assert _counts(leibniz_det, M) == (terms, muls, side_adds + 1, 0)
     if n <= 5:
         sch = Scheme(n=1, strips=(SchemeStrip(1, (1,), (1,)),)) if n == 1 else builtin_scheme(n)
-        assert _counts(positive_negative_sums, sch, M) == _counts(parity_partition_sums, M)
-        assert _counts(evaluate, sch, M) == _counts(leibniz_det, M)
+        # the same terms and additions; the scheme chains n - 1 multiplications
+        # a term, two fewer than Leibniz, whose leading product is 1
+        assert _counts(positive_negative_sums, sch, M) == (terms, muls - 2, side_adds, 0)
+        assert _counts(evaluate, sch, M) == (terms, terms * (n - 1), side_adds + 1, 0)
+
+
+class _Counted(int):
+    """An int that counts the multiplications it takes part in. Its sums are
+    counted ints too, so a sum times the leading product 1 is counted."""
+
+    muls = 0
+
+    def __mul__(self, other):
+        _Counted.muls += 1
+        return _Counted(int(self) * int(other))
+
+    def __add__(self, other):
+        return _Counted(int(self) + int(other))
+
+    __rmul__ = __mul__
+    __radd__ = __add__
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_leibniz_tallies_the_multiplications_it_runs(n):
+    # at n = 1 the odd side is the literal 0, whose product with the lead
+    # takes no counted int
+    rows = random_matrix(n, random.Random(n)).rows
+    M = Matrix(tuple(tuple(_Counted(x) for x in row) for row in rows))
+    _Counted.muls = 0
+    assert leibniz_det(M) == leibniz_det(Matrix(rows))
+    assert _Counted.muls == LEIBNIZ_MULS[n]
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -118,23 +157,23 @@ def test_bareiss_counts_are_exact(n):
 
 
 def test_bench_times_warm_runs(monkeypatch):
-    # each clock read records whether the one-time tables are built yet
+    # each clock read records whether the one-time kernels are built yet
     reads = []
 
     def perf_counter():
-        reads.append((_signed_perms.cache_info().currsize, _signed_windows.cache_info().currsize))
+        reads.append((_expansion.cache_info().currsize, _signed_windows.cache_info().currsize))
         return 0.0
 
     # the package exports the function ``bench`` under the module's name
     module = importlib.import_module("sarrus.bench")
     monkeypatch.setattr(module, "time", SimpleNamespace(perf_counter=perf_counter))
-    _signed_perms.cache_clear()
+    _expansion.cache_clear()
     _signed_windows.cache_clear()
     bench(["scheme", "leibniz"], [5], runs=2)
     scheme_reads, leibniz_reads = reads[:4], reads[4:]
     assert len(leibniz_reads) == 4
     assert all(windows == 1 for _, windows in scheme_reads)
-    assert all(perms == 1 for perms, _ in leibniz_reads)
+    assert all(expansions == 1 for expansions, _ in leibniz_reads)
 
 
 def test_bareiss_beats_leibniz_at_n8():

@@ -130,6 +130,13 @@ def test_det_with_scheme_file(capsys, worked_csv, tmp_path):
     assert code == 0 and out.strip() == "140"
 
 
+def test_det_reads_a_csv_with_a_utf8_bom(capsys, tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_text("\ufeff" + WORKED_CSV, encoding="utf-8")
+    code, out, _ = run(capsys, "det", "--matrix", str(path))
+    assert code == 0 and out.strip() == "140"
+
+
 def test_det_rational_output(capsys, tmp_path):
     path = tmp_path / "r.csv"
     path.write_text("1/2,0\n0,3\n")

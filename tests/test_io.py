@@ -95,6 +95,22 @@ def test_parse_matrix_infers_format(tmp_path):
         parse_matrix(csv_path, "toml")
 
 
+def test_files_with_a_utf8_bom_parse_as_without(tmp_path):
+    # Excel's "CSV UTF-8" and Notepad start their files with a BOM
+    texts = {
+        "m.csv": "2,1/3\n-4,5\n",
+        "m.json": json.dumps([[2, "1/3"], [-4, 5]]),
+        "s.json": scheme_to_json(scheme_4x4()),
+    }
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        (tmp_path / f"bom-{name}").write_text("\ufeff" + text, encoding="utf-8")
+    for name in ("m.csv", "m.json"):
+        assert parse_matrix(tmp_path / f"bom-{name}") == parse_matrix(tmp_path / name)
+    assert parse_matrix(tmp_path / "bom-m.csv") == Matrix.from_rows([[2, Fraction(1, 3)], [-4, 5]])
+    assert load_scheme(tmp_path / "bom-s.json") == load_scheme(tmp_path / "s.json") == scheme_4x4()
+
+
 @pytest.mark.parametrize("scheme", [scheme_4x4(), scheme_5x5()])
 def test_scheme_json_round_trip_is_lossless(scheme):
     again = scheme_from_json(scheme_to_json(scheme))

@@ -19,8 +19,8 @@ from sarrus import (
     parity_partition_sums,
 )
 from sarrus.bench import random_matrix
-from sarrus.matrix import _cleared_rows, _product_sum, _uncleared
-from sarrus.oracle import _TABLE_LIMIT, _signed_perms
+from sarrus.matrix import _cleared_rows, _uncleared
+from sarrus.oracle import _EXPANSION_ROWS, _expansion
 
 
 def test_leibniz_worked_example(worked_matrix):
@@ -216,26 +216,49 @@ def _inversions(word):
     return sum(a > b for a, b in itertools.combinations(word, 2))
 
 
-@pytest.mark.parametrize("n", range(1, 9))
-def test_sign_table_matches_a_brute_force_split(n):
-    even, odd = _signed_perms(n)
-    half = math.factorial(n) // 2
-    assert (len(even), len(odd)) == ((1, 0) if n == 1 else (half, half))
-    # position r * n + c holds column c of row r
-    decoded = [[tuple(p % n for p in term) for term in side] for side in (even, odd)]
-    words = list(itertools.permutations(range(n)))
-    assert decoded[0] == [w for w in words if _inversions(w) % 2 == 0]
-    assert decoded[1] == [w for w in words if _inversions(w) % 2 == 1]
+def _inversion_sign(word):
+    return (-1) ** _inversions(word)
+
+
+def _split(rows, columns, sign):
+    # the even and the odd product sums over rows on columns, word by word
+    sides = [0, 0]
+    for word in itertools.permutations(range(len(rows))):
+        sides[sign(word) == -1] += math.prod(row[columns[c]] for row, c in zip(rows, word))
+    return tuple(sides)
+
+
+def _cycle_sign(word):
+    return parity(Permutation(tuple(c + 1 for c in word)))
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_expansion_matches_a_brute_force_split(k):
+    rng = random.Random(k)
+    # the last k rows of a wider matrix, as a placement leaves them
+    ints = [[rng.randint(-9, 9) for _ in range(k + 2)] for _ in range(k)]
+    cleared = _cleared_rows(Matrix.from_rows(_pq_rows(k + 2, rng)))[0][2:]
+    expansion = _expansion(k)
+    for rows in (ints, cleared):
+        for _ in range(4):
+            columns = tuple(rng.sample(range(k + 2), k))
+            got = expansion(rows, columns)
+            assert got == _split(rows, columns, _inversion_sign)
+            assert all(type(x) is int for x in got)
     # the cycle-decomposition sign of the rest of the library agrees word by word
-    for side, sign in zip(decoded, (1, -1)):
-        assert all(parity(Permutation(tuple(c + 1 for c in w))) == sign for w in side)
+    for word in itertools.permutations(range(k)):
+        assert _cycle_sign(word) == _inversion_sign(word)
+    assert expansion(ints, tuple(range(k))) == _split(ints, range(k), _cycle_sign)
+    assert _expansion(k) is expansion
+    if k == 1:
+        assert expansion([[7]], (0,)) == (7, 0)
 
 
 def test_nine_by_nine_streams_from_the_five_table():
     rng = random.Random(9)
     ints = Matrix.from_rows([[rng.randint(-9, 9) for _ in range(9)] for _ in range(9)])
     pqs = Matrix.from_rows(_pq_rows(9, rng))
-    _signed_perms.cache_clear()
+    _expansion.cache_clear()
     for M in (ints, pqs):
         det = bareiss_det(M)
         assert det != 0
@@ -251,33 +274,31 @@ def test_nine_by_nine_streams_from_the_five_table():
         sides[c % 2] += x * minor_plus
         sides[1 - c % 2] += x * minor_minus
     assert tuple(sides) == parity_partition_sums(ints)
-    # only the 5-table was built
-    assert _TABLE_LIMIT == 5
-    assert _signed_perms.cache_info().currsize == 1
-    even, odd = _signed_perms(_TABLE_LIMIT)
-    assert len(even) == len(odd) == math.factorial(_TABLE_LIMIT) // 2
-    assert _signed_perms.cache_info().misses == 1
+    # only the 5-row expansion was compiled
+    assert _EXPANSION_ROWS == 5
+    assert _expansion.cache_info().currsize == 1
+    _expansion(_EXPANSION_ROWS)
+    assert _expansion.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("n", [6, 7, 8])
 @pytest.mark.parametrize("entries", ["int", "p/q"])
 def test_placements_match_the_full_table(n, entries):
-    # placement depths 1 to 3, against the one-pass sum over the n! table
+    # placement depths 1 to 3, against the sum over all n! words at once
     rng = random.Random(60 + n)
     if entries == "int":
         M = random_matrix(n, rng)
     else:
         M = Matrix.from_rows(_pq_rows(n, rng))
     rows, clearing = _cleared_rows(M)
-    flat = [x for row in rows for x in row]
-    product_sum = _product_sum(n)
-    full = tuple(_uncleared(product_sum(flat, side), clearing) for side in _signed_perms(n))
+    split = _split(rows, range(n), _inversion_sign)
+    full = tuple(_uncleared(side, clearing) for side in split)
     assert parity_partition_sums(M) == full
     assert full[0] != full[1]
 
 
 def test_ten_by_ten_leibniz_matches_bareiss():
-    # placement depth 5 over the 5-table
+    # placement depth 5 over the 5-row expansion
     M = random_matrix(10, random.Random(10))
     det = bareiss_det(M)
     assert det != 0 and leibniz_det(M) == det
