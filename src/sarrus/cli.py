@@ -184,6 +184,11 @@ def _cmd_bench(args) -> int:
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     except ValueError:
         raise _UsageError(f"bad --sizes value {args.sizes!r}")
+    # an empty list would run nothing, print nothing and exit 0
+    if not methods:
+        raise _UsageError(f"--methods {args.methods!r} names no method")
+    if not sizes:
+        raise _UsageError(f"--sizes {args.sizes!r} names no size")
     reports = bench(methods, sizes, runs=args.runs, seed=args.seed)
     _emit(reports_to_jsonl(reports), args.out)
     return 0

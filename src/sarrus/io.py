@@ -6,6 +6,15 @@ as "p/q". Matrix JSON is an array of arrays whose entries are integers or
 whole point of the library is exactness. Scheme JSON is
 {"n": int, "strips": [{"columns": [int, ...], "starts": [int, ...]}]}; signs
 are never stored, they are recomputed from window parity.
+
+Matrix entries are parsed in three tiers, each accepting exactly what the
+``Fraction`` parse accepts for it. A CSV line of integers is read by one
+``int`` per token, and a JSON row of integers is taken as it is. A line or
+row that is not all integers is read token by token (``_parse_exact``), so
+an error names its line and column. A token is an int if ``int`` reads it,
+then a "p/q" of decimal digits is built from two ints, and anything else
+goes to ``Fraction``. ``Matrix`` then checks each entry's type, once, and
+nothing normalizes them: no tier yields an integral ``Fraction``.
 """
 
 from __future__ import annotations
@@ -21,6 +30,10 @@ from .scheme import Scheme, SchemeStrip
 
 
 def _parse_exact(token: str, line: int, column: int) -> Scalar:
+    """One entry, for a CSV line or JSON row that is not all integers: an int
+    if ``int`` reads it, else a non-integral Fraction, from two ints for a
+    plain "p/q" and from ``Fraction`` otherwise. A float or any other text is
+    a ParseError at (line, column)."""
     text = token.strip()
     if not text:
         raise ParseError(line, column, "empty entry")
@@ -28,37 +41,54 @@ def _parse_exact(token: str, line: int, column: int) -> Scalar:
     if "." in text or "e" in text.lower():
         raise ParseError(line, column, f"not an exact number: {text!r}; floats are refused")
     # plain integers, the common case, skip the Fraction parse; int accepts
-    # no text that Fraction reads differently
+    # no text that Fraction reads differently, and none with a "/"
+    if "/" not in text:
+        try:
+            return int(text)
+        except ValueError:
+            pass
     try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        value = Fraction(text)
+        value = _fraction(text)
     except (ValueError, ZeroDivisionError) as e:
         raise ParseError(line, column, f"not an exact number: {text!r} ({e})") from None
     return int(value) if value.denominator == 1 else value
 
 
-def _square(rows: list[list[Scalar]]) -> Matrix:
+def _fraction(text: str) -> Fraction:
+    """Fraction(text), from two ints when text is a signed p over a q of
+    decimal digits."""
+    p, _, q = text.partition("/")
+    if q.isdecimal() and (p[1:] if p[:1] in ("+", "-") else p).isdecimal():
+        try:
+            return Fraction(int(p), int(q))
+        except (ValueError, ZeroDivisionError):
+            pass  # too many digits for int, or q = 0: Fraction words the error
+    return Fraction(text)
+
+
+def _square(rows: list[tuple[Scalar, ...]]) -> Matrix:
     if not rows:
         raise ParseError(1, 0, "no rows")
     widths = {len(r) for r in rows}
     if widths != {len(rows)}:
         raise NonSquare(f"{len(rows)} rows with widths {sorted(widths)}")
-    return Matrix.from_rows(rows)
+    # the parsers yield no integral Fraction, so there is nothing to normalize
+    return Matrix(tuple(rows))
 
 
 def matrix_from_csv(text: str) -> Matrix:
-    rows: list[list[Scalar]] = []
+    rows: list[tuple[Scalar, ...]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        row = [
-            _parse_exact(tok, lineno, col)
-            for col, tok in enumerate(line.split(","), start=1)
-        ]
-        rows.append(row)
+        tokens = line.split(",")
+        if "/" not in line:
+            try:
+                rows.append(tuple(map(int, tokens)))
+                continue
+            except ValueError:
+                pass
+        rows.append(tuple(_parse_exact(tok, lineno, col) for col, tok in enumerate(tokens, start=1)))
     return _square(rows)
 
 
@@ -75,8 +105,14 @@ def matrix_from_json(text: str) -> Matrix:
     data = _load_json(text)
     if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
         raise ParseError(1, 0, "expected an array of arrays")
-    rows: list[list[Scalar]] = []
+    rows: list[tuple[Scalar, ...]] = []
     for i, row in enumerate(data, start=1):
+        for x in row:
+            if type(x) is not int:  # a bool is an int too
+                break
+        else:
+            rows.append(tuple(row))
+            continue
         out: list[Scalar] = []
         for j, x in enumerate(row, start=1):
             if isinstance(x, int) and not isinstance(x, bool):
@@ -85,7 +121,7 @@ def matrix_from_json(text: str) -> Matrix:
                 out.append(_parse_exact(x, i, j))
             else:
                 raise ParseError(i, j, f"entry {x!r} is not exact; use an int or \"p/q\"")
-        rows.append(out)
+        rows.append(tuple(out))
     return _square(rows)
 
 

@@ -10,7 +10,7 @@ oracles sum over integers and divide once at the end.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -30,21 +30,36 @@ def _normalized(x):
 
 @dataclass(frozen=True, slots=True)
 class Matrix:
-    """Immutable n x n matrix of exact scalars."""
+    """Immutable n x n matrix of exact scalars.
+
+    The constructor checks each entry once and records whether all of them
+    are ints, which ``is_integral`` returns. Rows given as lists, or as any
+    sequence but a tuple, are copied into tuples, so no entry can change
+    after that check.
+    """
 
     rows: tuple[tuple[Scalar, ...], ...]
+    _integral: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = len(self.rows)
+        rows = self.rows
+        n = len(rows)
         if n < 1:
             raise ValueError("matrix needs n >= 1")
-        if any(len(row) != n for row in self.rows):
-            raise ValueError("matrix must be square")
-        # plain ints, the common case, skip the call
-        for row in self.rows:
+        copy = type(rows) is not tuple
+        integral = True
+        for row in rows:
+            if len(row) != n:
+                raise ValueError("matrix must be square")
+            copy = copy or type(row) is not tuple
+            # plain ints, the common case, skip the call
             for x in row:
                 if type(x) is not int:
                     _check_exact(x)
+                    integral = integral and isinstance(x, int)
+        if copy:
+            object.__setattr__(self, "rows", tuple(map(tuple, rows)))
+        object.__setattr__(self, "_integral", integral)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "Matrix":
@@ -69,12 +84,9 @@ class Matrix:
         return Matrix(tuple(zip(*self.rows)))
 
     def is_integral(self) -> bool:
-        # a plain loop, not a generator: every exact evaluation asks this first
-        for row in self.rows:
-            for x in row:
-                if not isinstance(x, int):
-                    return False
-        return True
+        """Whether every entry is an int, as the constructor found while it
+        checked them."""
+        return self._integral
 
     def __repr__(self) -> str:
         return f"Matrix({[list(r) for r in self.rows]})"
@@ -86,17 +98,23 @@ def _cleared_rows(M: Matrix) -> tuple[list[list[int]], int]:
 
     The determinant is linear in each row, and so is any sum of products that
     take one entry from every row: over the cleared rows such a sum is the
-    same sum over M times the product of the d_i. The rows of an integer
-    matrix are only copied, with no lcm taken. Lists, not tuples: the loops
-    that read them index lists a few percent faster.
+    same sum over M times the product of the d_i. A row of plain ints, and
+    so every row of an integer matrix, is only copied, with no lcm taken; in
+    the other rows the plain ints are multiplied as they are, and only the
+    other entries are read for their numerator and denominator. Lists, not
+    tuples: the loops that read them index lists a few percent faster.
     """
-    if M.is_integral():
+    if M._integral:
         return [list(row) for row in M.rows], 1
     rows = []
     clearing = 1
     for row in M.rows:
-        d = math.lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (d // x.denominator) for x in row])
+        denominators = [x.denominator for x in row if type(x) is not int]
+        if not denominators:
+            rows.append(list(row))
+            continue
+        d = math.lcm(*denominators)
+        rows.append([x * d if type(x) is int else x.numerator * (d // x.denominator) for x in row])
         clearing *= d
     return rows, clearing
 

@@ -105,10 +105,15 @@ class SchemeStrip:
 
 @dataclass(frozen=True, slots=True)
 class Scheme:
-    """One or more strips meant to jointly cover S_n exactly once."""
+    """One or more strips meant to jointly cover S_n exactly once.
+
+    The hash is taken once, at construction, as a strip's is: every
+    evaluation looks up the scheme's cached pass.
+    """
 
     n: int
     strips: tuple[SchemeStrip, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.strips:
@@ -116,6 +121,10 @@ class Scheme:
         for s in self.strips:
             if s.n != self.n:
                 raise SizeMismatch(f"strip of size {s.n} in scheme of size {self.n}")
+        object.__setattr__(self, "_hash", hash((self.n, self.strips)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 class Window(NamedTuple):
@@ -480,6 +489,8 @@ def _signed_sums(sch: Scheme, M: Matrix, ops: OpCounter | None) -> tuple[int, in
         ops.term(sch.n, signed.covered)
         # the first term landing in each running sum is not an addition
         ops.add(max(signed.even - 1, 0) + max(signed.covered - signed.even - 1, 0))
+    if M.is_integral():  # the sums only read the rows: no cleared copy
+        return *_even_odd_sums(sch.n, signed, M.rows), 1
     rows, clearing = _cleared_rows(M)
     return *_even_odd_sums(sch.n, signed, rows), clearing
 

@@ -191,6 +191,22 @@ def test_statement_says_identical():
     assert "reorganizes" in text
 
 
+def test_statement_sets_the_multiplications_beside_the_terms():
+    reports = bench(["scheme", "leibniz"], [4, 5, 6], runs=1, seed=0)
+    lines = term_count_statement(reports).splitlines()
+    assert len(lines) == 6
+    for n, scheme_muls, leibniz_muls in ((4, 72, 74), (5, 480, 482), (6, 3600, 2898)):
+        terms, muls = lines[2 * (n - 4) : 2 * (n - 3)]
+        assert terms.startswith(f"n={n}: scheme evaluation expands exactly {math.factorial(n)} ")
+        assert muls == (
+            f"n={n}: scheme evaluation runs {scheme_muls} chained multiplications, n - 1 per "
+            f"product, against {leibniz_muls} in the permutation expansion, which multiplies "
+            f"each shared leading product once per placement; the counts differ by that "
+            f"factoring, not by the scheme."
+        )
+        assert scheme_muls == math.factorial(n) * (n - 1)
+
+
 def test_jsonl_output_parses():
     reports = bench(["scheme", "leibniz", "cofactor", "bareiss"], [4], runs=2, seed=0)
     lines = reports_to_jsonl(reports).strip().splitlines()

@@ -419,6 +419,18 @@ def test_bench_jsonl(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("value", [",", "", " , ,"])
+def test_bench_with_no_methods_is_a_usage_error(capsys, value):
+    code, out, err = run(capsys, "bench", "--methods", value, "--sizes", "4", "--runs", "1")
+    assert (code, out) == (1, "") and err.startswith("usage error:") and "--methods" in err
+
+
+@pytest.mark.parametrize("value", [",", "", " , ,"])
+def test_bench_with_no_sizes_is_a_usage_error(capsys, value):
+    code, out, err = run(capsys, "bench", "--methods", "bareiss", "--sizes", value, "--runs", "1")
+    assert (code, out) == (1, "") and err.startswith("usage error:") and "--sizes" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

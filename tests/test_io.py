@@ -31,7 +31,7 @@ from sarrus import (
     SearchConfig,
     validate,
 )
-from sarrus.io import _parse_exact
+from sarrus.io import _load_json, _parse_exact
 
 WORKED_CSV = "2,3,4,-1\n1,-2,0,5\n5,2,2,-3\n8,1,1,1\n"
 
@@ -254,6 +254,92 @@ _number_like = st.text(alphabet="0123456789_+-/ \t\u00a0\u0663\uff17x", max_size
 @example("1/" + "9" * 5000)
 def test_integer_fast_path_parses_as_fraction_does(text):
     assert _outcome(_parse_exact, text) == _outcome(_parse_by_fraction, text)
+
+
+def _reference_square(rows):
+    if not rows:
+        raise ParseError(1, 0, "no rows")
+    widths = {len(r) for r in rows}
+    if widths != {len(rows)}:
+        raise NonSquare(f"{len(rows)} rows with widths {sorted(widths)}")
+    return Matrix.from_rows(rows)
+
+
+def _reference_csv(text):
+    """The CSV parse with no fast path: every entry through _parse_by_fraction."""
+    rows = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if line.strip():
+            tokens = line.split(",")
+            rows.append([_parse_by_fraction(tok, lineno, col) for col, tok in enumerate(tokens, start=1)])
+    return _reference_square(rows)
+
+
+def _reference_json(text):
+    """The JSON parse with no fast path: every entry checked on its own."""
+    data = _load_json(text)
+    if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
+        raise ParseError(1, 0, "expected an array of arrays")
+    rows = []
+    for i, row in enumerate(data, start=1):
+        out = []
+        for j, x in enumerate(row, start=1):
+            if isinstance(x, int) and not isinstance(x, bool):
+                out.append(x)
+            elif isinstance(x, str):
+                out.append(_parse_by_fraction(x, i, j))
+            else:
+                raise ParseError(i, j, f"entry {x!r} is not exact; use an int or \"p/q\"")
+        rows.append(out)
+    return _reference_square(rows)
+
+
+def _text_outcome(parse, text):
+    try:
+        M = parse(text)
+    except SarrusError as e:
+        return type(e).__name__, str(e)
+    return "matrix", M, [[(type(x), x) for x in row] for row in M.rows], M.is_integral()
+
+
+_valid_token = st.one_of(
+    st.integers(-(10**6), 10**6).map(str),
+    st.tuples(st.integers(-99, 99), st.integers(1, 30)).map(lambda t: f"{t[0]}/{t[1]}"),
+    st.sampled_from(["+3", "-0", " 7 ", "+3/4", "-6/4", "4/2", "007/014", "\u0661", "\u0661/\u0662",
+                     "\uff17", "1_0", "1/1_0", "3/ 4", " 3 / 4 "]),
+)
+_any_token = st.one_of(
+    _valid_token,
+    st.tuples(st.integers(-99, 99), st.integers(0, 3)).map(lambda t: f"{t[0]}/{t[1]}"),
+    st.sampled_from(["", " ", "\t", "3/+4", "-/4", "/4", "1/", "+-3/4", "1__0", "_1", "1.5", "1e3", "0x1f"]),
+    _number_like,
+)
+# JSON takes the values as they are; CSV writes each one out with str
+_valid_entry = st.one_of(_valid_token, st.integers(-(10**6), 10**6))
+_any_entry = st.one_of(_any_token, _valid_entry, st.booleans(), st.floats(), st.none())
+
+
+def _grids(entry):
+    square = st.integers(1, 5).flatmap(
+        lambda n: st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+    return st.one_of(square, st.lists(st.lists(entry, max_size=4), max_size=4))
+
+
+@given(st.one_of(_grids(_valid_entry), _grids(_any_entry)))
+@example([["3/ 4", 1], [2, 2]])
+@example([["+3/4", 1], [2, 2]])
+@example([["3/+4", 1], [2, 2]])
+@example([["-/4", 1], [2, 2]])
+@example([["1/0", 1], [2, 2]])
+@example([["\u0661/\u0662", 1], [2, 2]])
+@example([["1/" + "9" * 5000, 1], [2, 2]])
+@example([[1, -2, 3], [4, "5/6", -7], [8, 9, 0]])
+def test_whole_texts_parse_as_entry_by_entry(grid):
+    csv = "\n".join(",".join(map(str, row)) for row in grid) + "\n"
+    js = json.dumps(grid)
+    assert _text_outcome(matrix_from_csv, csv) == _text_outcome(_reference_csv, csv)
+    assert _text_outcome(matrix_from_json, js) == _text_outcome(_reference_json, js)
 
 
 def test_permutation_json():

@@ -1,8 +1,12 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from sarrus import Matrix, bareiss_det, cofactor_det, leibniz_det, parity_partition_sums
+from sarrus.matrix import _cleared_rows
 
 
 def test_from_rows_and_entry_are_one_based():
@@ -51,3 +55,78 @@ def test_direct_construction_checks_entries_too(bad):
     for route in (lambda M: M, leibniz_det, cofactor_det, bareiss_det, parity_partition_sums):
         with pytest.raises(TypeError, match="entry"):
             route(Matrix(((bad, 0), (0, 2))))
+
+
+class _Int(int):
+    pass
+
+
+def _walk_is_integral(M):
+    return all(isinstance(x, int) for row in M.rows for x in row)
+
+
+_ints = st.integers(-(10**12), 10**12)
+_pqs = st.fractions(max_denominator=10**6).filter(lambda x: x.denominator != 1)
+
+
+def _square_rows(entry):
+    return st.integers(1, 5).flatmap(
+        lambda n: st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+
+
+_rows = st.one_of(_square_rows(_ints), _square_rows(_pqs), _square_rows(st.one_of(_ints, _pqs)))
+
+
+@given(_rows)
+@example([[1, 2], [3, 4]])
+@example([[Fraction(1, 2), Fraction(3, 4)], [Fraction(-5, 6), Fraction(7, 8)]])
+@example([[1, 2], [Fraction(3, 4), 5]])
+@example([[Fraction(4, 2), 1], [0, 1]])
+def test_integrality_is_what_a_walk_of_the_entries_finds(rows):
+    M = Matrix.from_rows(rows)
+    matrices = [
+        M,
+        Matrix(tuple(map(tuple, rows))),  # direct: integral Fractions are kept
+        Matrix(rows),  # list rows are copied into tuples
+        M.transpose(),
+        Matrix.identity(len(rows)),
+        Matrix(tuple(tuple(_Int(x) if type(x) is int else x for x in row) for row in rows)),
+    ]
+    for m in matrices:
+        assert m.is_integral() == _walk_is_integral(m)
+        assert type(m.rows) is tuple and all(type(row) is tuple for row in m.rows)
+
+
+def test_list_rows_cannot_change_a_matrix():
+    rows = [[1, 2], [3, 4]]
+    M = Matrix(rows)
+    rows[0][0] = Fraction(1, 2)
+    rows[1] = [5, 6]
+    assert M.rows == ((1, 2), (3, 4)) and M.is_integral()
+    assert M == Matrix.from_rows([[1, 2], [3, 4]]) and hash(M) == hash(Matrix(((1, 2), (3, 4))))
+
+
+def _reference_cleared(M):
+    """Every row times the lcm of all its denominators, int entries included."""
+    rows, clearing = [], 1
+    for row in M.rows:
+        d = math.lcm(*(Fraction(x).denominator for x in row))
+        rows.append([int(x * d) for x in row])
+        clearing *= d
+    return rows, clearing
+
+
+@given(_rows)
+@example([[1, 2], [3, 4]])
+@example([[Fraction(1, 2), Fraction(3, 4)], [Fraction(-5, 6), Fraction(7, 8)]])
+@example([[1, 2], [Fraction(3, 4), 5]])
+def test_cleared_rows_match_a_full_clearing(rows):
+    M = Matrix.from_rows(rows)
+    cleared, clearing = _cleared_rows(M)
+    assert (cleared, clearing) == _reference_cleared(M)
+    assert all(type(x) is int for row in cleared for x in row)
+    # fresh lists: bareiss_det eliminates in them
+    assert all(type(row) is list for row in cleared)
+    cleared[0][0] = "changed"
+    assert _cleared_rows(M) == _reference_cleared(M)
