@@ -4,8 +4,8 @@ Instrumented runs show scheme evaluation expands exactly n! signed products,
 the same count as the permutation expansion; only elimination changes the
 asymptotics. Multiplications are reported both as raw factors (n per product)
 and as chained multiplications (n-1 per product); the permutation expansion
-multiplies each placement's leading product once for all of its terms, so
-past n = 5 it runs fewer than the scheme.
+forms each term as one shared prefix product times one shared pair product,
+so from n = 4 it runs fewer than the scheme.
 """
 
 from sarrus import bench, reports_to_jsonl, term_count_statement

@@ -3,10 +3,11 @@
 Counts come from an OpCounter threaded through the real evaluation code, so
 the reported numbers are measurements, not formulas. Multiplications are
 reported under both conventions (n factors per diagonal vs n-1 chained
-multiplications); for elimination-style methods the two coincide. Matrices
-are generated deterministically from the seed. The counted run goes first, so
-one-time work (the compiled Leibniz expansion, a scheme's signed-window pass
-and its run kernels) is done before the timed runs start.
+multiplications); the oracles multiply shared products, not diagonals, so for
+them the two coincide. Matrices are generated deterministically from the
+seed. The counted run goes first, so one-time work (the compiled Leibniz
+expansion, a scheme's signed-window pass and its run kernels) is done before
+the timed runs start.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ _SIZE_LIMIT = 64
 # Leibniz, n * 2**(n-1) products for cofactor. Bareiss is cubic, and the size
 # and runs limits bound it alone (~30 ms a run at n = 64 on a 2-vCPU host).
 _RUN_COST = {"scheme": math.factorial, "leibniz": math.factorial, "cofactor": lambda n: n << (n - 1)}
-# runs x the summed run costs of one call: 2-3 s of Leibniz at n = 9, which
-# takes 0.18-0.22 us a term on integers and 0.26-0.32 us on p/q entries on a
+# runs x the summed run costs of one call: ~1 s of Leibniz at n = 9, which
+# takes 0.07-0.10 us a term on integers and 0.09-0.11 us on p/q entries on a
 # 2-vCPU host
 _COST_BUDGET = 10**7
 
@@ -146,8 +147,8 @@ def term_count_statement(reports: list[BenchReport]) -> str:
         lines.append(
             f"n={n}: scheme evaluation runs {s.multiplications_chained} chained "
             f"multiplications, n - 1 per product, against {l.multiplications_chained} in "
-            f"the permutation expansion, which multiplies each shared leading product once "
-            f"per placement; the counts differ by that factoring, not by the scheme."
+            f"the permutation expansion, which forms each term as one shared prefix times "
+            f"one shared pair; the counts differ by that factoring, not by the scheme."
         )
     return "\n".join(lines)
 

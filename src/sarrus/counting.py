@@ -4,7 +4,9 @@ An OpCounter is threaded through the real evaluation and oracle code paths
 (never through instrumented copies). Each route tallies after its loops, per
 call or per step, the sizes they ran over, so counting costs nothing per term.
 Products are recorded under both conventions: a length-n diagonal has n
-factors but needs only n-1 multiplications when chained.
+factors but needs only n-1 multiplications when chained. The oracles build
+their terms from shared products and record each multiplication they run
+under both.
 """
 
 from __future__ import annotations

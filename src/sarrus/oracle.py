@@ -3,7 +3,8 @@
 Three independent routes: the permutation expansion, one loop that splits
 the n! products into the even sum S_plus and the odd sum S_minus (Leibniz is
 S_plus - S_minus); first-row cofactor expansion with each minor computed once
-per column subset; and fraction-free elimination.
+per column subset, held in a list indexed by the subset's column bitmask;
+and fraction-free elimination.
 
 What the permutation expansion shares with scheme evaluation is the
 clearing only: both clear rational rows to integers
@@ -13,11 +14,15 @@ from elsewhere: here the words are all of S_k, written out when the kernel
 is compiled, each signed by its inversion count, where the scheme path
 reads its words off the strips and signs them by cycle decomposition, so
 agreement between the routes is meaningful. No table of words or positions
-is held. Past n = 5 the first n - 5 rows are placed one leading column at a
-time, a column c with i smaller columns left over adding i inversions, and
-the 5-row kernel sums the rest of each term. Operation counts are tallied
-once per call, per minor size or per elimination step, never per term or
-entry.
+is held. The kernel forms each of its k! terms as one prefix times one pair:
+the product of the first k - 2 rows on an ordered prefix of the columns,
+shared by the two terms that end on it, and the product of the last two
+rows on the remaining two, shared by the (k - 2)! terms that start on the
+other k - 2 columns. Past n = 5 the first n - 5 rows are placed one leading
+column at a time, a column c with i smaller columns left over adding i
+inversions, and the 5-row kernel sums the rest of each term. Operation
+counts are the operations run, tallied once per call, per minor size or per
+elimination step, never per term or entry.
 
 The elimination clears its rows the same way, and divides the integer
 determinant by the product of the row lcms at the end; it shares no
@@ -43,8 +48,9 @@ _COFACTOR_LIMIT = 16
 # The most rows one written-out expansion covers: 5! = 120 products, each
 # word and its sign taken from its inversion count when the expansion is
 # compiled; no table is held. Every n > 5 places its first n - 5 rows and sums
-# the rest with the 5-row expansion. On a 2-vCPU host a 6-row one compiled in
-# ~14 ms and was no faster on p/q entries at n = 8, and a 4-row one was slower.
+# the rest with the 5-row expansion. On a 2-vCPU host the 6-row one compiled
+# in 13-15 ms against 1.3-2.5 ms and summed n = 8 at most ~10 % faster, a
+# cost every cold start would pay; a 4-row one took twice as long at n = 8.
 _EXPANSION_ROWS = 5
 
 
@@ -54,15 +60,21 @@ def _expansion(k: int) -> Callable[[list, tuple], tuple[int, int]]:
     the k! products over the k ``rows`` on the k ``columns``, in order: the
     product of word w takes column ``columns[w[r]]`` of row r.
 
-    The entries are unpacked into locals and each side is one written-out
-    expression; each word's sign is its inversion count's parity, counted
-    here. At k = 1 the odd side is 0. Compiled from a fixed template, as
-    ``scheme._run_sum`` is, whose text depends on the int k only.
+    The entries are unpacked into locals, and so are two kinds of shared
+    product: each ordered prefix on rows 0..k-3, built from the prefix one
+    row shorter, and the k(k-1) pair products of the last two rows. Each of
+    the k! terms is then one prefix * pair, added to the side its inversion
+    count picks: 20 + 60 prefixes, 20 pairs and 120 terms at k = 5, 220
+    multiplications against 480 for the products written out in full. At
+    k = 2 a term is its pair, at k = 1 its entry, and the odd side is 0.
+    Compiled from a fixed template, as ``scheme._run_sum`` is, whose text
+    depends on the int k only.
     """
-    sides: tuple[list[str], list[str]] = ([], [])
-    for word in itertools.permutations(range(k)):
-        inversions = sum(a > b for a, b in itertools.combinations(word, 2))
-        sides[inversions % 2].append(" * ".join(f"e{r}_{c}" for r, c in enumerate(word)))
+
+    def prefix(word: tuple[int, ...]) -> str:
+        # the product of rows 0..len(word)-1 on the columns word
+        return f"e0_{word[0]}" if len(word) == 1 else "p" + "".join(map(str, word))
+
     source = "def expansion(rows, columns):\n"
     source += f"    {', '.join(f'c{j}' for j in range(k))}, = columns\n"
     source += f"    {', '.join(f'r{r}' for r in range(k))}, = rows\n"
@@ -70,6 +82,19 @@ def _expansion(k: int) -> Callable[[list, tuple], tuple[int, int]]:
     for r in range(k):
         entries = ", ".join(f"r{r}[c{j}]" for j in range(k))
         source += f"    {', '.join(f'e{r}_{j}' for j in range(k))}, = {entries},\n"
+    for d in range(2, k - 1):
+        for word in itertools.permutations(range(k), d):
+            source += f"    {prefix(word)} = {prefix(word[:-1])} * e{d - 1}_{word[-1]}\n"
+    # q{a}{b}: row k-2 on column a times row k-1 on column b
+    for a, b in itertools.permutations(range(k), 2):
+        source += f"    q{a}{b} = e{k - 2}_{a} * e{k - 1}_{b}\n"
+    sides: tuple[list[str], list[str]] = ([], [])
+    for word in itertools.permutations(range(k)):
+        inversions = sum(a > b for a, b in itertools.combinations(word, 2))
+        term = f"q{word[-2]}{word[-1]}" if k > 1 else "e0_0"
+        if k > 2:
+            term = f"{prefix(word[:-2])} * {term}"
+        sides[inversions % 2].append(term)
     source += f"    return {' + '.join(sides[0])}, {' + '.join(sides[1]) or 0}\n"
     namespace: dict = {}
     exec(source, namespace)
@@ -96,7 +121,10 @@ def _parity_sums(M: Matrix, what: str, ops: OpCounter | None) -> tuple[int, int,
     Up to n = 5 one call of the n-row expansion sums all n! terms. Past it,
     the first n - 5 rows are placed one leading column at a time, and the
     5-row expansion sums the last five rows on the columns each placement
-    leaves over. All n! terms are still summed, each once.
+    leaves over. All n! terms are still formed and summed, each once. The
+    tally is the multiplications run: the leading products, and per leaf
+    placement the kernel's prefixes, pairs and prefix * pair terms and the
+    two lead *.
     """
     _guard(M.n, what)
     n = M.n
@@ -111,11 +139,14 @@ def _parity_sums(M: Matrix, what: str, ops: OpCounter | None) -> tuple[int, int,
         sums[1 - flip] += lead * odd
     if ops is not None:
         terms = math.factorial(n)
-        ops.term(k, terms)
-        # one leading product per placement at each level, n! / (n - d)! at
-        # depth d, and two lead * per leaf placement
-        placed = sum(terms // math.factorial(n - d) for d in range(1, n - k + 1))
-        ops.mul(placed + 2 * terms // math.factorial(k))
+        ops.terms += terms
+        # one leading product per placement at each level, n!/(n - d)! at depth
+        # d; per leaf placement, the kernel's prefixes on 2..k-2 rows, its pairs,
+        # one prefix * pair per term past k = 2, and two lead *
+        placed = sum(math.perm(n, d) for d in range(1, n - k + 1))
+        kernel = sum(math.perm(k, d) for d in range(2, k - 1)) + math.perm(k, 2)
+        kernel += math.factorial(k) if k > 2 else 0
+        ops.mul(placed + terms // math.factorial(k) * (kernel + 2))
         # the first term in each running sum is no addition; at n = 1 one sum is empty
         ops.add(max(terms - 2, 0))
     return sums[0], sums[1], clearing
@@ -142,31 +173,41 @@ def parity_partition_sums(M: Matrix, *, ops: OpCounter | None = None) -> tuple[S
 def cofactor_det(M: Matrix, *, ops: OpCounter | None = None) -> Scalar:
     """Expansion by minors along the first row, exact.
 
-    The minor on the last m rows and a sorted column tuple S is itself
-    expanded along its first row, into minors on the last m - 1 rows. It is
-    computed once and shared by every larger minor whose columns contain S,
-    so the expansion is built bottom-up over column subsets:
-    n * 2^(n-1) - n multiplications instead of about e * n!. Entries are used
-    as given, rationals included.
+    The minor on the last m rows and a column set S is itself expanded
+    along its first row, into minors on the last m - 1 rows. It is computed
+    once and shared by every larger minor whose columns contain S, so the
+    expansion is built bottom-up over column subsets:
+    n * 2^(n-1) - n multiplications instead of about e * n!. The minors sit
+    in one list of 2^n slots, indexed by the bitmask of S (0.5 MB of slots
+    at n = 16), so a term reads its minor with one xor and no key is built.
+    Each minor's sum starts from its first term, so the m * C(n, m)
+    multiplications and (m - 1) * C(n, m) additions tallied per size are
+    the ones run. Entries are used as given, rationals included.
     """
     n = M.n
     _guard(n, "cofactor_det", "holds 2^n minors", _COFACTOR_LIMIT)
     rows = M.rows
-    minors = {(c,): x for c, x in enumerate(rows[n - 1])}
+    bits = [1 << c for c in range(n)]
+    # minors[S]: the minor on the last |S| rows and the columns in the bitmask S
+    minors: list = [None] * (1 << n)
+    for c, x in enumerate(rows[n - 1]):
+        minors[bits[c]] = x
     for m in range(2, n + 1):
         row = rows[n - m]
-        wider = {}
-        for cols in itertools.combinations(range(n), m):
-            total: Scalar = 0
-            for k, c in enumerate(cols):
-                term = row[c] * minors[cols[:k] + cols[k + 1 :]]
-                total = total - term if k % 2 else total + term
-            wider[cols] = total
+        subsets = zip(itertools.combinations(range(n), m), map(sum, itertools.combinations(bits, m)))
+        for cols, S in subsets:
+            c = cols[0]
+            total = row[c] * minors[S ^ bits[c]]
+            for k in range(1, m):
+                c = cols[k]
+                term = row[c] * minors[S ^ bits[c]]
+                total = total - term if k & 1 else total + term
+            minors[S] = total
         if ops is not None:
-            ops.mul(m * len(wider))
-            ops.add((m - 1) * len(wider))
-        minors = wider
-    return minors[tuple(range(n))]
+            count = math.comb(n, m)
+            ops.mul(m * count)
+            ops.add((m - 1) * count)
+    return minors[-1]
 
 
 def bareiss_det(M: Matrix, *, ops: OpCounter | None = None) -> Scalar:

@@ -48,9 +48,10 @@ def test_scheme_and_leibniz_counts_match():
         assert s.term_count == l.term_count == math.factorial(n)
         assert s.multiplications_n_factors == math.factorial(n) * n
         assert s.multiplications_chained == math.factorial(n) * (n - 1)
-        # Leibniz also multiplies each side's sum by its leading product, 1
-        assert l.multiplications_n_factors == s.multiplications_n_factors + 2
-        assert l.multiplications_chained == s.multiplications_chained + 2
+        # Leibniz multiplies shared prefix and pair products, so its two
+        # conventions coincide, at fewer multiplications than the scheme chains
+        assert l.multiplications_n_factors == l.multiplications_chained == LEIBNIZ_MULS[n]
+        assert l.multiplications_chained < s.multiplications_chained
         assert s.additions == l.additions == math.factorial(n) - 1
 
 
@@ -89,10 +90,11 @@ def _counts(route, *args):
     return ops.terms, ops.mul_chained, ops.adds, ops.divs
 
 
-# The multiplications Leibniz runs: k - 1 in each of the n! written-out
-# products of the last k = min(n, 5) rows, one leading product per placement of
-# the rows above them, and two lead * per placement of all n - k of them.
-LEIBNIZ_MULS = {1: 2, 2: 4, 3: 14, 4: 74, 5: 482, 6: 2898, 7: 20293, 8: 162352}
+# The multiplications Leibniz runs on the last k = min(n, 5) rows, per placement
+# of the rows above them: the ordered prefixes on 2..k-2 rows, the k(k-1) pairs
+# of the last two rows and one prefix * pair per term (220 at k = 5), and two
+# lead *; plus one leading product per placement of the rows above, at each level.
+LEIBNIZ_MULS = {1: 2, 2: 4, 3: 14, 4: 50, 5: 222, 6: 1338, 7: 9373, 8: 74992}
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -106,26 +108,42 @@ def test_expansion_counts_are_exact(n):
     if n <= 5:
         sch = Scheme(n=1, strips=(SchemeStrip(1, (1,), (1,)),)) if n == 1 else builtin_scheme(n)
         # the same terms and additions; the scheme chains n - 1 multiplications
-        # a term, two fewer than Leibniz, whose leading product is 1
-        assert _counts(positive_negative_sums, sch, M) == (terms, muls - 2, side_adds, 0)
+        # a term
+        assert _counts(positive_negative_sums, sch, M) == (terms, terms * (n - 1), side_adds, 0)
         assert _counts(evaluate, sch, M) == (terms, terms * (n - 1), side_adds + 1, 0)
 
 
 class _Counted(int):
-    """An int that counts the multiplications it takes part in. Its sums are
-    counted ints too, so a sum times the leading product 1 is counted."""
+    """An int that counts the multiplications and the additions (subtractions
+    included) it takes part in. Its results are counted ints too, so a sum
+    times the leading product 1 is counted."""
 
     muls = 0
+    adds = 0
 
     def __mul__(self, other):
         _Counted.muls += 1
         return _Counted(int(self) * int(other))
 
     def __add__(self, other):
+        _Counted.adds += 1
         return _Counted(int(self) + int(other))
+
+    def __sub__(self, other):
+        _Counted.adds += 1
+        return _Counted(int(self) - int(other))
+
+    def __rsub__(self, other):
+        _Counted.adds += 1
+        return _Counted(int(other) - int(self))
 
     __rmul__ = __mul__
     __radd__ = __add__
+
+
+def _counted(rows):
+    _Counted.muls = _Counted.adds = 0
+    return Matrix(tuple(tuple(_Counted(x) for x in row) for row in rows))
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -133,10 +151,20 @@ def test_leibniz_tallies_the_multiplications_it_runs(n):
     # at n = 1 the odd side is the literal 0, whose product with the lead
     # takes no counted int
     rows = random_matrix(n, random.Random(n)).rows
-    M = Matrix(tuple(tuple(_Counted(x) for x in row) for row in rows))
-    _Counted.muls = 0
+    M = _counted(rows)
     assert leibniz_det(M) == leibniz_det(Matrix(rows))
     assert _Counted.muls == LEIBNIZ_MULS[n]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_cofactor_tallies_the_operations_it_runs(n):
+    rows = random_matrix(n, random.Random(n)).rows
+    M = _counted(rows)
+    ops = OpCounter()
+    assert cofactor_det(M, ops=ops) == cofactor_det(Matrix(rows))
+    # each minor's sum starts from its first term, so no 0 + term runs
+    assert _Counted.muls == ops.mul_chained == n * 2 ** (n - 1) - n
+    assert _Counted.adds == ops.adds == (n - 2) * 2 ** (n - 1) + 1
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -195,13 +223,13 @@ def test_statement_sets_the_multiplications_beside_the_terms():
     reports = bench(["scheme", "leibniz"], [4, 5, 6], runs=1, seed=0)
     lines = term_count_statement(reports).splitlines()
     assert len(lines) == 6
-    for n, scheme_muls, leibniz_muls in ((4, 72, 74), (5, 480, 482), (6, 3600, 2898)):
+    for n, scheme_muls, leibniz_muls in ((4, 72, 50), (5, 480, 222), (6, 3600, 1338)):
         terms, muls = lines[2 * (n - 4) : 2 * (n - 3)]
         assert terms.startswith(f"n={n}: scheme evaluation expands exactly {math.factorial(n)} ")
         assert muls == (
             f"n={n}: scheme evaluation runs {scheme_muls} chained multiplications, n - 1 per "
-            f"product, against {leibniz_muls} in the permutation expansion, which multiplies "
-            f"each shared leading product once per placement; the counts differ by that "
+            f"product, against {leibniz_muls} in the permutation expansion, which forms each "
+            f"term as one shared prefix times one shared pair; the counts differ by that "
             f"factoring, not by the scheme."
         )
         assert scheme_muls == math.factorial(n) * (n - 1)

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import WORKED_DET, WORKED_SUMS
 
@@ -174,6 +176,41 @@ def _routes_agree(M):
     s_plus, s_minus = parity_partition_sums(M)
     assert s_plus - s_minus == det
     return det
+
+
+_ENTRIES = {
+    "small": st.integers(-9, 9),
+    "large": st.integers(-(10**30), 10**30),
+    "p/q": st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(2, 10**6)),
+}
+
+
+@st.composite
+def _oracle_rows(draw):
+    # one kind for the whole matrix, or one kind per row; then maybe a zero
+    # row or column
+    n = draw(st.integers(1, 7))
+    kinds = st.sampled_from(sorted(_ENTRIES))
+    row_kinds = [draw(kinds) for _ in range(n)] if draw(st.booleans()) else [draw(kinds)] * n
+    rows = [draw(st.lists(_ENTRIES[k], min_size=n, max_size=n)) for k in row_kinds]
+    zeroed, i = draw(st.sampled_from(["none", "row", "column"])), draw(st.integers(0, n - 1))
+    if zeroed == "row":
+        rows[i] = [0] * n
+    elif zeroed == "column":
+        for row in rows:
+            row[i] = 0
+    return rows
+
+
+@given(_oracle_rows())
+@example([[0]])
+@example([[Fraction(1, 2), 3], [-5, Fraction(7, 9)]])
+@example([[0] * 3, [1, 2, 3], [4, 5, 6]])
+@settings(max_examples=150, deadline=None)
+def test_oracles_agree_on_any_matrix(rows):
+    det = _routes_agree(Matrix.from_rows(rows))
+    if any(not any(row) for row in rows) or not all(any(col) for col in zip(*rows)):
+        assert det == 0
 
 
 @pytest.mark.parametrize("n, count", [(6, 8), (7, 3), (8, 1)])
