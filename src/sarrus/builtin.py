@@ -1,22 +1,20 @@
 """The built-in schemes for n = 2, 3, 4, 5.
 
 The 2x2 and 3x3 cases are the classic diagonal rule; the 4x4 case is a single
-19-column strip; the 5x5 case is a pair of 49-column strips (one per parity)
-stitched from six blocks each. The odd-parity block heads are the even-parity
-heads with the values 3 and 4 swapped, which flips every window's sign at
-once.
+19-column strip stitched from three blocks; the 5x5 case is a pair of
+49-column strips (one per parity) stitched from six blocks each. The
+odd-parity block heads are the even-parity heads with the values 3 and 4
+swapped, which flips every window's sign at once.
 """
 
 from __future__ import annotations
 
 from .errors import UnsupportedSize
 from .perm import Permutation, relabel_values
-from .scheme import Scheme, SchemeStrip, stitch_blocks
+from .scheme import Scheme, SchemeStrip, expand_block, stitch_blocks
 
-# 19 columns, three chained 7-column segments; starts are the first four
-# positions of each segment.
-_COLUMNS_4 = (1, 2, 3, 4, 1, 2, 3, 2, 4, 1, 3, 2, 4, 2, 1, 3, 4, 2, 1)
-_STARTS_4 = (1, 2, 3, 4, 7, 8, 9, 10, 13, 14, 15, 16)
+# three blocks of 7 columns, stitched into 19
+_HEADS_4 = ((1, 2, 3, 4), (3, 2, 4, 1), (4, 2, 1, 3))
 
 _P_HEADS = (
     (1, 2, 3, 4, 5),
@@ -37,7 +35,7 @@ def classic_sarrus(n: int) -> Scheme:
     twice.
     """
     if n == 3:
-        strip = SchemeStrip(n=3, columns=(1, 2, 3, 1, 2), starts=(1, 2, 3))
+        strip = expand_block(Permutation.identity(3))
     elif n == 2:
         strip = SchemeStrip(n=2, columns=(1, 2), starts=(1,))
     else:
@@ -46,9 +44,8 @@ def classic_sarrus(n: int) -> Scheme:
 
 
 def scheme_4x4() -> Scheme:
-    """The 19-column arrangement for 4x4 determinants."""
-    strip = SchemeStrip(n=4, columns=_COLUMNS_4, starts=_STARTS_4)
-    return Scheme(n=4, strips=(strip,))
+    """The 19-column arrangement for 4x4 determinants: three blocks, stitched."""
+    return Scheme(n=4, strips=(stitch_blocks([Permutation(h) for h in _HEADS_4]),))
 
 
 def p_block_heads() -> list[Permutation]:

@@ -19,14 +19,13 @@ a single strip covers everything.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 
 from .errors import NotFound, SizeTooSmall, VerificationFailed, _guard
 from .matrix import Matrix
 from .oracle import bareiss_det
-from .perm import Permutation, _least_words, _orbit, _word_parity
+from .perm import Permutation, _class_pairs, _class_words, _least_words, _sign_factors, _word_parity
 from .scheme import Scheme, ValidationReport, evaluate, stitch_blocks, validate
 
 _CLASS_LIMIT = 8
@@ -52,7 +51,7 @@ class NecklaceClass:
     @property
     def members(self) -> tuple[Permutation, ...]:
         """Every word of the class, in lexicographic order."""
-        return tuple(map(Permutation, sorted(_orbit(self.representative.images))))
+        return tuple(map(Permutation, sorted(_class_words(self.representative.images, -1))))
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,11 +80,12 @@ def necklace_classes(n: int) -> list[NecklaceClass]:
     """Partition S_n into necklace classes, listed by lexicographically
     minimal representative."""
     # n >= 3 classes have 2n words; the one class at n = 2 has both words
-    size = min(2 * n, math.factorial(n))
+    size = 2 * _class_pairs(n)
+    turn, _ = _sign_factors(n)
     classes = []
     for rep in _representatives(n):
         sign = "+" if _word_parity(rep) == 1 else "-"
-        profile = "alternating" if n % 2 == 0 else f"uniform({sign})"
+        profile = "alternating" if turn < 0 else f"uniform({sign})"
         classes.append(NecklaceClass(Permutation(rep), size, profile))
     return classes
 
@@ -108,7 +108,7 @@ def _chain_group(
     rng.shuffle(class_order)
     chains: list[list[tuple[int, ...]]] = [[]]
     for rep in class_order:
-        members = sorted(_orbit(rep))
+        members = sorted(_class_words(rep, -1))
         rng.shuffle(members)
         if len(chains[-1]) == max_blocks:
             chains.append([])
@@ -130,7 +130,9 @@ def search_scheme(cfg: SearchConfig) -> Scheme:
             "blocks built from them would duplicate windows"
         )
     groups = [_representatives(cfg.n)]
-    if cfg.n % 4 == 1:  # parity-pure classes: an even strip group, then an odd one
+    # where rotation and reversal keep the sign, classes are parity-pure: an
+    # even strip group, then an odd one
+    if _sign_factors(cfg.n) == (1, 1):
         signs = [_word_parity(rep) for rep in groups[0]]
         groups = [[rep for rep, s in zip(groups[0], signs) if s == sign] for sign in (1, -1)]
     rng = random.Random(cfg.random_seed)

@@ -122,9 +122,10 @@ def _parity_sums(M: Matrix, what: str, ops: OpCounter | None) -> tuple[int, int,
     the first n - 5 rows are placed one leading column at a time, and the
     5-row expansion sums the last five rows on the columns each placement
     leaves over. All n! terms are still formed and summed, each once. The
-    tally is the multiplications run: the leading products, and per leaf
+    tally is the operations run: the leading products, and per leaf
     placement the kernel's prefixes, pairs and prefix * pair terms and the
-    two lead *.
+    two lead *; and n! - 2 additions, as each side starts from the first
+    leaf's sum.
     """
     _guard(M.n, what)
     n = M.n
@@ -132,8 +133,10 @@ def _parity_sums(M: Matrix, what: str, ops: OpCounter | None) -> tuple[int, int,
     k = min(n, _EXPANSION_ROWS)
     expansion = _expansion(k)
     last = rows[n - k :]
-    sums = [0, 0]
-    for lead, flip, columns in _placements(rows, n - k, tuple(range(n))):
+    leaves = _placements(rows, n - k, tuple(range(n)))
+    lead, _, columns = next(leaves)  # even: it takes the least column left at each row
+    sums = [lead * x for x in expansion(last, columns)]  # so no 0 + sum runs
+    for lead, flip, columns in leaves:
         even, odd = expansion(last, columns)
         sums[flip] += lead * even
         sums[1 - flip] += lead * odd
@@ -147,7 +150,7 @@ def _parity_sums(M: Matrix, what: str, ops: OpCounter | None) -> tuple[int, int,
         kernel = sum(math.perm(k, d) for d in range(2, k - 1)) + math.perm(k, 2)
         kernel += math.factorial(k) if k > 2 else 0
         ops.mul(placed + terms // math.factorial(k) * (kernel + 2))
-        # the first term in each running sum is no addition; at n = 1 one sum is empty
+        # the first term on each side is no addition; at n = 1 one side is empty
         ops.add(max(terms - 2, 0))
     return sums[0], sums[1], clearing
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import SizeTooSmall, _guard
-from .perm import Permutation
+from .perm import Permutation, _sign_factors
 from .scheme import _diagonals, expand_block
 
 _PATTERN_LIMIT = 10_000
@@ -40,11 +40,12 @@ def classify(n: int) -> PatternClass:
     """Which of the four repeating sign structures size n falls into."""
     if n < 2:
         raise SizeTooSmall("pattern classes start at n = 2")
+    turn, flip = _sign_factors(n)
     return PatternClass(
         n=n,
         residue_class=_RESIDUE_NAMES[n % 4],
-        shift_alternates=(n % 2 == 0),
-        ascending_flips=((n // 2) % 2 == 1),
+        shift_alternates=turn < 0,
+        ascending_flips=flip < 0,
     )
 
 

@@ -8,8 +8,9 @@ module ever sees a 0-based value.
 Permutations are immutable values; every operation returns a new one.
 
 The necklace class of a word (its rotations and their reversals) is defined
-here once, on raw words, with its key, the class's least word: the search
-lists classes by it and the validator checks cover by it.
+here once, on raw words, as its key, the class's least word, and its pairs,
+each rotation of the key with its reverse: the search lists classes by key,
+and the validator records cover as the pairs of each key that runs hit.
 """
 
 from __future__ import annotations
@@ -104,24 +105,37 @@ def _sign_factors(n: int) -> tuple[Sign, Sign]:
     return (-1 if n % 2 == 0 else 1), (-1 if n // 2 % 2 else 1)
 
 
-def _class_key(word: tuple[int, ...]) -> tuple[int, ...]:
-    """The least word of a word's necklace class (its rotations and their
-    reversals), for n >= 2: 1 rotated to the front, read in whichever
-    direction puts the smaller of 1's two neighbours second. O(n)."""
+def _class_pairs(n: int) -> int:
+    """The number of pairs in a necklace class of S_n."""
+    return n if n >= 3 else 1
+
+
+def _class_place(word: tuple[int, ...]) -> tuple[tuple[int, ...], int, Sign]:
+    """(key, j, step): the key is the least word of the word's class, 1
+    rotated to the front and read towards its smaller neighbour. Pair j is
+    the key rotated left by j, with its reverse; the word is the rotation
+    (step 1) or the reverse (step -1), and the word rotated left by one lies
+    in pair j + step (mod n). Below n = 3 the class is one pair. O(n)."""
+    n = len(word)
+    if n < 3:
+        return tuple(range(1, n + 1)), 0, 1
     k = word.index(1)
     r = word[k:] + word[:k]
-    return r if r[1] <= r[-1] else (1, *r[:0:-1])
+    if r[1] < r[-1]:
+        return r, -k % n, 1
+    return (1, *r[:0:-1]), (k + 1) % n, -1
 
 
-def _orbit(word: tuple[int, ...]) -> set[tuple[int, ...]]:
-    """Every word of a word's necklace class: its rotations and their reversals."""
-    shifts = {word[k:] + word[:k] for k in range(len(word))}
-    return shifts | {w[::-1] for w in shifts}
+def _class_words(key: tuple[int, ...], bits: int) -> list[tuple[int, ...]]:
+    """The words of the pairs of key's class whose bits are set in bits (-1
+    sets every pair): two words a pair, and one, the key, at n = 1."""
+    shifts = [key[j:] + key[:j] for j in range(_class_pairs(len(key))) if bits >> j & 1]
+    return shifts + [w[::-1] for w in shifts if len(w) > 1]
 
 
 def _least_words(n: int) -> list[tuple[int, ...]]:
     """The least word of every necklace class of S_n, in lexicographic order:
-    the words that are their own ``_class_key``, (1, *t) with t[0] <= t[-1]
+    the keys of ``_class_place``, (1, *t) with t[0] <= t[-1]
     (and (1,) at n = 1). (n-1)!/2 words for n >= 3, found without visiting
     S_n."""
     return [(1, *t) for t in itertools.permutations(range(2, n + 1)) if t[:1] <= t[-1:]]

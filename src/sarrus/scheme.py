@@ -18,16 +18,15 @@ and signed only where a run begins, once per block.
 
 One cached pass per scheme reads the walk and keeps its verdict and, for an
 exact cover, the first window of each run, with no record per start. Cover
-is checked per necklace class. For n >= 3, n consecutive rotations and their
-reverses are the 2n words of one class, so such a run is recorded once, as
-the class's key (its least word), and its even count follows from its first
-sign by the period-4 rule. A longer run is cut into runs of n and a
-remainder, so a class covered twice shows as duplicate words. Only the
-windows of remainders are hashed word by word, each checked against the
-whole classes through its run's key; below n = 3 classes are undersized, and
-every word takes this path. The missing words of a defective scheme lie in
-the classes that no run covers whole, so they are listed from the class
-keys, without a sweep of S_n.
+is checked per necklace class, by the paper's cyclic pattern: a class is n
+pairs, each rotation of a word with its reverse, and a window rotated left
+by one lies in the next pair round the cycle. So every run, of any length,
+hits an arc of consecutive pairs, found from its first window
+(``perm._class_place``), and is recorded in a bitmask under its class's key.
+A run longer than the cycle wraps round, and the pairs it hits again, as
+those another run hit, are duplicates. Below n = 3 a class is one pair. The
+missing words are the unset pairs of the class keys, listed without a sweep
+of S_n, and the even words hit are half of S_n less the even ones missed.
 
 Evaluation reads the pass only, run by run, following the cyclic pattern
 of the diagonals: a run of L starts is its first window read along 2L broken
@@ -58,7 +57,9 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 from .counting import OpCounter
 from .errors import _FACTORIAL_LIMIT, ChainMismatch, InvalidScheme, InvalidWindow, SizeMismatch, _guard
 from .matrix import Matrix, Scalar, _cleared_rows, _uncleared
-from .perm import Permutation, Sign, _class_key, _least_words, _orbit, _sign_factors, _word_parity
+from .perm import (
+    Permutation, Sign, _class_pairs, _class_place, _class_words, _least_words, _sign_factors, _word_parity
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -263,10 +264,10 @@ class _SignedWindows:
 
     ``invalid`` holds the 1-based (strip, start) of each window that repeats a
     column; ``duplicates`` each word hit more than once, in lexicographic
-    order, with where it was hit. ``covered`` and ``even`` count distinct
-    words. When some words are missing, ``classes`` holds the key of each
-    necklace class that a run of n consecutive starts covers whole (n >= 3),
-    and ``words`` every other distinct word hit; otherwise both are empty.
+    order, with where it was hit. ``covered`` counts distinct words.
+    When some words are missing, ``cover`` maps the key of each necklace
+    class hit to the bitmask of its pairs hit (see ``perm._class_place``);
+    otherwise it is empty.
     ``exact_cover``: no window is invalid and the diagonals hit every
     permutation exactly once. ``summary`` holds the summary of the last
     ``validate`` report of a scheme that is no exact cover, so that a refusal
@@ -286,9 +287,7 @@ class _SignedWindows:
     invalid: tuple[tuple[int, int], ...]
     duplicates: tuple[tuple[tuple[int, ...], tuple[WindowRef, ...]], ...]
     covered: int
-    even: int
-    classes: frozenset[tuple[int, ...]]
-    words: frozenset[tuple[int, ...]]
+    cover: dict[tuple[int, ...], int]
     exact_cover: bool
     runs: tuple[tuple[int, Sign, bytes], ...]
     summary: list[str] = field(default_factory=list, compare=False, repr=False)
@@ -322,21 +321,25 @@ def _refuse_unsweepable(sch: Scheme) -> None:
             _guard(sch.n, "validate", "lists up to n! missing permutations")
 
 
+def _arc(pairs: int, j: int, step: Sign, m: int) -> int:
+    """The bitmask of the m >= 1 consecutive pairs from pair j in direction
+    step on a cycle of ``pairs``: every pair once m reaches the cycle."""
+    full = (1 << pairs) - 1
+    if m >= pairs:
+        return full
+    arc = ((1 << m) - 1) << (j if step > 0 else j - m + 1) % pairs
+    return (arc | arc >> pairs) & full
+
+
 @lru_cache(maxsize=128)
 def _signed_windows(sch: Scheme) -> _SignedWindows:
     # Schemes are immutable, so the pass is shared by every later call. It
     # keeps its verdict and each run's first window, not the words.
     n = sch.n
-    turn, flip = _sign_factors(n)
-    # the even words of a whole class, by the sign of its first window: all or
-    # none for n ≡ 1 (mod 4), where rotation and reversal keep the sign, and
-    # half of them otherwise
-    whole_even = {1: 2 * n, -1: 0} if n % 4 == 1 else {1: n, -1: n}
+    pairs = _class_pairs(n)
     invalid: list[tuple[int, int]] = []
-    classes: set[tuple[int, ...]] = set()
-    repeated: set[tuple[int, ...]] = set()
-    even = 0
-    loose: list[tuple[tuple[int, ...], int, int, Sign]] = []  # each run's remainder
+    cover: dict[tuple[int, ...], int] = {}  # the pairs hit, by class key
+    twice: dict[tuple[int, ...], int] = {}  # the pairs hit more than once
     firsts: defaultdict[tuple[int, Sign], list[int]] = defaultdict(list)
     for si, strip in enumerate(sch.strips, start=1):
         columns = strip.columns
@@ -344,48 +347,30 @@ def _signed_windows(sch: Scheme) -> _SignedWindows:
             if not sign:
                 invalid.append((si, first))
                 continue
-            firsts[length, sign] += columns[first - 1 : first + n - 1]
-            # n consecutive rotations cover a whole class, 2n words for n >= 3,
-            # and bring back the first window's sign; a longer run's next n
-            # starts repeat the class. Below n = 3 classes are undersized.
-            whole = length - length % n if n >= 3 else 0
-            for p in range(first, first + whole, n):
-                key = _class_key(columns[p - 1 : p + n - 1])
-                if key in classes:
-                    repeated |= _orbit(key)
-                else:
-                    classes.add(key)
-                    even += whole_even[sign]
-            if whole < length:
-                loose.append((columns, first + whole, length - whole, sign))
-
-    words: set[tuple[int, ...]] = set()
-    for columns, start, length, sign in loose:
-        # a run stays inside one class: one key settles whether that class is whole
-        whole_class = bool(classes) and _class_key(columns[start - 1 : start + n - 1]) in classes
-        for p in range(start, start + length):
-            w = columns[p - 1 : p + n - 1]
-            # at n = 1 the window is its own reverse: one word, not two
-            hits = ((w, sign),) if n == 1 else ((w, sign), (w[::-1], sign * flip))
-            for word, word_sign in hits:
-                if whole_class or word in words:
-                    repeated.add(word)
-                else:
-                    words.add(word)
-                    if word_sign > 0:
-                        even += 1
-            sign *= turn
-    covered = 2 * n * len(classes) + len(words)
-    # only a listing of missing words reads the classes and the words again
+            w = columns[first - 1 : first + n - 1]
+            firsts[length, sign] += w
+            # the run's first ``pairs`` starts hit an arc of its class's
+            # cycle, and the rest wrap round and hit that arc again
+            key, j, step = _class_place(w)
+            hit = _arc(pairs, j, step, length)
+            old = cover.get(key, 0)
+            cover[key] = old | hit
+            again = old & hit
+            if length > pairs:
+                again |= _arc(pairs, j, step, length - pairs)
+            if again:
+                twice[key] = twice.get(key, 0) | again
+    # two words a pair, and one at n = 1
+    covered = sum(map(int.bit_count, cover.values())) * min(n, 2)
+    repeated = {w for key, bits in twice.items() for w in _class_words(key, bits)}
+    # only a listing of missing words reads the cover again
     short = not _is_factorial(covered, n)
     exact_cover = not invalid and not repeated and not short
     return _SignedWindows(
         invalid=tuple(invalid),
         duplicates=_where_hit(sch, repeated) if repeated else (),
         covered=covered,
-        even=even,
-        classes=frozenset(classes) if short else frozenset(),
-        words=frozenset(words) if short else frozenset(),
+        cover=cover if short else {},
         exact_cover=exact_cover,
         runs=tuple((*run, bytes(w)) for run, w in sorted(firsts.items())) if exact_cover else (),
     )
@@ -426,22 +411,25 @@ def validate(sch: Scheme) -> ValidationReport:
     some are missing. Beyond n = 10, a scheme with fewer than n! windows is
     refused with SizeLimitExceeded before the pass; with more, the listing
     costs no more than the pass. The pass reads the walk of each strip and
-    counts a run of n starts as its whole necklace class (see the module
-    notes); for an exact cover it also records each run's first window,
-    which is all evaluation reads.
+    records each run as the arc of its necklace class's pairs that it hits
+    (see the module notes); for an exact cover it also records each run's
+    first window, which is all evaluation reads. The even count is half of
+    S_n (its one word at n = 1) less the even words missing.
     """
     n = sch.n
     _refuse_unsweepable(sch)
     signed = _signed_windows(sch)
+    missing = () if _is_factorial(signed.covered, n) else _missing(sch, signed)
+    even = (math.factorial(n) + 1) // 2 - sum(_word_parity(p.images) > 0 for p in missing)
     report = ValidationReport(
         n=n,
         window_count=2 * sum(len(strip.starts) for strip in sch.strips),
         covered=signed.covered,
         duplicates=tuple((Permutation(w), refs) for w, refs in signed.duplicates),
-        missing=() if _is_factorial(signed.covered, n) else _missing(sch, signed),
+        missing=missing,
         invalid_windows=signed.invalid,
-        even_count=signed.even,
-        odd_count=signed.covered - signed.even,
+        even_count=even,
+        odd_count=signed.covered - even,
     )
     if not signed.exact_cover:
         signed.summary[:] = [report.summary()]
@@ -451,23 +439,16 @@ def validate(sch: Scheme) -> ValidationReport:
 def _missing(sch: Scheme, signed: _SignedWindows) -> tuple[Permutation, ...]:
     """The words of S_n that no diagonal hits, in lexicographic order.
 
-    They lie in the classes that no run covers whole: walk the least word of
-    every class, and list the words of each such class that no other window
-    hit, with no sweep of S_n. Below n = 3 no run covers a class, and every
-    word hit is in ``signed.words``.
+    Walk the key of every class, skip the classes whose pairs are all hit,
+    and list the words of the unset pairs of the rest: no sweep of S_n.
     """
-    return tuple(
-        map(
-            Permutation,
-            sorted(
-                w
-                for key in _least_words(sch.n)
-                if key not in signed.classes
-                for w in _orbit(key)
-                if w not in signed.words
-            ),
-        )
-    )
+    full = (1 << _class_pairs(sch.n)) - 1
+    words = []
+    for key in _least_words(sch.n):
+        bits = signed.cover.get(key, 0)
+        if bits != full:
+            words += _class_words(key, ~bits)
+    return tuple(map(Permutation, sorted(words)))
 
 
 def _complete(sch: Scheme) -> _SignedWindows:
@@ -488,7 +469,7 @@ def _signed_sums(sch: Scheme, M: Matrix, ops: OpCounter | None) -> tuple[int, in
     if ops is not None:
         ops.term(sch.n, signed.covered)
         # the first term landing in each running sum is not an addition
-        ops.add(max(signed.even - 1, 0) + max(signed.covered - signed.even - 1, 0))
+        ops.add(max(signed.covered - 2, 0))
     if M.is_integral():  # the sums only read the rows: no cleared copy
         return *_even_odd_sums(sch.n, signed, M.rows), 1
     rows, clearing = _cleared_rows(M)

@@ -152,8 +152,11 @@ def test_leibniz_tallies_the_multiplications_it_runs(n):
     # takes no counted int
     rows = random_matrix(n, random.Random(n)).rows
     M = _counted(rows)
-    assert leibniz_det(M) == leibniz_det(Matrix(rows))
+    ops = OpCounter()
+    assert leibniz_det(M, ops=ops) == leibniz_det(Matrix(rows))
     assert _Counted.muls == LEIBNIZ_MULS[n]
+    # each side starts from the first leaf's sum, so no 0 + sum runs
+    assert _Counted.adds == ops.adds == math.factorial(n) - 1
 
 
 @pytest.mark.parametrize("n", range(2, 9))

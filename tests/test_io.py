@@ -14,6 +14,7 @@ from sarrus import (
     Permutation,
     SarrusError,
     Scheme,
+    SchemeStrip,
     bareiss_det,
     format_scalar,
     load_scheme,
@@ -127,6 +128,15 @@ def test_scheme_json_shape():
     assert strip["columns"][:4] == [1, 2, 3, 4]
     # signs are derived, never stored
     assert "signs" not in json.dumps(data)
+
+
+def test_a_strip_with_no_starts_is_written_as_json_dumps_writes_it():
+    # an empty list is "[]" on one line, not a bracket pair around nothing
+    strip = SchemeStrip(n=3, columns=(1, 2, 3, 1, 2), starts=())
+    sch = Scheme(n=3, strips=(strip, SchemeStrip(n=3, columns=(3, 2, 1), starts=(1,))))
+    payload = {"n": 3, "strips": [{"columns": list(s.columns), "starts": list(s.starts)} for s in sch.strips]}
+    assert scheme_to_json(sch) == json.dumps(payload, indent=2)
+    assert scheme_from_json(scheme_to_json(sch)) == sch
 
 
 def test_generated_scheme_round_trips():

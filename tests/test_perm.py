@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given
@@ -14,7 +15,7 @@ from sarrus import (
     relabel_values,
     reverse,
 )
-from sarrus.perm import _class_key, _least_words, _orbit
+from sarrus.perm import _class_pairs, _class_place, _class_words, _least_words
 
 
 def inversion_sign(word):
@@ -190,7 +191,23 @@ def test_class_key_is_the_least_word_of_the_orbit(n):
     for word in itertools.permutations(range(1, n + 1)):
         shifts = [word[k:] + word[:k] for k in range(n)]
         orbit = set(shifts) | {w[::-1] for w in shifts}
-        assert _orbit(word) == orbit
-        assert _class_key(word) == min(orbit)
+        assert set(_class_words(_class_place(word)[0], -1)) == orbit
+        assert _class_place(word)[0] == min(orbit)
         keys.add(min(orbit))
     assert _least_words(n) == sorted(keys)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_class_place_names_the_pair_and_the_pair_after_a_rotation(n):
+    # pair j is the key rotated left by j with its reverse; a word rotated
+    # left by one lies in the pair after its own, counted in its direction
+    pairs = _class_pairs(n)
+    for word in itertools.permutations(range(1, n + 1)):
+        key, j, step = _class_place(word)
+        assert 0 <= j < pairs and step in (1, -1)
+        if n >= 3:
+            rotation = key[j:] + key[:j]
+            assert word == (rotation if step == 1 else rotation[::-1])
+        assert word in _class_words(key, 1 << j)
+        assert word[1:] + word[:1] in _class_words(key, 1 << (j + step) % pairs)
+        assert len(_class_words(key, -1)) == min(2 * n, math.factorial(n))

@@ -69,6 +69,14 @@ def test_expand_block_examples():
     assert s.starts == (1,)
 
 
+def test_scheme_refuses_a_strip_of_another_size():
+    strip = SchemeStrip(n=3, columns=(1, 2, 3, 1, 2), starts=(1,))
+    with pytest.raises(SizeMismatch):
+        Scheme(n=4, strips=(strip,))
+    with pytest.raises(SizeMismatch):
+        Scheme(n=3, strips=(strip, SchemeStrip(n=2, columns=(1, 2), starts=(1,))))
+
+
 def test_strip_constructor_checks_ranges():
     with pytest.raises(ValueError):
         SchemeStrip(n=3, columns=(1, 2, 4, 1, 2), starts=(1,))
@@ -375,7 +383,7 @@ def test_pass_and_report_match_a_plain_reference(sch):
             assert not (sign and next_sign and p == first + length and strip.window_at(p) == last[1:] + last[:1])
     assert list(signed.invalid) == ref["invalid"]
     assert [(w, [tuple(r) for r in refs]) for w, refs in signed.duplicates] == ref["duplicates"]
-    assert (signed.covered, signed.even) == (ref["covered"], ref["even"])
+    assert signed.covered == ref["covered"]
     exact = not ref["invalid"] and not ref["duplicates"] and ref["covered"] == math.factorial(sch.n)
     assert signed.exact_cover == exact
     if exact:
@@ -415,7 +423,7 @@ def _expand_runs(n, runs):
 def test_a_cold_pass_takes_one_parity_per_block(monkeypatch):
     # inside a block each window is the one before it rotated left by one,
     # so only a block's first window needs its parity taken, and a block is
-    # one whole class, so it needs one class key
+    # one whole class, so it needs one class place
     scheme = search_scheme(SearchConfig(n=7, random_seed=1))
     blocks = sum(len(strip.starts) for strip in scheme.strips) // 7
     calls = []
@@ -425,7 +433,7 @@ def test_a_cold_pass_takes_one_parity_per_block(monkeypatch):
         return _word_parity(word)
 
     monkeypatch.setattr(sarrus.scheme, "_word_parity", counted)
-    keys = _count_calls(monkeypatch, sarrus.scheme, "_class_key")
+    keys = _count_calls(monkeypatch, sarrus.scheme, "_class_place")
     _signed_windows.cache_clear()
     assert validate(scheme).is_valid
     assert 0 < len(calls) <= blocks
