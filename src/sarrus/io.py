@@ -39,7 +39,7 @@ def _parse_exact(token: str, line: int, column: int) -> Scalar:
         raise ParseError(line, column, "empty entry")
     # before Fraction, which would expand an exponent such as 1e1000000000
     if "." in text or "e" in text.lower():
-        raise ParseError(line, column, f"not an exact number: {text!r}; floats are refused")
+        raise ParseError(line, column, f"not an exact number: {_quoted(text)}; floats are refused")
     # plain integers, the common case, skip the Fraction parse; int accepts
     # no text that Fraction reads differently, and none with a "/"
     if "/" not in text:
@@ -50,8 +50,23 @@ def _parse_exact(token: str, line: int, column: int) -> Scalar:
     try:
         value = _fraction(text)
     except (ValueError, ZeroDivisionError) as e:
-        raise ParseError(line, column, f"not an exact number: {text!r} ({e})") from None
+        # Fraction's own message may quote the token too
+        reason = str(e).replace(repr(text), _quoted(text))
+        raise ParseError(line, column, f"not an exact number: {_quoted(text)} ({reason})") from None
     return int(value) if value.denominator == 1 else value
+
+
+# the characters of a token's repr that an error text quotes
+_QUOTE_WIDTH = 40
+
+
+def _quoted(value) -> str:
+    """repr(value), cut to its first _QUOTE_WIDTH characters and a count of
+    the rest, so that an error line stays short whatever the token."""
+    text = repr(value)
+    if len(text) <= _QUOTE_WIDTH:
+        return text
+    return f"{text[:_QUOTE_WIDTH]}... ({len(text) - _QUOTE_WIDTH} more characters)"
 
 
 def _fraction(text: str) -> Fraction:
@@ -120,7 +135,7 @@ def matrix_from_json(text: str) -> Matrix:
             elif isinstance(x, str):
                 out.append(_parse_exact(x, i, j))
             else:
-                raise ParseError(i, j, f"entry {x!r} is not exact; use an int or \"p/q\"")
+                raise ParseError(i, j, f"entry {_quoted(x)} is not exact; use an int or \"p/q\"")
         rows.append(tuple(out))
     return _square(rows)
 
@@ -205,5 +220,21 @@ def permutation_from_json(text: str) -> Permutation:
 
 
 def format_scalar(x: Scalar) -> str:
-    """Exact rendering: integers plain, rationals as p/q."""
-    return str(x)
+    """Exact rendering: integers plain, rationals as p/q, of any length."""
+    if isinstance(x, Fraction):
+        p = _decimal(x.numerator)
+        return p if x.denominator == 1 else f"{p}/{_decimal(x.denominator)}"
+    return _decimal(x)
+
+
+def _decimal(x: int) -> str:
+    """str(x), also past CPython's limit on the digits of an int converted to
+    text (4300 by default): an int that str refuses is split on a power of
+    ten and each part written on its own. The process-wide limit is left as
+    it is."""
+    try:
+        return str(x)
+    except ValueError:
+        k = x.bit_length() * 3 // 20  # about half its digits: log10(2) > 3/10
+        high, low = divmod(abs(x), 10**k)
+        return "-" * (x < 0) + _decimal(high) + _decimal(low).zfill(k)

@@ -33,7 +33,9 @@ of the diagonals: a run of L starts is its first window read along 2L broken
 diagonals, each signed from the run's first sign by ``perm._sign_factors``.
 One kernel per (n, L), ``_run_sum``, unpacks the n matrix columns that a
 first window names and adds its 2L diagonal products, with no walk of the
-strips and no table of words.
+strips and no table of words. One pair of running sums, even and odd, goes
+through every kernel, each side started by its first products, so a side of
+t products costs the t - 1 additions that ``OpCounter`` tallies.
 
 Exact evaluation runs over cleared rows, as the oracles do: each row of a
 rational matrix is scaled to integers by the lcm of its denominators. Every
@@ -267,9 +269,7 @@ class _SignedWindows:
     order, with where it was hit. ``covered`` counts distinct words.
     When some words are missing, ``cover`` maps the key of each necklace
     class hit to the bitmask of its pairs hit (see ``perm._class_place``);
-    otherwise it is empty.
-    ``exact_cover``: no window is invalid and the diagonals hit every
-    permutation exactly once. ``summary`` holds the summary of the last
+    otherwise it is empty. ``summary`` holds the summary of the last
     ``validate`` report of a scheme that is no exact cover, so that a refusal
     can quote it without listing missing words again; the text, not the
     report, since the report's missing words can number up to n!.
@@ -279,16 +279,16 @@ class _SignedWindows:
     first window of each run of that length and sign, n columns each, in one
     ``bytes``, about a byte a start. Evaluation reads each run's diagonals
     off its first window (see ``_run_sum``). Columns fit in a byte because
-    past n = 10 only a scheme with at least n! windows reaches the pass
+    past n = 9 only a scheme with at least n! windows reaches the pass
     (``_refuse_unsweepable``), so none with n >= 256 does. A scheme that is
-    no exact cover records no runs.
+    no exact cover records no runs, so ``runs`` is non-empty exactly when no
+    window is invalid and the diagonals hit every permutation once.
     """
 
     invalid: tuple[tuple[int, int], ...]
     duplicates: tuple[tuple[tuple[int, ...], tuple[WindowRef, ...]], ...]
     covered: int
     cover: dict[tuple[int, ...], int]
-    exact_cover: bool
     runs: tuple[tuple[int, Sign, bytes], ...]
     summary: list[str] = field(default_factory=list, compare=False, repr=False)
 
@@ -312,13 +312,18 @@ def _is_factorial(count: int, n: int) -> bool:
     return _factorial_past(n, count) == count
 
 
+# At n = 9 one window leaves 362,878 words to list, in ~3 s and ~80 MB; at
+# n = 10 it leaves 3,628,798, in ~30 s and ~730 MB.
+_LISTING_LIMIT = 9
+
+
 def _refuse_unsweepable(sch: Scheme) -> None:
-    """Past the sweep limit, refuse before its pass a scheme with fewer than n!
-    windows, whose missing words could number nearly n!."""
-    if sch.n > _FACTORIAL_LIMIT:
+    """Past the listing limit, refuse before its pass a scheme with fewer than
+    n! windows, whose missing words could number nearly n!."""
+    if sch.n > _LISTING_LIMIT:
         count = 2 * sum(len(strip.starts) for strip in sch.strips)
         if count < _factorial_past(sch.n, count):
-            _guard(sch.n, "validate", "lists up to n! missing permutations")
+            _guard(sch.n, "validate", "lists up to n! missing permutations", _LISTING_LIMIT)
 
 
 def _arc(pairs: int, j: int, step: Sign, m: int) -> int:
@@ -371,7 +376,6 @@ def _signed_windows(sch: Scheme) -> _SignedWindows:
         duplicates=_where_hit(sch, repeated) if repeated else (),
         covered=covered,
         cover=cover if short else {},
-        exact_cover=exact_cover,
         runs=tuple((*run, bytes(w)) for run, w in sorted(firsts.items())) if exact_cover else (),
     )
 
@@ -408,7 +412,7 @@ def validate(sch: Scheme) -> ValidationReport:
     """Check a scheme against S_n. Defects are reported, not raised.
 
     Cost is O(total windows), plus a listing of the missing permutations when
-    some are missing. Beyond n = 10, a scheme with fewer than n! windows is
+    some are missing. Beyond n = 9, a scheme with fewer than n! windows is
     refused with SizeLimitExceeded before the pass; with more, the listing
     costs no more than the pass. The pass reads the walk of each strip and
     records each run as the arc of its necklace class's pairs that it hits
@@ -431,7 +435,7 @@ def validate(sch: Scheme) -> ValidationReport:
         even_count=even,
         odd_count=signed.covered - even,
     )
-    if not signed.exact_cover:
+    if not signed.runs:
         signed.summary[:] = [report.summary()]
     return report
 
@@ -441,10 +445,15 @@ def _missing(sch: Scheme, signed: _SignedWindows) -> tuple[Permutation, ...]:
 
     Walk the key of every class, skip the classes whose pairs are all hit,
     and list the words of the unset pairs of the rest: no sweep of S_n.
+    When every class was hit, as in a scheme with one column mis-edited, the
+    cover's own keys are every key, and the walk reads those.
     """
-    full = (1 << _class_pairs(sch.n)) - 1
+    n = sch.n
+    full = (1 << _class_pairs(n)) - 1
+    # (n - 1)!/2 classes, and one below n = 3
+    every_class = len(signed.cover) == max(math.factorial(n - 1) // 2, 1)
     words = []
-    for key in _least_words(sch.n):
+    for key in signed.cover if every_class else _least_words(n):
         bits = signed.cover.get(key, 0)
         if bits != full:
             words += _class_words(key, ~bits)
@@ -454,7 +463,7 @@ def _missing(sch: Scheme, signed: _SignedWindows) -> tuple[Permutation, ...]:
 def _complete(sch: Scheme) -> _SignedWindows:
     _refuse_unsweepable(sch)
     signed = _signed_windows(sch)
-    if not signed.exact_cover:
+    if not signed.runs:
         # quote the report of an earlier validate, or make one
         summary = signed.summary[0] if signed.summary else validate(sch).summary()
         raise InvalidScheme("scheme failed validation:\n" + summary)
@@ -477,30 +486,36 @@ def _signed_sums(sch: Scheme, M: Matrix, ops: OpCounter | None) -> tuple[int, in
 
 
 def _even_odd_sums(n: int, signed: _SignedWindows, rows: Sequence[Sequence]) -> tuple:
-    """The even and the odd diagonal sums over rows, run by run from the pass."""
+    """The even and the odd diagonal sums over rows, run by run from the pass:
+    one pair of running sums, each started by its first product, that every
+    kernel continues."""
     columns = [(), *zip(*rows)]  # 1-based, as the strips name them
-    s_plus = s_minus = 0
+    even = odd = None
     for length, sign, firsts in signed.runs:
-        same, other = _run_sum(n, length)(columns, firsts)
-        if sign < 0:
-            same, other = other, same
-        s_plus += same
-        s_minus += other
-    return s_plus, s_minus
+        if sign > 0:
+            even, odd = _run_sum(n, length)(columns, firsts, even, odd)
+        else:
+            odd, even = _run_sum(n, length)(columns, firsts, odd, even)
+    # only at n = 1 is a side, the odd one, left with no products
+    return even, 0 if odd is None else odd
 
 
 @lru_cache(maxsize=None)
-def _run_sum(n: int, length: int) -> Callable[[list, bytes], tuple]:
-    """The function f(columns, firsts) that sums the diagonals of runs of
-    ``length`` rotations, given each run's first window as n bytes of
-    ``firsts``, and ``columns[c]``, column c of the matrix by row.
+def _run_sum(n: int, length: int) -> Callable[[list, bytes, object, object], tuple]:
+    """The function f(columns, firsts, same, other) that adds the diagonals of
+    runs of ``length`` rotations to a pair of running sums, given each run's
+    first window as n bytes of ``firsts``, and ``columns[c]``, column c of the
+    matrix by row.
 
     At offset k, row r of the descending diagonal reads column (r + k) mod n
     of the first window, and of the ascending one column (n - 1 - r + k) mod
     n; each product takes its rows in order. Products signed as the first
-    window go to the first sum, the others to the second. Compiled from a
-    fixed template, as ``oracle._expansion`` is, whose text depends on the
-    ints n and length only.
+    window go to ``same``, the others to ``other``. Each run's products are
+    summed before they meet the running sum, and a sum that is still None
+    starts from them, so a side of t products costs t - 1 additions however
+    its runs fall into kernels. Compiled from a fixed template, as
+    ``oracle._expansion`` is, whose text depends on the ints n and length
+    only.
     """
     turn, flip = _sign_factors(n)
     products: dict[int, list[str]] = {1: [], -1: []}
@@ -508,13 +523,14 @@ def _run_sum(n: int, length: int) -> Callable[[list, bytes], tuple]:
         products[turn**k].append(" * ".join(f"e{(r + k) % n}_{r}" for r in range(n)))
         if n > 1:  # at n = 1 the window is its own reverse
             products[turn**k * flip].append(" * ".join(f"e{(n - 1 - r + k) % n}_{r}" for r in range(n)))
-    source = "def run_sum(columns, firsts):\n    same = other = 0\n"
+    source = "def run_sum(columns, firsts, same, other):\n"
     source += f"    for {', '.join(f'c{j}' for j in range(n))}, in zip(*[iter(firsts)] * {n}):\n"
     # e{j}_{r}: row r of the j-th column of the first window
     source += "".join(f"        {', '.join(f'e{j}_{r}' for r in range(n))}, = columns[c{j}]\n" for j in range(n))
     for name, side in (("same", 1), ("other", -1)):
         if products[side]:
-            source += f"        {name} += {' + '.join(products[side])}\n"
+            terms = " + ".join(products[side])
+            source += f"        {name} = {terms} if {name} is None else {name} + ({terms})\n"
     namespace: dict = {}
     exec(source + "    return same, other\n", namespace)
     return namespace["run_sum"]

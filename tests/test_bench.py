@@ -1,3 +1,4 @@
+import functools
 import importlib
 import json
 import math
@@ -6,12 +7,15 @@ import statistics
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sarrus import (
     Matrix,
     OpCounter,
     Scheme,
     SchemeStrip,
+    SearchConfig,
     SizeLimitExceeded,
     bareiss_det,
     bench,
@@ -22,7 +26,9 @@ from sarrus import (
     parity_partition_sums,
     positive_negative_sums,
     reports_to_jsonl,
+    search_scheme,
     term_count_statement,
+    validate,
 )
 from sarrus.bench import ORACLES, random_matrix
 from sarrus.oracle import _expansion
@@ -157,6 +163,59 @@ def test_leibniz_tallies_the_multiplications_it_runs(n):
     assert _Counted.muls == LEIBNIZ_MULS[n]
     # each side starts from the first leaf's sum, so no 0 + sum runs
     assert _Counted.adds == ops.adds == math.factorial(n) - 1
+
+
+@functools.cache
+def _valid_scheme(n):
+    if n == 1:
+        return Scheme(n=1, strips=(SchemeStrip(1, (1,), (1,)),))
+    return builtin_scheme(n) if n <= 5 else search_scheme(SearchConfig(n=n, random_seed=1))
+
+
+def _assert_the_sums_run_their_tally(sch, rows):
+    # each side starts from its first product, so no 0 + sum runs: t - 1
+    # additions a side of t products, and one more for the difference
+    side_adds = max(math.factorial(sch.n) - 2, 0)
+    for f, adds in ((positive_negative_sums, side_adds), (evaluate, side_adds + 1)):
+        M = _counted(rows)
+        ops = OpCounter()
+        assert f(sch, M, ops=ops) == f(sch, Matrix(rows))
+        assert _Counted.adds == ops.adds == adds
+        assert _Counted.muls == ops.mul_chained
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_scheme_sums_tally_the_additions_they_run(n):
+    _assert_the_sums_run_their_tally(_valid_scheme(n), random_matrix(n, random.Random(n)).rows)
+
+
+@st.composite
+def _split_covers(draw):
+    """A valid scheme with some starts moved to one-window strips of their
+    own: exact covers whose runs have mixed lengths and signs."""
+    n = draw(st.integers(1, 6))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    share = draw(st.sampled_from([0.1, 0.5, 0.9]))
+    strips = []
+    for strip in _valid_scheme(n).strips:
+        kept = []
+        for p in strip.starts:
+            if rng.random() < share:
+                strips.append(SchemeStrip(n, strip.window_at(p), (1,)))
+            else:
+                kept.append(p)
+        if kept:
+            strips.append(SchemeStrip(n, strip.columns, tuple(kept)))
+    return Scheme(n=n, strips=tuple(strips))
+
+
+@given(_split_covers(), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_split_covers_tally_the_additions_they_run(sch, seed):
+    assert validate(sch).is_valid
+    M = random_matrix(sch.n, random.Random(seed))
+    assert evaluate(sch, M) == bareiss_det(M)
+    _assert_the_sums_run_their_tally(sch, M.rows)
 
 
 @pytest.mark.parametrize("n", range(2, 9))

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from conftest import WORKED_ROWS
 
 import sarrus.scheme
-from sarrus import Matrix, bareiss_det, load_scheme, scheme_to_json, scheme_4x4, validate
+from sarrus import Matrix, bareiss_det, load_scheme, parse_matrix, scheme_to_json, scheme_4x4, validate
 from sarrus.bench import ORACLES, random_matrix
 from sarrus.cli import main
 
@@ -59,6 +59,31 @@ def test_det_all_methods_agree(capsys, worked_csv, worked_json):
     assert results == ["140"] * 4
     code, out, _ = run(capsys, "det", "--matrix", worked_json, "--method", "scheme")
     assert code == 0 and out.strip() == "140"
+
+
+def _long_entries(n, rng):
+    """The rows of an n x n matrix file whose determinant runs past the 4300
+    digits that str writes by default: 500-digit integers at n = 10, and p/q
+    of 2000-digit p and q at n = 3."""
+    if n == 10:
+        return [[str(rng.randrange(-(10**500), 10**500)) for _ in range(n)] for _ in range(n)]
+    return [[f"{rng.randrange(10**2000)}/{rng.randrange(1, 10**2000)}" for _ in range(n)] for _ in range(n)]
+
+
+@pytest.mark.parametrize("method,n", [("bareiss", 10), ("scheme", 3)])
+def test_a_determinant_of_any_length_is_printed(capsys, tmp_path, method, n):
+    path = tmp_path / "long.csv"
+    path.write_text("\n".join(",".join(row) for row in _long_entries(n, random.Random(n))) + "\n")
+    code, out, err = run(capsys, "det", "--matrix", str(path), "--method", method)
+    assert code == 0 and err == ""
+    value = bareiss_det(parse_matrix(path))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        digits = str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(digits) > 4300 and out == digits + "\n"
 
 
 def test_det_builtin_with_sums(capsys, worked_csv):
@@ -211,6 +236,12 @@ def test_missing_sweep_beyond_its_limit_is_an_error(tmp_path, command):
     if command == "det":
         argv += ["--matrix", _write_rows(tmp_path / "m13.csv", Matrix.identity(13).rows)]
     assert "n = 13 exceeds the limit" in _refused_at_once(*argv)
+
+
+def test_one_window_at_n_10_is_refused_at_once(tmp_path):
+    # 10! - 2 missing words would take ~30 s and ~730 MB to list
+    path = _one_window_scheme(tmp_path / "s10.json", 10)
+    assert "n = 10 exceeds the limit of 9" in _refused_at_once("validate", "--scheme", path)
 
 
 def test_scheme_of_a_huge_n_is_refused_at_once(tmp_path):

@@ -32,7 +32,7 @@ from sarrus import (
     SearchConfig,
     validate,
 )
-from sarrus.io import _load_json, _parse_exact
+from sarrus.io import _load_json, _parse_exact, _quoted
 
 WORKED_CSV = "2,3,4,-1\n1,-2,0,5\n5,2,2,-3\n8,1,1,1\n"
 
@@ -229,12 +229,14 @@ def _parse_by_fraction(token, line, column):
     text = token.strip()
     if not text:
         raise ParseError(line, column, "empty entry")
+    # error texts quote a token cut to a fixed width, as the library does
     if "." in text or "e" in text.lower():
-        raise ParseError(line, column, f"not an exact number: {text!r}; floats are refused")
+        raise ParseError(line, column, f"not an exact number: {_quoted(text)}; floats are refused")
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as e:
-        raise ParseError(line, column, f"not an exact number: {text!r} ({e})") from None
+        reason = str(e).replace(repr(text), _quoted(text))
+        raise ParseError(line, column, f"not an exact number: {_quoted(text)} ({reason})") from None
     return int(value) if value.denominator == 1 else value
 
 
@@ -299,7 +301,7 @@ def _reference_json(text):
             elif isinstance(x, str):
                 out.append(_parse_by_fraction(x, i, j))
             else:
-                raise ParseError(i, j, f"entry {x!r} is not exact; use an int or \"p/q\"")
+                raise ParseError(i, j, f"entry {_quoted(x)} is not exact; use an int or \"p/q\"")
         rows.append(out)
     return _reference_square(rows)
 
@@ -350,6 +352,32 @@ def test_whole_texts_parse_as_entry_by_entry(grid):
     js = json.dumps(grid)
     assert _text_outcome(matrix_from_csv, csv) == _text_outcome(_reference_csv, csv)
     assert _text_outcome(matrix_from_json, js) == _text_outcome(_reference_json, js)
+
+
+@pytest.mark.parametrize(
+    "parse,text,quoted,times",
+    [
+        (matrix_from_csv, "9" * 5000, "'" + "9" * 39 + "... (4962 more characters)", 1),
+        # Fraction's own reason quotes the token too
+        (matrix_from_csv, "x" * 5000, "'" + "x" * 39 + "... (4962 more characters)", 2),
+        (matrix_from_csv, "1." + "5" * 5000, "'1." + "5" * 37 + "... (4964 more characters)", 1),
+        (matrix_from_json, json.dumps([[[7] * 5000]]), "[" + "7, " * 13 + "... (14960 more characters)", 1),
+    ],
+)
+def test_a_long_token_is_quoted_to_a_fixed_width(parse, text, quoted, times):
+    with pytest.raises(ParseError) as caught:
+        parse(text)
+    message = str(caught.value)
+    assert message.count(quoted) == times and len(message) < 300
+
+
+def test_a_short_token_is_quoted_whole():
+    with pytest.raises(ParseError) as caught:
+        matrix_from_csv("abc\n")
+    assert str(caught.value) == "line 1, column 1: not an exact number: 'abc' (Invalid literal for Fraction: 'abc')"
+    with pytest.raises(ParseError) as caught:
+        matrix_from_json("[[1.5]]")
+    assert str(caught.value) == 'line 1, column 1: entry 1.5 is not exact; use an int or "p/q"'
 
 
 def test_permutation_json():

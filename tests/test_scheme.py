@@ -204,7 +204,7 @@ def test_missing_sweep_is_guarded():
 
 
 def test_uncoverable_scheme_is_refused_before_its_pass():
-    # past the sweep limit, one window can never cover n! words: the refusal
+    # past the listing limit, one window can never cover n! words: the refusal
     # comes before any window is signed, whatever the size of the strip
     huge, small = (
         Scheme(n=n, strips=(SchemeStrip(n=n, columns=tuple(range(1, n + 1)), starts=(1,)),))
@@ -220,7 +220,22 @@ def test_uncoverable_scheme_is_refused_before_its_pass():
     ]
     misses = _signed_windows.cache_info().misses
     for call in calls:
-        with pytest.raises(SizeLimitExceeded, match="validate .* exceeds the limit of 10"):
+        with pytest.raises(SizeLimitExceeded, match="validate .* exceeds the limit of 9"):
+            call()
+    assert _signed_windows.cache_info().misses == misses
+
+
+def test_one_window_at_n_10_is_refused_before_its_pass():
+    # one window at n = 10 leaves 10! - 2 words to list: ~30 s and ~730 MB
+    scheme = Scheme(n=10, strips=(SchemeStrip(n=10, columns=tuple(range(1, 11)), starts=(1,)),))
+    calls = [
+        lambda: validate(scheme),
+        lambda: evaluate(scheme, Matrix.identity(10)),
+        lambda: render(RenderSpec(scheme=scheme, output_format="ascii")),
+    ]
+    misses = _signed_windows.cache_info().misses
+    for call in calls:
+        with pytest.raises(SizeLimitExceeded, match="validate .* n = 10 exceeds the limit of 9"):
             call()
     assert _signed_windows.cache_info().misses == misses
 
@@ -385,7 +400,7 @@ def test_pass_and_report_match_a_plain_reference(sch):
     assert [(w, [tuple(r) for r in refs]) for w, refs in signed.duplicates] == ref["duplicates"]
     assert signed.covered == ref["covered"]
     exact = not ref["invalid"] and not ref["duplicates"] and ref["covered"] == math.factorial(sch.n)
-    assert signed.exact_cover == exact
+    assert bool(signed.runs) == exact
     if exact:
         plus, minus = _expand_runs(sch.n, signed.runs)
         assert (sorted(plus), sorted(minus)) == (sorted(ref["plus"]), sorted(ref["minus"]))
@@ -494,6 +509,20 @@ def test_a_refused_mutant_records_no_runs_and_sweeps_no_symmetric_group(monkeypa
     assert report.missing and _signed_windows(mutant).runs == ()
     # the class walk permutes n - 1 values, never n
     assert sweeps and all(len(args[0]) < 7 for args in sweeps)
+
+
+def test_a_mutant_that_hits_every_class_is_listed_without_a_class_walk(monkeypatch):
+    scheme = search_scheme(SearchConfig(n=7, random_seed=1))
+    strip = scheme.strips[0]
+    # the first column lies in the first window only: its block's class is
+    # still hit by the other six
+    columns = (strip.columns[0] % 7 + 1,) + strip.columns[1:]
+    mutant = Scheme(n=7, strips=(SchemeStrip(7, columns, strip.starts),) + scheme.strips[1:])
+    sweeps = _count_calls(monkeypatch, itertools, "permutations")
+    _signed_windows.cache_clear()
+    missing = validate(mutant).missing
+    assert missing and not sweeps
+    assert [p.images for p in missing] == _plain_missing(mutant)
 
 
 def test_evaluations_run_the_pass_once():
@@ -618,7 +647,7 @@ def test_missing_words_from_the_class_walk_equal_a_sweep(n):
 
 
 def test_missing_words_are_listed_past_the_class_limit(monkeypatch):
-    # the listing walks the class keys up to the sweep limit, n = 10, not
+    # the listing walks the class keys up to the listing limit, n = 9, not
     # through the class enumeration of the search and its lower limit
     monkeypatch.setattr(sarrus.generate, "_CLASS_LIMIT", 7)
     scheme = Scheme(n=8, strips=(SchemeStrip(n=8, columns=(3, 1, 4, 8, 5, 2, 6, 7), starts=(1,)),))
