@@ -3,7 +3,11 @@
 Three scheme-free routes to the same number: the n!-term permutation
 expansion, first-row cofactor expansion with each minor computed once per
 column subset, and fraction-free elimination. Everything runs over exact
-integers and rationals, so agreement is equality, not closeness.
+integers and rationals, so agreement is equality, not closeness. A rational
+matrix is cleared to integers before the sums run: the expansion and the
+elimination scale each row by the lcm of its denominators, the cofactor
+expansion scales each column instead, with code of its own, so it checks the
+row clearing rather than sharing it.
 """
 
 import random
@@ -28,7 +32,7 @@ for n in (2, 3, 4, 5, 6):
     print(f"  n={n}: det = {a}")
 print()
 
-print("rational entries are cleared exactly, never rounded:")
+print("rational entries are cleared exactly, by rows or by columns, never rounded:")
 M = Matrix.from_rows(
     [
         [Fraction(1, 2), Fraction(1, 3), 1],

@@ -26,14 +26,20 @@ elimination step, never per term or entry.
 
 The elimination clears its rows the same way, and divides the integer
 determinant by the product of the row lcms at the end; it shares no
-kernel. The cofactor expansion shares neither: it works on the entries as
-given, so it stays the independent check on the clearing.
+kernel. The cofactor expansion shares neither. It clears rational columns
+instead, with a few lines of its own: the determinant is linear in each
+column as it is in each row, so column j scaled by the lcm e_j of its
+denominators multiplies the determinant by e_j, and the minors run over
+ints with one division by the product of the e_j at the end. No row lcm
+enters it, so a fault in the row clearing still shows up as a
+disagreement with the cofactor expansion.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
@@ -185,11 +191,27 @@ def cofactor_det(M: Matrix, *, ops: OpCounter | None = None) -> Scalar:
     at n = 16), so a term reads its minor with one xor and no key is built.
     Each minor's sum starts from its first term, so the m * C(n, m)
     multiplications and (m - 1) * C(n, m) additions tallied per size are
-    the ones run. Entries are used as given, rationals included.
+    the ones run.
+
+    A rational matrix has each column j scaled by the lcm e_j of its
+    denominators first, so the minors are ints, and the determinant is
+    divided by the product of the e_j once at the end; an integral result
+    comes back as an int. The columns are cleared here, not by the rows'
+    ``_cleared_rows``, so this expansion stays the independent check on
+    that clearing. An integer matrix is read as it is, with no copy, and no
+    route tallies its clearing.
     """
     n = M.n
     _guard(n, "cofactor_det", "holds 2^n minors", _COFACTOR_LIMIT)
     rows = M.rows
+    clearing = 1
+    if not M.is_integral():
+        columns = []
+        for column in zip(*rows):
+            e = math.lcm(*[x.denominator for x in column if type(x) is not int])
+            columns.append([x * e if type(x) is int else x.numerator * (e // x.denominator) for x in column])
+            clearing *= e
+        rows = list(zip(*columns))
     bits = [1 << c for c in range(n)]
     # minors[S]: the minor on the last |S| rows and the columns in the bitmask S
     minors: list = [None] * (1 << n)
@@ -210,7 +232,10 @@ def cofactor_det(M: Matrix, *, ops: OpCounter | None = None) -> Scalar:
             count = math.comb(n, m)
             ops.mul(m * count)
             ops.add((m - 1) * count)
-    return minors[-1]
+    if clearing == 1:
+        return minors[-1]
+    det = Fraction(minors[-1], clearing)
+    return int(det) if det.denominator == 1 else det
 
 
 def bareiss_det(M: Matrix, *, ops: OpCounter | None = None) -> Scalar:

@@ -91,7 +91,9 @@ class SchemeStrip:
             raise ValueError("strip shorter than one window")
         bad = [c for c in self.columns if type(c) is not int or not 1 <= c <= self.n]
         if bad:
-            raise ValueError(f"column indices not ints in 1..{self.n}: {bad}")
+            # the first 10, as ValidationReport.summary lists missing words
+            more = "" if len(bad) <= 10 else f" (+{len(bad) - 10} more)"
+            raise ValueError(f"column indices not ints in 1..{self.n}: {bad[:10]}{more}")
         limit = len(self.columns) - self.n + 1
         for p in self.starts:
             if type(p) is not int or not 1 <= p <= limit:

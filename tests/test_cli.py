@@ -61,6 +61,33 @@ def test_det_all_methods_agree(capsys, worked_csv, worked_json):
     assert code == 0 and out.strip() == "140"
 
 
+# 5x5 CSVs of p/q entries, none of them an integer: the first one's
+# determinant is integral, the second one's is not
+PQ_CSVS = {
+    "integral-det": (
+        "-23/2,11/2,-29/2,-19/2,-5/2\n22/3,-22/3,7/3,2/3,16/3\n13/2,3/2,-11/2,7/2,15/4\n"
+        "23/5,11/5,-1/5,11/5,-27/5\n7/3,-7/3,-8/3,-7/3,29/6\n",
+        "12834",
+    ),
+    "fractional-det": (
+        "-11/4,-17/4,17/6,-8/9,19/4\n23/3,23/4,-17/6,5/2,-11/6\n25/4,29/3,-26/3,-23/2,3/8\n"
+        "-15/4,-14/3,-3/4,-10/7,9/8\n-9/2,25/8,-29/3,-13/4,-9/4\n",
+        "-18222926557/1741824",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PQ_CSVS))
+def test_det_all_methods_agree_on_rationals(capsys, tmp_path, kind):
+    text, det = PQ_CSVS[kind]
+    path = tmp_path / "pq.csv"
+    path.write_text(text)
+    assert all("/" in entry for line in text.splitlines() for entry in line.split(","))
+    for method in ("scheme", "leibniz", "cofactor", "bareiss"):
+        code, out, _ = run(capsys, "det", "--matrix", str(path), "--method", method)
+        assert code == 0 and out == det + "\n"
+
+
 def _long_entries(n, rng):
     """The rows of an n x n matrix file whose determinant runs past the 4300
     digits that str writes by default: 500-digit integers at n = 10, and p/q

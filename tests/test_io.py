@@ -190,6 +190,18 @@ def test_scheme_json_refuses_impossible_schemes(data):
         scheme_from_json(json.dumps(data))
 
 
+def test_many_bad_columns_give_a_short_error():
+    data = {"n": 3, "strips": [{"columns": [0] * 100000, "starts": [1]}]}
+    with pytest.raises(ParseError) as err:
+        scheme_from_json(json.dumps(data))
+    assert str(err.value).endswith(f"1..3: {[0] * 10} (+99990 more)")
+    assert len(str(err.value)) < 200
+    # up to 10 bad columns are all listed
+    data["strips"][0]["columns"] = [1, 2, 3] + [4] * 10
+    with pytest.raises(ParseError, match=r"1\.\.3: \[4, 4, 4, 4, 4, 4, 4, 4, 4, 4\]$"):
+        scheme_from_json(json.dumps(data))
+
+
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 6) | st.floats() | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=5)

@@ -14,7 +14,9 @@ from sarrus import (
     Permutation,
     SizeLimitExceeded,
     bareiss_det,
+    builtin_scheme,
     cofactor_det,
+    evaluate,
     format_scalar,
     leibniz_det,
     parity,
@@ -247,6 +249,92 @@ def test_rational_oracles_integer_determinant():
     # an integral value prints alike as an int and as a Fraction over 1
     for x in parity_partition_sums(M):
         assert format_scalar(x) == str(Fraction(x))
+
+
+def _kinds_of_input(n, rng):
+    """An integer matrix, a p/q matrix with an integral determinant and one
+    with a determinant that is not."""
+    ints = random_matrix(n, rng)
+    while True:
+        rows = _pq_rows(n, rng)
+        det = bareiss_det(Matrix.from_rows(rows))
+        if det != 0 and type(det) is Fraction:
+            break
+    # row 0 times the determinant's denominator: its numerator, an integer
+    scaled = [[x * det.denominator for x in rows[0]]] + rows[1:]
+    return ints, Matrix.from_rows(scaled), Matrix.from_rows(rows)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_every_route_returns_the_same_type(n):
+    rng = random.Random(200 + n)
+    ints, integral, fractional = _kinds_of_input(n, rng)
+    for M, kind in ((ints, int), (integral, int), (fractional, Fraction)):
+        routes = [leibniz_det(M), cofactor_det(M), bareiss_det(M)]
+        if 2 <= n <= 5:
+            routes.append(evaluate(builtin_scheme(n), M))
+        assert all(type(det) is kind for det in routes), routes
+        assert len(set(routes)) == 1
+    assert n == 1 or not integral.is_integral()
+
+
+def _dropping_row_0(cleared_rows):
+    # the row clearing with row 0's factor left out of the clearing
+    def corrupted(M):
+        rows, clearing = cleared_rows(M)
+        return rows, clearing // math.lcm(*(Fraction(x).denominator for x in M.rows[0]))
+
+    return corrupted
+
+
+def test_cofactor_does_not_share_the_row_clearing(monkeypatch):
+    # det [[1/2, 1], [0, 2]] = 1/2 * 2 - 1 * 0 = 1, by hand; row 0 clears by 2
+    M = Matrix.from_rows([[Fraction(1, 2), 1], [0, 2]])
+    assert [type(det(M)) for det in (leibniz_det, cofactor_det, bareiss_det)] == [int] * 3
+    for name, fault in (
+        ("_cleared_rows", _dropping_row_0(_cleared_rows)),
+        ("_uncleared", lambda value, clearing: _uncleared(value, clearing // 2)),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(f"sarrus.oracle.{name}", fault)
+            assert leibniz_det(M) == 2
+            assert bareiss_det(M) == 2
+            assert cofactor_det(M) == 1
+    assert not {"_cleared_rows", "_uncleared"} & set(cofactor_det.__code__.co_names)
+
+
+_COLUMN_ENTRIES = st.one_of(
+    st.integers(-9, 9),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
+    st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**30)),
+    # Fraction(k, 1): Matrix(...) keeps it a Fraction, as from_rows would not
+    st.builds(Fraction, st.integers(-9, 9)),
+)
+
+
+@st.composite
+def _column_rows(draw):
+    # mixed entries, then maybe an all-integer or a zero column
+    n = draw(st.integers(1, 8))
+    rows = [draw(st.lists(_COLUMN_ENTRIES, min_size=n, max_size=n)) for _ in range(n)]
+    column, j = draw(st.sampled_from(["none", "int", "zero"])), draw(st.integers(0, n - 1))
+    for row in rows:
+        if column == "int":
+            row[j] = draw(st.integers(-9, 9))
+        elif column == "zero":
+            row[j] = 0
+    return rows
+
+
+@given(_column_rows())
+@example([[Fraction(k) for k in row] for row in [[2, 3], [5, 7]]])
+@example([[Fraction(k + 1, 10**30 - k) for k in range(8 * r, 8 * r + 8)] for r in range(8)])
+@settings(max_examples=100, deadline=None)
+def test_cofactor_clears_columns_as_bareiss_clears_rows(rows):
+    M = Matrix(rows)
+    det = cofactor_det(M)
+    assert det == bareiss_det(M)
+    assert type(det) is (int if Fraction(det).denominator == 1 else Fraction)
 
 
 def _inversions(word):
