@@ -21,9 +21,8 @@ from functools import partial
 
 from .builtin import builtin_scheme
 from .counting import OpCounter
-from .errors import SizeLimitExceeded, UnsupportedSize, _guard
-from .generate import SearchConfig, search_scheme
-from .matrix import Matrix
+from .errors import SizeLimitExceeded, UnsupportedSize, _guard, _quoted
+from .generate import SearchConfig, random_matrix, search_scheme
 from .oracle import bareiss_det, cofactor_det, leibniz_det
 from .scheme import Scheme, evaluate
 
@@ -65,10 +64,6 @@ def _scheme_for(n: int, seed: int) -> Scheme:
         return search_scheme(SearchConfig(n=n, random_seed=seed))
 
 
-def random_matrix(n: int, rng: random.Random) -> Matrix:
-    return Matrix.from_rows([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
-
-
 def bench(
     methods: list[str],
     sizes: list[int],
@@ -77,9 +72,13 @@ def bench(
 ) -> list[BenchReport]:
     """One report per method and size; times exclude matrix and scheme setup.
 
-    A call whose runs times summed per-run costs exceed the budget is refused
-    with SizeLimitExceeded before anything is built.
+    runs and each size must be ints: a float or a bool is refused with
+    ValueError. A call whose runs times summed per-run costs exceed the
+    budget is refused with SizeLimitExceeded before anything is built.
     """
+    # a float would fail in range, and True would be reported as true
+    if type(runs) is not int or any(type(n) is not int for n in sizes):
+        raise ValueError(f"runs and sizes must be ints, got {_quoted(runs)} and {_quoted(sizes)}")
     if not 1 <= runs <= _RUNS_LIMIT:
         raise ValueError(f"runs must be in 1..{_RUNS_LIMIT}")
     for n in sizes:

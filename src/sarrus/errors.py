@@ -3,6 +3,19 @@
 from __future__ import annotations
 
 
+# the characters of a value's repr that an error text quotes
+_QUOTE_WIDTH = 40
+
+
+def _quoted(value) -> str:
+    """repr(value), cut to its first _QUOTE_WIDTH characters and a count of
+    the rest, so that an error line stays short whatever the value."""
+    text = repr(value)
+    if len(text) <= _QUOTE_WIDTH:
+        return text
+    return f"{text[:_QUOTE_WIDTH]}... ({len(text) - _QUOTE_WIDTH} more characters)"
+
+
 class SarrusError(Exception):
     """Base class for all library errors."""
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import NotFound, SizeTooSmall, VerificationFailed, _guard
+from .errors import NotFound, SizeTooSmall, VerificationFailed, _guard, _quoted
 from .matrix import Matrix
 from .oracle import bareiss_det
 from .perm import Permutation, _class_pairs, _class_words, _least_words, _sign_factors, _word_parity
@@ -61,9 +61,14 @@ class SearchConfig:
     random_seed: int = 0
 
     def __post_init__(self):
+        # type(x) is int, as SchemeStrip checks: no chain is 2.5 blocks long,
+        # True is a chain of one, and range refuses a float n
+        m = self.max_blocks_per_strip
+        if type(self.n) is not int or type(m) not in (int, type(None)):
+            raise ValueError(f"search needs int n and max_blocks_per_strip: {_quoted(self.n)}, {_quoted(m)}")
         if self.n < 2:
             raise SizeTooSmall("search needs n >= 2")
-        if self.max_blocks_per_strip is not None and self.max_blocks_per_strip < 1:
+        if m is not None and m < 1:
             raise ValueError("max_blocks_per_strip must be positive")
 
 
@@ -149,6 +154,10 @@ def search_scheme(cfg: SearchConfig) -> Scheme:
     return scheme
 
 
+def random_matrix(n: int, rng: random.Random) -> Matrix:
+    return Matrix.from_rows([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+
+
 @dataclass(frozen=True, slots=True)
 class VerificationReport:
     n: int
@@ -169,9 +178,7 @@ def verify_generated(sch: Scheme, sample_count: int, *, seed: int = 0) -> Verifi
         raise VerificationFailed("scheme failed validation:\n" + report.summary())
     rng = random.Random(seed)
     for i in range(sample_count):
-        M = Matrix.from_rows(
-            [[rng.randint(-9, 9) for _ in range(sch.n)] for _ in range(sch.n)]
-        )
+        M = random_matrix(sch.n, rng)
         got = evaluate(sch, M)
         want = bareiss_det(M)
         if got != want:

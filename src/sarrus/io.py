@@ -5,7 +5,10 @@ as "p/q". Matrix JSON is an array of arrays whose entries are integers or
 "p/q" strings; floats are rejected rather than silently rounded, since the
 whole point of the library is exactness. Scheme JSON is
 {"n": int, "strips": [{"columns": [int, ...], "starts": [int, ...]}]}; signs
-are never stored, they are recomputed from window parity.
+are never stored, they are recomputed from window parity. The scheme and
+permutation readers check structure only, that the arrays are arrays: each
+value is checked once, by the type that holds it (``SchemeStrip``,
+``Permutation``), whose refusal becomes a ParseError.
 
 Matrix entries are parsed in three tiers, each accepting exactly what the
 ``Fraction`` parse accepts for it. A CSV line of integers is read by one
@@ -23,7 +26,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import NonSquare, ParseError
+from .errors import NonSquare, ParseError, _quoted
 from .matrix import Matrix, Scalar
 from .perm import Permutation
 from .scheme import Scheme, SchemeStrip
@@ -54,19 +57,6 @@ def _parse_exact(token: str, line: int, column: int) -> Scalar:
         reason = str(e).replace(repr(text), _quoted(text))
         raise ParseError(line, column, f"not an exact number: {_quoted(text)} ({reason})") from None
     return int(value) if value.denominator == 1 else value
-
-
-# the characters of a token's repr that an error text quotes
-_QUOTE_WIDTH = 40
-
-
-def _quoted(value) -> str:
-    """repr(value), cut to its first _QUOTE_WIDTH characters and a count of
-    the rest, so that an error line stays short whatever the token."""
-    text = repr(value)
-    if len(text) <= _QUOTE_WIDTH:
-        return text
-    return f"{text[:_QUOTE_WIDTH]}... ({len(text) - _QUOTE_WIDTH} more characters)"
 
 
 def _fraction(text: str) -> Fraction:
@@ -170,12 +160,9 @@ def scheme_to_json(sch: Scheme) -> str:
     return f'{{\n  "n": {sch.n},\n  "strips": [\n    {strips}\n  ]\n}}'
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _int_list(value, what: str) -> tuple[int, ...]:
-    if not isinstance(value, list) or not all(map(_is_int, value)):
+def _array(value, what: str) -> tuple:
+    # the structure only: the types that hold the values check each one
+    if not isinstance(value, list):
         raise ParseError(1, 0, f"malformed {what} must be a list of integers")
     return tuple(value)
 
@@ -184,13 +171,11 @@ def scheme_from_json(text: str) -> Scheme:
     data = _load_json(text)
     try:
         n = data["n"]
-        if not _is_int(n):
-            raise ParseError(1, 0, "malformed scheme JSON: n must be an integer")
         strips = tuple(
             SchemeStrip(
                 n=n,
-                columns=_int_list(s["columns"], "scheme JSON: columns"),
-                starts=_int_list(s["starts"], "scheme JSON: starts"),
+                columns=_array(s["columns"], "scheme JSON: columns"),
+                starts=_array(s["starts"], "scheme JSON: starts"),
             )
             for s in data["strips"]
         )
@@ -212,7 +197,7 @@ def permutation_to_json(p: Permutation) -> str:
 
 
 def permutation_from_json(text: str) -> Permutation:
-    word = _int_list(_load_json(text), "permutation JSON: the word")
+    word = _array(_load_json(text), "permutation JSON: the word")
     try:
         return Permutation(word)
     except ValueError as e:

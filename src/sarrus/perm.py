@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Literal
 
-from .errors import IndexOutOfRange, SizeMismatch
+from .errors import IndexOutOfRange, SizeMismatch, _quoted
 
 # +1 for even permutations, -1 for odd ones.
 Sign = Literal[1, -1]
@@ -39,10 +39,11 @@ class Permutation:
         n = len(self.images)
         if n < 1:
             raise ValueError("permutation needs n >= 1")
-        # True == 1 and 2.0 == 2: the sort alone lets a bool or a float through
+        # True == 1 and 2.0 == 2: the sort alone lets a bool or a float
+        # through, and it cannot order an int against a str or a list
         images = self.images
-        if sorted(images) != list(range(1, n + 1)) or any(type(x) is not int for x in images):
-            raise ValueError(f"not a bijection of ints on 1..{n}: {images}")
+        if any(type(x) is not int for x in images) or sorted(images) != list(range(1, n + 1)):
+            raise ValueError(f"not a bijection of ints on 1..{n}: {_quoted(images)}")
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":

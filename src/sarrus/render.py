@@ -4,7 +4,8 @@ Each strip becomes a grid with one cell per (row, strip column) showing the
 column index, a diagonal stroke per window colored by its sign, and sign
 badges above (descending) and below (ascending) each start, as the scheme
 module's walk of the strip signs them. Output is a pure function of the
-RenderSpec: same input, byte-identical bytes.
+RenderSpec: same input, byte-identical bytes. A scheme of more than 2^20
+cells (n x total columns) is refused with SizeLimitExceeded before its pass.
 
 The SVG writer formats the constant text of each strip once, as templates
 split where a centre goes, and then makes one string per column and one per
@@ -17,10 +18,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .io import _is_int
-from .scheme import Scheme, _complete, _diagonals
+from .errors import SizeLimitExceeded
+from .scheme import Scheme, _complete, _diagonals, _refuse_unsweepable
 
 _CELL_SIZE_LIMIT = 1000
+# n x columns cells: a searched n = 8 scheme draws 282,248 in a 52 MB SVG,
+# and a full n = 9 one would draw ~2.9 million
+_CELL_LIMIT = 1 << 20
 # colours go into SVG attributes as given, so only #rgb, #rrggbb or a name
 _COLOR = re.compile(r"#(?:[0-9a-fA-F]{3}){1,2}|[A-Za-z]+")
 
@@ -35,7 +39,7 @@ class RenderSpec:
     output_format: str = "svg"  # "svg" or "ascii"
 
     def __post_init__(self):
-        if not (_is_int(self.cell_size) and 0 < self.cell_size <= _CELL_SIZE_LIMIT):
+        if not (type(self.cell_size) is int and 0 < self.cell_size <= _CELL_SIZE_LIMIT):
             raise ValueError(f"cell_size must be an int in 1..{_CELL_SIZE_LIMIT}")
         for color in (self.positive_color, self.negative_color):
             if not _COLOR.fullmatch(color):
@@ -45,6 +49,10 @@ class RenderSpec:
 
 
 def render(spec: RenderSpec) -> str:
+    # first, so that an undersized scheme past n = 9 is refused as validate refuses it
+    _refuse_unsweepable(spec.scheme)
+    if (cells := spec.scheme.n * sum(len(strip.columns) for strip in spec.scheme.strips)) > _CELL_LIMIT:
+        raise SizeLimitExceeded(f"render draws n x columns = {cells} cells; the limit is {_CELL_LIMIT}")
     _complete(spec.scheme)
     strips = [list(_diagonals(spec.scheme.n, strip)) for strip in spec.scheme.strips]
     if spec.output_format == "svg":

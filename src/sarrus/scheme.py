@@ -57,7 +57,7 @@ from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .counting import OpCounter
-from .errors import _FACTORIAL_LIMIT, ChainMismatch, InvalidScheme, InvalidWindow, SizeMismatch, _guard
+from .errors import _FACTORIAL_LIMIT, ChainMismatch, InvalidScheme, InvalidWindow, SizeMismatch, _guard, _quoted
 from .matrix import Matrix, Scalar, _cleared_rows, _uncleared
 from .perm import (
     Permutation, Sign, _class_pairs, _class_place, _class_words, _least_words, _sign_factors, _word_parity
@@ -86,18 +86,18 @@ class SchemeStrip:
         # type(x) is int, not isinstance: a bool or an integral float would
         # pass the range checks and reach the words
         if type(self.n) is not int or self.n < 1:
-            raise ValueError(f"strip needs an int n >= 1, got {self.n!r}")
+            raise ValueError(f"strip needs an int n >= 1, got {_quoted(self.n)}")
         if len(self.columns) < self.n:
             raise ValueError("strip shorter than one window")
         bad = [c for c in self.columns if type(c) is not int or not 1 <= c <= self.n]
         if bad:
             # the first 10, as ValidationReport.summary lists missing words
             more = "" if len(bad) <= 10 else f" (+{len(bad) - 10} more)"
-            raise ValueError(f"column indices not ints in 1..{self.n}: {bad[:10]}{more}")
+            raise ValueError(f"column indices not ints in 1..{self.n}: {_quoted(bad[:10])}{more}")
         limit = len(self.columns) - self.n + 1
         for p in self.starts:
             if type(p) is not int or not 1 <= p <= limit:
-                raise ValueError(f"start {p!r} not an int in 1..{limit}")
+                raise ValueError(f"start {_quoted(p)} not an int in 1..{limit}")
         object.__setattr__(self, "_hash", hash((self.n, self.columns, self.starts)))
 
     def __hash__(self) -> int:
@@ -125,7 +125,7 @@ class Scheme:
             raise ValueError("scheme needs at least one strip")
         for s in self.strips:
             if s.n != self.n:
-                raise SizeMismatch(f"strip of size {s.n} in scheme of size {self.n}")
+                raise SizeMismatch(f"strip of size {s.n} in scheme of size {_quoted(self.n)}")
         object.__setattr__(self, "_hash", hash((self.n, self.strips)))
 
     def __hash__(self) -> int:

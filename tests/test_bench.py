@@ -323,6 +323,15 @@ def test_bench_rejects_unknown_method():
         bench(["scheme"], [4], runs=0)
 
 
+@pytest.mark.parametrize(
+    "sizes,runs", [([4], 2.0), ([4], True), ([4.0], 2), ([True], 2), (["4"], 2)],
+    ids=["float-runs", "bool-runs", "float-size", "bool-size", "str-size"],
+)
+def test_bench_refuses_what_is_not_an_int(sizes, runs):
+    with pytest.raises(ValueError, match="runs and sizes must be ints"):
+        bench(["leibniz"], sizes, runs=runs)
+
+
 def test_bench_refuses_a_call_past_its_cost_budget(monkeypatch):
     # runs x n! at n = 9: 27 runs fit in 10**7 terms, 28 do not
     monkeypatch.setitem(ORACLES, "leibniz", lambda M, ops=None: 0)

@@ -465,6 +465,16 @@ def test_render_takes_hex_and_named_colours_up_to_the_size_limit(capsys):
     assert code == 0 and 'stroke="#abc"' in out and 'stroke="DarkOrange"' in out
 
 
+@pytest.mark.parametrize("output_format", ["svg", "ascii"])
+def test_render_past_its_cell_limit_is_an_error(capsys, tmp_path, output_format):
+    # 400,000 columns at n = 3: 1,200,000 cells, past the 2**20 limit
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"n": 3, "strips": [{"columns": [1, 2, 3] * 133333 + [1], "starts": [1]}]}))
+    code, out, err = run(capsys, "render", "--scheme", str(path), "--as", output_format)
+    assert (code, out) == (2, "")
+    assert err == "error: render draws n x columns = 1200000 cells; the limit is 1048576\n"
+
+
 def test_bench_jsonl(capsys):
     code, out, _ = run(
         capsys, "bench", "--methods", "scheme,leibniz", "--sizes", "4", "--runs", "1"

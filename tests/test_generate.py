@@ -190,6 +190,17 @@ def test_search_config_validation():
         SearchConfig(n=4, max_blocks_per_strip=0)
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [{"n": 7.0}, {"n": True}, {"n": "7"}, {"max_blocks_per_strip": 2.5}, {"max_blocks_per_strip": True}],
+    ids=["float-n", "bool-n", "str-n", "float-blocks", "bool-blocks"],
+)
+def test_search_config_refuses_what_is_not_an_int(fields):
+    # 2.5 never equals a chain's length, and True is a chain of one
+    with pytest.raises(ValueError, match="search needs int n and max_blocks_per_strip"):
+        SearchConfig(**{"n": 7, **fields})
+
+
 # SHA-256 of scheme_to_json(search_scheme(...)), taken before the chain search
 # became a single greedy pass; seeded schemes must not change.
 GOLDEN_SCHEMES = [

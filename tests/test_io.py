@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,7 @@ from sarrus import (
     SearchConfig,
     validate,
 )
+from sarrus.cli import main
 from sarrus.io import _load_json, _parse_exact, _quoted
 
 WORKED_CSV = "2,3,4,-1\n1,-2,0,5\n5,2,2,-3\n8,1,1,1\n"
@@ -164,14 +166,59 @@ STRIP_4X4 = {"columns": [1, 2, 3, 4], "starts": [1]}
 @pytest.mark.parametrize("bad", ["1234", [1, 2.0, 3, 4], [1, True, 3, 4], [[1], 2, 3, 4], 1])
 def test_scheme_json_requires_integer_lists(field, bad):
     data = {"n": 4, "strips": [dict(STRIP_4X4, **{field: bad})]}
-    with pytest.raises(ParseError, match=f"{field} must be a list of integers"):
+    if not isinstance(bad, list):
+        text = f"{field} must be a list of integers"
+    else:
+        # the strip names the field and the first value that is not an int
+        value = repr(next(x for x in bad if type(x) is not int))
+        text = {
+            "columns": f"column indices not ints in 1..4: [{value}]",
+            "starts": f"start {value} not an int in 1..1",
+        }[field]
+        text = re.escape(text) + "$"
+    with pytest.raises(ParseError, match=text):
         scheme_from_json(json.dumps(data))
 
 
 @pytest.mark.parametrize("bad", ["4", 4.0, True, [4]])
 def test_scheme_json_requires_integer_n(bad):
-    with pytest.raises(ParseError, match="n must be an integer"):
+    with pytest.raises(ParseError, match=re.escape(f"strip needs an int n >= 1, got {bad!r}") + "$"):
         scheme_from_json(json.dumps({"n": bad, "strips": [STRIP_4X4]}))
+
+
+_BAD_INTS = {
+    "bool": True,
+    "float": 2.0,
+    "str": "2",
+    "null": None,
+    "nested-list": [[2]],
+    "long-str": "x" * 100000,
+    "long-list": [0] * 100000,
+}
+# each integer field of a file, with the bad value put in it, and the word
+# its refusal names the field by
+_FILE_FIELDS = {
+    "scheme-n": (scheme_from_json, lambda v: {"n": v, "strips": [{"columns": [1, 2, 3], "starts": [1]}]}, "int n"),
+    "column": (scheme_from_json, lambda v: {"n": 3, "strips": [{"columns": [1, 2, v], "starts": [1]}]}, "column"),
+    "start": (scheme_from_json, lambda v: {"n": 3, "strips": [{"columns": [1, 2, 3], "starts": [v]}]}, "start"),
+    "permutation-entry": (permutation_from_json, lambda v: [1, v, 3], "bijection of ints"),
+}
+
+
+@pytest.mark.parametrize("bad", _BAD_INTS.values(), ids=_BAD_INTS)
+@pytest.mark.parametrize("field", _FILE_FIELDS)
+def test_a_bad_int_in_a_file_is_refused_in_one_short_line(capsys, tmp_path, field, bad):
+    parse, build, name = _FILE_FIELDS[field]
+    text = json.dumps(build(bad))
+    with pytest.raises(ParseError) as caught:
+        parse(text)
+    message = str(caught.value)
+    assert name in message and len(message) < 300
+    if parse is scheme_from_json:
+        path = tmp_path / "s.json"
+        path.write_text(text)
+        assert main(["validate", "--scheme", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -18,6 +18,23 @@ from sarrus import (
 from sarrus.perm import _class_pairs, _class_place, _class_words, _least_words
 
 
+@pytest.mark.parametrize(
+    "word,text",
+    [
+        ((1, 1, 2), "not a bijection of ints on 1..3: (1, 1, 2)"),
+        ((1, "2", 3), "not a bijection of ints on 1..3: (1, '2', 3)"),
+        ((0,) * 100000, "not a bijection of ints on 1..100000: (" + "0, " * 13 + "... (299960 more characters)"),
+        ((1, [0] * 100000), "not a bijection of ints on 1..2: (1, [" + "0, " * 11 + "0,... (299965 more characters)"),
+    ],
+    ids=["repeat", "str", "long-word", "long-entry"],
+)
+def test_a_permutation_quotes_a_bad_word_short(word, text):
+    # the type check comes first: sorted cannot order an int against a str
+    with pytest.raises(ValueError) as caught:
+        Permutation(word)
+    assert str(caught.value) == text
+
+
 def inversion_sign(word):
     # Independent parity route: count inversions (the library uses cycles).
     inv = sum(

@@ -6,12 +6,14 @@ from sarrus import (
     Scheme,
     SchemeStrip,
     SearchConfig,
+    SizeLimitExceeded,
     classic_sarrus,
     render,
     scheme_4x4,
     scheme_5x5,
     search_scheme,
 )
+from sarrus.scheme import _signed_windows
 
 
 def count(haystack: str, needle: str) -> int:
@@ -109,6 +111,21 @@ def test_seeded_seven_by_seven_svg_element_counts():
     assert not out.endswith("\n\n")
     # one element per line
     assert len(out.splitlines()) == 1 + (cols + 1) + 2 * starts + 7 * cols + 2 * starts + 1
+
+
+@pytest.mark.parametrize("output_format", ["svg", "ascii"])
+def test_render_refuses_more_cells_than_its_limit_before_its_pass(output_format):
+    # 400,000 columns at n = 3 are 1,200,000 cells; the pass would find the
+    # strip incomplete
+    big = Scheme(n=3, strips=(SchemeStrip(n=3, columns=(1, 2, 3) * 133333 + (1,), starts=(1,)),))
+    misses = _signed_windows.cache_info().misses
+    with pytest.raises(SizeLimitExceeded, match="1200000 cells; the limit is 1048576$"):
+        render(RenderSpec(scheme=big, output_format=output_format))
+    assert _signed_windows.cache_info().misses == misses
+    # 2**20 cells are within the limit: the pass runs and refuses the scheme
+    edge = Scheme(n=4, strips=(SchemeStrip(n=4, columns=(1, 2, 3, 4) * (1 << 16), starts=(1,)),))
+    with pytest.raises(InvalidScheme):
+        render(RenderSpec(scheme=edge, output_format=output_format))
 
 
 def test_render_spec_validation():

@@ -203,6 +203,25 @@ def test_missing_sweep_is_guarded():
     assert len(windows(scheme.strips[0])) == 1
 
 
+@pytest.mark.parametrize(
+    "fields,text",
+    [
+        ({"n": 0}, "strip needs an int n >= 1, got 0"),
+        ({"n": "x" * 100000}, "strip needs an int n >= 1, got '" + "x" * 39 + "... (99962 more characters)"),
+        ({"columns": (1, 2, 3, 9)}, "column indices not ints in 1..3: [9]"),
+        ({"columns": (1, 2, 3, "x" * 100000)}, "column indices not ints in 1..3: ['" + "x" * 38 + "... (99964 more characters)"),
+        ({"starts": (3,)}, "start 3 not an int in 1..2"),
+        ({"starts": ([0] * 100000,)}, "start [" + "0, " * 13 + "... (299960 more characters) not an int in 1..2"),
+    ],
+    ids=["short-n", "long-n", "short-column", "long-column", "short-start", "long-start"],
+)
+def test_a_strip_quotes_a_bad_value_short(fields, text):
+    # a short value reads whole, a long one as its first 40 characters and a count
+    with pytest.raises(ValueError) as caught:
+        SchemeStrip(**{"n": 3, "columns": (1, 2, 3, 1), "starts": (1,), **fields})
+    assert str(caught.value) == text
+
+
 def test_uncoverable_scheme_is_refused_before_its_pass():
     # past the listing limit, one window can never cover n! words: the refusal
     # comes before any window is signed, whatever the size of the strip
