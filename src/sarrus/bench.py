@@ -30,13 +30,19 @@ ORACLES = {"leibniz": leibniz_det, "cofactor": cofactor_det, "bareiss": bareiss_
 METHODS = ("scheme", *ORACLES)
 _RUNS_LIMIT = 1000
 _SIZE_LIMIT = 64
-# The cost of one run of each expansion method: n! terms for the scheme and
-# Leibniz, n * 2**(n-1) products for cofactor. Bareiss is cubic, and the size
-# and runs limits bound it alone (~30 ms a run at n = 64 on a 2-vCPU host).
-_RUN_COST = {"scheme": math.factorial, "leibniz": math.factorial, "cofactor": lambda n: n << (n - 1)}
+# The cost of one run of each method: n! terms for the scheme and Leibniz,
+# n * 2**(n-1) products for cofactor, and n**3 for Bareiss, whose elimination
+# takes ~0.09 us a unit at n = 16 and, as its operands grow, ~0.16 us at
+# n = 64 (~42 ms a run), on integers on a 2-vCPU host.
+_RUN_COST = {
+    "scheme": math.factorial,
+    "leibniz": math.factorial,
+    "cofactor": lambda n: n << (n - 1),
+    "bareiss": lambda n: n**3,
+}
 # runs x the summed run costs of one call: ~1 s of Leibniz at n = 9, which
 # takes 0.07-0.10 us a term on integers and 0.09-0.11 us on p/q entries on a
-# 2-vCPU host
+# 2-vCPU host, and ~1.6 s of Bareiss at n = 64
 _COST_BUDGET = 10**7
 
 
@@ -72,13 +78,17 @@ def bench(
 ) -> list[BenchReport]:
     """One report per method and size; times exclude matrix and scheme setup.
 
-    runs and each size must be ints: a float or a bool is refused with
-    ValueError. A call whose runs times summed per-run costs exceed the
+    runs, each size and the seed must be ints: a float or a bool is refused
+    with ValueError. A call whose runs times summed per-run costs exceed the
     budget is refused with SizeLimitExceeded before anything is built.
     """
-    # a float would fail in range, and True would be reported as true
-    if type(runs) is not int or any(type(n) is not int for n in sizes):
-        raise ValueError(f"runs and sizes must be ints, got {_quoted(runs)} and {_quoted(sizes)}")
+    # a float would fail in range, True would be reported as true, and a
+    # list seed would fail in the seed arithmetic
+    if type(runs) is not int or any(type(n) is not int for n in sizes) or type(seed) is not int:
+        raise ValueError(
+            f"runs and sizes must be ints, and seed an int, "
+            f"got {_quoted(runs)}, {_quoted(sizes)} and {_quoted(seed)}"
+        )
     if not 1 <= runs <= _RUNS_LIMIT:
         raise ValueError(f"runs must be in 1..{_RUNS_LIMIT}")
     for n in sizes:
@@ -87,7 +97,7 @@ def bench(
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
     # a size below 1 costs nothing here: the matrix refuses it
-    cost = runs * sum(_RUN_COST[m](n) for m in methods if m in _RUN_COST for n in sizes if n > 0)
+    cost = runs * sum(_RUN_COST[m](n) for m in methods for n in sizes if n > 0)
     if cost > _COST_BUDGET:
         raise SizeLimitExceeded(
             f"bench would cost {cost} terms and products over its runs; "

@@ -97,5 +97,6 @@ class ParseError(SarrusError):
         super().__init__(f"line {line}, column {column}: {message}")
 
 
-class NonSquare(SarrusError):
-    """The parsed matrix is not square."""
+class NonSquare(SarrusError, ValueError):
+    """A matrix's rows are not all as wide as there are rows. A ValueError
+    too, as ``Matrix`` raises it."""

@@ -62,10 +62,14 @@ class SearchConfig:
 
     def __post_init__(self):
         # type(x) is int, as SchemeStrip checks: no chain is 2.5 blocks long,
-        # True is a chain of one, and range refuses a float n
-        m = self.max_blocks_per_strip
-        if type(self.n) is not int or type(m) not in (int, type(None)):
-            raise ValueError(f"search needs int n and max_blocks_per_strip: {_quoted(self.n)}, {_quoted(m)}")
+        # True is a chain of one, range refuses a float n, and a seed of True
+        # or 1.0 would seed as 1
+        m, seed = self.max_blocks_per_strip, self.random_seed
+        if type(self.n) is not int or type(m) not in (int, type(None)) or type(seed) is not int:
+            raise ValueError(
+                f"search needs int n and max_blocks_per_strip, and an int random_seed: "
+                f"{_quoted(self.n)}, {_quoted(m)}, {_quoted(seed)}"
+            )
         if self.n < 2:
             raise SizeTooSmall("search needs n >= 2")
         if m is not None and m < 1:

@@ -16,8 +16,9 @@ Matrix entries are parsed in three tiers, each accepting exactly what the
 row that is not all integers is read token by token (``_parse_exact``), so
 an error names its line and column. A token is an int if ``int`` reads it,
 then a "p/q" of decimal digits is built from two ints, and anything else
-goes to ``Fraction``. ``Matrix`` then checks each entry's type, once, and
-nothing normalizes them: no tier yields an integral ``Fraction``.
+goes to ``Fraction``. ``Matrix`` then checks each entry's type and the
+shape, once, and stores an integral ``Fraction`` such as "4/2" as an int;
+a ragged file is its ``NonSquare``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import NonSquare, ParseError, _quoted
+from .errors import ParseError, _quoted
 from .matrix import Matrix, Scalar
 from .perm import Permutation
 from .scheme import Scheme, SchemeStrip
@@ -34,9 +35,9 @@ from .scheme import Scheme, SchemeStrip
 
 def _parse_exact(token: str, line: int, column: int) -> Scalar:
     """One entry, for a CSV line or JSON row that is not all integers: an int
-    if ``int`` reads it, else a non-integral Fraction, from two ints for a
-    plain "p/q" and from ``Fraction`` otherwise. A float or any other text is
-    a ParseError at (line, column)."""
+    if ``int`` reads it, else a Fraction, from two ints for a plain "p/q" and
+    from ``Fraction`` otherwise. A float or any other text is a ParseError at
+    (line, column)."""
     text = token.strip()
     if not text:
         raise ParseError(line, column, "empty entry")
@@ -51,12 +52,11 @@ def _parse_exact(token: str, line: int, column: int) -> Scalar:
         except ValueError:
             pass
     try:
-        value = _fraction(text)
+        return _fraction(text)
     except (ValueError, ZeroDivisionError) as e:
         # Fraction's own message may quote the token too
         reason = str(e).replace(repr(text), _quoted(text))
         raise ParseError(line, column, f"not an exact number: {_quoted(text)} ({reason})") from None
-    return int(value) if value.denominator == 1 else value
 
 
 def _fraction(text: str) -> Fraction:
@@ -72,12 +72,9 @@ def _fraction(text: str) -> Fraction:
 
 
 def _square(rows: list[tuple[Scalar, ...]]) -> Matrix:
+    # Matrix checks the widths; no rows is a ParseError, with its line and column
     if not rows:
         raise ParseError(1, 0, "no rows")
-    widths = {len(r) for r in rows}
-    if widths != {len(rows)}:
-        raise NonSquare(f"{len(rows)} rows with widths {sorted(widths)}")
-    # the parsers yield no integral Fraction, so there is nothing to normalize
     return Matrix(tuple(rows))
 
 

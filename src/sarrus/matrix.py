@@ -2,9 +2,11 @@
 
 Entries are Python ints or ``fractions.Fraction``; arithmetic on them never
 rounds, which is what makes scheme evaluation and the oracles exactly equal
-instead of approximately so. ``entry(r, c)`` is 1-based with r the row and c
-the column. ``_cleared_rows`` and ``_uncleared`` let the scheme path and the
-oracles sum over integers and divide once at the end.
+instead of approximately so. ``Matrix`` is the one place that checks an
+entry's type, stores an integral ``Fraction`` as an int, and checks the
+shape. ``entry(r, c)`` is 1-based with r the row and c the column.
+``_cleared_rows`` and ``_uncleared`` let the scheme path and the oracles sum
+over integers and divide once at the end.
 """
 
 from __future__ import annotations
@@ -14,27 +16,21 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, Union
 
+from .errors import NonSquare
+
 Scalar = Union[int, Fraction]
-
-
-def _check_exact(x) -> None:
-    if isinstance(x, bool):
-        raise TypeError("bool is not a matrix entry")
-    if not isinstance(x, (int, Fraction)):
-        raise TypeError(f"exact entry expected (int or Fraction), got {type(x).__name__}")
-
-
-def _normalized(x):
-    return int(x) if isinstance(x, Fraction) and x.denominator == 1 else x
 
 
 @dataclass(frozen=True, slots=True)
 class Matrix:
     """Immutable n x n matrix of exact scalars.
 
-    The constructor checks each entry once and records whether all of them
-    are ints, which ``is_integral`` returns. Rows given as lists, or as any
-    sequence but a tuple, are copied into tuples, so no entry can change
+    The constructor checks the shape and each entry once, stores an integral
+    ``Fraction`` as an int, and records whether all the entries are ints,
+    which ``is_integral`` returns. A ragged row is ``NonSquare``, a
+    ``ValueError`` too. Int subclasses are kept as they are. Rows given as
+    lists, or as any sequence but a tuple, are copied into tuples, and rows
+    holding an integral ``Fraction`` are rebuilt, so no entry can change
     after that check.
     """
 
@@ -48,23 +44,30 @@ class Matrix:
             raise ValueError("matrix needs n >= 1")
         copy = type(rows) is not tuple
         integral = True
+        whole = False  # an integral Fraction, to be stored as an int
         for row in rows:
             if len(row) != n:
-                raise ValueError("matrix must be square")
+                raise NonSquare(f"{n} rows with widths {sorted({len(r) for r in rows})}")
             copy = copy or type(row) is not tuple
-            # plain ints, the common case, skip the call
+            # plain ints, the common case, skip the checks
             for x in row:
-                if type(x) is not int:
-                    _check_exact(x)
-                    integral = integral and isinstance(x, int)
-        if copy:
+                if type(x) is int:
+                    continue
+                if isinstance(x, Fraction):
+                    whole = whole or x.denominator == 1
+                    integral = integral and x.denominator == 1
+                elif isinstance(x, bool) or not isinstance(x, int):
+                    raise TypeError(f"exact entry expected (int or Fraction), got {type(x).__name__}")
+        if whole:
+            rows = [[int(x) if isinstance(x, Fraction) and x.denominator == 1 else x for x in row] for row in rows]
+        if copy or whole:
             object.__setattr__(self, "rows", tuple(map(tuple, rows)))
         object.__setattr__(self, "_integral", integral)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "Matrix":
-        """The matrix with integral Fractions stored as ints."""
-        return cls(tuple(tuple(x if type(x) is int else _normalized(x) for x in row) for row in rows))
+        """The matrix of these rows: ``Matrix(rows)``."""
+        return cls(rows)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -92,26 +95,26 @@ class Matrix:
         return f"Matrix({[list(r) for r in self.rows]})"
 
 
-def _cleared_rows(M: Matrix) -> tuple[list[list[int]], int]:
-    """Row i times the lcm d_i of its denominators, as fresh int lists, and
-    the product of the d_i.
+def _cleared_rows(M: Matrix) -> tuple[Sequence[Sequence[int]], int]:
+    """Row i times the lcm d_i of its denominators, and the product of the d_i.
 
     The determinant is linear in each row, and so is any sum of products that
     take one entry from every row: over the cleared rows such a sum is the
-    same sum over M times the product of the d_i. A row of plain ints, and
-    so every row of an integer matrix, is only copied, with no lcm taken; in
-    the other rows the plain ints are multiplied as they are, and only the
-    other entries are read for their numerator and denominator. Lists, not
-    tuples: the loops that read them index lists a few percent faster.
+    same sum over M times the product of the d_i. An integer matrix comes
+    back as its own ``rows``, and a row of plain ints of a rational matrix as
+    it is, with no lcm taken; in the other rows the plain ints are multiplied
+    as they are, and only the other entries are read for their numerator and
+    denominator. The rows are for reading: a route that writes into them,
+    as ``oracle.bareiss_det`` does, copies them first.
     """
     if M._integral:
-        return [list(row) for row in M.rows], 1
+        return M.rows, 1
     rows = []
     clearing = 1
     for row in M.rows:
         denominators = [x.denominator for x in row if type(x) is not int]
         if not denominators:
-            rows.append(list(row))
+            rows.append(row)
             continue
         d = math.lcm(*denominators)
         rows.append([x * d if type(x) is int else x.numerator * (d // x.denominator) for x in row])

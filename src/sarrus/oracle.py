@@ -41,7 +41,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Sequence
 
 from .counting import OpCounter
 from .errors import _guard
@@ -107,7 +107,7 @@ def _expansion(k: int) -> Callable[[list, tuple], tuple[int, int]]:
     return namespace["expansion"]
 
 
-def _placements(rows: list[list[int]], depth: int, columns: tuple[int, ...], lead=1, odd=0):
+def _placements(rows: Sequence[Sequence[int]], depth: int, columns: tuple[int, ...], lead=1, odd=0):
     """Each way to give the first ``depth`` of ``rows`` distinct columns: the
     product of those entries, the parity of their Lehmer digits, and the
     columns left over, in order."""
@@ -244,9 +244,12 @@ def bareiss_det(M: Matrix, *, ops: OpCounter | None = None) -> Scalar:
     Rational rows are cleared to integers first (``_cleared_rows``), and the
     integer determinant is divided by the clearing factor at the end. Every
     intermediate division in the elimination itself is exact by construction.
+    The elimination writes into its rows, so it copies the cleared rows into
+    lists of its own.
     """
     n = M.n
-    rows, clearing = _cleared_rows(M)
+    cleared, clearing = _cleared_rows(M)
+    rows = [list(row) for row in cleared]
     sign = 1
     prev = 1
     for k in range(n - 1):

@@ -64,14 +64,25 @@ from .perm import (
 )
 
 
+# the entries a summary or an error lists of each kind; the rest are counted
+_LISTED = 10
+
+
+def _more(items: Sequence) -> str:
+    """The " (+k more)" that counts the k items past the first _LISTED, or ""."""
+    return f" (+{len(items) - _LISTED} more)" if len(items) > _LISTED else ""
+
+
 @dataclass(frozen=True, slots=True)
 class SchemeStrip:
     """A column sequence with start positions.
 
     The constructor checks types and ranges only (int columns in 1..n, int
-    starts within bounds). Whether each window actually forms a permutation
-    is diagnosed by ``validate`` and enforced by ``windows``; a mis-edited
-    strip must remain representable so the validator can report on it.
+    starts within bounds), and copies columns or starts given as a list into
+    a tuple, as ``Matrix`` copies list rows. Whether each window actually
+    forms a permutation is diagnosed by ``validate`` and enforced by
+    ``windows``; a mis-edited strip must remain representable so the
+    validator can report on it.
 
     The hash is taken once, at construction: every lookup of a scheme's cached
     pass hashes its strips, and tuples do not keep their hash.
@@ -87,13 +98,16 @@ class SchemeStrip:
         # pass the range checks and reach the words
         if type(self.n) is not int or self.n < 1:
             raise ValueError(f"strip needs an int n >= 1, got {_quoted(self.n)}")
+        # the hash needs tuples
+        if not isinstance(self.columns, tuple):
+            object.__setattr__(self, "columns", tuple(self.columns))
+        if not isinstance(self.starts, tuple):
+            object.__setattr__(self, "starts", tuple(self.starts))
         if len(self.columns) < self.n:
             raise ValueError("strip shorter than one window")
         bad = [c for c in self.columns if type(c) is not int or not 1 <= c <= self.n]
         if bad:
-            # the first 10, as ValidationReport.summary lists missing words
-            more = "" if len(bad) <= 10 else f" (+{len(bad) - 10} more)"
-            raise ValueError(f"column indices not ints in 1..{self.n}: {_quoted(bad[:10])}{more}")
+            raise ValueError(f"column indices not ints in 1..{self.n}: {_quoted(bad[:_LISTED])}{_more(bad)}")
         limit = len(self.columns) - self.n + 1
         for p in self.starts:
             if type(p) is not int or not 1 <= p <= limit:
@@ -112,8 +126,10 @@ class SchemeStrip:
 class Scheme:
     """One or more strips meant to jointly cover S_n exactly once.
 
-    The hash is taken once, at construction, as a strip's is: every
-    evaluation looks up the scheme's cached pass.
+    The constructor refuses an n that is not an int, a bool included, and
+    copies strips given as a list into a tuple. The hash is taken once, at
+    construction, as a strip's is: every evaluation looks up the scheme's
+    cached pass.
     """
 
     n: int
@@ -121,6 +137,11 @@ class Scheme:
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # a bool or a float n equals an int strip's n, but is no size
+        if type(self.n) is not int:
+            raise ValueError(f"scheme needs an int n, got {_quoted(self.n)}")
+        if not isinstance(self.strips, tuple):
+            object.__setattr__(self, "strips", tuple(self.strips))
         if not self.strips:
             raise ValueError("scheme needs at least one strip")
         for s in self.strips:
@@ -154,7 +175,9 @@ class ValidationReport:
     ``window_count`` is 2 x (total starts). ``covered``, ``even_count`` and
     ``odd_count`` count *distinct* permutations hit; a self-reverse window
     (possible only at n = 1) covers one permutation, not two. Listings are in
-    lexicographic order of the permutation word.
+    lexicographic order of the permutation word. The fields hold every entry;
+    ``summary`` lists the first 10 of each kind, and of the windows that hit
+    each duplicate, and counts the rest.
     """
 
     n: int
@@ -183,16 +206,16 @@ class ValidationReport:
             f"even / odd: {self.even_count} / {self.odd_count}",
         ]
         if self.invalid_windows:
-            spots = ", ".join(f"strip {s} start {p}" for s, p in self.invalid_windows)
-            lines.append(f"invalid windows: {spots}")
-        if self.duplicates:
-            for perm, refs in self.duplicates:
-                spots = ", ".join(f"strip {r.strip} start {r.start} {r.direction}" for r in refs)
-                lines.append(f"duplicate {list(perm.images)}: {spots}")
+            spots = ", ".join(f"strip {s} start {p}" for s, p in self.invalid_windows[:_LISTED])
+            lines.append(f"invalid windows: {spots}{_more(self.invalid_windows)}")
+        for perm, refs in self.duplicates[:_LISTED]:
+            spots = ", ".join(f"strip {r.strip} start {r.start} {r.direction}" for r in refs[:_LISTED])
+            lines.append(f"duplicate {list(perm.images)}: {spots}{_more(refs)}")
+        if len(self.duplicates) > _LISTED:
+            lines.append(f"duplicates:{_more(self.duplicates)}")
         if self.missing:
-            shown = ", ".join(str(list(p.images)) for p in self.missing[:10])
-            more = "" if len(self.missing) <= 10 else f" (+{len(self.missing) - 10} more)"
-            lines.append(f"missing: {shown}{more}")
+            shown = ", ".join(str(list(p.images)) for p in self.missing[:_LISTED])
+            lines.append(f"missing: {shown}{_more(self.missing)}")
         lines.append("VALID" if self.is_valid else "INVALID")
         return "\n".join(lines)
 
@@ -481,8 +504,6 @@ def _signed_sums(sch: Scheme, M: Matrix, ops: OpCounter | None) -> tuple[int, in
         ops.term(sch.n, signed.covered)
         # the first term landing in each running sum is not an addition
         ops.add(max(signed.covered - 2, 0))
-    if M.is_integral():  # the sums only read the rows: no cleared copy
-        return *_even_odd_sums(sch.n, signed, M.rows), 1
     rows, clearing = _cleared_rows(M)
     return *_even_odd_sums(sch.n, signed, rows), clearing
 

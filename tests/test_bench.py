@@ -324,12 +324,22 @@ def test_bench_rejects_unknown_method():
 
 
 @pytest.mark.parametrize(
-    "sizes,runs", [([4], 2.0), ([4], True), ([4.0], 2), ([True], 2), (["4"], 2)],
-    ids=["float-runs", "bool-runs", "float-size", "bool-size", "str-size"],
+    "sizes,runs,seed",
+    [([4], 2.0, 0), ([4], True, 0), ([4.0], 2, 0), ([True], 2, 0), (["4"], 2, 0),
+     ([4], 2, [1]), ([4], 2, 1.0), ([4], 2, True)],
+    ids=["float-runs", "bool-runs", "float-size", "bool-size", "str-size", "list-seed", "float-seed", "bool-seed"],
 )
-def test_bench_refuses_what_is_not_an_int(sizes, runs):
+def test_bench_refuses_what_is_not_an_int(sizes, runs, seed):
     with pytest.raises(ValueError, match="runs and sizes must be ints"):
-        bench(["leibniz"], sizes, runs=runs)
+        bench(["leibniz"], sizes, runs=runs, seed=seed)
+
+
+def test_bench_prices_bareiss_at_n_cubed(monkeypatch):
+    # runs x n**3 at n = 64: 38 runs fit in 10**7, 39 do not
+    monkeypatch.setitem(ORACLES, "bareiss", lambda M, ops=None: 0)
+    assert [r.runs for r in bench(["bareiss"], [64], runs=38)] == [38]
+    with pytest.raises(SizeLimitExceeded, match="budget is 10000000"):
+        bench(["bareiss"], [64], runs=39)
 
 
 def test_bench_refuses_a_call_past_its_cost_budget(monkeypatch):

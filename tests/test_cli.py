@@ -16,7 +16,10 @@ from hypothesis import strategies as st
 from conftest import WORKED_ROWS
 
 import sarrus.scheme
-from sarrus import Matrix, bareiss_det, load_scheme, parse_matrix, scheme_to_json, scheme_4x4, validate
+from sarrus import (
+    Matrix, Scheme, SearchConfig, bareiss_det, load_scheme, parse_matrix, scheme_to_json, scheme_4x4,
+    search_scheme, validate,
+)
 from sarrus.bench import ORACLES, random_matrix
 from sarrus.cli import main
 
@@ -351,6 +354,18 @@ def test_validate_exit_codes(capsys, tmp_path):
     assert code == 1
 
 
+def test_a_doubled_scheme_is_refused_in_a_short_message(capsys, tmp_path):
+    s = search_scheme(SearchConfig(n=6, random_seed=1))
+    path = tmp_path / "doubled.json"
+    path.write_text(scheme_to_json(Scheme(n=6, strips=s.strips + s.strips)))
+    matrix = tmp_path / "m6.csv"
+    matrix.write_text("\n".join(",".join(map(str, row)) for row in random_matrix(6, random.Random(6)).rows))
+    code, out, err = run(capsys, "det", "--matrix", str(matrix), "--scheme", str(path))
+    assert code == 2 and out == "" and "(+710 more)" in err and len(err) < 2000
+    code, out, _ = run(capsys, "validate", "--scheme", str(path))
+    assert code == 2 and "(+710 more)" in out and len(out.splitlines()) < 20
+
+
 @pytest.mark.parametrize("valid", [True, False])
 def test_validate_into_a_closed_pipe_keeps_its_exit_status(tmp_path, valid):
     # as in `sarrus validate | head -1`: the reader is gone before the
@@ -505,6 +520,8 @@ def test_bench_with_no_sizes_is_a_usage_error(capsys, value):
         ["pattern", "--n", "10001"],
         ["bench", "--methods", "bareiss", "--sizes", "1", "--runs", "1001"],
         ["bench", "--methods", "bareiss", "--sizes", "3,65", "--runs", "1"],
+        ["bench", "--methods", "bareiss", "--sizes", "64", "--runs", "1000"],
+        ["bench", "--methods", "bareiss,bareiss,bareiss,bareiss", "--sizes", "64,64,64,64,64", "--runs", "10"],
     ],
 )
 def test_flags_that_scale_work_are_bounded(capsys, argv):

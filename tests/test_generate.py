@@ -192,11 +192,13 @@ def test_search_config_validation():
 
 @pytest.mark.parametrize(
     "fields",
-    [{"n": 7.0}, {"n": True}, {"n": "7"}, {"max_blocks_per_strip": 2.5}, {"max_blocks_per_strip": True}],
-    ids=["float-n", "bool-n", "str-n", "float-blocks", "bool-blocks"],
+    [{"n": 7.0}, {"n": True}, {"n": "7"}, {"max_blocks_per_strip": 2.5}, {"max_blocks_per_strip": True},
+     {"random_seed": [1]}, {"random_seed": 1.0}, {"random_seed": True}],
+    ids=["float-n", "bool-n", "str-n", "float-blocks", "bool-blocks", "list-seed", "float-seed", "bool-seed"],
 )
 def test_search_config_refuses_what_is_not_an_int(fields):
-    # 2.5 never equals a chain's length, and True is a chain of one
+    # 2.5 never equals a chain's length, True is a chain of one, and a seed of
+    # True or 1.0 would seed as 1
     with pytest.raises(ValueError, match="search needs int n and max_blocks_per_strip"):
         SearchConfig(**{"n": 7, **fields})
 

@@ -304,6 +304,8 @@ def _outcome(parse, text):
         value = parse(text, 3, 4)
     except ParseError as e:
         return "error", str(e)
+    # the entry as a matrix stores it: Matrix makes an integral Fraction an int
+    value = Matrix(((value,),)).entry(1, 1)
     return type(value), value
 
 
@@ -323,6 +325,8 @@ _number_like = st.text(alphabet="0123456789_+-/ \t\u00a0\u0663\uff17x", max_size
 @example("9" * 5000)
 @example("-" + "9" * 5000)
 @example("1/" + "9" * 5000)
+@example("4/2")
+@example("-6/3")
 def test_integer_fast_path_parses_as_fraction_does(text):
     assert _outcome(_parse_exact, text) == _outcome(_parse_by_fraction, text)
 

@@ -1,11 +1,13 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from sarrus import Matrix, bareiss_det, cofactor_det, leibniz_det, parity_partition_sums
+from sarrus import Matrix, NonSquare, bareiss_det, cofactor_det, leibniz_det, parity_partition_sums
+from sarrus.io import matrix_from_csv
 from sarrus.matrix import _cleared_rows
 
 
@@ -87,7 +89,7 @@ def test_integrality_is_what_a_walk_of_the_entries_finds(rows):
     M = Matrix.from_rows(rows)
     matrices = [
         M,
-        Matrix(tuple(map(tuple, rows))),  # direct: integral Fractions are kept
+        Matrix(tuple(map(tuple, rows))),  # direct
         Matrix(rows),  # list rows are copied into tuples
         M.transpose(),
         Matrix.identity(len(rows)),
@@ -96,6 +98,39 @@ def test_integrality_is_what_a_walk_of_the_entries_finds(rows):
     for m in matrices:
         assert m.is_integral() == _walk_is_integral(m)
         assert type(m.rows) is tuple and all(type(row) is tuple for row in m.rows)
+
+
+_whole = st.integers(-(10**12), 10**12).map(Fraction)  # integral Fractions
+
+
+@given(st.one_of(_rows, _square_rows(st.one_of(_ints, _whole)), _square_rows(st.one_of(_ints, _pqs, _whole))))
+@example([[Fraction(4, 2), 1], [0, 1]])
+@example([[Fraction(4, 2), Fraction(1, 2)], [0, 1]])
+def test_every_constructor_stores_one_normal_form(rows):
+    # an integral Fraction is an int, however the matrix is built
+    reference = Matrix.from_rows(rows)
+    typed = [[(type(x), x) for x in row] for row in reference.rows]
+    for m in (Matrix(rows), Matrix(tuple(map(tuple, rows))), reference):
+        assert [[(type(x), x) for x in row] for row in m.rows] == typed
+        assert m.is_integral() == reference.is_integral() == _walk_is_integral(m)
+        assert not any(isinstance(x, Fraction) and x.denominator == 1 for row in m.rows for x in row)
+
+
+def test_counting_ints_are_kept():
+    M = Matrix(((_Int(2), Fraction(6, 3)), (0, 1)))
+    assert [type(x) for x in M.rows[0]] == [_Int, int] and M.is_integral()
+
+
+@pytest.mark.parametrize("rows", [[[1, 2], [3]], [[1, 2, 3], [4, 5, 6]], [[1], [2]], ((1, 2), (3, 4, 5))])
+def test_a_ragged_matrix_is_non_square_with_the_parsers_text(rows):
+    text = f"{len(rows)} rows with widths {sorted({len(r) for r in rows})}"
+    with pytest.raises(NonSquare, match=re.escape(text)):
+        Matrix(rows)
+    with pytest.raises(ValueError, match=re.escape(text)):
+        Matrix.from_rows(rows)
+    with pytest.raises(NonSquare) as parsed:
+        matrix_from_csv("\n".join(",".join(map(str, r)) for r in rows))
+    assert str(parsed.value) == text
 
 
 def test_list_rows_cannot_change_a_matrix():
@@ -124,9 +159,11 @@ def _reference_cleared(M):
 def test_cleared_rows_match_a_full_clearing(rows):
     M = Matrix.from_rows(rows)
     cleared, clearing = _cleared_rows(M)
-    assert (cleared, clearing) == _reference_cleared(M)
+    assert ([list(row) for row in cleared], clearing) == _reference_cleared(M)
     assert all(type(x) is int for row in cleared for x in row)
-    # fresh lists: bareiss_det eliminates in them
-    assert all(type(row) is list for row in cleared)
-    cleared[0][0] = "changed"
-    assert _cleared_rows(M) == _reference_cleared(M)
+    # an integer matrix is read as it is, with no copy
+    if M.is_integral():
+        assert cleared is M.rows
+    # bareiss_det eliminates in a copy of its own
+    bareiss_det(M)
+    assert _cleared_rows(M) == (cleared, clearing)

@@ -307,7 +307,7 @@ _COLUMN_ENTRIES = st.one_of(
     st.integers(-9, 9),
     st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
     st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**30)),
-    # Fraction(k, 1): Matrix(...) keeps it a Fraction, as from_rows would not
+    # Fraction(k, 1): Matrix stores it as an int
     st.builds(Fraction, st.integers(-9, 9)),
 )
 

@@ -77,6 +77,45 @@ def test_scheme_refuses_a_strip_of_another_size():
         Scheme(n=3, strips=(strip, SchemeStrip(n=2, columns=(1, 2), starts=(1,))))
 
 
+@pytest.mark.parametrize("n", [True, 3.0, "3", None], ids=["bool", "float", "str", "none"])
+def test_scheme_refuses_an_n_that_is_not_an_int(n):
+    # True equals the n of a size-1 strip, and 3.0 that of a size-3 one
+    strips = (SchemeStrip(1, (1,), (1,)),) if n is True else builtin_scheme(3).strips
+    with pytest.raises(ValueError, match=r"scheme needs an int n, got "):
+        Scheme(n=n, strips=strips)
+
+
+def test_list_fields_are_held_as_tuples():
+    strip = SchemeStrip(n=3, columns=[1, 2, 3, 1, 2], starts=[1, 2, 3])
+    assert type(strip.columns) is tuple and type(strip.starts) is tuple
+    assert strip == SchemeStrip(n=3, columns=(1, 2, 3, 1, 2), starts=(1, 2, 3))
+    scheme = Scheme(n=3, strips=[strip])
+    assert type(scheme.strips) is tuple
+    assert scheme == builtin_scheme(3) and hash(scheme) == hash(builtin_scheme(3))
+    assert evaluate(scheme, Matrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 10]])) == -3
+
+
+def test_a_summary_lists_ten_of_each_kind():
+    s = search_scheme(SearchConfig(n=6, random_seed=1))
+    doubled = Scheme(n=6, strips=s.strips + s.strips)
+    report = validate(doubled)
+    assert len(report.duplicates) == 720 and report.is_valid is False
+    text = report.summary()
+    assert sum(line.startswith("duplicate [") for line in text.splitlines()) == 10
+    assert "duplicates: (+710 more)" in text.splitlines()
+    assert len(text) < 2000
+    # ten of the invalid windows and of the missing words, and a count of the rest
+    strip = SchemeStrip(n=3, columns=(1, 1, 1) * 6, starts=tuple(range(1, 17)))
+    report = validate(Scheme(n=3, strips=(strip,)))
+    assert len(report.invalid_windows) == 16
+    text = report.summary()
+    assert "strip 1 start 10 (+6 more)" in text and "strip 1 start 11" not in text
+    # ten of the windows that hit a duplicate word
+    report = validate(Scheme(n=3, strips=builtin_scheme(3).strips * 12))
+    assert all(len(refs) == 12 for _, refs in report.duplicates)
+    assert "strip 10 start 1 descending (+2 more)" in report.summary()
+
+
 def test_strip_constructor_checks_ranges():
     with pytest.raises(ValueError):
         SchemeStrip(n=3, columns=(1, 2, 4, 1, 2), starts=(1,))
