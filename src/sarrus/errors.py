@@ -62,6 +62,12 @@ class SizeLimitExceeded(SarrusError):
 _FACTORIAL_LIMIT = 10
 
 
+def _int_n(n, what: str) -> None:
+    # a bool or an integral float equals an int, but is no size
+    if type(n) is not int:
+        raise ValueError(f"{what} needs an int n, got {_quoted(n)}")
+
+
 def _guard(n: int, what: str, cost: str = "expands n! terms", limit: int = _FACTORIAL_LIMIT):
     if n > limit:
         raise SizeLimitExceeded(f"{what} {cost}; n = {n} exceeds the limit of {limit}")

@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import NotFound, SizeTooSmall, VerificationFailed, _guard, _quoted
+from .errors import NotFound, SizeTooSmall, VerificationFailed, _guard, _int_n, _quoted
 from .matrix import Matrix
 from .oracle import bareiss_det
 from .perm import Permutation, _class_pairs, _class_words, _least_words, _sign_factors, _word_parity
@@ -88,6 +88,7 @@ def _representatives(n: int) -> list[tuple[int, ...]]:
 def necklace_classes(n: int) -> list[NecklaceClass]:
     """Partition S_n into necklace classes, listed by lexicographically
     minimal representative."""
+    _int_n(n, "necklace_classes")
     # n >= 3 classes have 2n words; the one class at n = 2 has both words
     size = 2 * _class_pairs(n)
     turn, _ = _sign_factors(n)
@@ -177,6 +178,13 @@ def verify_generated(sch: Scheme, sample_count: int, *, seed: int = 0) -> Verifi
     alone (e.g. only well-behaved matrices) is necessary but not sufficient;
     the structural validation is what certifies completeness.
     """
+    # a float count fails in range, a negative one would be reported as
+    # checked, and a seed of True or 1.0 would seed as 1
+    if type(sample_count) is not int or sample_count < 0 or type(seed) is not int:
+        raise ValueError(
+            f"verify_generated needs an int sample_count >= 0 and an int seed, "
+            f"got {_quoted(sample_count)} and {_quoted(seed)}"
+        )
     report = validate(sch)
     if not report.is_valid:
         raise VerificationFailed("scheme failed validation:\n" + report.summary())

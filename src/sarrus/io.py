@@ -6,9 +6,11 @@ as "p/q". Matrix JSON is an array of arrays whose entries are integers or
 whole point of the library is exactness. Scheme JSON is
 {"n": int, "strips": [{"columns": [int, ...], "starts": [int, ...]}]}; signs
 are never stored, they are recomputed from window parity. The scheme and
-permutation readers check structure only, that the arrays are arrays: each
-value is checked once, by the type that holds it (``SchemeStrip``,
-``Permutation``), whose refusal becomes a ParseError.
+permutation readers check structure only, that the objects and arrays are
+there, naming the field that is not: each value is checked once, by the type
+that holds it (``SchemeStrip``, ``Scheme``, ``Permutation``), whose
+ValueError becomes a ParseError; a ``Scheme`` past its size limit raises
+SizeLimitExceeded as it is.
 
 Matrix entries are parsed in three tiers, each accepting exactly what the
 ``Fraction`` parse accepts for it. A CSV line of integers is read by one
@@ -157,27 +159,30 @@ def scheme_to_json(sch: Scheme) -> str:
     return f'{{\n  "n": {sch.n},\n  "strips": [\n    {strips}\n  ]\n}}'
 
 
-def _array(value, what: str) -> tuple:
-    # the structure only: the types that hold the values check each one
+# the structure only: the types that hold the values check each one
+def _array(value, what: str, items: str = "integers") -> tuple:
     if not isinstance(value, list):
-        raise ParseError(1, 0, f"malformed {what} must be a list of integers")
+        raise ParseError(1, 0, f"malformed {what} must be a list of {items}")
     return tuple(value)
 
 
+def _object(value, what: str, *keys: str) -> dict:
+    if not isinstance(value, dict) or not all(key in value for key in keys):
+        raise ParseError(1, 0, f"malformed {what} must be an object with {' and '.join(map(json.dumps, keys))}")
+    return value
+
+
 def scheme_from_json(text: str) -> Scheme:
-    data = _load_json(text)
+    data = _object(_load_json(text), "scheme JSON: the file", "n", "strips")
+    n = data["n"]
     try:
-        n = data["n"]
-        strips = tuple(
-            SchemeStrip(
-                n=n,
-                columns=_array(s["columns"], "scheme JSON: columns"),
-                starts=_array(s["starts"], "scheme JSON: starts"),
-            )
-            for s in data["strips"]
-        )
+        strips = []
+        for i, s in enumerate(_array(data["strips"], "scheme JSON: strips", "objects"), start=1):
+            s = _object(s, f"scheme JSON: strip {i}", "columns", "starts")
+            columns = _array(s["columns"], "scheme JSON: columns")
+            strips.append(SchemeStrip(n=n, columns=columns, starts=_array(s["starts"], "scheme JSON: starts")))
         return Scheme(n=n, strips=strips)
-    except (KeyError, TypeError, ValueError) as e:
+    except ValueError as e:
         raise ParseError(1, 0, f"malformed scheme JSON: {e}") from None
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import SizeTooSmall, _guard
+from .errors import SizeTooSmall, _guard, _int_n
 from .perm import Permutation, _sign_factors
 from .scheme import _diagonals, expand_block
 
@@ -38,6 +38,7 @@ class PatternClass:
 
 def classify(n: int) -> PatternClass:
     """Which of the four repeating sign structures size n falls into."""
+    _int_n(n, "classify")
     if n < 2:
         raise SizeTooSmall("pattern classes start at n = 2")
     turn, flip = _sign_factors(n)
@@ -55,6 +56,7 @@ def basic_strip_signs(n: int) -> list[tuple[int, int, int]]:
     descending_sign at start p is (-1)**((p-1)(n-1)); the ascending sign is
     the descending one times (-1)**(n//2).
     """
+    _int_n(n, "basic_strip_signs")
     if n < 2:
         raise SizeTooSmall("basic strips start at n = 2")
     _guard(n, "basic_strip_signs", "builds n rows", _PATTERN_LIMIT)

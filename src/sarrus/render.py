@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import SizeLimitExceeded
-from .scheme import Scheme, _complete, _diagonals, _refuse_unsweepable
+from .scheme import Scheme, _complete, _diagonals
 
 _CELL_SIZE_LIMIT = 1000
 # n x columns cells: a searched n = 8 scheme draws 282,248 in a 52 MB SVG,
@@ -49,8 +49,6 @@ class RenderSpec:
 
 
 def render(spec: RenderSpec) -> str:
-    # first, so that an undersized scheme past n = 9 is refused as validate refuses it
-    _refuse_unsweepable(spec.scheme)
     if (cells := spec.scheme.n * sum(len(strip.columns) for strip in spec.scheme.strips)) > _CELL_LIMIT:
         raise SizeLimitExceeded(f"render draws n x columns = {cells} cells; the limit is {_CELL_LIMIT}")
     _complete(spec.scheme)

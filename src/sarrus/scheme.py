@@ -57,7 +57,9 @@ from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .counting import OpCounter
-from .errors import _FACTORIAL_LIMIT, ChainMismatch, InvalidScheme, InvalidWindow, SizeMismatch, _guard, _quoted
+from .errors import (
+    _FACTORIAL_LIMIT, ChainMismatch, InvalidScheme, InvalidWindow, SizeMismatch, _guard, _int_n, _quoted
+)
 from .matrix import Matrix, Scalar, _cleared_rows, _uncleared
 from .perm import (
     Permutation, Sign, _class_pairs, _class_place, _class_words, _least_words, _sign_factors, _word_parity
@@ -66,6 +68,10 @@ from .perm import (
 
 # the entries a summary or an error lists of each kind; the rest are counted
 _LISTED = 10
+
+# At n = 9 one window leaves 362,878 words to list, in ~3 s and ~80 MB; at
+# n = 10 it leaves 3,628,798, in ~30 s and ~730 MB.
+_LISTING_LIMIT = 9
 
 
 def _more(items: Sequence) -> str:
@@ -127,9 +133,12 @@ class Scheme:
     """One or more strips meant to jointly cover S_n exactly once.
 
     The constructor refuses an n that is not an int, a bool included, and
-    copies strips given as a list into a tuple. The hash is taken once, at
-    construction, as a strip's is: every evaluation looks up the scheme's
-    cached pass.
+    copies strips given as a list into a tuple. It refuses with
+    SizeLimitExceeded an n past 10, and an n past 9 with fewer than n!
+    windows: validate would list up to n! missing words, and evaluate reads
+    more than 10! terms. So no operation on a scheme checks its size again.
+    The hash is taken once, at construction, as a strip's is: every
+    evaluation looks up the scheme's cached pass.
     """
 
     n: int
@@ -137,9 +146,7 @@ class Scheme:
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # a bool or a float n equals an int strip's n, but is no size
-        if type(self.n) is not int:
-            raise ValueError(f"scheme needs an int n, got {_quoted(self.n)}")
+        _int_n(self.n, "scheme")
         if not isinstance(self.strips, tuple):
             object.__setattr__(self, "strips", tuple(self.strips))
         if not self.strips:
@@ -147,6 +154,11 @@ class Scheme:
         for s in self.strips:
             if s.n != self.n:
                 raise SizeMismatch(f"strip of size {s.n} in scheme of size {_quoted(self.n)}")
+        # n past 10 first, so that no factorial of a huge n is taken
+        if self.n > _LISTING_LIMIT and (
+            self.n > _FACTORIAL_LIMIT or 2 * sum(len(s.starts) for s in self.strips) < math.factorial(self.n)
+        ):
+            _guard(self.n, "validate", "lists up to n! missing permutations", _LISTING_LIMIT)
         object.__setattr__(self, "_hash", hash((self.n, self.strips)))
 
     def __hash__(self) -> int:
@@ -304,10 +316,9 @@ class _SignedWindows:
     first window of each run of that length and sign, n columns each, in one
     ``bytes``, about a byte a start. Evaluation reads each run's diagonals
     off its first window (see ``_run_sum``). Columns fit in a byte because
-    past n = 9 only a scheme with at least n! windows reaches the pass
-    (``_refuse_unsweepable``), so none with n >= 256 does. A scheme that is
-    no exact cover records no runs, so ``runs`` is non-empty exactly when no
-    window is invalid and the diagonals hit every permutation once.
+    every ``Scheme`` has n <= 10. A scheme that is no exact cover records no
+    runs, so ``runs`` is non-empty exactly when no window is invalid and the
+    diagonals hit every permutation once.
     """
 
     invalid: tuple[tuple[int, int], ...]
@@ -318,37 +329,13 @@ class _SignedWindows:
     summary: list[str] = field(default_factory=list, compare=False, repr=False)
 
 
-def _factorial_past(n: int, cap: int) -> int:
-    """n!, or its first partial product above cap: compares with a count <= cap as n! does."""
-    product = 1
-    for k in range(2, n + 1):
-        product *= k
-        if product > cap:
-            break
-    return product
-
-
 def _factorial_text(n: int) -> str:
     """n! in digits up to the sweep limit, and as "n!" past it."""
     return str(math.factorial(n)) if n <= _FACTORIAL_LIMIT else f"{n}!"
 
 
 def _is_factorial(count: int, n: int) -> bool:
-    return _factorial_past(n, count) == count
-
-
-# At n = 9 one window leaves 362,878 words to list, in ~3 s and ~80 MB; at
-# n = 10 it leaves 3,628,798, in ~30 s and ~730 MB.
-_LISTING_LIMIT = 9
-
-
-def _refuse_unsweepable(sch: Scheme) -> None:
-    """Past the listing limit, refuse before its pass a scheme with fewer than
-    n! windows, whose missing words could number nearly n!."""
-    if sch.n > _LISTING_LIMIT:
-        count = 2 * sum(len(strip.starts) for strip in sch.strips)
-        if count < _factorial_past(sch.n, count):
-            _guard(sch.n, "validate", "lists up to n! missing permutations", _LISTING_LIMIT)
+    return n <= _FACTORIAL_LIMIT and count == math.factorial(n)
 
 
 def _arc(pairs: int, j: int, step: Sign, m: int) -> int:
@@ -437,16 +424,14 @@ def validate(sch: Scheme) -> ValidationReport:
     """Check a scheme against S_n. Defects are reported, not raised.
 
     Cost is O(total windows), plus a listing of the missing permutations when
-    some are missing. Beyond n = 9, a scheme with fewer than n! windows is
-    refused with SizeLimitExceeded before the pass; with more, the listing
-    costs no more than the pass. The pass reads the walk of each strip and
-    records each run as the arc of its necklace class's pairs that it hits
-    (see the module notes); for an exact cover it also records each run's
-    first window, which is all evaluation reads. The even count is half of
-    S_n (its one word at n = 1) less the even words missing.
+    some are missing: nearly n! of them when a few windows repeat n!/2 times.
+    The pass reads the walk of each strip and records each run as the arc of
+    its necklace class's pairs that it hits (see the module notes); for an
+    exact cover it also records each run's first window, which is all
+    evaluation reads. The even count is half of S_n (its one word at n = 1)
+    less the even words missing.
     """
     n = sch.n
-    _refuse_unsweepable(sch)
     signed = _signed_windows(sch)
     missing = () if _is_factorial(signed.covered, n) else _missing(sch, signed)
     even = (math.factorial(n) + 1) // 2 - sum(_word_parity(p.images) > 0 for p in missing)
@@ -486,7 +471,6 @@ def _missing(sch: Scheme, signed: _SignedWindows) -> tuple[Permutation, ...]:
 
 
 def _complete(sch: Scheme) -> _SignedWindows:
-    _refuse_unsweepable(sch)
     signed = _signed_windows(sch)
     if not signed.runs:
         # quote the report of an earlier validate, or make one

@@ -254,6 +254,37 @@ def test_verify_generated_catches_mutations():
         verify_generated(mutated, 10)
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [{"seed": [1]}, {"seed": 1.0}, {"seed": True}, {"sample_count": 2.5}, {"sample_count": -1},
+     {"sample_count": True}],
+    ids=["list-seed", "float-seed", "bool-seed", "float-count", "negative-count", "bool-count"],
+)
+def test_verify_generated_refuses_a_seed_or_count_that_is_not_one(fields):
+    # a list seed fails in random.Random, 2.5 in range, -1 would be reported
+    # as checked, and a seed of True or 1.0 would seed as 1
+    args = {"sample_count": 2, "seed": 1, **fields}
+    with pytest.raises(ValueError, match="^verify_generated needs an int sample_count >= 0 and an int seed, got "):
+        verify_generated(scheme_4x4(), args["sample_count"], seed=args["seed"])
+
+
+def test_verify_generated_names_the_sample_the_oracle_refutes(monkeypatch):
+    oracle, calls = sarrus.generate.bareiss_det, []
+
+    def wrong_at_the_third(M):
+        calls.append(M)
+        return oracle(M) + (len(calls) == 3)
+
+    monkeypatch.setattr(sarrus.generate, "bareiss_det", wrong_at_the_third)
+    with pytest.raises(VerificationFailed) as caught:
+        verify_generated(scheme_4x4(), 10, seed=5)
+    M = calls[2]
+    assert str(caught.value) == (
+        f"sample 2: scheme evaluated to {oracle(M)} but the oracle says {oracle(M) + 1} for {M!r}"
+    )
+    assert len(calls) == 3
+
+
 def test_generated_schemes_survive_verification():
     for n, seed in ((4, 5), (5, 9)):
         sch = search_scheme(SearchConfig(n=n, random_seed=seed))

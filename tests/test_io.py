@@ -16,6 +16,7 @@ from sarrus import (
     SarrusError,
     Scheme,
     SchemeStrip,
+    SizeLimitExceeded,
     bareiss_det,
     format_scalar,
     load_scheme,
@@ -235,6 +236,32 @@ def test_a_bad_int_in_a_file_is_refused_in_one_short_line(capsys, tmp_path, fiel
 def test_scheme_json_refuses_impossible_schemes(data):
     with pytest.raises(ParseError, match="malformed scheme JSON"):
         scheme_from_json(json.dumps(data))
+
+
+@pytest.mark.parametrize(
+    "data,text",
+    [
+        ({"n": 3}, 'the file must be an object with "n" and "strips"'),
+        ({"n": 3, "strips": [5]}, 'strip 1 must be an object with "columns" and "starts"'),
+        ({"n": 3, "strips": {"columns": [1]}}, "strips must be a list of objects"),
+        ({"n": 3, "strips": [{"columns": [1, 2, 3]}]}, 'strip 1 must be an object with "columns" and "starts"'),
+        ({"n": 3, "strips": [{"columns": [1, 2, 3], "starts": [1]}, []]},
+         'strip 2 must be an object with "columns" and "starts"'),
+    ],
+    ids=["no-strips", "strip-not-an-object", "strips-not-a-list", "no-starts", "second-strip"],
+)
+def test_a_malformed_scheme_file_names_its_field(data, text):
+    with pytest.raises(ParseError) as caught:
+        scheme_from_json(json.dumps(data))
+    assert str(caught.value) == f"line 1, column 0: malformed scheme JSON: {text}"
+
+
+@pytest.mark.parametrize("n", [10, 11, 13, 300, 10**6])
+def test_a_one_window_scheme_file_past_n_9_is_refused_as_it_is_read(n):
+    text = json.dumps({"n": n, "strips": [{"columns": list(range(1, n + 1)), "starts": [1]}]})
+    with pytest.raises(SizeLimitExceeded) as caught:
+        scheme_from_json(text)
+    assert str(caught.value) == f"validate lists up to n! missing permutations; n = {n} exceeds the limit of 9"
 
 
 def test_many_bad_columns_give_a_short_error():

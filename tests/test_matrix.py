@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from sarrus import Matrix, NonSquare, bareiss_det, cofactor_det, leibniz_det, parity_partition_sums
+from sarrus import Matrix, NonSquare, Permutation, bareiss_det, cofactor_det, leibniz_det, parity_partition_sums
 from sarrus.io import matrix_from_csv
 from sarrus.matrix import _cleared_rows
 
@@ -167,3 +167,12 @@ def test_cleared_rows_match_a_full_clearing(rows):
     # bareiss_det eliminates in a copy of its own
     bareiss_det(M)
     assert _cleared_rows(M) == (cleared, clearing)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [Matrix(((1, -2), (3, 4))), Matrix(((Fraction(1, 2), 3), (0, Fraction(-5, 7)))), Permutation((3, 1, 2))],
+    ids=["int-matrix", "fraction-matrix", "permutation"],
+)
+def test_repr_reads_back_as_an_equal_value(value):
+    assert eval(repr(value), {"Matrix": Matrix, "Fraction": Fraction, "Permutation": Permutation}) == value

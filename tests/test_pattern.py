@@ -2,6 +2,7 @@ import pytest
 
 from sarrus import (
     Permutation,
+    necklace_classes,
     SizeTooSmall,
     basic_strip_signs,
     classify,
@@ -30,6 +31,14 @@ def test_classify_rejects_tiny_sizes():
         classify(1)
     with pytest.raises(SizeTooSmall):
         basic_strip_signs(1)
+
+
+@pytest.mark.parametrize("n", [2.5, 6.0, 3.0, True, "4"], ids=["half", "float", "float-3", "bool", "str"])
+@pytest.mark.parametrize("size", [classify, basic_strip_signs, necklace_classes])
+def test_a_size_that_is_not_an_int_is_refused(size, n):
+    # 2.5 has no residue, 6.0 would be reported as a size, and range refuses 3.0
+    with pytest.raises(ValueError, match=f"^{size.__name__} needs an int n, got "):
+        size(n)
 
 
 def test_period_four_law():

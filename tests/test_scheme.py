@@ -21,7 +21,6 @@ from sarrus import (
     Matrix,
     OpCounter,
     Permutation,
-    RenderSpec,
     Scheme,
     SchemeStrip,
     SearchConfig,
@@ -40,7 +39,6 @@ from sarrus import (
     parity,
     parity_partition_sums,
     positive_negative_sums,
-    render,
     scheme_4x4,
     scheme_5x5,
     scheme_from_json,
@@ -233,13 +231,11 @@ def test_validate_lists_missing_words_of_a_defective_6x6():
 
 
 def test_missing_sweep_is_guarded():
-    scheme = Scheme(n=11, strips=(SchemeStrip(n=11, columns=tuple(range(1, 12)), starts=(1,)),))
+    strip = SchemeStrip(n=11, columns=tuple(range(1, 12)), starts=(1,))
     with pytest.raises(SizeLimitExceeded, match="validate"):
-        validate(scheme)
-    with pytest.raises(SizeLimitExceeded):
-        evaluate(scheme, Matrix.identity(11))
+        Scheme(n=11, strips=(strip,))
     # a window listing needs no sweep
-    assert len(windows(scheme.strips[0])) == 1
+    assert len(windows(strip)) == 1
 
 
 @pytest.mark.parametrize(
@@ -262,39 +258,41 @@ def test_a_strip_quotes_a_bad_value_short(fields, text):
 
 
 def test_uncoverable_scheme_is_refused_before_its_pass():
-    # past the listing limit, one window can never cover n! words: the refusal
-    # comes before any window is signed, whatever the size of the strip
-    huge, small = (
-        Scheme(n=n, strips=(SchemeStrip(n=n, columns=tuple(range(1, n + 1)), starts=(1,)),))
-        for n in (10**6, 11)
-    )
-    calls = [
-        lambda: validate(huge),
-        lambda: render(RenderSpec(scheme=huge)),
-        lambda: validate(small),
-        lambda: evaluate(small, Matrix.identity(11)),
-        lambda: evaluate_float(small, [[1.0] * 11] * 11),
-        lambda: render(RenderSpec(scheme=small, output_format="ascii")),
-    ]
+    # past the listing limit, one window can never cover n! words: the scheme
+    # is refused when it is built, before any window is signed, whatever the
+    # size of the strip
     misses = _signed_windows.cache_info().misses
-    for call in calls:
+    for n in (10**6, 11):
+        strip = SchemeStrip(n=n, columns=tuple(range(1, n + 1)), starts=(1,))
         with pytest.raises(SizeLimitExceeded, match="validate .* exceeds the limit of 9"):
-            call()
+            Scheme(n=n, strips=(strip,))
     assert _signed_windows.cache_info().misses == misses
 
 
 def test_one_window_at_n_10_is_refused_before_its_pass():
     # one window at n = 10 leaves 10! - 2 words to list: ~30 s and ~730 MB
-    scheme = Scheme(n=10, strips=(SchemeStrip(n=10, columns=tuple(range(1, 11)), starts=(1,)),))
-    calls = [
-        lambda: validate(scheme),
-        lambda: evaluate(scheme, Matrix.identity(10)),
-        lambda: render(RenderSpec(scheme=scheme, output_format="ascii")),
-    ]
+    strip = SchemeStrip(n=10, columns=tuple(range(1, 11)), starts=(1,))
     misses = _signed_windows.cache_info().misses
-    for call in calls:
-        with pytest.raises(SizeLimitExceeded, match="validate .* n = 10 exceeds the limit of 9"):
-            call()
+    with pytest.raises(SizeLimitExceeded, match="validate .* n = 10 exceeds the limit of 9"):
+        Scheme(n=10, strips=(strip,))
+    assert _signed_windows.cache_info().misses == misses
+
+
+def test_the_size_rule_edges_are_decided_when_a_scheme_is_built():
+    misses = _signed_windows.cache_info().misses
+    # n = 9: one window builds, and its 9! - 2 missing words can be listed
+    Scheme(n=9, strips=(SchemeStrip(n=9, columns=tuple(range(1, 10)), starts=(1,)),))
+    # n = 10 builds from 10! windows, here the identity block's 20 repeated,
+    # and is refused with one block fewer
+    block = expand_block(Permutation.identity(10))
+    copies = math.factorial(10) // 20
+    assert Scheme(n=10, strips=(block,) * copies).n == 10
+    with pytest.raises(SizeLimitExceeded, match="^validate lists up to n! missing permutations; n = 10 exceeds"):
+        Scheme(n=10, strips=(block,) * (copies - 1))
+    # n = 11 is refused with no count of its windows: a cover needs 11!/2
+    # starts, and evaluating one reads more than 10! terms
+    with pytest.raises(SizeLimitExceeded, match="^validate lists up to n! missing permutations; n = 11 exceeds"):
+        Scheme(n=11, strips=(expand_block(Permutation.identity(11)),))
     assert _signed_windows.cache_info().misses == misses
 
 
