@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: det, validate, generate, pattern, render, bench, export-builtin.
-Exit codes: 0 success, 1 usage error, 2 computation error, 3 scheme search
-found nothing.
+Exit codes: 0 success, 1 usage error, 2 computation error or out of memory,
+3 scheme search found nothing.
 """
 
 from __future__ import annotations
@@ -226,6 +226,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except (SarrusError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -16,7 +16,7 @@ leaving, the window at p is the window at p - 1 rotated, so it is valid too
 and its sign is the previous sign times (-1)**(n - 1). A window is checked
 and signed only where a run begins, once per block.
 
-One cached pass per scheme reads the walk and keeps its verdict and, for an
+One pass per scheme reads the walk and keeps its verdict and, for an
 exact cover, the first window of each run, with no record per start. Cover
 is checked per necklace class, by the paper's cyclic pattern: a class is n
 pairs, each rotation of a word with its reverse, and a window rotated left
@@ -43,9 +43,13 @@ window takes one entry from each row, so the even and the odd sums both scale
 by the product of those lcms, and are divided by it once at the end.
 
 Everything here is an immutable value and every function is pure, apart
-from the summary a pass keeps of its last report; so evaluation and
-validation are safe to run concurrently. Exact arithmetic makes summation
-order irrelevant; float evaluation sums run by run, and rounds accordingly.
+from the pass a scheme keeps, set on its first use, and the summary that pass
+keeps of its last report. The pass is a pure function of its scheme, so
+evaluation and validation are safe to run concurrently: a first use from two
+threads at once computes equal passes, and either one is kept. Two equal
+schemes, such as a file loaded twice, each run their own pass. Exact
+arithmetic makes summation order irrelevant; float evaluation sums run by
+run, and rounds accordingly.
 """
 
 from __future__ import annotations
@@ -89,22 +93,17 @@ class SchemeStrip:
     forms a permutation is diagnosed by ``validate`` and enforced by
     ``windows``; a mis-edited strip must remain representable so the
     validator can report on it.
-
-    The hash is taken once, at construction: every lookup of a scheme's cached
-    pass hashes its strips, and tuples do not keep their hash.
     """
 
     n: int
     columns: tuple[int, ...]
     starts: tuple[int, ...]
-    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # type(x) is int, not isinstance: a bool or an integral float would
         # pass the range checks and reach the words
         if type(self.n) is not int or self.n < 1:
             raise ValueError(f"strip needs an int n >= 1, got {_quoted(self.n)}")
-        # the hash needs tuples
         if not isinstance(self.columns, tuple):
             object.__setattr__(self, "columns", tuple(self.columns))
         if not isinstance(self.starts, tuple):
@@ -118,10 +117,6 @@ class SchemeStrip:
         for p in self.starts:
             if type(p) is not int or not 1 <= p <= limit:
                 raise ValueError(f"start {_quoted(p)} not an int in 1..{limit}")
-        object.__setattr__(self, "_hash", hash((self.n, self.columns, self.starts)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def window_at(self, p: int) -> tuple[int, ...]:
         """The n column indices beginning at start p (1-based); no bijection check."""
@@ -137,13 +132,14 @@ class Scheme:
     SizeLimitExceeded an n past 10, and an n past 9 with fewer than n!
     windows: validate would list up to n! missing words, and evaluate reads
     more than 10! terms. So no operation on a scheme checks its size again.
-    The hash is taken once, at construction, as a strip's is: every
-    evaluation looks up the scheme's cached pass.
+    ``_pass`` holds the scheme's validation pass, set on its first use by
+    ``_signed_windows``. It takes no part in equality or the hash, so two
+    equal schemes, such as a file loaded twice, each run their own pass.
     """
 
     n: int
     strips: tuple[SchemeStrip, ...]
-    _hash: int = field(init=False, repr=False, compare=False)
+    _pass: _SignedWindows | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _int_n(self.n, "scheme")
@@ -159,10 +155,6 @@ class Scheme:
             self.n > _FACTORIAL_LIMIT or 2 * sum(len(s.starts) for s in self.strips) < math.factorial(self.n)
         ):
             _guard(self.n, "validate", "lists up to n! missing permutations", _LISTING_LIMIT)
-        object.__setattr__(self, "_hash", hash((self.n, self.strips)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
 
 class Window(NamedTuple):
@@ -301,6 +293,11 @@ def _diagonals(n: int, strip: SchemeStrip) -> Iterator[tuple[int, Sign, Sign]]:
 class _SignedWindows:
     """The verdict of a walk of every strip: the words checked for cover.
 
+    Each scheme keeps its own pass in ``Scheme._pass``, set on its first use,
+    and the pass goes with the scheme. Two equal schemes each run their own,
+    and of two passes computed at once by two threads either may be kept:
+    the pass is a pure function of the scheme.
+
     ``invalid`` holds the 1-based (strip, start) of each window that repeats a
     column; ``duplicates`` each word hit more than once, in lexicographic
     order, with where it was hit. ``covered`` counts distinct words.
@@ -348,10 +345,15 @@ def _arc(pairs: int, j: int, step: Sign, m: int) -> int:
     return (arc | arc >> pairs) & full
 
 
-@lru_cache(maxsize=128)
 def _signed_windows(sch: Scheme) -> _SignedWindows:
-    # Schemes are immutable, so the pass is shared by every later call. It
-    # keeps its verdict and each run's first window, not the words.
+    """The scheme's pass, walked on its first use and kept by the scheme."""
+    if sch._pass is None:
+        object.__setattr__(sch, "_pass", _walk(sch))
+    return sch._pass
+
+
+def _walk(sch: Scheme) -> _SignedWindows:
+    # the verdict and each run's first window, not the words
     n = sch.n
     pairs = _class_pairs(n)
     invalid: list[tuple[int, int]] = []

@@ -32,7 +32,6 @@ from sarrus import (
 )
 from sarrus.bench import ORACLES, random_matrix
 from sarrus.oracle import _expansion
-from sarrus.scheme import _signed_windows
 
 
 def cofactor_mult_count(n):
@@ -247,22 +246,29 @@ def test_bareiss_counts_are_exact(n):
 
 
 def test_bench_times_warm_runs(monkeypatch):
-    # each clock read records whether the one-time kernels are built yet
-    reads = []
+    # each clock read records whether the one-time work is done yet: the
+    # Leibniz kernels built, and the pass of each scheme bench made set
+    reads, schemes = [], []
 
     def perf_counter():
-        reads.append((_expansion.cache_info().currsize, _signed_windows.cache_info().currsize))
+        reads.append((_expansion.cache_info().currsize, [s._pass is not None for s in schemes]))
         return 0.0
 
     # the package exports the function ``bench`` under the module's name
     module = importlib.import_module("sarrus.bench")
+    built = module._scheme_for
+
+    def scheme_for(n, seed):
+        schemes.append(built(n, seed))
+        return schemes[-1]
+
     monkeypatch.setattr(module, "time", SimpleNamespace(perf_counter=perf_counter))
+    monkeypatch.setattr(module, "_scheme_for", scheme_for)
     _expansion.cache_clear()
-    _signed_windows.cache_clear()
     bench(["scheme", "leibniz"], [5], runs=2)
     scheme_reads, leibniz_reads = reads[:4], reads[4:]
     assert len(leibniz_reads) == 4
-    assert all(windows == 1 for _, windows in scheme_reads)
+    assert all(passes == [True] for _, passes in scheme_reads)
     assert all(expansions == 1 for expansions, _ in leibniz_reads)
 
 

@@ -280,6 +280,34 @@ def test_scheme_of_a_huge_n_is_refused_at_once(tmp_path):
     assert "n = 1000000 exceeds the limit" in _refused_at_once("validate", "--scheme", path)
 
 
+def test_running_out_of_memory_exits_2_with_one_line(capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setitem(importlib.import_module("sarrus.cli")._COMMANDS, "validate", exhausted)
+    assert run(capsys, "validate", "--builtin", "3") == (2, "", "error: out of memory\n")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
+def test_a_scheme_past_a_memory_limit_exits_2_with_one_line(tmp_path):
+    import resource
+
+    # one n = 9 window at 181,440 starts, 544 kB: listing its 9! - 2 missing
+    # words needs far more than 100 MB
+    path = tmp_path / "s9.json"
+    path.write_text(json.dumps({"n": 9, "strips": [{"columns": list(range(1, 10)), "starts": [1] * 181440}]}))
+    limit = 100 * 2**20
+
+    def cap():  # in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "sarrus", "validate", "--scheme", str(path)],
+        capture_output=True, text=True, timeout=60, env=CHILD_ENV, preexec_fn=cap,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: out of memory\n")
+
+
 @pytest.mark.parametrize(
     "name,text", [("m.csv", "1e10000000\n"), ("m.json", '[["1e10000000"]]')]
 )

@@ -21,6 +21,7 @@ from sarrus import (
     Matrix,
     OpCounter,
     Permutation,
+    RenderSpec,
     Scheme,
     SchemeStrip,
     SearchConfig,
@@ -39,6 +40,7 @@ from sarrus import (
     parity,
     parity_partition_sums,
     positive_negative_sums,
+    render,
     scheme_4x4,
     scheme_5x5,
     scheme_from_json,
@@ -257,29 +259,29 @@ def test_a_strip_quotes_a_bad_value_short(fields, text):
     assert str(caught.value) == text
 
 
-def test_uncoverable_scheme_is_refused_before_its_pass():
+def test_uncoverable_scheme_is_refused_before_its_pass(monkeypatch):
     # past the listing limit, one window can never cover n! words: the scheme
     # is refused when it is built, before any window is signed, whatever the
     # size of the strip
-    misses = _signed_windows.cache_info().misses
+    walks = _count_calls(monkeypatch, sarrus.scheme, "_walk")
     for n in (10**6, 11):
         strip = SchemeStrip(n=n, columns=tuple(range(1, n + 1)), starts=(1,))
         with pytest.raises(SizeLimitExceeded, match="validate .* exceeds the limit of 9"):
             Scheme(n=n, strips=(strip,))
-    assert _signed_windows.cache_info().misses == misses
+    assert not walks
 
 
-def test_one_window_at_n_10_is_refused_before_its_pass():
+def test_one_window_at_n_10_is_refused_before_its_pass(monkeypatch):
     # one window at n = 10 leaves 10! - 2 words to list: ~30 s and ~730 MB
     strip = SchemeStrip(n=10, columns=tuple(range(1, 11)), starts=(1,))
-    misses = _signed_windows.cache_info().misses
+    walks = _count_calls(monkeypatch, sarrus.scheme, "_walk")
     with pytest.raises(SizeLimitExceeded, match="validate .* n = 10 exceeds the limit of 9"):
         Scheme(n=10, strips=(strip,))
-    assert _signed_windows.cache_info().misses == misses
+    assert not walks
 
 
-def test_the_size_rule_edges_are_decided_when_a_scheme_is_built():
-    misses = _signed_windows.cache_info().misses
+def test_the_size_rule_edges_are_decided_when_a_scheme_is_built(monkeypatch):
+    walks = _count_calls(monkeypatch, sarrus.scheme, "_walk")
     # n = 9: one window builds, and its 9! - 2 missing words can be listed
     Scheme(n=9, strips=(SchemeStrip(n=9, columns=tuple(range(1, 10)), starts=(1,)),))
     # n = 10 builds from 10! windows, here the identity block's 20 repeated,
@@ -293,7 +295,7 @@ def test_the_size_rule_edges_are_decided_when_a_scheme_is_built():
     # starts, and evaluating one reads more than 10! terms
     with pytest.raises(SizeLimitExceeded, match="^validate lists up to n! missing permutations; n = 11 exceeds"):
         Scheme(n=11, strips=(expand_block(Permutation.identity(11)),))
-    assert _signed_windows.cache_info().misses == misses
+    assert not walks
 
 
 def test_validate_reports_are_lexicographically_ordered():
@@ -314,30 +316,28 @@ def test_self_reverse_window_counts_once():
     assert evaluate(scheme, Matrix.from_rows([[7]])) == 7
 
 
-def test_strip_hash_is_taken_once():
-    hashes = []
-
-    class Columns(tuple):
-        def __hash__(self):
-            hashes.append(self)
-            return super().__hash__()
-
-    strip = SchemeStrip(n=3, columns=Columns((1, 2, 3, 1, 2)), starts=(1, 2, 3))
-    scheme = Scheme(n=3, strips=(strip,))
-    assert len(hashes) == 1
+def test_the_pass_is_computed_once_per_scheme(monkeypatch):
+    strip = SchemeStrip(n=3, columns=[1, 2, 3, 1, 2], starts=[1, 2, 3])
+    scheme = Scheme(n=3, strips=[strip])
+    walks = _count_calls(monkeypatch, sarrus.scheme, "_walk")
     for _ in range(3):
-        hash(strip)
         assert validate(scheme).is_valid
         assert evaluate(scheme, Matrix.identity(3)) == 1
-    assert len(hashes) == 1
-    # equal strips hash alike, however they were made
+        assert positive_negative_sums(scheme, Matrix.identity(3)) == (1, 0)
+        assert evaluate_float(scheme, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]) == 1.0
+        assert render(RenderSpec(scheme=scheme)).endswith("</svg>\n")
+    assert walks == [(scheme,)]
+    # equal strips and schemes compare and hash alike, however they were
+    # made, and each scheme keeps a pass of its own
     plain = SchemeStrip(n=3, columns=(1, 2, 3, 1, 2), starts=(1, 2, 3))
     assert plain == strip and hash(plain) == hash(strip)
     assert hash(plain) != hash(SchemeStrip(n=3, columns=(1, 2, 3, 1, 2), starts=(1, 2)))
+    twin = Scheme(n=3, strips=(plain,))
+    assert twin == scheme and hash(twin) == hash(scheme)
+    assert validate(twin).is_valid and len(walks) == 2
     searched = search_scheme(SearchConfig(n=6, random_seed=11))
     back = scheme_from_json(scheme_to_json(searched))
     assert back == searched and hash(back) == hash(searched)
-    assert _signed_windows(back) is _signed_windows(searched)
 
 
 def _reference_pass(sch):
@@ -505,8 +505,8 @@ def test_a_cold_pass_takes_one_parity_per_block(monkeypatch):
 
     monkeypatch.setattr(sarrus.scheme, "_word_parity", counted)
     keys = _count_calls(monkeypatch, sarrus.scheme, "_class_place")
-    _signed_windows.cache_clear()
-    assert validate(scheme).is_valid
+    # a fresh scheme is cold: the search validated the one it returned
+    assert validate(Scheme(n=7, strips=scheme.strips)).is_valid
     assert 0 < len(calls) <= blocks
     assert 0 < len(keys) <= blocks
 
@@ -527,8 +527,8 @@ def _count_calls(monkeypatch, module, name):
 def test_a_cached_pass_holds_no_record_per_start():
     # the pass keeps its verdict only: after a cold validate of 2520 starts,
     # next to nothing stays allocated (one record per start took ~0.2 MB)
-    scheme = search_scheme(SearchConfig(n=7, random_seed=1))
-    _signed_windows.cache_clear()
+    searched = search_scheme(SearchConfig(n=7, random_seed=1))
+    scheme = Scheme(n=7, strips=searched.strips)
     gc.collect()
     tracemalloc.start()
     try:
@@ -540,16 +540,16 @@ def test_a_cached_pass_holds_no_record_per_start():
     assert held < 0.02 * 2**20
 
 
-def test_windows_leaves_the_pass_cache_alone():
+def test_windows_leaves_the_pass_cache_alone(monkeypatch):
     strip = search_scheme(SearchConfig(n=5, random_seed=1)).strips[0]
-    before = _signed_windows.cache_info()
+    walks = _count_calls(monkeypatch, sarrus.scheme, "_walk")
     assert [w.start for w in windows(strip)] == list(strip.starts)
     # starts 5 and 4 are bad: the first of them in start order is named
     bad = SchemeStrip(n=3, columns=(1, 2, 3, 1, 1, 2, 2), starts=(5, 1, 4, 2))
     with pytest.raises(InvalidWindow) as caught:
         windows(bad)
     assert caught.value.start == 5
-    assert _signed_windows.cache_info() == before
+    assert not walks
 
 
 def test_a_refused_mutant_records_no_runs_and_sweeps_no_symmetric_group(monkeypatch):
@@ -558,7 +558,6 @@ def test_a_refused_mutant_records_no_runs_and_sweeps_no_symmetric_group(monkeypa
     columns = strip.columns[:30] + (strip.columns[30] % 7 + 1,) + strip.columns[31:]
     mutant = Scheme(n=7, strips=(SchemeStrip(7, columns, strip.starts),) + scheme.strips[1:])
     sweeps = _count_calls(monkeypatch, itertools, "permutations")
-    _signed_windows.cache_clear()
     report = validate(mutant)
     with pytest.raises(InvalidScheme):
         evaluate(mutant, Matrix.identity(7))
@@ -575,15 +574,14 @@ def test_a_mutant_that_hits_every_class_is_listed_without_a_class_walk(monkeypat
     columns = (strip.columns[0] % 7 + 1,) + strip.columns[1:]
     mutant = Scheme(n=7, strips=(SchemeStrip(7, columns, strip.starts),) + scheme.strips[1:])
     sweeps = _count_calls(monkeypatch, itertools, "permutations")
-    _signed_windows.cache_clear()
     missing = validate(mutant).missing
     assert missing and not sweeps
     assert [p.images for p in missing] == _plain_missing(mutant)
 
 
-def test_evaluations_run_the_pass_once():
-    scheme = search_scheme(SearchConfig(n=7, random_seed=1))
-    _signed_windows.cache_clear()
+def test_evaluations_run_the_pass_once(monkeypatch):
+    scheme = Scheme(n=7, strips=search_scheme(SearchConfig(n=7, random_seed=1)).strips)
+    walks = _count_calls(monkeypatch, sarrus.scheme, "_walk")
     rng = random.Random(7)
     for _ in range(3):
         M = random_matrix(7, rng)
@@ -592,25 +590,25 @@ def test_evaluations_run_the_pass_once():
         assert evaluate_float(scheme, [[float(x) for x in row] for row in M.rows]) == pytest.approx(
             float(bareiss_det(M)), abs=1e-6
         )
-    assert _signed_windows.cache_info().misses == 1
+    assert walks == [(scheme,)]
     plus, minus = _expand_runs(7, _signed_windows(scheme).runs)
     assert len(plus) == len(minus) == math.factorial(7) // 2
 
 
-def test_the_benchmark_schemes_stay_warm():
+def test_the_benchmark_schemes_stay_warm(monkeypatch):
     # det-files evaluates the built-ins for n = 2..5, and det-large the
     # searched n = 6 and 7 schemes of seed 11, all held warm
     schemes = [builtin_scheme(n) for n in (2, 3, 4, 5)]
     schemes += [search_scheme(SearchConfig(n=n, random_seed=11)) for n in (6, 7)]
     for scheme in schemes:
         assert evaluate(scheme, Matrix.identity(scheme.n)) == 1
-    misses = _signed_windows.cache_info().misses
+    walks = _count_calls(monkeypatch, sarrus.scheme, "_walk")
     rng = random.Random(11)
     for _ in range(2):
         for scheme in schemes:
             M = random_matrix(scheme.n, rng)
             assert evaluate(scheme, M) == bareiss_det(M)
-    assert _signed_windows.cache_info().misses == misses
+    assert not walks
 
 
 def _short_run_schemes(n):
@@ -658,15 +656,34 @@ def test_runs_shorter_than_n_evaluate_exactly(n):
 def test_a_valid_eight_by_eight_pass_holds_little():
     # the pass keeps a first window per run, ~20 kB at n = 8; the table of
     # 8! words it replaces held ~4.6 MB
-    scheme = search_scheme(SearchConfig(n=8, random_seed=1))
+    searched = search_scheme(SearchConfig(n=8, random_seed=1))
     M = random_matrix(8, random.Random(8))
-    assert evaluate(scheme, M) == bareiss_det(M)  # compiles the kernels first
-    _signed_windows.cache_clear()
+    assert evaluate(searched, M) == bareiss_det(M)  # compiles the kernels first
+    scheme = Scheme(n=8, strips=searched.strips)
     gc.collect()
     tracemalloc.start()
     try:
         assert validate(scheme).is_valid
         assert evaluate(scheme, M) == bareiss_det(M)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 0.1 * 2**20
+
+
+def test_a_dropped_scheme_frees_its_pass():
+    # a refused pass keeps a ref per hit of each duplicate: the seed-1 n = 8
+    # scheme doubled holds ~15 MB of them, which go with the scheme
+    strips = search_scheme(SearchConfig(n=8, random_seed=1)).strips
+    gc.collect()
+    tracemalloc.start()
+    try:
+        doubled = Scheme(n=8, strips=strips * 2)
+        assert validate(doubled).duplicates
+        with pytest.raises(InvalidScheme):
+            evaluate(doubled, Matrix.identity(8))
+        del doubled
         gc.collect()
         held = tracemalloc.get_traced_memory()[0]
     finally:
@@ -719,7 +736,6 @@ def test_a_refusal_after_validate_quotes_its_report(monkeypatch):
     columns = (strip.columns[0] % 7 + 1,) + strip.columns[1:]
     mutant = Scheme(n=7, strips=(SchemeStrip(7, columns, strip.starts),) + scheme.strips[1:])
     # the text of a refusal with no validate before it
-    _signed_windows.cache_clear()
     with pytest.raises(InvalidScheme) as cold:
         evaluate(mutant, Matrix.identity(7))
     sweeps = []
@@ -730,7 +746,7 @@ def test_a_refusal_after_validate_quotes_its_report(monkeypatch):
 
     missing = sarrus.scheme._missing
     monkeypatch.setattr(sarrus.scheme, "_missing", counted)
-    _signed_windows.cache_clear()
+    mutant = Scheme(n=7, strips=mutant.strips)  # cold again
     report = validate(mutant)
     with pytest.raises(InvalidScheme) as refused:
         evaluate(mutant, Matrix.identity(7))
