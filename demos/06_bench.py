@@ -3,9 +3,13 @@
 Instrumented runs show scheme evaluation expands exactly n! signed products,
 the same count as the permutation expansion; only elimination changes the
 asymptotics. Multiplications are reported both as raw factors (n per product)
-and as chained multiplications (n-1 per product); the permutation expansion
-forms each term as one shared prefix product times one shared pair product,
-so from n = 4 it runs fewer than the scheme.
+and as the chained multiplications that run: n-1 per product at odd n, where
+a run's descending and ascending diagonals share one entry only, and at even
+n one per pair of entries in antipodal rows, each pair shared by a
+descending and an ascending diagonal, then n/2-1 per product. The
+permutation expansion forms each term as one shared prefix product times one
+shared pair product, so from n = 5 it runs fewer than the scheme (at n = 4
+the scheme's pairs bring it to 48 against 50).
 """
 
 from sarrus import bench, reports_to_jsonl, term_count_statement

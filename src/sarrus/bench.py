@@ -2,12 +2,13 @@
 
 Counts come from an OpCounter threaded through the real evaluation code, so
 the reported numbers are measurements, not formulas. Multiplications are
-reported under both conventions (n factors per diagonal vs n-1 chained
-multiplications); the oracles multiply shared products, not diagonals, so for
-them the two coincide. Matrices are generated deterministically from the
-seed. The counted run goes first, so one-time work (the compiled Leibniz
-expansion, a scheme's signed-window pass and its run kernels) is done before
-the timed runs start.
+reported under both conventions (n factors per diagonal vs the chained
+multiplications that run: n-1 a diagonal, and fewer at even n >= 4, where
+the scheme's kernels share pairs of antipodal rows); the oracles multiply
+shared products, not diagonals, so for them the two coincide. Matrices are
+generated deterministically from the seed. The counted run goes first, so
+one-time work (the compiled Leibniz expansion, a scheme's signed-window pass
+and its run kernels) is done before the timed runs start.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .counting import OpCounter
 from .errors import SizeLimitExceeded, UnsupportedSize, _guard, _quoted
 from .generate import SearchConfig, random_matrix, search_scheme
 from .oracle import bareiss_det, cofactor_det, leibniz_det
-from .scheme import Scheme, evaluate
+from .scheme import Scheme, _half, evaluate
 
 ORACLES = {"leibniz": leibniz_det, "cofactor": cofactor_det, "bareiss": bareiss_det}
 METHODS = ("scheme", *ORACLES)
@@ -138,8 +139,11 @@ def bench(
 def term_count_statement(reports: list[BenchReport]) -> str:
     """The explicit takeaway on term counts, per size where both expansion
     methods were measured, each followed by the multiplications each ran:
-    the same terms, multiplied out differently only by the oracle's
-    factoring."""
+    the same terms, multiplied out differently only by each route's
+    factoring. At even n >= 4 the scheme's kernels first multiply the
+    entries of antipodal rows in pairs, each pair shared by a descending and
+    an ascending diagonal; at odd n no such pair is shared, and each product
+    takes n - 1 multiplications."""
     by_key = {(r.method, r.n): r for r in reports}
     lines = []
     for n in sorted({r.n for r in reports}):
@@ -153,9 +157,15 @@ def term_count_statement(reports: list[BenchReport]) -> str:
             f"{verdict} the {l.term_count}-term permutation expansion; the strip "
             f"arrangement reorganizes the n!-term sum, it does not shrink it."
         )
+        per = (
+            "one per pair of entries in antipodal rows, which a descending and an ascending "
+            "diagonal share, and n/2 - 1 per product"
+            if _half(n)
+            else "n - 1 per product"
+        )
         lines.append(
             f"n={n}: scheme evaluation runs {s.multiplications_chained} chained "
-            f"multiplications, n - 1 per product, against {l.multiplications_chained} in "
+            f"multiplications, {per}, against {l.multiplications_chained} in "
             f"the permutation expansion, which forms each term as one shared prefix times "
             f"one shared pair; the counts differ by that factoring, not by the scheme."
         )

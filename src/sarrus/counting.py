@@ -4,9 +4,13 @@ An OpCounter is threaded through the real evaluation and oracle code paths
 (never through instrumented copies). Each route tallies after its loops, per
 call or per step, the sizes they ran over, so counting costs nothing per term.
 Products are recorded under both conventions: a length-n diagonal has n
-factors but needs only n-1 multiplications when chained. The oracles build
-their terms from shared products and record each multiplication they run
-under both.
+factors, and the chained count is the multiplications that run. A diagonal
+chained on its own needs n-1. At even n >= 4 the scheme's kernels first
+multiply each pair of entries in antipodal rows r and r + n/2, a pair that a
+descending and an ascending diagonal of one run share, and then n/2 - 1 per
+diagonal; at odd n the two diagonals share one entry only, so no pair. The
+oracles build their terms from shared products and record each
+multiplication they run under both.
 """
 
 from __future__ import annotations
@@ -22,11 +26,12 @@ class OpCounter:
     adds: int = 0
     divs: int = 0
 
-    def term(self, n_factors: int, k: int = 1) -> None:
-        """Record k signed products of n_factors entries each."""
+    def term(self, n_factors: int, k: int = 1, chained: int | None = None) -> None:
+        """Record k signed products of n_factors entries each, formed by
+        ``chained`` multiplications: k * (n_factors - 1) when they share none."""
         self.terms += k
         self.mul_factors += k * n_factors
-        self.mul_chained += k * (n_factors - 1)
+        self.mul_chained += k * (n_factors - 1) if chained is None else chained
 
     def mul(self, k: int = 1) -> None:
         """Record k standalone multiplications (both conventions coincide)."""

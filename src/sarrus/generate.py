@@ -163,6 +163,10 @@ def random_matrix(n: int, rng: random.Random) -> Matrix:
     return Matrix.from_rows([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
 
 
+# verify_generated draws its entries from the 2^62 ints in [-2^61, 2^61)
+_SAMPLE_HALF = 1 << 61
+
+
 @dataclass(frozen=True, slots=True)
 class VerificationReport:
     n: int
@@ -174,9 +178,16 @@ def verify_generated(sch: Scheme, sample_count: int, *, seed: int = 0) -> Verifi
     """Validate a scheme and compare it against an independent oracle on
     random integer matrices.
 
-    Raises VerificationFailed with the first counterexample. Passing samples
-    alone (e.g. only well-behaved matrices) is necessary but not sufficient;
-    the structural validation is what certifies completeness.
+    Each sample draws its own entries, uniformly from the 2^62 integers in
+    [-2^61, 2^61). An evaluation's signed sum minus det is a polynomial of
+    degree n in the n^2 entries, nonzero whenever the evaluation is wrong,
+    from a defective scheme or from a faulty kernel alike; so by
+    Schwartz-Zippel one sample misses a fault with probability at most
+    n/2^62, and the samples are a check of their own beside the validation.
+    (Entries in [-9, 9], as ``random_matrix`` draws, would bound it by n/19
+    only.)
+
+    Raises VerificationFailed with the first counterexample.
     """
     # a float count fails in range, a negative one would be reported as
     # checked, and a seed of True or 1.0 would seed as 1
@@ -190,7 +201,8 @@ def verify_generated(sch: Scheme, sample_count: int, *, seed: int = 0) -> Verifi
         raise VerificationFailed("scheme failed validation:\n" + report.summary())
     rng = random.Random(seed)
     for i in range(sample_count):
-        M = random_matrix(sch.n, rng)
+        M = Matrix.from_rows([[rng.randrange(-_SAMPLE_HALF, _SAMPLE_HALF) for _ in range(sch.n)]
+                              for _ in range(sch.n)])
         got = evaluate(sch, M)
         want = bareiss_det(M)
         if got != want:

@@ -35,7 +35,11 @@ One kernel per (n, L), ``_run_sum``, unpacks the n matrix columns that a
 first window names and adds its 2L diagonal products, with no walk of the
 strips and no table of words. One pair of running sums, even and odd, goes
 through every kernel, each side started by its first products, so a side of
-t products costs the t - 1 additions that ``OpCounter`` tallies.
+t products costs the t - 1 additions that ``OpCounter`` tallies. At even
+n >= 4 rows r and r + n/2 of a descending diagonal read the same two entries
+as the same rows of an ascending diagonal of the run, so the kernel
+multiplies each such antipodal pair once and shares it between the two; at
+odd n the two diagonals share one entry only, and nothing pairs.
 
 Exact evaluation runs over cleared rows, as the oracles do: each row of a
 rational matrix is scaled to integers by the lcm of its denominators. Every
@@ -49,7 +53,8 @@ evaluation and validation are safe to run concurrently: a first use from two
 threads at once computes equal passes, and either one is kept. Two equal
 schemes, such as a file loaded twice, each run their own pass. Exact
 arithmetic makes summation order irrelevant; float evaluation sums run by
-run, and rounds accordingly.
+run, and at even n >= 4 multiplies each product's entries in antipodal
+pairs, and rounds accordingly.
 """
 
 from __future__ import annotations
@@ -487,7 +492,10 @@ def _signed_sums(sch: Scheme, M: Matrix, ops: OpCounter | None) -> tuple[int, in
         raise SizeMismatch(f"matrix is {M.n}x{M.n} but scheme expects n = {sch.n}")
     signed = _complete(sch)
     if ops is not None:
-        ops.term(sch.n, signed.covered)
+        # the kernels' multiplications, run by run: fewer than n - 1 a
+        # product where antipodal rows pair (see ``_run_sum``)
+        muls = sum(_run_muls(sch.n, length) * (len(firsts) // sch.n) for length, _, firsts in signed.runs)
+        ops.term(sch.n, signed.covered, chained=muls)
         # the first term landing in each running sum is not an addition
         ops.add(max(signed.covered - 2, 0))
     rows, clearing = _cleared_rows(M)
@@ -509,6 +517,38 @@ def _even_odd_sums(n: int, signed: _SignedWindows, rows: Sequence[Sequence]) -> 
     return even, 0 if odd is None else odd
 
 
+def _half(n: int) -> int:
+    """n/2 at even n >= 4, where row r pairs with its antipodal row r + n/2; else 0."""
+    return n // 2 if n >= 4 and n % 2 == 0 else 0
+
+
+def _run_products(n: int, length: int) -> tuple[tuple[tuple[int, int], ...], dict[Sign, list[list[str]]]]:
+    """The pairs a run kernel multiplies first, as (row r, column c), and its
+    diagonal products by sign relative to the first window, each a list of
+    factors in row order: at odd n or n <= 2 a factor is row r's entry, and
+    at even n >= 4 the pair of rows r < n/2 and r + n/2 (see ``_run_sum``)."""
+    turn, flip = _sign_factors(n)
+    half = _half(n)
+    rows = range(half or n)
+    factor = "q{0}_{1}" if half else "e{1}_{0}"
+    diagonals: dict[Sign, list[list[tuple[int, int]]]] = {1: [], -1: []}
+    for k in range(length):
+        diagonals[turn**k].append([(r, (r + k) % n) for r in rows])
+        if n > 1:  # at n = 1 the window is its own reverse
+            diagonals[turn**k * flip].append([(r, (n - 1 - r + k) % n) for r in rows])
+    pairs = tuple(sorted({rc for ds in diagonals.values() for d in ds for rc in d})) if half else ()
+    products = {side: [[factor.format(*rc) for rc in d] for d in ds] for side, ds in diagonals.items()}
+    return pairs, products
+
+
+@lru_cache(maxsize=None)
+def _run_muls(n: int, length: int) -> int:
+    """The multiplications the kernel of (n, length) runs on one run: one per
+    pair, and one fewer than its factors per diagonal."""
+    pairs, products = _run_products(n, length)
+    return len(pairs) + sum(len(d) - 1 for side in products.values() for d in side)
+
+
 @lru_cache(maxsize=None)
 def _run_sum(n: int, length: int) -> Callable[[list, bytes, object, object], tuple]:
     """The function f(columns, firsts, same, other) that adds the diagonals of
@@ -518,27 +558,31 @@ def _run_sum(n: int, length: int) -> Callable[[list, bytes, object, object], tup
 
     At offset k, row r of the descending diagonal reads column (r + k) mod n
     of the first window, and of the ascending one column (n - 1 - r + k) mod
-    n; each product takes its rows in order. Products signed as the first
-    window go to ``same``, the others to ``other``. Each run's products are
-    summed before they meet the running sum, and a sum that is still None
-    starts from them, so a side of t products costs t - 1 additions however
-    its runs fall into kernels. Compiled from a fixed template, as
-    ``oracle._expansion`` is, whose text depends on the ints n and length
-    only.
+    n; each product takes its rows in order. At even n >= 4, with h = n/2,
+    rows r and r + h of both read columns c and c + h mod n for one c, so
+    the kernel first forms each pair q{r}_{c} = e{c}_{r} * e{c+h}_{r+h}
+    that its diagonals read, and each diagonal is the product of its h
+    pairs: in a full run every pair serves one descending and one ascending
+    diagonal, and the run costs 3n²/2 - 2n multiplications, not 2n(n - 1).
+    At odd n a descending and an ascending diagonal of one run share one
+    entry only, since 2r = c mod n has one root, so there the factors are
+    the entries. Products signed as the first window go to ``same``, the
+    others to ``other``. Each run's products are summed before they meet the
+    running sum, and a sum that is still None starts from them, so a side of
+    t products costs t - 1 additions however its runs fall into kernels.
+    Compiled from a fixed template, as ``oracle._expansion`` is, whose text
+    depends on the ints n and length only.
     """
-    turn, flip = _sign_factors(n)
-    products: dict[int, list[str]] = {1: [], -1: []}
-    for k in range(length):
-        products[turn**k].append(" * ".join(f"e{(r + k) % n}_{r}" for r in range(n)))
-        if n > 1:  # at n = 1 the window is its own reverse
-            products[turn**k * flip].append(" * ".join(f"e{(n - 1 - r + k) % n}_{r}" for r in range(n)))
+    pairs, products = _run_products(n, length)
+    half = _half(n)
     source = "def run_sum(columns, firsts, same, other):\n"
     source += f"    for {', '.join(f'c{j}' for j in range(n))}, in zip(*[iter(firsts)] * {n}):\n"
     # e{j}_{r}: row r of the j-th column of the first window
     source += "".join(f"        {', '.join(f'e{j}_{r}' for r in range(n))}, = columns[c{j}]\n" for j in range(n))
+    source += "".join(f"        q{r}_{c} = e{c}_{r} * e{(c + half) % n}_{r + half}\n" for r, c in pairs)
     for name, side in (("same", 1), ("other", -1)):
         if products[side]:
-            terms = " + ".join(products[side])
+            terms = " + ".join(" * ".join(d) for d in products[side])
             source += f"        {name} = {terms} if {name} is None else {name} + ({terms})\n"
     namespace: dict = {}
     exec(source + "    return same, other\n", namespace)
@@ -572,7 +616,10 @@ def evaluate_float(sch: Scheme, rows: Sequence[Sequence[float]]) -> float:
     """Convenience float evaluation of a valid scheme.
 
     No exactness guarantee: float products and sums round, so this is for
-    quick numeric use only; the exact path is ``evaluate``.
+    quick numeric use only; the exact path is ``evaluate``. At even n >= 4
+    each product is taken over pairs of entries in antipodal rows (see
+    ``_run_sum``), so its last bits can differ from a product taken row by
+    row.
     """
     n = sch.n
     if len(rows) != n or any(len(r) != n for r in rows):

@@ -52,11 +52,15 @@ def test_scheme_and_leibniz_counts_match():
         l = by_key[("leibniz", n)]
         assert s.term_count == l.term_count == math.factorial(n)
         assert s.multiplications_n_factors == math.factorial(n) * n
-        assert s.multiplications_chained == math.factorial(n) * (n - 1)
+        # n - 1 a product at n = 5; at n = 4 each full run pairs its
+        # antipodal rows, 16 multiplications a run against 24
+        assert s.multiplications_chained == {4: 48, 5: 480}[n]
         # Leibniz multiplies shared prefix and pair products, so its two
-        # conventions coincide, at fewer multiplications than the scheme chains
+        # conventions coincide, at fewer multiplications than the scheme
+        # chains at n = 5; at n = 4 the scheme's antipodal pairs take it to
+        # 48 against Leibniz's 50
         assert l.multiplications_n_factors == l.multiplications_chained == LEIBNIZ_MULS[n]
-        assert l.multiplications_chained < s.multiplications_chained
+        assert (l.multiplications_chained < s.multiplications_chained) == (n == 5)
         assert s.additions == l.additions == math.factorial(n) - 1
 
 
@@ -113,9 +117,11 @@ def test_expansion_counts_are_exact(n):
     if n <= 5:
         sch = Scheme(n=1, strips=(SchemeStrip(1, (1,), (1,)),)) if n == 1 else builtin_scheme(n)
         # the same terms and additions; the scheme chains n - 1 multiplications
-        # a term
-        assert _counts(positive_negative_sums, sch, M) == (terms, terms * (n - 1), side_adds, 0)
-        assert _counts(evaluate, sch, M) == (terms, terms * (n - 1), side_adds + 1, 0)
+        # a term, except at n = 4, where the built-in's 3 full runs take 16
+        # each: 8 antipodal pairs, and one pair * pair per diagonal
+        scheme_muls = 48 if n == 4 else terms * (n - 1)
+        assert _counts(positive_negative_sums, sch, M) == (terms, scheme_muls, side_adds, 0)
+        assert _counts(evaluate, sch, M) == (terms, scheme_muls, side_adds + 1, 0)
 
 
 class _Counted(int):
@@ -191,8 +197,9 @@ def test_scheme_sums_tally_the_additions_they_run(n):
 @st.composite
 def _split_covers(draw):
     """A valid scheme with some starts moved to one-window strips of their
-    own: exact covers whose runs have mixed lengths and signs."""
-    n = draw(st.integers(1, 6))
+    own: exact covers whose runs have mixed lengths and signs. At n = 8
+    the paired kernels of every length below n run."""
+    n = draw(st.integers(1, 8))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     share = draw(st.sampled_from([0.1, 0.5, 0.9]))
     strips = []
@@ -291,16 +298,23 @@ def test_statement_sets_the_multiplications_beside_the_terms():
     reports = bench(["scheme", "leibniz"], [4, 5, 6], runs=1, seed=0)
     lines = term_count_statement(reports).splitlines()
     assert len(lines) == 6
-    for n, scheme_muls, leibniz_muls in ((4, 72, 50), (5, 480, 222), (6, 3600, 1338)):
+    paired = (
+        "one per pair of entries in antipodal rows, which a descending and an ascending diagonal "
+        "share, and n/2 - 1 per product"
+    )
+    for n, scheme_muls, leibniz_muls in ((4, 48, 50), (5, 480, 222), (6, 2520, 1338)):
         terms, muls = lines[2 * (n - 4) : 2 * (n - 3)]
         assert terms.startswith(f"n={n}: scheme evaluation expands exactly {math.factorial(n)} ")
+        per = "n - 1 per product" if n % 2 else paired
         assert muls == (
-            f"n={n}: scheme evaluation runs {scheme_muls} chained multiplications, n - 1 per "
-            f"product, against {leibniz_muls} in the permutation expansion, which forms each "
+            f"n={n}: scheme evaluation runs {scheme_muls} chained multiplications, {per}, "
+            f"against {leibniz_muls} in the permutation expansion, which forms each "
             f"term as one shared prefix times one shared pair; the counts differ by that "
             f"factoring, not by the scheme."
         )
-        assert scheme_muls == math.factorial(n) * (n - 1)
+        # every run is full: n!/2n runs, each of 3n²/2 - 2n at even n
+        full_runs = math.factorial(n) // (2 * n) * (3 * n * n // 2 - 2 * n)
+        assert scheme_muls == (math.factorial(n) * (n - 1) if n % 2 else full_runs)
 
 
 def test_jsonl_output_parses():

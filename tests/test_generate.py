@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import sarrus.generate
+import sarrus.scheme
 from sarrus import (
     NotFound,
     Permutation,
@@ -19,6 +20,7 @@ from sarrus import (
     SizeLimitExceeded,
     SizeTooSmall,
     VerificationFailed,
+    builtin_scheme,
     cyclic_shift,
     necklace_classes,
     parity,
@@ -283,6 +285,35 @@ def test_verify_generated_names_the_sample_the_oracle_refutes(monkeypatch):
         f"sample 2: scheme evaluated to {oracle(M)} but the oracle says {oracle(M) + 1} for {M!r}"
     )
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("n", [4, 5, 8])
+def test_verify_generated_catches_a_kernel_that_drops_a_product(monkeypatch, n):
+    # the validation passes, so only the samples can tell: the kernel drops
+    # one product, the descending diagonal of the first run it is given.
+    # Its entries have 62 bits, so the first sample catches it; drawn from
+    # [-9, 9], each entry would be 0 one time in 19, and a 0 would hide it
+    sch = builtin_scheme(n) if n <= 5 else search_scheme(SearchConfig(n=n, random_seed=1))
+    kernel, dropped = sarrus.scheme._run_sum, []
+
+    def dropping(n, length):
+        run_sum = kernel(n, length)
+
+        def run_sum_less_one(columns, firsts, same, other):
+            same, other = run_sum(columns, firsts, same, other)
+            if not dropped:
+                dropped.append(firsts[:n])
+                same -= math.prod(columns[c][r] for r, c in enumerate(firsts[:n]))
+            return same, other
+
+        return run_sum_less_one
+
+    monkeypatch.setattr(sarrus.scheme, "_run_sum", dropping)
+    for seed in range(5):
+        dropped.clear()
+        with pytest.raises(VerificationFailed, match="^sample 0: "):
+            verify_generated(sch, 5, seed=seed)
+        assert len(dropped) == 1
 
 
 def test_generated_schemes_survive_verification():

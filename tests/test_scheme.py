@@ -52,7 +52,7 @@ from sarrus import (
 )
 from sarrus.bench import random_matrix
 from sarrus.perm import _word_parity
-from sarrus.scheme import _diagonals, _runs, _signed_windows
+from sarrus.scheme import _diagonals, _run_muls, _run_products, _runs, _signed_windows
 
 # the first junction of the even quilt: two 9-column layouts sharing one column
 P1_P2_PREFIX = (1, 2, 3, 4, 5, 1, 2, 3, 4, 3, 5, 2, 1, 4, 3, 5, 2)
@@ -927,6 +927,29 @@ def test_rational_evaluation_matches_the_oracles(n, kind):
     evaluate(scheme, integer_matrix, ops=int_ops)
     positive_negative_sums(scheme, integer_matrix, ops=int_sum_ops)
     assert ops == int_ops and sum_ops == int_sum_ops
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+@pytest.mark.parametrize("kind", ["int", "all p/q"])
+def test_paired_kernels_split_as_the_expansion(n, kind):
+    # at even n the kernels multiply antipodal pairs first; each side of the
+    # split still equals the n!-term expansion's
+    rng = random.Random(f"paired:{kind}:{n}")
+    M = random_matrix(n, rng) if kind == "int" else _rational_matrix(kind, n, rng)
+    assert positive_negative_sums(_scheme_for(n), M) == parity_partition_sums(M)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_kernels_pair_rows_at_even_n_from_four_only(n):
+    # a full run at even n >= 4 costs 3n²/2 - 2n, and no run costs more than
+    # 2L(n - 1), the product of each diagonal taken row by row; elsewhere
+    # nothing pairs, and each kernel takes the entries themselves
+    for length in range(1, n + 1):
+        pairs, _ = _run_products(n, length)
+        assert bool(pairs) == (n >= 4 and n % 2 == 0)
+        assert _run_muls(n, length) <= 2 * length * (n - 1)
+    if n >= 4 and n % 2 == 0:
+        assert _run_muls(n, n) == 3 * n * n // 2 - 2 * n
 
 
 def test_evaluate_float_is_close(worked_matrix):
