@@ -26,12 +26,12 @@ class OpCounter:
     adds: int = 0
     divs: int = 0
 
-    def term(self, n_factors: int, k: int = 1, chained: int | None = None) -> None:
+    def term(self, n_factors: int, k: int, chained: int) -> None:
         """Record k signed products of n_factors entries each, formed by
-        ``chained`` multiplications: k * (n_factors - 1) when they share none."""
+        ``chained`` multiplications."""
         self.terms += k
         self.mul_factors += k * n_factors
-        self.mul_chained += k * (n_factors - 1) if chained is None else chained
+        self.mul_chained += chained
 
     def mul(self, k: int = 1) -> None:
         """Record k standalone multiplications (both conventions coincide)."""

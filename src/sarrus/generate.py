@@ -179,13 +179,15 @@ def verify_generated(sch: Scheme, sample_count: int, *, seed: int = 0) -> Verifi
     random integer matrices.
 
     Each sample draws its own entries, uniformly from the 2^62 integers in
-    [-2^61, 2^61). An evaluation's signed sum minus det is a polynomial of
-    degree n in the n^2 entries, nonzero whenever the evaluation is wrong,
-    from a defective scheme or from a faulty kernel alike; so by
-    Schwartz-Zippel one sample misses a fault with probability at most
-    n/2^62, and the samples are a check of their own beside the validation.
-    (Entries in [-9, 9], as ``random_matrix`` draws, would bound it by n/19
-    only.)
+    [-2^61, 2^61). When a fault changes which products are summed, as a
+    defective scheme does, or a kernel that drops, repeats or mis-indexes a
+    product, the signed sum minus det is a nonzero polynomial of degree n
+    in the n^2 entries; so by Schwartz-Zippel one sample misses it with
+    probability at most n/2^62, and the samples are a check of their own
+    beside the validation. (Entries in [-9, 9], as ``random_matrix`` draws,
+    would bound it by n/19 only.) A fault that depends on the values, such
+    as a branch or a wrong cast, is no such polynomial, and the bound says
+    nothing of it.
 
     Raises VerificationFailed with the first counterexample.
     """

@@ -494,7 +494,7 @@ def _signed_sums(sch: Scheme, M: Matrix, ops: OpCounter | None) -> tuple[int, in
     if ops is not None:
         # the kernels' multiplications, run by run: fewer than n - 1 a
         # product where antipodal rows pair (see ``_run_sum``)
-        muls = sum(_run_muls(sch.n, length) * (len(firsts) // sch.n) for length, _, firsts in signed.runs)
+        muls = sum(_run_sum(sch.n, length).muls * (len(firsts) // sch.n) for length, _, firsts in signed.runs)
         ops.term(sch.n, signed.covered, chained=muls)
         # the first term landing in each running sum is not an addition
         ops.add(max(signed.covered - 2, 0))
@@ -542,14 +542,6 @@ def _run_products(n: int, length: int) -> tuple[tuple[tuple[int, int], ...], dic
 
 
 @lru_cache(maxsize=None)
-def _run_muls(n: int, length: int) -> int:
-    """The multiplications the kernel of (n, length) runs on one run: one per
-    pair, and one fewer than its factors per diagonal."""
-    pairs, products = _run_products(n, length)
-    return len(pairs) + sum(len(d) - 1 for side in products.values() for d in side)
-
-
-@lru_cache(maxsize=None)
 def _run_sum(n: int, length: int) -> Callable[[list, bytes, object, object], tuple]:
     """The function f(columns, firsts, same, other) that adds the diagonals of
     runs of ``length`` rotations to a pair of running sums, given each run's
@@ -571,7 +563,9 @@ def _run_sum(n: int, length: int) -> Callable[[list, bytes, object, object], tup
     running sum, and a sum that is still None starts from them, so a side of
     t products costs t - 1 additions however its runs fall into kernels.
     Compiled from a fixed template, as ``oracle._expansion`` is, whose text
-    depends on the ints n and length only.
+    depends on the ints n and length only. Its ``muls`` attribute is the
+    multiplications it runs on one run: one per pair, and one fewer than its
+    factors per diagonal.
     """
     pairs, products = _run_products(n, length)
     half = _half(n)
@@ -586,7 +580,9 @@ def _run_sum(n: int, length: int) -> Callable[[list, bytes, object, object], tup
             source += f"        {name} = {terms} if {name} is None else {name} + ({terms})\n"
     namespace: dict = {}
     exec(source + "    return same, other\n", namespace)
-    return namespace["run_sum"]
+    run_sum = namespace["run_sum"]
+    run_sum.muls = len(pairs) + sum(len(d) - 1 for side in products.values() for d in side)
+    return run_sum
 
 
 def evaluate(sch: Scheme, M: Matrix, *, ops: OpCounter | None = None) -> Scalar:

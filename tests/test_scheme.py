@@ -52,7 +52,7 @@ from sarrus import (
 )
 from sarrus.bench import random_matrix
 from sarrus.perm import _word_parity
-from sarrus.scheme import _diagonals, _run_muls, _run_products, _runs, _signed_windows
+from sarrus.scheme import _diagonals, _run_products, _run_sum, _runs, _signed_windows
 
 # the first junction of the even quilt: two 9-column layouts sharing one column
 P1_P2_PREFIX = (1, 2, 3, 4, 5, 1, 2, 3, 4, 3, 5, 2, 1, 4, 3, 5, 2)
@@ -947,9 +947,9 @@ def test_kernels_pair_rows_at_even_n_from_four_only(n):
     for length in range(1, n + 1):
         pairs, _ = _run_products(n, length)
         assert bool(pairs) == (n >= 4 and n % 2 == 0)
-        assert _run_muls(n, length) <= 2 * length * (n - 1)
+        assert _run_sum(n, length).muls <= 2 * length * (n - 1)
     if n >= 4 and n % 2 == 0:
-        assert _run_muls(n, n) == 3 * n * n // 2 - 2 * n
+        assert _run_sum(n, n).muls == 3 * n * n // 2 - 2 * n
 
 
 def test_evaluate_float_is_close(worked_matrix):

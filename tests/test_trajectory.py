@@ -62,6 +62,17 @@ def test_a_metric_missing_on_one_side_is_shown_as_is():
     ]
 
 
+def test_the_delta_report_notes_a_run_of_another_seed_or_length():
+    values = {"setup_s": 1.0, "ops_per_s": 1.0, "op_p50_ms": 1.0, "peak_rss_mb": 1.0}
+    old, new = _record("a", {"w": (0, values)}), _record("b", {"w": (0, values)})
+    old["workloads"]["w"].update(seed=1, seconds=20.0)
+    new["workloads"]["w"].update(seed=2, seconds=20.0)
+    lines = trajectory.delta_report(old, new, BOUNDS)
+    assert lines[2] == "    run differs: (seed, seconds) (1, 20.0) -> (2, 20.0)"
+    new["workloads"]["w"]["seed"] = 1
+    assert "run differs" not in "".join(trajectory.delta_report(old, new, BOUNDS))
+
+
 def test_the_previous_record_sorts_tags_by_number(tmp_path):
     for tag in ("run9", "run10", "run26", "run27"):
         (tmp_path / f"BENCH_{tag}.json").write_text("{}")
@@ -90,7 +101,7 @@ def test_a_workload_entry_keeps_scaled_raw_extras_and_failed():
 def test_committed_records_keep_the_schema(path):
     rec = json.loads(path.read_text(encoding="utf-8"))
     assert rec["schema"] == trajectory.SCHEMA and path.name == f"BENCH_{rec['tag']}.json"
-    assert set(rec["workloads"]) == set(trajectory.WORKLOADS)
+    assert set(rec["workloads"]) == set(trajectory.workloads(ROOT))
     for entry in rec["workloads"].values():
         assert set(entry["metrics"]) == set(BOUNDS)
         assert entry["failed"] == 0

@@ -3,12 +3,14 @@ change against the previous record.
 
     python3 tools/trajectory.py TAG              # read perfbench/out/<workload>.trace0.json
     python3 tools/trajectory.py TAG --run        # run perfbench/run.py --trace 0 first
-    python3 tools/trajectory.py TAG --run --checkout DIR --seed 1 --seconds 20
+    python3 tools/trajectory.py TAG --run --checkout DIR
 
-Each workload's ``perfbench/out/<workload>.trace0.json`` (written by
-``perfbench/run.py --trace 0``) becomes one entry of a fixed-schema record:
-the four bounded metrics, scaled and raw (null where the run reports none),
-the workload's own extras, ``failed`` and ``attempted``. The record adds the
+The workloads are the ones ``perfbench/run.py`` names. Each workload's
+``perfbench/out/<workload>.trace0.json`` (written by ``perfbench/run.py
+--trace 0``, with run.py's default seed and length) becomes one entry of a
+fixed-schema record: the four bounded metrics, scaled and raw (null where
+the run reports none), the workload's own extras, ``failed`` and
+``attempted``. The record adds the
 git revision of the checkout measured and the machine context, and is
 written at the root of this repository. ``--checkout`` measures another
 checkout of the repository, such as a parent commit.
@@ -16,12 +18,14 @@ checkout of the repository, such as a parent commit.
 The previous record is the other BENCH_*.json whose tag sorts last before
 TAG, numbers compared as numbers (run9 before run10). The change against it
 is printed as a report and never fails the run: the exit status is 0
-whenever the record was written.
+whenever the record was written. A workload whose seed or length differs
+between the two records is noted in the report.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import platform
 import re
@@ -30,8 +34,15 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("det-files", "det-large", "scheme-build", "oracle-check")
 SCHEMA = 1
+
+
+def workloads(checkout: Path) -> tuple[str, ...]:
+    """The workload names of the checkout's perfbench/run.py."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", checkout / "perfbench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    return run.NAMES
 
 
 def _natural(tag: str) -> list:
@@ -105,6 +116,9 @@ def delta_report(old: dict, new: dict, bounds: dict) -> list[str]:
             continue
         was, now = old["workloads"][name], new["workloads"][name]
         lines.append(f"  {name}: failed {was['failed']} -> {now['failed']}")
+        runs = [(w.get("seed"), w.get("seconds")) for w in (was, now)]
+        if runs[0] != runs[1]:
+            lines.append(f"    run differs: (seed, seconds) {runs[0]} -> {runs[1]}")
         for metric, spec in bounds.items():
             a, b = was["metrics"][metric]["value"], now["metrics"][metric]["value"]
             if a is None or b is None or a == 0:
@@ -131,19 +145,16 @@ def main(argv=None) -> int:
     p.add_argument("tag", help="the record is written as BENCH_<tag>.json")
     p.add_argument("--checkout", type=Path, default=ROOT, help="the checkout measured (default: this one)")
     p.add_argument("--run", action="store_true", help="run perfbench/run.py --trace 0 on each workload first")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--seconds", type=float, default=20)
     args = p.parse_args(argv)
     if not re.fullmatch(r"[\w.-]+", args.tag):
         p.error(f"tag {args.tag!r} is not letters, digits, '_', '.' or '-'")
     checkout = args.checkout.resolve()
     runs = {}
-    for name in WORKLOADS:
+    for name in workloads(checkout):
         path = checkout / "perfbench" / "out" / f"{name}.trace0.json"
         if args.run:
             path.unlink(missing_ok=True)  # so a run that ends early leaves no stale record
-            cmd = [sys.executable, "perfbench/run.py", "--workload", name, "--seed", str(args.seed),
-                   "--seconds", str(args.seconds), "--trace", "0"]
+            cmd = [sys.executable, "perfbench/run.py", "--workload", name, "--trace", "0"]
             subprocess.run(cmd, cwd=checkout, stdout=subprocess.DEVNULL)
         if not path.is_file():
             print(f"error: no {path}; run perfbench/run.py --workload {name} --trace 0, "
