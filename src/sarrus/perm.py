@@ -127,6 +127,27 @@ def _class_place(word: tuple[int, ...]) -> tuple[tuple[int, ...], int, Sign]:
     return (1, *r[:0:-1]), (k + 1) % n, -1
 
 
+def _swap_key(key: tuple[int, ...]) -> tuple[int, ...]:
+    """The key of the class of key's words with the values 3 and 4 swapped
+    (n >= 4): swap them in key, keep 1 in front, and read towards the
+    smaller neighbour. O(n)."""
+    r = tuple(7 - v if v in (3, 4) else v for v in key)
+    return r if r[1] < r[-1] else (1, *r[:0:-1])
+
+
+def _swap_head(key: tuple[int, ...]) -> tuple[tuple[int, ...], int, bool]:
+    """(word, p, reversed): the word of key's class, n odd and >= 5, that
+    starts with 3 and has 4 at position p in 1..(n - 1)/2, found by rotating
+    key and, where 4 would sit past (n - 1)/2, reversing it. O(n)."""
+    n = len(key)
+    k = key.index(3)
+    word = key[k:] + key[:k]
+    p = word.index(4)
+    if 2 * p < n:
+        return word, p, False
+    return (3, *word[:0:-1]), n - p, True
+
+
 def _class_words(key: tuple[int, ...], bits: int) -> list[tuple[int, ...]]:
     """The words of the pairs of key's class whose bits are set in bits (-1
     sets every pair): two words a pair, and one, the key, at n = 1."""

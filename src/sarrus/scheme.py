@@ -31,7 +31,7 @@ of S_n, and the even words hit are half of S_n less the even ones missed.
 Evaluation reads the pass only, run by run, following the cyclic pattern
 of the diagonals: a run of L starts is its first window read along 2L broken
 diagonals, each signed from the run's first sign by ``perm._sign_factors``.
-One kernel per (n, L), ``_run_sum``, unpacks the n matrix columns that a
+One kernel per (n, L, p), ``_run_sum``, unpacks the n matrix columns that a
 first window names and adds its 2L diagonal products, with no walk of the
 strips and no table of words. One pair of running sums, even and odd, goes
 through every kernel, each side started by its first products, so a side of
@@ -39,7 +39,16 @@ t products costs the t - 1 additions that ``OpCounter`` tallies. At even
 n >= 4 rows r and r + n/2 of a descending diagonal read the same two entries
 as the same rows of an ascending diagonal of the run, so the kernel
 multiplies each such antipodal pair once and shares it between the two; at
-odd n the two diagonals share one entry only, and nothing pairs.
+odd n the two diagonals share one entry only, and nothing pairs within a
+run. Instead, at odd n >= 5, the paper's "very symmetric pattern" of the
+5x5, whose odd strip is its even strip with the labels 3 and 4 swapped,
+pairs the runs: the swap σ fixes no necklace class there, so in an exact
+cover each full run of class C has a partner, the full run of class σC. A
+word x and σ∘x differ only in the two rows that read 3 and 4, and have
+opposite signs, so each diagonal of a run shares its other n - 2 entries
+with one of its partner's. The pass records such a pair once, by a first
+window that starts with 3 and has 4 at position p in 1..(n - 1)/2, and the
+kernel of p forms each shared product once (see ``_run_sum``).
 
 Exact evaluation runs over cleared rows, as the oracles do: each row of a
 rational matrix is scaled to integers by the lcm of its denominators. Every
@@ -53,8 +62,9 @@ evaluation and validation are safe to run concurrently: a first use from two
 threads at once computes equal passes, and either one is kept. Two equal
 schemes, such as a file loaded twice, each run their own pass. Exact
 arithmetic makes summation order irrelevant; float evaluation sums run by
-run, and at even n >= 4 multiplies each product's entries in antipodal
-pairs, and rounds accordingly.
+run, multiplies each product's entries in antipodal pairs at even n >= 4
+and as S·a·b around the rows that read 3 and 4 at odd n >= 5, and rounds
+accordingly.
 """
 
 from __future__ import annotations
@@ -71,7 +81,8 @@ from .errors import (
 )
 from .matrix import Matrix, Scalar, _cleared_rows, _uncleared
 from .perm import (
-    Permutation, Sign, _class_pairs, _class_place, _class_words, _least_words, _sign_factors, _word_parity
+    Permutation, Sign, _class_pairs, _class_place, _class_words, _least_words, _sign_factors, _swap_head, _swap_key,
+    _word_parity,
 )
 
 
@@ -314,10 +325,15 @@ class _SignedWindows:
     report, since the report's missing words can number up to n!.
 
     ``runs`` holds, for an exact cover, every run of rotations that the walk
-    found, as (length, sign of its first descending word, first windows): the
-    first window of each run of that length and sign, n columns each, in one
-    ``bytes``, about a byte a start. Evaluation reads each run's diagonals
-    off its first window (see ``_run_sum``). Columns fit in a byte because
+    found, as (length, p, sign of its first descending word, first windows):
+    the first window of each run of that length, p and sign, n columns each,
+    in one ``bytes``, about a byte a start. Evaluation reads each run's
+    diagonals off its first window (see ``_run_sum``). At odd n >= 5 a full
+    run whose 3 <-> 4 swapped partner's run is full too is recorded with it
+    as one pair, once, under p in 1..(n - 1)/2: its window is the lesser
+    key's class word that starts with 3 and has 4 at p (``perm._swap_head``),
+    signed from the run's sign, and its partner's words are its own with 3
+    and 4 swapped. Every other run has p = 0. Columns fit in a byte because
     every ``Scheme`` has n <= 10. A scheme that is no exact cover records no
     runs, so ``runs`` is non-empty exactly when no window is invalid and the
     diagonals hit every permutation once.
@@ -327,7 +343,7 @@ class _SignedWindows:
     duplicates: tuple[tuple[tuple[int, ...], tuple[WindowRef, ...]], ...]
     covered: int
     cover: dict[tuple[int, ...], int]
-    runs: tuple[tuple[int, Sign, bytes], ...]
+    runs: tuple[tuple[int, int, Sign, bytes], ...]
     summary: list[str] = field(default_factory=list, compare=False, repr=False)
 
 
@@ -364,7 +380,10 @@ def _walk(sch: Scheme) -> _SignedWindows:
     invalid: list[tuple[int, int]] = []
     cover: dict[tuple[int, ...], int] = {}  # the pairs hit, by class key
     twice: dict[tuple[int, ...], int] = {}  # the pairs hit more than once
-    firsts: defaultdict[tuple[int, Sign], list[int]] = defaultdict(list)
+    firsts: defaultdict[tuple[int, int, Sign], list[int]] = defaultdict(list)
+    # at odd n >= 5, each full run by class key: (first window, sign, step)
+    full: dict[tuple[int, ...], tuple[tuple[int, ...], Sign, Sign]] = {}
+    swaps = _swaps(n)
     for si, strip in enumerate(sch.strips, start=1):
         columns = strip.columns
         for first, length, sign in _runs(n, strip):
@@ -372,10 +391,13 @@ def _walk(sch: Scheme) -> _SignedWindows:
                 invalid.append((si, first))
                 continue
             w = columns[first - 1 : first + n - 1]
-            firsts[length, sign] += w
+            key, j, step = _class_place(w)
+            if swaps and length == n:
+                full[key] = w, sign, step
+            else:
+                firsts[length, 0, sign] += w
             # the run's first ``pairs`` starts hit an arc of its class's
             # cycle, and the rest wrap round and hit that arc again
-            key, j, step = _class_place(w)
             hit = _arc(pairs, j, step, length)
             old = cover.get(key, 0)
             cover[key] = old | hit
@@ -390,6 +412,17 @@ def _walk(sch: Scheme) -> _SignedWindows:
     # only a listing of missing words reads the cover again
     short = not _is_factorial(covered, n)
     exact_cover = not invalid and not repeated and not short
+    if exact_cover:
+        flip = _sign_factors(n)[1]
+        for key, (w, sign, step) in full.items():
+            partner = _swap_key(key)
+            if partner not in full:
+                firsts[n, 0, sign] += w
+            elif key < partner:  # each pair once, from its lesser key
+                # the key is the window rotated (step 1) or reversed, and a
+                # rotation keeps the sign at odd n
+                head, p, back = _swap_head(key)
+                firsts[n, p, sign * flip ** ((step < 0) + back)] += head
     return _SignedWindows(
         invalid=tuple(invalid),
         duplicates=_where_hit(sch, repeated) if repeated else (),
@@ -434,9 +467,10 @@ def validate(sch: Scheme) -> ValidationReport:
     some are missing: nearly n! of them when a few windows repeat n!/2 times.
     The pass reads the walk of each strip and records each run as the arc of
     its necklace class's pairs that it hits (see the module notes); for an
-    exact cover it also records each run's first window, which is all
-    evaluation reads. The even count is half of S_n (its one word at n = 1)
-    less the even words missing.
+    exact cover it also records each run's first window, one for each
+    swapped pair of full runs at odd n >= 5, which is all evaluation reads.
+    The even count is half of S_n (its one word at n = 1) less the even
+    words missing.
     """
     n = sch.n
     signed = _signed_windows(sch)
@@ -493,8 +527,8 @@ def _signed_sums(sch: Scheme, M: Matrix, ops: OpCounter | None) -> tuple[int, in
     signed = _complete(sch)
     if ops is not None:
         # the kernels' multiplications, run by run: fewer than n - 1 a
-        # product where antipodal rows pair (see ``_run_sum``)
-        muls = sum(_run_sum(sch.n, length).muls * (len(firsts) // sch.n) for length, _, firsts in signed.runs)
+        # product where antipodal rows or swapped runs pair (see ``_run_sum``)
+        muls = sum(_run_sum(sch.n, length, p).muls * (len(firsts) // sch.n) for length, p, _, firsts in signed.runs)
         ops.term(sch.n, signed.covered, chained=muls)
         # the first term landing in each running sum is not an addition
         ops.add(max(signed.covered - 2, 0))
@@ -508,11 +542,11 @@ def _even_odd_sums(n: int, signed: _SignedWindows, rows: Sequence[Sequence]) -> 
     kernel continues."""
     columns = [(), *zip(*rows)]  # 1-based, as the strips name them
     even = odd = None
-    for length, sign, firsts in signed.runs:
+    for length, p, sign, firsts in signed.runs:
         if sign > 0:
-            even, odd = _run_sum(n, length)(columns, firsts, even, odd)
+            even, odd = _run_sum(n, length, p)(columns, firsts, even, odd)
         else:
-            odd, even = _run_sum(n, length)(columns, firsts, odd, even)
+            odd, even = _run_sum(n, length, p)(columns, firsts, odd, even)
     # only at n = 1 is a side, the odd one, left with no products
     return even, 0 if odd is None else odd
 
@@ -522,31 +556,53 @@ def _half(n: int) -> int:
     return n // 2 if n >= 4 and n % 2 == 0 else 0
 
 
-def _run_products(n: int, length: int) -> tuple[tuple[tuple[int, int], ...], dict[Sign, list[list[str]]]]:
-    """The pairs a run kernel multiplies first, as (row r, column c), and its
+def _swaps(n: int) -> bool:
+    """Whether full runs pair with their 3 <-> 4 swapped partners: at odd n >= 5."""
+    return n >= 5 and n % 2 == 1
+
+
+def _run_products(
+    n: int, length: int, p: int
+) -> tuple[tuple[tuple[str, tuple[str, ...]], ...], dict[Sign, list[list[str]]]]:
+    """The products a run kernel forms first, as (name, factors), and its
     diagonal products by sign relative to the first window, each a list of
-    factors in row order: at odd n or n <= 2 a factor is row r's entry, and
-    at even n >= 4 the pair of rows r < n/2 and r + n/2 (see ``_run_sum``)."""
+    factors (see ``_run_sum``): at even n >= 4 the pairs of rows r < n/2 and
+    r + n/2; at p >= 1 each diagonal's product S of the rows that read
+    neither position 0 nor p, then S times those two entries, and S times
+    them swapped, on the other side; else the entries, in row order."""
     turn, flip = _sign_factors(n)
     half = _half(n)
     rows = range(half or n)
-    factor = "q{0}_{1}" if half else "e{1}_{0}"
     diagonals: dict[Sign, list[list[tuple[int, int]]]] = {1: [], -1: []}
     for k in range(length):
         diagonals[turn**k].append([(r, (r + k) % n) for r in rows])
         if n > 1:  # at n = 1 the window is its own reverse
             diagonals[turn**k * flip].append([(r, (n - 1 - r + k) % n) for r in rows])
-    pairs = tuple(sorted({rc for ds in diagonals.values() for d in ds for rc in d})) if half else ()
-    products = {side: [[factor.format(*rc) for rc in d] for d in ds] for side, ds in diagonals.items()}
-    return pairs, products
+    if half:
+        pairs = sorted({rc for ds in diagonals.values() for d in ds for rc in d})
+        first = tuple((f"q{r}_{c}", (f"e{c}_{r}", f"e{(c + half) % n}_{r + half}")) for r, c in pairs)
+        return first, {side: [[f"q{r}_{c}" for r, c in d] for d in ds] for side, ds in diagonals.items()}
+    if not p:
+        return (), {side: [[f"e{c}_{r}" for r, c in d] for d in ds] for side, ds in diagonals.items()}
+    rests: list[tuple[str, tuple[str, ...]]] = []
+    products: dict[Sign, list[list[str]]] = {1: [], -1: []}
+    for side, ds in diagonals.items():
+        for d in ds:
+            name = f"s{len(rests)}"
+            rests.append((name, tuple(f"e{c}_{r}" for r, c in d if c not in (0, p))))
+            (i, a), (j, b) = ((r, c) for r, c in d if c in (0, p))
+            products[side].append([name, f"e{a}_{i}", f"e{b}_{j}"])
+            products[-side].append([name, f"e{b}_{i}", f"e{a}_{j}"])
+    return tuple(rests), products
 
 
 @lru_cache(maxsize=None)
-def _run_sum(n: int, length: int) -> Callable[[list, bytes, object, object], tuple]:
+def _run_sum(n: int, length: int, p: int) -> Callable[[list, bytes, object, object], tuple]:
     """The function f(columns, firsts, same, other) that adds the diagonals of
     runs of ``length`` rotations to a pair of running sums, given each run's
     first window as n bytes of ``firsts``, and ``columns[c]``, column c of the
-    matrix by row.
+    matrix by row. At p >= 1 each first window stands for a pair of full
+    runs: its own, and the run of its class with the labels 3 and 4 swapped.
 
     At offset k, row r of the descending diagonal reads column (r + k) mod n
     of the first window, and of the ascending one column (n - 1 - r + k) mod
@@ -558,30 +614,43 @@ def _run_sum(n: int, length: int) -> Callable[[list, bytes, object, object], tup
     diagonal, and the run costs 3n²/2 - 2n multiplications, not 2n(n - 1).
     At odd n a descending and an ascending diagonal of one run share one
     entry only, since 2r = c mod n has one root, so there the factors are
-    the entries. Products signed as the first window go to ``same``, the
-    others to ``other``. Each run's products are summed before they meet the
-    running sum, and a sum that is still None starts from them, so a side of
-    t products costs t - 1 additions however its runs fall into kernels.
+    the entries.
+
+    At odd n >= 5 the swap σ of the labels 3 and 4 pairs the classes: σ
+    fixes no class, since a reflection of the n-cycle swaps (n - 1)/2 pairs
+    of positions and a rotation moves them all, where σ swaps one pair. A
+    word x and σ∘x differ only in rows i and j, which read 3 and 4, and
+    their signs are opposite. So the pass records a full run whose
+    partner's run is full too as one first window that starts with 3 and
+    has 4 at p in 1..(n - 1)/2, and the kernel of (n, n, p) forms each of
+    its 2n diagonals' product S over the n - 2 other rows once: S·a·b is
+    the diagonal's own term and S·a′·b′, with the entries of rows i and j
+    swapped, its partner's, on the other side. A pair costs 2n(n + 1)
+    multiplications, not 4n(n - 1).
+
+    Products signed as the first window go to ``same``, the others to
+    ``other``. Each run's products are summed before they meet the running
+    sum, and a sum that is still None starts from them, so a side of t
+    products costs t - 1 additions however its runs fall into kernels.
     Compiled from a fixed template, as ``oracle._expansion`` is, whose text
-    depends on the ints n and length only. Its ``muls`` attribute is the
-    multiplications it runs on one run: one per pair, and one fewer than its
-    factors per diagonal.
+    depends on the ints n, length and p only. Its ``muls`` attribute is the
+    multiplications it runs on one first window: one fewer than its factors
+    per product formed first and per diagonal product.
     """
-    pairs, products = _run_products(n, length)
-    half = _half(n)
+    first, products = _run_products(n, length, p)
     source = "def run_sum(columns, firsts, same, other):\n"
     source += f"    for {', '.join(f'c{j}' for j in range(n))}, in zip(*[iter(firsts)] * {n}):\n"
     # e{j}_{r}: row r of the j-th column of the first window
     source += "".join(f"        {', '.join(f'e{j}_{r}' for r in range(n))}, = columns[c{j}]\n" for j in range(n))
-    source += "".join(f"        q{r}_{c} = e{c}_{r} * e{(c + half) % n}_{r + half}\n" for r, c in pairs)
+    source += "".join(f"        {name} = {' * '.join(factors)}\n" for name, factors in first)
     for name, side in (("same", 1), ("other", -1)):
         if products[side]:
-            terms = " + ".join(" * ".join(d) for d in products[side])
-            source += f"        {name} = {terms} if {name} is None else {name} + ({terms})\n"
+            source += f"        t = {' + '.join(' * '.join(d) for d in products[side])}\n"
+            source += f"        {name} = t if {name} is None else {name} + t\n"
     namespace: dict = {}
     exec(source + "    return same, other\n", namespace)
     run_sum = namespace["run_sum"]
-    run_sum.muls = len(pairs) + sum(len(d) - 1 for side in products.values() for d in side)
+    run_sum.muls = sum(len(f) - 1 for _, f in first) + sum(len(d) - 1 for side in products.values() for d in side)
     return run_sum
 
 
@@ -613,9 +682,10 @@ def evaluate_float(sch: Scheme, rows: Sequence[Sequence[float]]) -> float:
 
     No exactness guarantee: float products and sums round, so this is for
     quick numeric use only; the exact path is ``evaluate``. At even n >= 4
-    each product is taken over pairs of entries in antipodal rows (see
-    ``_run_sum``), so its last bits can differ from a product taken row by
-    row.
+    each product is taken over pairs of entries in antipodal rows, and at
+    odd n >= 5 a full run's product as S·a·b, S the product of the entries
+    outside the rows that read columns 3 and 4 (see ``_run_sum``), so its
+    last bits can differ from a product taken row by row.
     """
     n = sch.n
     if len(rows) != n or any(len(r) != n for r in rows):

@@ -52,9 +52,10 @@ def test_scheme_and_leibniz_counts_match():
         l = by_key[("leibniz", n)]
         assert s.term_count == l.term_count == math.factorial(n)
         assert s.multiplications_n_factors == math.factorial(n) * n
-        # n - 1 a product at n = 5; at n = 4 each full run pairs its
-        # antipodal rows, 16 multiplications a run against 24
-        assert s.multiplications_chained == {4: 48, 5: 480}[n]
+        # at n = 4 each full run pairs its antipodal rows, 16
+        # multiplications a run against 24; at n = 5 each full run and its
+        # 3 <-> 4 swapped partner take 60 together, against 80
+        assert s.multiplications_chained == {4: 48, 5: 360}[n]
         # Leibniz multiplies shared prefix and pair products, so its two
         # conventions coincide, at fewer multiplications than the scheme
         # chains at n = 5; at n = 4 the scheme's antipodal pairs take it to
@@ -118,8 +119,11 @@ def test_expansion_counts_are_exact(n):
         sch = Scheme(n=1, strips=(SchemeStrip(1, (1,), (1,)),)) if n == 1 else builtin_scheme(n)
         # the same terms and additions; the scheme chains n - 1 multiplications
         # a term, except at n = 4, where the built-in's 3 full runs take 16
-        # each: 8 antipodal pairs, and one pair * pair per diagonal
-        scheme_muls = 48 if n == 4 else terms * (n - 1)
+        # each: 8 antipodal pairs, and one pair * pair per diagonal; and at
+        # n = 5, where its 12 full runs make 6 pairs, 3 and 4 swapped, of 60
+        # each: 2 for each diagonal's 3 other entries, then 2 for its own
+        # term and 2 for its partner's
+        scheme_muls = {4: 48, 5: 360}.get(n, terms * (n - 1))
         assert _counts(positive_negative_sums, sch, M) == (terms, scheme_muls, side_adds, 0)
         assert _counts(evaluate, sch, M) == (terms, scheme_muls, side_adds + 1, 0)
 
@@ -302,19 +306,25 @@ def test_statement_sets_the_multiplications_beside_the_terms():
         "one per pair of entries in antipodal rows, which a descending and an ascending diagonal "
         "share, and n/2 - 1 per product"
     )
-    for n, scheme_muls, leibniz_muls in ((4, 48, 50), (5, 480, 222), (6, 2520, 1338)):
+    swapped = (
+        "n + 1 per two products, a diagonal's and its partner's with the labels 3 and 4 "
+        "swapped, which share their n - 2 other entries"
+    )
+    for n, scheme_muls, leibniz_muls in ((4, 48, 50), (5, 360, 222), (6, 2520, 1338)):
         terms, muls = lines[2 * (n - 4) : 2 * (n - 3)]
         assert terms.startswith(f"n={n}: scheme evaluation expands exactly {math.factorial(n)} ")
-        per = "n - 1 per product" if n % 2 else paired
+        per = swapped if n % 2 else paired
         assert muls == (
             f"n={n}: scheme evaluation runs {scheme_muls} chained multiplications, {per}, "
             f"against {leibniz_muls} in the permutation expansion, which forms each "
             f"term as one shared prefix times one shared pair; the counts differ by that "
             f"factoring, not by the scheme."
         )
-        # every run is full: n!/2n runs, each of 3n²/2 - 2n at even n
+        # every run is full: n!/2n runs, each of 3n²/2 - 2n at even n, and
+        # at odd n n!/4n pairs of runs, each of 2n(n + 1)
         full_runs = math.factorial(n) // (2 * n) * (3 * n * n // 2 - 2 * n)
-        assert scheme_muls == (math.factorial(n) * (n - 1) if n % 2 else full_runs)
+        swapped_pairs = math.factorial(n) // (4 * n) * 2 * n * (n + 1)
+        assert scheme_muls == (swapped_pairs if n % 2 else full_runs)
 
 
 def test_jsonl_output_parses():

@@ -15,7 +15,7 @@ from sarrus import (
     relabel_values,
     reverse,
 )
-from sarrus.perm import _class_pairs, _class_place, _class_words, _least_words
+from sarrus.perm import _class_pairs, _class_place, _class_words, _least_words, _swap_head, _swap_key, _word_parity
 
 
 @pytest.mark.parametrize(
@@ -228,3 +228,29 @@ def test_class_place_names_the_pair_and_the_pair_after_a_rotation(n):
         assert word in _class_words(key, 1 << j)
         assert word[1:] + word[:1] in _class_words(key, 1 << (j + step) % pairs)
         assert len(_class_words(key, -1)) == min(2 * n, math.factorial(n))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9])
+def test_the_swap_of_3_and_4_pairs_every_class_from_n_5(n):
+    # the swapped key is the key of the swapped words; the swap is an
+    # involution that fixes one class at n = 4, the paper's middle block,
+    # and none from n = 5
+    fixed = []
+    for key in _least_words(n):
+        partner = _swap_key(key)
+        swapped = tuple(7 - v if v in (3, 4) else v for v in key)
+        assert partner == _class_place(swapped)[0] and _swap_key(partner) == key
+        if partner == key:
+            fixed.append(key)
+    assert fixed == ([(1, 3, 2, 4)] if n == 4 else [])
+
+
+@pytest.mark.parametrize("n", [5, 7, 9])
+def test_the_swap_head_starts_with_3_and_has_4_in_the_first_half(n):
+    # rotations keep the sign at odd n, and a reversal multiplies it by
+    # (-1)**(n // 2)
+    for key in _least_words(n):
+        head, p, back = _swap_head(key)
+        assert head[0] == 3 and head[p] == 4 and 1 <= p <= (n - 1) // 2
+        assert head in _class_words(key, -1)
+        assert _word_parity(head) == _word_parity(key) * (-1) ** (n // 2 * back)

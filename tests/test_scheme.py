@@ -1,5 +1,6 @@
 import gc
 import itertools
+import json
 import math
 import random
 import tracemalloc
@@ -7,7 +8,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import WORKED_DET, WORKED_SUMS
@@ -36,6 +37,8 @@ from sarrus import (
     expand_block,
     format_scalar,
     leibniz_det,
+    matrix_from_csv,
+    matrix_from_json,
     p_block_heads,
     parity,
     parity_partition_sums,
@@ -51,7 +54,7 @@ from sarrus import (
     windows,
 )
 from sarrus.bench import random_matrix
-from sarrus.perm import _word_parity
+from sarrus.perm import _class_place, _swap_key, _word_parity
 from sarrus.scheme import _diagonals, _run_products, _run_sum, _runs, _signed_windows
 
 # the first junction of the even quilt: two 9-column layouts sharing one column
@@ -438,6 +441,28 @@ def _strip_sets(draw):
     return Scheme(n=n, strips=tuple(strips))
 
 
+def _partnerless_scheme(n):
+    """A valid scheme whose full runs lack a full partner: the searched
+    scheme of seed n block by block, with the block of the greater key of
+    each class and its 3 <-> 4 swapped partner cut in two, one block of its
+    first n // 2 rotations and one of the rest."""
+    strips = []
+    for strip in search_scheme(SearchConfig(n=n, random_seed=n)).strips:
+        for first in strip.starts[::n]:
+            head = strip.window_at(first)
+            key = _class_place(head)[0]
+            cuts = ((0, n),) if key < _swap_key(key) else ((0, n // 2), (n // 2, n - n // 2))
+            for k, count in cuts:
+                rotated = head[k:] + head[:k]
+                strips.append(SchemeStrip(n, rotated + rotated[: n - 1], tuple(range(1, count + 1))))
+    return Scheme(n, tuple(strips))
+
+
+# exact covers, which random strips past n = 3 almost never are: full runs
+# recorded in swapped pairs at n = 5 and 7, and full runs with no partner
+@example(builtin_scheme(5))
+@example(search_scheme(SearchConfig(n=7, random_seed=1)))
+@example(_partnerless_scheme(5))
 @given(_strip_sets())
 @settings(max_examples=300, deadline=None)
 def test_pass_and_report_match_a_plain_reference(sch):
@@ -476,18 +501,27 @@ def test_pass_and_report_match_a_plain_reference(sch):
 def _expand_runs(n, runs):
     """The even and the odd words of recorded runs: each first window's
     rotations, each rotation taking the sign times (-1)**(n - 1), and their
-    reverses, each taking (-1)**(n // 2) more; at n = 1 the window alone."""
-    assert len({(length, sign) for length, sign, _ in runs}) == len(runs)
+    reverses, each taking (-1)**(n // 2) more; at n = 1 the window alone. A
+    first window filed under p >= 1 starts with 3 and has 4 at p, and its
+    2n words come with their 2n partners, 3 and 4 swapped, of the opposite
+    signs."""
+    assert len({(length, p, sign) for length, p, sign, _ in runs}) == len(runs)
     words = {1: [], -1: []}
-    for length, sign, firsts in runs:
+    for length, p, sign, firsts in runs:
         assert len(firsts) % n == 0
         for i in range(0, len(firsts), n):
             first = tuple(firsts[i : i + n])
+            own = []
             for k in range(length):
                 word, word_sign = first[k:] + first[:k], sign * (-1) ** ((n - 1) * k)
-                words[word_sign].append(word)
+                own.append((word, word_sign))
                 if n > 1:
-                    words[word_sign * (-1) ** (n // 2)].append(word[::-1])
+                    own.append((word[::-1], word_sign * (-1) ** (n // 2)))
+            if p:
+                assert length == n >= 5 and n % 2 and first[0] == 3 and first[p] == 4 and 2 * p < n
+                own += [(tuple(7 - c if c in (3, 4) else c for c in word), -s) for word, s in own]
+            for word, word_sign in own:
+                words[word_sign].append(word)
     return words[1], words[-1]
 
 
@@ -611,6 +645,43 @@ def test_the_benchmark_schemes_stay_warm(monkeypatch):
     assert not walks
 
 
+def test_warm_evaluations_hold_no_memory_per_input():
+    # det-files' loop: 2400 parses and evaluations through the warm
+    # built-ins at n = 2..5, a third of them with p/q entries and every
+    # fifth with the sums; nothing may stay behind per input
+    rng = random.Random(2400)
+    schemes = {n: builtin_scheme(n) for n in (2, 3, 4, 5)}
+    items = []
+    for i in range(2400):
+        n = 2 + i % 4
+        share = 0.25 if (i // 4) % 3 == 0 else 0.0
+        rows = [[_fraction(rng) if rng.random() < share else rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        if (i // 12) % 2:
+            text = json.dumps([[x if isinstance(x, int) else str(x) for x in row] for row in rows])
+        else:
+            text = "".join(",".join(map(str, row)) + "\n" for row in rows)
+        items.append((text, i % 5 == 0))
+
+    def loop():
+        for text, sums in items:
+            M = matrix_from_json(text) if text.startswith("[") else matrix_from_csv(text)
+            evaluate(schemes[M.n], M)
+            if sums:
+                positive_negative_sums(schemes[M.n], M)
+
+    loop()  # the passes and kernels are made here
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        loop()
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert held < 64 * 2**10
+
+
 def _short_run_schemes(n):
     """Valid schemes whose runs are shorter than n: at n = 1 the one-column
     strip, at n = 2 the built-in; past it, a searched scheme with its starts
@@ -638,7 +709,7 @@ def test_runs_shorter_than_n_evaluate_exactly(n):
     rng = random.Random(n)
     for sch in _short_run_schemes(n):
         assert validate(sch).is_valid
-        assert all(length < n for length, _, _ in _signed_windows(sch).runs) or n == 1
+        assert all(length < n for length, _, _, _ in _signed_windows(sch).runs) or n == 1
         for rational_share in (0.0, 1.0):
             rows = [
                 [Fraction(rng.randint(-9, 9), rng.randint(2, 9)) if rng.random() < rational_share
@@ -651,6 +722,31 @@ def test_runs_shorter_than_n_evaluate_exactly(n):
             assert evaluate_float(sch, [[float(x) for x in row] for row in rows]) == pytest.approx(
                 float(bareiss_det(M)), abs=1e-6
             )
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_full_runs_without_a_full_partner_keep_their_own_kernels(n):
+    sch = _partnerless_scheme(n)
+    assert validate(sch).is_valid
+    runs = _signed_windows(sch).runs
+    assert {p for _, p, _, _ in runs} == {0} and any(length == n for length, _, _, _ in runs)
+    rng = random.Random(n)
+    for kind in ("int", "all p/q"):
+        M = random_matrix(n, rng) if kind == "int" else _rational_matrix(kind, n, rng)
+        assert evaluate(sch, M) == bareiss_det(M)
+        assert positive_negative_sums(sch, M) == parity_partition_sums(M)
+
+
+def test_swapped_pairs_halve_the_run_record_at_odd_n():
+    # det-large's seed-11 n = 7 scheme: 360 full runs make 180 pairs, each
+    # one first window, at 2n(n + 1) = 112 multiplications a pair
+    scheme = search_scheme(SearchConfig(n=7, random_seed=11))
+    runs = _signed_windows(scheme).runs
+    assert sum(len(firsts) for _, _, _, firsts in runs) == 1260
+    assert {p for _, p, _, _ in runs} == {1, 2, 3}
+    ops = OpCounter()
+    evaluate(scheme, Matrix.identity(7), ops=ops)
+    assert ops.mul_chained == 20160
 
 
 def test_a_valid_eight_by_eight_pass_holds_little():
@@ -943,13 +1039,17 @@ def test_paired_kernels_split_as_the_expansion(n, kind):
 def test_kernels_pair_rows_at_even_n_from_four_only(n):
     # a full run at even n >= 4 costs 3n²/2 - 2n, and no run costs more than
     # 2L(n - 1), the product of each diagonal taken row by row; elsewhere
-    # nothing pairs, and each kernel takes the entries themselves
+    # nothing pairs, and each kernel takes the entries themselves. At odd
+    # n >= 5 a full run and its swapped partner cost 2n(n + 1) together,
+    # against 4n(n - 1) apart
     for length in range(1, n + 1):
-        pairs, _ = _run_products(n, length)
-        assert bool(pairs) == (n >= 4 and n % 2 == 0)
-        assert _run_sum(n, length).muls <= 2 * length * (n - 1)
+        first, _ = _run_products(n, length, 0)
+        assert bool(first) == (n >= 4 and n % 2 == 0)
+        assert _run_sum(n, length, 0).muls <= 2 * length * (n - 1)
     if n >= 4 and n % 2 == 0:
-        assert _run_sum(n, n).muls == 3 * n * n // 2 - 2 * n
+        assert _run_sum(n, n, 0).muls == 3 * n * n // 2 - 2 * n
+    for p in range(1, (n + 1) // 2 if n >= 5 and n % 2 else 1):
+        assert _run_sum(n, n, p).muls == 2 * n * (n + 1) < 4 * n * (n - 1)
 
 
 def test_evaluate_float_is_close(worked_matrix):
