@@ -19,89 +19,11 @@ BOUNDS = {
 }
 
 
-def _record(tag, workloads):
-    return {
-        "tag": tag,
-        "workloads": {
-            name: {
-                "failed": failed,
-                "metrics": {m: {"value": v, "raw": None, "unit": BOUNDS[m]["unit"]} for m, v in values.items()},
-            }
-            for name, (failed, values) in workloads.items()
-        },
-    }
-
-
-def test_the_delta_report_compares_each_bounded_metric():
-    old = _record("run26", {
-        "det-large": (0, {"setup_s": 0.04, "ops_per_s": 2000.0, "op_p50_ms": 0.150, "peak_rss_mb": 24.0}),
-    })
-    new = _record("run27", {
-        "det-large": (0, {"setup_s": 0.04, "ops_per_s": 2100.0, "op_p50_ms": 0.132, "peak_rss_mb": 27.0}),
-        "det-files": (1, {"setup_s": 0.14, "ops_per_s": None, "op_p50_ms": 0.027, "peak_rss_mb": 30.0}),
-    })
-    assert trajectory.delta_report(old, new, BOUNDS) == [
-        "run27 against run26 (scaled values)",
-        "  det-large: failed 0 -> 0",
-        "    setup_s      0.04 -> 0.04 s  +0.0% same",
-        "    ops_per_s    2000 -> 2100 1/s  +5.0% better",
-        "    op_p50_ms    0.15 -> 0.132 ms  -12.0% better",
-        "    peak_rss_mb  24 -> 27 MB  +12.5% worse (past its bound)",
-        "  det-files: not in run26",
-    ]
-
-
-def test_a_metric_missing_on_one_side_is_shown_as_is():
-    old = _record("a", {"w": (0, {"setup_s": None, "ops_per_s": 1.0, "op_p50_ms": 1.0, "peak_rss_mb": 1.0})})
-    new = _record("b", {"w": (2, {"setup_s": 0.5, "ops_per_s": 0.5, "op_p50_ms": 1.0, "peak_rss_mb": 1.0})})
-    lines = trajectory.delta_report(old, new, BOUNDS)
-    assert lines[1:4] == [
-        "  w: failed 0 -> 2",
-        "    setup_s      None -> 0.5",
-        "    ops_per_s    1 -> 0.5 1/s  -50.0% worse (past its bound)",
-    ]
-
-
-def test_the_delta_report_notes_a_run_of_another_seed_or_length():
-    values = {"setup_s": 1.0, "ops_per_s": 1.0, "op_p50_ms": 1.0, "peak_rss_mb": 1.0}
-    old, new = _record("a", {"w": (0, values)}), _record("b", {"w": (0, values)})
-    old["workloads"]["w"].update(seed=1, seconds=20.0)
-    new["workloads"]["w"].update(seed=2, seconds=20.0)
-    lines = trajectory.delta_report(old, new, BOUNDS)
-    assert lines[2] == "    run differs: (seed, seconds) (1, 20.0) -> (2, 20.0)"
-    new["workloads"]["w"]["seed"] = 1
-    assert "run differs" not in "".join(trajectory.delta_report(old, new, BOUNDS))
-
-
-def test_the_previous_record_sorts_tags_by_number(tmp_path):
-    for tag in ("run9", "run10", "run26", "run27"):
-        (tmp_path / f"BENCH_{tag}.json").write_text("{}")
-    assert trajectory.previous("run27", tmp_path).name == "BENCH_run26.json"
-    assert trajectory.previous("run26", tmp_path).name == "BENCH_run10.json"
-    assert trajectory.previous("run10", tmp_path).name == "BENCH_run9.json"
-    assert trajectory.previous("run9", tmp_path) is None
-
-
-def test_a_workload_entry_keeps_scaled_raw_extras_and_failed():
-    run = {
-        "correct": True, "attempted": 10, "failed": 0,
-        "metrics": {"setup_s": {"value": 0.04, "unit": "s"}, "op_p50_ms": {"value": 0.13, "unit": "ms"}},
-        "workload_metrics": {"det_p99_ms": {"value": 1.2, "unit": "ms"}},
-        "raw_metrics": {"setup_s": 0.038},
-        "seed": 1, "seconds": 20.0, "interpreter_ms": 60.0,
-    }
-    entry = trajectory.workload_entry(run, BOUNDS)
-    assert entry["metrics"]["setup_s"] == {"value": 0.04, "raw": 0.038, "unit": "s"}
-    assert entry["metrics"]["ops_per_s"] == {"value": None, "raw": None, "unit": "1/s"}
-    assert entry["extras"] == {"det_p99_ms": {"value": 1.2, "unit": "ms"}}
-    assert (entry["failed"], entry["attempted"]) == (0, 10)
-
-
-def _run(ops_per_s, op_p50_ms, peak_rss_mb, failed=0, operations=1000):
+def _run(ops_per_s, op_p50_ms, peak_rss_mb, failed=0, operations=1000, setup_s=0.04):
     """A run as perfbench/run.py writes it, with the loop's operation count."""
     return {
         "metrics": {
-            "setup_s": {"value": 0.04, "unit": "s"},
+            "setup_s": {"value": setup_s, "unit": "s"},
             "ops_per_s": {"value": ops_per_s, "unit": "1/s"},
             "op_p50_ms": {"value": op_p50_ms, "unit": "ms"},
             "peak_rss_mb": {"value": peak_rss_mb, "unit": "MB"},
@@ -155,20 +77,27 @@ def test_a_metric_some_run_lacks_is_null_in_a_paired_entry():
     assert entry["metrics"]["op_p50_ms"]["base"] == {"median": 1.0, "iqr": 0.0, "values": [1.0]}
 
 
-def _paired_record(tag, runs):
+def _paired_record(tag, workloads):
     return {
         "schema": 2, "tag": tag, "against": {"commit": "e33ad9790685cac9", "dirty": False},
-        "workloads": {"det-large": trajectory.paired_entry(runs, BOUNDS)},
+        "workloads": {name: trajectory.paired_entry(runs, BOUNDS) for name, runs in workloads.items()},
     }
 
 
 def test_the_pairs_report_sets_the_wins_beside_the_change():
-    runs = {
+    large = {
         "base": [_run(2000.0, 0.15, 24.0), _run(2200.0, 0.15, 24.0)],
         "head": [_run(2600.0, 0.15, 24.0, failed=1), _run(2800.0, 0.15, 24.0)],
     }
-    del runs["base"][1]["metrics"]["setup_s"]
-    assert trajectory.pairs_report(_paired_record("run31", runs), BOUNDS) == [
+    del large["base"][1]["metrics"]["setup_s"]
+    # a base median of 0 has no change in per cent; the peak RSS is the
+    # det-files reading that once refused a change past its 10 % bound
+    files = {
+        "base": [_run(26600.0, 0.0280, 29.36, setup_s=0.0)] * 2,
+        "head": [_run(25000.0, 0.0281, 32.53, setup_s=0.12)] * 2,
+    }
+    rec = _paired_record("run31", {"det-large": large, "det-files": files})
+    assert trajectory.pairs_report(rec, BOUNDS) == [
         "run31: this checkout against e33ad9790685 in alternating pairs (scaled medians)",
         "  det-large: 2 pairs, failed 0 -> 1",
         "    setup_s      not reported by every run",
@@ -176,33 +105,22 @@ def test_the_pairs_report_sets_the_wins_beside_the_change():
         "    ops_per_s    2100 -> 2700 1/s  +28.6% better, base IQR 300, won 2 of 2",
         "    op_p50_ms    0.15 -> 0.15 ms  +0.0% same, base IQR 0, won 0 of 2",
         "    peak_rss_mb  24 -> 24 MB  +0.0% same, base IQR 0, won 0 of 2",
+        "  det-files: 2 pairs, failed 0 -> 0",
+        "    setup_s      0.0 -> 0.12",
+        "    ops_per_s    26600 -> 25000 1/s  -6.0% worse, base IQR 0, won 0 of 2",
+        "    op_p50_ms    0.028 -> 0.0281 ms  +0.4% worse, base IQR 0, won 0 of 2",
+        "    peak_rss_mb  29.36 -> 32.53 MB  +10.8% worse (past its bound), base IQR 0, won 0 of 2",
     ]
-
-
-def test_the_delta_report_reads_paired_and_schema_1_records():
-    # a paired record counts by the median of this checkout's runs
-    runs = {"base": [_run(2000.0, 0.15, 24.0)] * 3, "head": [_run(2500.0, 0.12, 24.0, failed=1)] * 3}
-    paired = _paired_record("run31", runs)
-    old = _record("run27", {
-        "det-large": (0, {"setup_s": 0.04, "ops_per_s": 2000.0, "op_p50_ms": 0.150, "peak_rss_mb": 24.0}),
-    })
-    old["workloads"]["det-large"].update(seed=1, seconds=20.0)
-    assert trajectory.delta_report(old, paired, BOUNDS)[1:4] == [
-        "  det-large: failed 0 -> 3",
-        "    setup_s      0.04 -> 0.04 s  +0.0% same",
-        "    ops_per_s    2000 -> 2500 1/s  +25.0% better",
-    ]
-    assert trajectory.delta_report(paired, old, BOUNDS)[3] == "    ops_per_s    2500 -> 2000 1/s  -20.0% worse"
 
 
 @pytest.mark.parametrize(
     "argv",
     [
         ["t", "--pairs", "3"],
-        ["t", "--against", "HEAD"],
-        ["t", "--run", "--against", "HEAD", "--pairs", "0"],
-        ["t", "--run", "--against", "HEAD", "--checkout", "."],
-        ["t", "--run", "--against", "HEAD", "--workload", "no-such-workload"],
+        ["t", "--against", "HEAD", "--pairs", "0"],
+        ["t", "--against", "HEAD", "--workload", "no-such-workload"],
+        ["t", "--run", "--against", "HEAD"],
+        ["t", "--against", "HEAD", "--checkout", "."],
     ],
 )
 def test_flags_that_cannot_pair_are_refused_before_any_run(argv, capsys):
@@ -213,9 +131,9 @@ def test_flags_that_cannot_pair_are_refused_before_any_run(argv, capsys):
 
 @pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
 def test_committed_records_keep_the_schema(path):
-    # schema 1 records and single-run schema 2 records hold every
-    # workload; a paired record holds the workloads it measured, each of
-    # its runs with no failed output
+    # schema 1 records, which hold single runs, hold every workload; a
+    # paired record holds the workloads it measured, each of its runs with
+    # no failed output
     rec = json.loads(path.read_text(encoding="utf-8"))
     assert rec["schema"] in (1, trajectory.SCHEMA) and path.name == f"BENCH_{rec['tag']}.json"
     names = set(trajectory.workloads(ROOT))
