@@ -3,17 +3,14 @@
 Instrumented runs show scheme evaluation expands exactly n! signed products,
 the same count as the permutation expansion; only elimination changes the
 asymptotics. Multiplications are reported both as raw factors (n per product)
-and as the chained multiplications that run. At even n they are one per
-pair of entries in antipodal rows, each pair shared by a descending and an
-ascending diagonal, then n/2-1 per product. At odd n a run's two diagonals
-share one entry only; from n = 5 each full run pairs instead with its
-partner, the class with the labels 3 and 4 swapped (the 5x5's two strips
-are each other's swap), and each of its diagonals shares its n-2 other
-entries with one of the partner's: n+1 for the two products, 360 at n = 5
-where chaining takes 480. The permutation expansion forms each term as one
-shared prefix product times one shared pair product, so from n = 5 it runs
-fewer than the scheme (222 at n = 5; at n = 4 the scheme's pairs bring it to
-48 against 50).
+and as the chained multiplications that run. Below n = 5 they are n-1 per
+product. From n = 5 each full run pairs with its partner, the class with
+the labels 3 and 4 swapped (the 5x5's two strips are each other's swap),
+and each of its diagonals shares its n-2 other entries with one of the
+partner's: n+1 for the two products, 360 at n = 5 where chaining takes 480.
+The permutation expansion forms each term as one shared prefix product
+times one shared pair product, so from n = 4 it runs fewer than the scheme
+(50 against 72 at n = 4, 222 against 360 at n = 5).
 """
 
 from sarrus import bench, reports_to_jsonl, term_count_statement

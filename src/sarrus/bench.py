@@ -3,12 +3,11 @@
 Counts come from an OpCounter threaded through the real evaluation code, so
 the reported numbers are measurements, not formulas. Multiplications are
 reported under both conventions (n factors per diagonal vs the chained
-multiplications that run: n-1 a diagonal, and fewer at even n >= 4, where
-the scheme's kernels share pairs of antipodal rows, and at odd n >= 5,
-where a full run and its partner, the class with the labels 3 and 4
-swapped, share each diagonal's n - 2 entries outside the rows that read 3
-and 4); the oracles multiply shared products, not diagonals, so for them
-the two coincide. Matrices are generated deterministically from the seed.
+multiplications that run: n-1 a diagonal, and fewer from n = 5, where a
+full run and its partner, the class with the labels 3 and 4 swapped, share
+each diagonal's n - 2 entries outside the rows that read 3 and 4); the
+oracles multiply shared products, not diagonals, so for them the two
+coincide. Matrices are generated deterministically from the seed.
 The counted run goes first, so one-time work (the compiled Leibniz
 expansion, a scheme's signed-window pass and its run kernels) is done
 before the timed runs start.
@@ -28,7 +27,7 @@ from .counting import OpCounter
 from .errors import SizeLimitExceeded, UnsupportedSize, _guard, _quoted
 from .generate import SearchConfig, random_matrix, search_scheme
 from .oracle import bareiss_det, cofactor_det, leibniz_det
-from .scheme import Scheme, _half, _swaps, evaluate
+from .scheme import Scheme, _swaps, evaluate
 
 ORACLES = {"leibniz": leibniz_det, "cofactor": cofactor_det, "bareiss": bareiss_det}
 METHODS = ("scheme", *ORACLES)
@@ -143,12 +142,10 @@ def term_count_statement(reports: list[BenchReport]) -> str:
     """The explicit takeaway on term counts, per size where both expansion
     methods were measured, each followed by the multiplications each ran:
     the same terms, multiplied out differently only by each route's
-    factoring. At even n >= 4 the scheme's kernels first multiply the
-    entries of antipodal rows in pairs, each pair shared by a descending and
-    an ascending diagonal. At odd n >= 5 each diagonal shares its n - 2
+    factoring. From n = 5 each diagonal of the scheme shares its n - 2
     entries outside the rows that read columns 3 and 4 with a diagonal of
     the partner run, its class with the labels 3 and 4 swapped, so the two
-    products take n + 1 multiplications; below n = 4 each product takes
+    products take n + 1 multiplications; below n = 5 each product takes
     n - 1."""
     by_key = {(r.method, r.n): r for r in reports}
     lines = []
@@ -163,12 +160,7 @@ def term_count_statement(reports: list[BenchReport]) -> str:
             f"{verdict} the {l.term_count}-term permutation expansion; the strip "
             f"arrangement reorganizes the n!-term sum, it does not shrink it."
         )
-        if _half(n):
-            per = (
-                "one per pair of entries in antipodal rows, which a descending and an ascending "
-                "diagonal share, and n/2 - 1 per product"
-            )
-        elif _swaps(n):
+        if _swaps(n):
             per = (
                 "n + 1 per two products, a diagonal's and its partner's with the labels 3 and 4 "
                 "swapped, which share their n - 2 other entries"

@@ -5,17 +5,13 @@ An OpCounter is threaded through the real evaluation and oracle code paths
 call or per step, the sizes they ran over, so counting costs nothing per term.
 Products are recorded under both conventions: a length-n diagonal has n
 factors, and the chained count is the multiplications that run. A diagonal
-chained on its own needs n-1. At even n >= 4 the scheme's kernels first
-multiply each pair of entries in antipodal rows r and r + n/2, a pair that a
-descending and an ascending diagonal of one run share, and then n/2 - 1 per
-diagonal. At odd n the two diagonals of a run share one entry only, so no
-pair; but from n = 5 the swap of the labels 3 and 4 pairs every necklace
-class with another, and a word and its swap differ only in the two rows
-that read 3 and 4. So a full run and its partner's share each diagonal's
-product S of the n - 2 other entries: n - 3 multiplications, then 2 for
-each of the two terms, n + 1 for two products where chaining takes
-2(n - 1). The oracles build their terms from shared products and record
-each multiplication they run under both.
+chained on its own needs n-1. From n = 5 the swap of the labels 3 and 4
+pairs every necklace class with another, and a word and its swap differ
+only in the two rows that read 3 and 4. So a full run and its partner's
+share each diagonal's product S of the n - 2 other entries: n - 3
+multiplications, then 2 for each of the two terms, n + 1 for two products
+where chaining takes 2(n - 1). The oracles build their terms from shared
+products and record each multiplication they run under both.
 """
 
 from __future__ import annotations

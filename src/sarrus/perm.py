@@ -135,17 +135,20 @@ def _swap_key(key: tuple[int, ...]) -> tuple[int, ...]:
     return r if r[1] < r[-1] else (1, *r[:0:-1])
 
 
-def _swap_head(key: tuple[int, ...]) -> tuple[tuple[int, ...], int, bool]:
-    """(word, p, reversed): the word of key's class, n odd and >= 5, that
-    starts with 3 and has 4 at position p in 1..(n - 1)/2, found by rotating
-    key and, where 4 would sit past (n - 1)/2, reversing it. O(n)."""
+def _swap_head(key: tuple[int, ...]) -> tuple[tuple[int, ...], int, Sign]:
+    """(word, p, factor): the word of key's class, n >= 5, that starts with
+    3 and has 4 at position p in 1..n/2, found by rotating key left by k
+    and, where 4 would sit past n/2, reversing it and rotating 3 back to the
+    front. Its sign is key's times factor: turn**k, or turn**(k + n - 1) *
+    flip when reversed (see ``_sign_factors``). O(n)."""
     n = len(key)
+    turn, flip = _sign_factors(n)
     k = key.index(3)
     word = key[k:] + key[:k]
     p = word.index(4)
-    if 2 * p < n:
-        return word, p, False
-    return (3, *word[:0:-1]), n - p, True
+    if 2 * p <= n:
+        return word, p, turn**k
+    return (3, *word[:0:-1]), n - p, turn ** (k + n - 1) * flip
 
 
 def _class_words(key: tuple[int, ...], bits: int) -> list[tuple[int, ...]]:

@@ -35,20 +35,16 @@ One kernel per (n, L, p), ``_run_sum``, unpacks the n matrix columns that a
 first window names and adds its 2L diagonal products, with no walk of the
 strips and no table of words. One pair of running sums, even and odd, goes
 through every kernel, each side started by its first products, so a side of
-t products costs the t - 1 additions that ``OpCounter`` tallies. At even
-n >= 4 rows r and r + n/2 of a descending diagonal read the same two entries
-as the same rows of an ascending diagonal of the run, so the kernel
-multiplies each such antipodal pair once and shares it between the two; at
-odd n the two diagonals share one entry only, and nothing pairs within a
-run. Instead, at odd n >= 5, the paper's "very symmetric pattern" of the
-5x5, whose odd strip is its even strip with the labels 3 and 4 swapped,
-pairs the runs: the swap σ fixes no necklace class there, so in an exact
-cover each full run of class C has a partner, the full run of class σC. A
-word x and σ∘x differ only in the two rows that read 3 and 4, and have
-opposite signs, so each diagonal of a run shares its other n - 2 entries
-with one of its partner's. The pass records such a pair once, by a first
-window that starts with 3 and has 4 at position p in 1..(n - 1)/2, and the
-kernel of p forms each shared product once (see ``_run_sum``).
+t products costs the t - 1 additions that ``OpCounter`` tallies. From
+n = 5 the paper's "very symmetric pattern" of the 5x5, whose odd strip is
+its even strip with the labels 3 and 4 swapped, pairs the runs: the swap σ
+fixes no necklace class there, so in an exact cover each full run of class
+C has a partner, the full run of class σC. A word x and σ∘x differ only in
+the two rows that read 3 and 4, and have opposite signs, so each diagonal
+of a run shares its other n - 2 entries with one of its partner's. The pass
+records such a pair once, by a first window that starts with 3 and has 4 at
+position p in 1..n/2, and the kernel of p forms each shared product once
+(see ``_run_sum``). Every other run reads its entries row by row.
 
 Exact evaluation runs over cleared rows, as the oracles do: each row of a
 rational matrix is scaled to integers by the lcm of its denominators. Every
@@ -61,10 +57,7 @@ keeps of its last report. The pass is a pure function of its scheme, so
 evaluation and validation are safe to run concurrently: a first use from two
 threads at once computes equal passes, and either one is kept. Two equal
 schemes, such as a file loaded twice, each run their own pass. Exact
-arithmetic makes summation order irrelevant; float evaluation sums run by
-run, multiplies each product's entries in antipodal pairs at even n >= 4
-and as S·a·b around the rows that read 3 and 4 at odd n >= 5, and rounds
-accordingly.
+arithmetic makes the order and grouping of products irrelevant.
 """
 
 from __future__ import annotations
@@ -72,6 +65,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -328,12 +322,12 @@ class _SignedWindows:
     found, as (length, p, sign of its first descending word, first windows):
     the first window of each run of that length, p and sign, n columns each,
     in one ``bytes``, about a byte a start. Evaluation reads each run's
-    diagonals off its first window (see ``_run_sum``). At odd n >= 5 a full
-    run whose 3 <-> 4 swapped partner's run is full too is recorded with it
-    as one pair, once, under p in 1..(n - 1)/2: its window is the lesser
-    key's class word that starts with 3 and has 4 at p (``perm._swap_head``),
-    signed from the run's sign, and its partner's words are its own with 3
-    and 4 swapped. Every other run has p = 0. Columns fit in a byte because
+    diagonals off its first window (see ``_run_sum``). From n = 5 a full run
+    whose 3 <-> 4 swapped partner's run is full too is recorded with it as
+    one pair, once, under p in 1..n/2: its window is the lesser key's class
+    word that starts with 3 and has 4 at p (``perm._swap_head``), signed
+    from the key's sign, and its partner's words are its own with 3 and 4
+    swapped. Every other run has p = 0. Columns fit in a byte because
     every ``Scheme`` has n <= 10. A scheme that is no exact cover records no
     runs, so ``runs`` is non-empty exactly when no window is invalid and the
     diagonals hit every permutation once.
@@ -381,9 +375,10 @@ def _walk(sch: Scheme) -> _SignedWindows:
     cover: dict[tuple[int, ...], int] = {}  # the pairs hit, by class key
     twice: dict[tuple[int, ...], int] = {}  # the pairs hit more than once
     firsts: defaultdict[tuple[int, int, Sign], list[int]] = defaultdict(list)
-    # at odd n >= 5, each full run by class key: (first window, sign, step)
+    # from n = 5, each full run by class key: (first window, its sign, the key's)
     full: dict[tuple[int, ...], tuple[tuple[int, ...], Sign, Sign]] = {}
     swaps = _swaps(n)
+    turn, flip = _sign_factors(n)
     for si, strip in enumerate(sch.strips, start=1):
         columns = strip.columns
         for first, length, sign in _runs(n, strip):
@@ -393,7 +388,8 @@ def _walk(sch: Scheme) -> _SignedWindows:
             w = columns[first - 1 : first + n - 1]
             key, j, step = _class_place(w)
             if swaps and length == n:
-                full[key] = w, sign, step
+                # w is the key rotated left by j, and reversed at step -1
+                full[key] = w, sign, sign * turn**j * flip ** (step < 0)
             else:
                 firsts[length, 0, sign] += w
             # the run's first ``pairs`` starts hit an arc of its class's
@@ -413,16 +409,13 @@ def _walk(sch: Scheme) -> _SignedWindows:
     short = not _is_factorial(covered, n)
     exact_cover = not invalid and not repeated and not short
     if exact_cover:
-        flip = _sign_factors(n)[1]
-        for key, (w, sign, step) in full.items():
+        for key, (w, sign, key_sign) in full.items():
             partner = _swap_key(key)
             if partner not in full:
                 firsts[n, 0, sign] += w
             elif key < partner:  # each pair once, from its lesser key
-                # the key is the window rotated (step 1) or reversed, and a
-                # rotation keeps the sign at odd n
-                head, p, back = _swap_head(key)
-                firsts[n, p, sign * flip ** ((step < 0) + back)] += head
+                head, p, factor = _swap_head(key)
+                firsts[n, p, key_sign * factor] += head
     return _SignedWindows(
         invalid=tuple(invalid),
         duplicates=_where_hit(sch, repeated) if repeated else (),
@@ -468,7 +461,7 @@ def validate(sch: Scheme) -> ValidationReport:
     The pass reads the walk of each strip and records each run as the arc of
     its necklace class's pairs that it hits (see the module notes); for an
     exact cover it also records each run's first window, one for each
-    swapped pair of full runs at odd n >= 5, which is all evaluation reads.
+    swapped pair of full runs from n = 5, which is all evaluation reads.
     The even count is half of S_n (its one word at n = 1) less the even
     words missing.
     """
@@ -527,7 +520,7 @@ def _signed_sums(sch: Scheme, M: Matrix, ops: OpCounter | None) -> tuple[int, in
     signed = _complete(sch)
     if ops is not None:
         # the kernels' multiplications, run by run: fewer than n - 1 a
-        # product where antipodal rows or swapped runs pair (see ``_run_sum``)
+        # product where swapped runs pair (see ``_run_sum``)
         muls = sum(_run_sum(sch.n, length, p).muls * (len(firsts) // sch.n) for length, p, _, firsts in signed.runs)
         ops.term(sch.n, signed.covered, chained=muls)
         # the first term landing in each running sum is not an addition
@@ -551,14 +544,9 @@ def _even_odd_sums(n: int, signed: _SignedWindows, rows: Sequence[Sequence]) -> 
     return even, 0 if odd is None else odd
 
 
-def _half(n: int) -> int:
-    """n/2 at even n >= 4, where row r pairs with its antipodal row r + n/2; else 0."""
-    return n // 2 if n >= 4 and n % 2 == 0 else 0
-
-
 def _swaps(n: int) -> bool:
-    """Whether full runs pair with their 3 <-> 4 swapped partners: at odd n >= 5."""
-    return n >= 5 and n % 2 == 1
+    """Whether full runs pair with their 3 <-> 4 swapped partners: from n = 5."""
+    return n >= 5
 
 
 def _run_products(
@@ -566,22 +554,16 @@ def _run_products(
 ) -> tuple[tuple[tuple[str, tuple[str, ...]], ...], dict[Sign, list[list[str]]]]:
     """The products a run kernel forms first, as (name, factors), and its
     diagonal products by sign relative to the first window, each a list of
-    factors (see ``_run_sum``): at even n >= 4 the pairs of rows r < n/2 and
-    r + n/2; at p >= 1 each diagonal's product S of the rows that read
-    neither position 0 nor p, then S times those two entries, and S times
-    them swapped, on the other side; else the entries, in row order."""
+    factors (see ``_run_sum``): at p >= 1 each diagonal's product S of the
+    rows that read neither position 0 nor p, then S times those two
+    entries, and S times them swapped, on the other side; at p = 0 nothing
+    first, and the entries, in row order."""
     turn, flip = _sign_factors(n)
-    half = _half(n)
-    rows = range(half or n)
     diagonals: dict[Sign, list[list[tuple[int, int]]]] = {1: [], -1: []}
     for k in range(length):
-        diagonals[turn**k].append([(r, (r + k) % n) for r in rows])
+        diagonals[turn**k].append([(r, (r + k) % n) for r in range(n)])
         if n > 1:  # at n = 1 the window is its own reverse
-            diagonals[turn**k * flip].append([(r, (n - 1 - r + k) % n) for r in rows])
-    if half:
-        pairs = sorted({rc for ds in diagonals.values() for d in ds for rc in d})
-        first = tuple((f"q{r}_{c}", (f"e{c}_{r}", f"e{(c + half) % n}_{r + half}")) for r, c in pairs)
-        return first, {side: [[f"q{r}_{c}" for r, c in d] for d in ds] for side, ds in diagonals.items()}
+            diagonals[turn**k * flip].append([(r, (n - 1 - r + k) % n) for r in range(n)])
     if not p:
         return (), {side: [[f"e{c}_{r}" for r, c in d] for d in ds] for side, ds in diagonals.items()}
     rests: list[tuple[str, tuple[str, ...]]] = []
@@ -606,25 +588,19 @@ def _run_sum(n: int, length: int, p: int) -> Callable[[list, bytes, object, obje
 
     At offset k, row r of the descending diagonal reads column (r + k) mod n
     of the first window, and of the ascending one column (n - 1 - r + k) mod
-    n; each product takes its rows in order. At even n >= 4, with h = n/2,
-    rows r and r + h of both read columns c and c + h mod n for one c, so
-    the kernel first forms each pair q{r}_{c} = e{c}_{r} * e{c+h}_{r+h}
-    that its diagonals read, and each diagonal is the product of its h
-    pairs: in a full run every pair serves one descending and one ascending
-    diagonal, and the run costs 3n²/2 - 2n multiplications, not 2n(n - 1).
-    At odd n a descending and an ascending diagonal of one run share one
-    entry only, since 2r = c mod n has one root, so there the factors are
-    the entries.
+    n. At p = 0 each product takes its rows in order, at n - 1
+    multiplications.
 
-    At odd n >= 5 the swap σ of the labels 3 and 4 pairs the classes: σ
-    fixes no class, since a reflection of the n-cycle swaps (n - 1)/2 pairs
-    of positions and a rotation moves them all, where σ swaps one pair. A
-    word x and σ∘x differ only in rows i and j, which read 3 and 4, and
-    their signs are opposite. So the pass records a full run whose
-    partner's run is full too as one first window that starts with 3 and
-    has 4 at p in 1..(n - 1)/2, and the kernel of (n, n, p) forms each of
-    its 2n diagonals' product S over the n - 2 other rows once: S·a·b is
-    the diagonal's own term and S·a′·b′, with the entries of rows i and j
+    From n = 5 the swap σ of the labels 3 and 4 pairs the classes: σ fixes
+    no class, since a rotation of the n-cycle moves every position and a
+    reflection swaps (n - 1)/2 pairs of positions at odd n, and (n - 2)/2 or
+    n/2 at even n, where σ swaps one pair; at n = 4 it fixes the class of
+    (1, 3, 2, 4). A word x and σ∘x differ only in rows i and j, which read 3
+    and 4, and their signs are opposite. So the pass records a full run
+    whose partner's run is full too as one first window that starts with 3
+    and has 4 at p in 1..n/2, and the kernel of (n, n, p) forms each of its
+    2n diagonals' product S over the n - 2 other rows once: S·a·b is the
+    diagonal's own term and S·a′·b′, with the entries of rows i and j
     swapped, its partner's, on the other side. A pair costs 2n(n + 1)
     multiplications, not 4n(n - 1).
 
@@ -678,19 +654,15 @@ def positive_negative_sums(
 
 
 def evaluate_float(sch: Scheme, rows: Sequence[Sequence[float]]) -> float:
-    """Convenience float evaluation of a valid scheme.
+    """det of a float array through a valid scheme: the exact value, rounded once.
 
-    No exactness guarantee: float products and sums round, so this is for
-    quick numeric use only; the exact path is ``evaluate``. At even n >= 4
-    each product is taken over pairs of entries in antipodal rows, and at
-    odd n >= 5 a full run's product as S·a·b, S the product of the entries
-    outside the rows that read columns 3 and 4 (see ``_run_sum``), so its
-    last bits can differ from a product taken row by row.
+    Each entry is taken as the exact rational it holds (``Fraction`` of a
+    float is exact), ``evaluate`` sums exactly, and ``float`` of the result
+    rounds it correctly. A non-number is a TypeError, NaN a ValueError, and
+    ±inf, or a determinant past the float range, an OverflowError.
     """
     n = sch.n
     if len(rows) != n or any(len(r) != n for r in rows):
         raise SizeMismatch(f"need a {n}x{n} array of numbers")
-    signed = _complete(sch)
-    # 1.0 * x: each entry meets float arithmetic, and a non-number fails here
-    s_plus, s_minus = _even_odd_sums(n, signed, [[1.0 * x for x in row] for row in rows])
-    return s_plus - s_minus
+    # 1.0 * x: a non-number fails here, as in float arithmetic
+    return float(evaluate(sch, Matrix([[Fraction(1.0 * x) for x in row] for row in rows])))

@@ -52,16 +52,15 @@ def test_scheme_and_leibniz_counts_match():
         l = by_key[("leibniz", n)]
         assert s.term_count == l.term_count == math.factorial(n)
         assert s.multiplications_n_factors == math.factorial(n) * n
-        # at n = 4 each full run pairs its antipodal rows, 16
-        # multiplications a run against 24; at n = 5 each full run and its
-        # 3 <-> 4 swapped partner take 60 together, against 80
-        assert s.multiplications_chained == {4: 48, 5: 360}[n]
+        # at n = 4 each product chains its 4 entries, 3 multiplications; at
+        # n = 5 each full run and its 3 <-> 4 swapped partner take 60
+        # together, against 80
+        assert s.multiplications_chained == {4: 72, 5: 360}[n]
         # Leibniz multiplies shared prefix and pair products, so its two
         # conventions coincide, at fewer multiplications than the scheme
-        # chains at n = 5; at n = 4 the scheme's antipodal pairs take it to
-        # 48 against Leibniz's 50
+        # chains: 50 against 72 at n = 4
         assert l.multiplications_n_factors == l.multiplications_chained == LEIBNIZ_MULS[n]
-        assert (l.multiplications_chained < s.multiplications_chained) == (n == 5)
+        assert l.multiplications_chained < s.multiplications_chained
         assert s.additions == l.additions == math.factorial(n) - 1
 
 
@@ -118,12 +117,10 @@ def test_expansion_counts_are_exact(n):
     if n <= 5:
         sch = Scheme(n=1, strips=(SchemeStrip(1, (1,), (1,)),)) if n == 1 else builtin_scheme(n)
         # the same terms and additions; the scheme chains n - 1 multiplications
-        # a term, except at n = 4, where the built-in's 3 full runs take 16
-        # each: 8 antipodal pairs, and one pair * pair per diagonal; and at
-        # n = 5, where its 12 full runs make 6 pairs, 3 and 4 swapped, of 60
-        # each: 2 for each diagonal's 3 other entries, then 2 for its own
-        # term and 2 for its partner's
-        scheme_muls = {4: 48, 5: 360}.get(n, terms * (n - 1))
+        # a term, except at n = 5, where the built-in's 12 full runs make 6
+        # pairs, 3 and 4 swapped, of 60 each: 2 for each diagonal's 3 other
+        # entries, then 2 for its own term and 2 for its partner's
+        scheme_muls = 360 if n == 5 else terms * (n - 1)
         assert _counts(positive_negative_sums, sch, M) == (terms, scheme_muls, side_adds, 0)
         assert _counts(evaluate, sch, M) == (terms, scheme_muls, side_adds + 1, 0)
 
@@ -302,29 +299,24 @@ def test_statement_sets_the_multiplications_beside_the_terms():
     reports = bench(["scheme", "leibniz"], [4, 5, 6], runs=1, seed=0)
     lines = term_count_statement(reports).splitlines()
     assert len(lines) == 6
-    paired = (
-        "one per pair of entries in antipodal rows, which a descending and an ascending diagonal "
-        "share, and n/2 - 1 per product"
-    )
     swapped = (
         "n + 1 per two products, a diagonal's and its partner's with the labels 3 and 4 "
         "swapped, which share their n - 2 other entries"
     )
-    for n, scheme_muls, leibniz_muls in ((4, 48, 50), (5, 360, 222), (6, 2520, 1338)):
+    for n, scheme_muls, leibniz_muls in ((4, 72, 50), (5, 360, 222), (6, 2520, 1338)):
         terms, muls = lines[2 * (n - 4) : 2 * (n - 3)]
         assert terms.startswith(f"n={n}: scheme evaluation expands exactly {math.factorial(n)} ")
-        per = swapped if n % 2 else paired
+        per = swapped if n >= 5 else "n - 1 per product"
         assert muls == (
             f"n={n}: scheme evaluation runs {scheme_muls} chained multiplications, {per}, "
             f"against {leibniz_muls} in the permutation expansion, which forms each "
             f"term as one shared prefix times one shared pair; the counts differ by that "
             f"factoring, not by the scheme."
         )
-        # every run is full: n!/2n runs, each of 3n²/2 - 2n at even n, and
-        # at odd n n!/4n pairs of runs, each of 2n(n + 1)
-        full_runs = math.factorial(n) // (2 * n) * (3 * n * n // 2 - 2 * n)
+        # every run is full: from n = 5, n!/4n pairs of runs, each of
+        # 2n(n + 1); at n = 4, n!/2n runs of 2n diagonals, each of n - 1
         swapped_pairs = math.factorial(n) // (4 * n) * 2 * n * (n + 1)
-        assert scheme_muls == (swapped_pairs if n % 2 else full_runs)
+        assert scheme_muls == (swapped_pairs if n >= 5 else math.factorial(n) * (n - 1))
 
 
 def test_jsonl_output_parses():

@@ -287,13 +287,13 @@ def test_verify_generated_names_the_sample_the_oracle_refutes(monkeypatch):
     assert len(calls) == 3
 
 
-@pytest.mark.parametrize("n", [4, 5, 7, 8])
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_verify_generated_catches_a_kernel_that_drops_a_product(monkeypatch, n):
     # the validation passes, so only the samples can tell: the kernel drops
     # one product, the descending diagonal of the first run it is given.
     # Its entries have 62 bits, so the first sample catches it; drawn from
     # [-9, 9], each entry would be 0 one time in 19, and a 0 would hide it.
-    # At n = 5 and 7 that run is a pair of full runs, 3 and 4 swapped
+    # From n = 5 that run is a pair of full runs, 3 and 4 swapped
     sch = builtin_scheme(n) if n <= 5 else search_scheme(SearchConfig(n=n, random_seed=1))
     kernel, dropped = sarrus.scheme._run_sum, []
 
@@ -314,7 +314,7 @@ def test_verify_generated_catches_a_kernel_that_drops_a_product(monkeypatch, n):
         dropped.clear()
         with pytest.raises(VerificationFailed, match="^sample 0: "):
             verify_generated(sch, 5, seed=seed)
-        assert len(dropped) == 1 and bool(dropped[0]) == (n % 2 == 1)
+        assert len(dropped) == 1 and bool(dropped[0]) == (n >= 5)
 
 
 def test_generated_schemes_survive_verification():

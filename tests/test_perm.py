@@ -245,12 +245,12 @@ def test_the_swap_of_3_and_4_pairs_every_class_from_n_5(n):
     assert fixed == ([(1, 3, 2, 4)] if n == 4 else [])
 
 
-@pytest.mark.parametrize("n", [5, 7, 9])
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
 def test_the_swap_head_starts_with_3_and_has_4_in_the_first_half(n):
-    # rotations keep the sign at odd n, and a reversal multiplies it by
-    # (-1)**(n // 2)
+    # a rotation flips the sign at even n, so the head's sign factor
+    # against the key counts the rotations, and a reversal's flip
     for key in _least_words(n):
-        head, p, back = _swap_head(key)
-        assert head[0] == 3 and head[p] == 4 and 1 <= p <= (n - 1) // 2
+        head, p, factor = _swap_head(key)
+        assert head[0] == 3 and head[p] == 4 and 1 <= p <= n // 2
         assert head in _class_words(key, -1)
-        assert _word_parity(head) == _word_parity(key) * (-1) ** (n // 2 * back)
+        assert _word_parity(head) == _word_parity(key) * factor

@@ -749,6 +749,20 @@ def test_swapped_pairs_halve_the_run_record_at_odd_n():
     assert ops.mul_chained == 20160
 
 
+@pytest.mark.parametrize("n, muls", [(6, 2520), (8, 181440)])
+def test_swapped_pairs_halve_the_run_record_at_even_n(n, muls):
+    # the searched seed-11 schemes: n!/2n full runs make n!/4n pairs, each
+    # one first window with 4 at p in 1..n/2, at 2n(n + 1) multiplications
+    # a pair
+    scheme = search_scheme(SearchConfig(n=n, random_seed=11))
+    runs = _signed_windows(scheme).runs
+    assert sum(len(firsts) for _, _, _, firsts in runs) == math.factorial(n) // 4
+    assert {p for _, p, _, _ in runs} == set(range(1, n // 2 + 1))
+    ops = OpCounter()
+    evaluate(scheme, Matrix.identity(n), ops=ops)
+    assert ops.mul_chained == muls == math.factorial(n) // (4 * n) * 2 * n * (n + 1)
+
+
 def test_a_valid_eight_by_eight_pass_holds_little():
     # the pass keeps a first window per run, ~20 kB at n = 8; the table of
     # 8! words it replaces held ~4.6 MB
@@ -1025,31 +1039,60 @@ def test_rational_evaluation_matches_the_oracles(n, kind):
     assert ops == int_ops and sum_ops == int_sum_ops
 
 
-@pytest.mark.parametrize("n", [4, 6, 8])
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 @pytest.mark.parametrize("kind", ["int", "all p/q"])
 def test_paired_kernels_split_as_the_expansion(n, kind):
-    # at even n the kernels multiply antipodal pairs first; each side of the
-    # split still equals the n!-term expansion's
+    # from n = 5 the kernels share each product of n - 2 entries between a
+    # run and its 3 <-> 4 swapped partner; each side of the split still
+    # equals the n!-term expansion's
     rng = random.Random(f"paired:{kind}:{n}")
     M = random_matrix(n, rng) if kind == "int" else _rational_matrix(kind, n, rng)
     assert positive_negative_sums(_scheme_for(n), M) == parity_partition_sums(M)
 
 
 @pytest.mark.parametrize("n", range(1, 11))
-def test_kernels_pair_rows_at_even_n_from_four_only(n):
-    # a full run at even n >= 4 costs 3n²/2 - 2n, and no run costs more than
-    # 2L(n - 1), the product of each diagonal taken row by row; elsewhere
-    # nothing pairs, and each kernel takes the entries themselves. At odd
-    # n >= 5 a full run and its swapped partner cost 2n(n + 1) together,
-    # against 4n(n - 1) apart
+def test_kernels_pair_runs_from_n_5_only(n):
+    # a p = 0 kernel forms no product first and takes each diagonal's
+    # entries row by row, 2L(n - 1) multiplications for a run of L. From
+    # n = 5, and of either parity, a full run and its swapped partner cost
+    # 2n(n + 1) together, against 4n(n - 1) apart, with 4 at any p in
+    # 1..n/2; below it no run pairs
     for length in range(1, n + 1):
         first, _ = _run_products(n, length, 0)
-        assert bool(first) == (n >= 4 and n % 2 == 0)
-        assert _run_sum(n, length, 0).muls <= 2 * length * (n - 1)
-    if n >= 4 and n % 2 == 0:
-        assert _run_sum(n, n, 0).muls == 3 * n * n // 2 - 2 * n
-    for p in range(1, (n + 1) // 2 if n >= 5 and n % 2 else 1):
+        assert not first
+        assert _run_sum(n, length, 0).muls == 2 * length * (n - 1)
+    for p in range(1, n // 2 + 1 if n >= 5 else 1):
         assert _run_sum(n, n, p).muls == 2 * n * (n + 1) < 4 * n * (n - 1)
+    if 2 <= n <= 8:
+        assert {p > 0 for _, p, _, _ in _signed_windows(_scheme_for(n)).runs} == {n >= 5}
+
+
+def test_evaluate_float_is_the_exact_value_rounded_once():
+    # a 5x5 whose last row is the sum of the others plus 1e-13 in one
+    # entry, so that its determinant is all cancellation: float products
+    # summed run by run give 9.0039e-14, where the exact value rounds to
+    # 8.9992e-14
+    rng = random.Random(705)
+    rows = [[rng.uniform(-1, 1) for _ in range(5)] for _ in range(4)]
+    last = [sum(column) for column in zip(*rows)]
+    last[3] += 1e-13
+    rows.append(last)
+    exact = bareiss_det(Matrix([[Fraction(x) for x in row] for row in rows]))
+    got = evaluate_float(scheme_5x5(), rows)
+    assert got == float(exact) and f"{got:.4e}" == "8.9992e-14"
+
+
+def test_evaluate_float_refuses_what_has_no_exact_value():
+    # NaN and ±inf have no rational value, and a determinant past the float
+    # range does not round to a float
+    identity = [[1.0 if i == j else 0.0 for j in range(3)] for i in range(3)]
+    for x, error in ((math.nan, ValueError), (math.inf, OverflowError), (-math.inf, OverflowError)):
+        with pytest.raises(error):
+            evaluate_float(builtin_scheme(3), [[x, 0.0, 0.0], *identity[1:]])
+    with pytest.raises(OverflowError):
+        evaluate_float(builtin_scheme(3), [[1e200 if i == j else 0.0 for j in range(3)] for i in range(3)])
+    # a determinant below the smallest subnormal rounds to 0.0
+    assert evaluate_float(builtin_scheme(3), [[1e-200 if i == j else 0.0 for j in range(3)] for i in range(3)]) == 0.0
 
 
 def test_evaluate_float_is_close(worked_matrix):

@@ -113,6 +113,19 @@ def test_the_pairs_report_sets_the_wins_beside_the_change():
     ]
 
 
+def test_both_sides_run_from_paths_of_equal_length(tmp_path):
+    # the base is a clone at a revision, and this checkout is copied as it
+    # stands, its edits included, with no git metadata, bytecode or run output
+    base = trajectory._clone("HEAD", tmp_path)
+    head = trajectory._copy(tmp_path)
+    assert base.parent == head.parent == tmp_path and len(base.name) == len(head.name)
+    copied = {p.relative_to(head).as_posix() for p in head.rglob("*") if p.is_file()}
+    assert {"BENCHMARK.json", "perfbench/run.py", "src/sarrus/scheme.py", "tools/trajectory.py"} <= copied
+    assert (head / "tools" / "trajectory.py").read_bytes() == (ROOT / "tools" / "trajectory.py").read_bytes()
+    assert not [name for name in copied if {".git", "__pycache__"} & set(name.split("/"))]
+    assert not [name for name in copied if name.startswith("perfbench/out/")]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

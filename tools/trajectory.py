@@ -5,8 +5,11 @@
 The workloads are the ones ``perfbench/run.py`` names, or those given with
 ``--workload``. REV is cloned into a temporary directory, which goes when
 the run ends; a clone, unlike a worktree, leaves nothing in this
-repository's git metadata. Each workload runs ``perfbench/run.py --trace 0``
-with run.py's defaults, K times (default 10) on each side, REV and this
+repository's git metadata. This checkout's tracked and untracked files, the
+ignored ones left out, are copied beside it, so both sides run from paths of
+equal length: the length of the working directory's name has moved
+det-files' peak RSS by ~3 MB. Each workload runs ``perfbench/run.py --trace
+0`` with run.py's defaults, K times (default 10) on each side, REV and this
 checkout. Within a pair the two runs follow each other, and the side that
 goes first alternates from pair to pair, so drift on the host falls on both
 sides. A single run moves by up to ~10 % on code nobody touched, so a
@@ -30,6 +33,7 @@ import importlib.util
 import json
 import platform
 import re
+import shutil
 import statistics
 import subprocess
 import sys
@@ -197,6 +201,23 @@ def _clone(rev: str, into: Path) -> Path:
     return checkout
 
 
+def _copy(into: Path) -> Path:
+    """This checkout's tracked and untracked files, the ignored ones (such as
+    ``perfbench/out`` and ``__pycache__``) left out, copied to a new directory
+    under into whose name is as long as the clone's."""
+    checkout = into / "head"
+    listed = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=ROOT, capture_output=True, text=True, check=True,
+    ).stdout
+    for name in filter(None, listed.split("\0")):
+        source = ROOT / name
+        if source.is_file():  # a tracked file deleted in this checkout is listed too
+            (checkout / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, checkout / name)
+    return checkout
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     p.add_argument("tag", help="the record is written as BENCH_<tag>.json")
@@ -216,7 +237,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="trajectory-") as tmp:
         try:
             base = _clone(args.against, Path(tmp))
-            checkouts = {"base": base, "head": ROOT}
+            checkouts = {"base": base, "head": _copy(Path(tmp))}
             runs = {}
             for name in names:
 
