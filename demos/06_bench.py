@@ -7,10 +7,12 @@ and as the chained multiplications that run. Below n = 5 they are n-1 per
 product. From n = 5 each full run pairs with its partner, the class with
 the labels 3 and 4 swapped (the 5x5's two strips are each other's swap),
 and each of its diagonals shares its n-2 other entries with one of the
-partner's: n+1 for the two products, 360 at n = 5 where chaining takes 480.
-The permutation expansion forms each term as one shared prefix product
-times one shared pair product, so from n = 4 it runs fewer than the scheme
-(50 against 72 at n = 4, 222 against 360 at n = 5).
+partner's, while each kernel call forms the column-3 x column-4 products
+they read once: n-1 for the two products, plus up to 2n a call, 270 at
+n = 5 where chaining takes 480. The permutation expansion forms each term
+as one shared prefix product times one shared pair product, so from n = 4
+it runs fewer than the scheme (50 against 72 at n = 4, 222 against 270 at
+n = 5).
 """
 
 from sarrus import bench, reports_to_jsonl, term_count_statement

@@ -144,9 +144,10 @@ def term_count_statement(reports: list[BenchReport]) -> str:
     the same terms, multiplied out differently only by each route's
     factoring. From n = 5 each diagonal of the scheme shares its n - 2
     entries outside the rows that read columns 3 and 4 with a diagonal of
-    the partner run, its class with the labels 3 and 4 swapped, so the two
-    products take n + 1 multiplications; below n = 5 each product takes
-    n - 1."""
+    the partner run, its class with the labels 3 and 4 swapped, and each
+    kernel call first forms the up to 2n products of a column-3 and a
+    column-4 entry that its diagonals read, so the two products take n - 1
+    multiplications; below n = 5 each product takes n - 1."""
     by_key = {(r.method, r.n): r for r in reports}
     lines = []
     for n in sorted({r.n for r in reports}):
@@ -162,8 +163,9 @@ def term_count_statement(reports: list[BenchReport]) -> str:
         )
         if _swaps(n):
             per = (
-                "n + 1 per two products, a diagonal's and its partner's with the labels 3 and 4 "
-                "swapped, which share their n - 2 other entries"
+                "n - 1 per two products, a diagonal's and its partner's with the labels 3 and 4 "
+                "swapped, which share their n - 2 other entries, plus the up to 2n products of "
+                "a column-3 and a column-4 entry that each kernel call forms first"
             )
         else:
             per = "n - 1 per product"

@@ -9,9 +9,11 @@ chained on its own needs n-1. From n = 5 the swap of the labels 3 and 4
 pairs every necklace class with another, and a word and its swap differ
 only in the two rows that read 3 and 4. So a full run and its partner's
 share each diagonal's product S of the n - 2 other entries: n - 3
-multiplications, then 2 for each of the two terms, n + 1 for two products
-where chaining takes 2(n - 1). The oracles build their terms from shared
-products and record each multiplication they run under both.
+multiplications, then 1 for each of the two terms, which read their
+column-3 x column-4 products from a table that each kernel call forms
+once: n - 1 for two products where chaining takes 2(n - 1), plus up to 2n
+a call. The oracles build their terms from shared products and record
+each multiplication they run under both.
 """
 
 from __future__ import annotations

@@ -43,8 +43,10 @@ C has a partner, the full run of class σC. A word x and σ∘x differ only in
 the two rows that read 3 and 4, and have opposite signs, so each diagonal
 of a run shares its other n - 2 entries with one of its partner's. The pass
 records such a pair once, by a first window that starts with 3 and has 4 at
-position p in 1..n/2, and the kernel of p forms each shared product once
-(see ``_run_sum``). Every other run reads its entries row by row.
+position p in 1..n/2, and the kernel of p forms each shared product once,
+and the products of a column-3 and a column-4 entry that its diagonals
+read once a call (see ``_run_sum``). Every other run reads its entries row
+by row.
 
 Exact evaluation runs over cleared rows, as the oracles do: each row of a
 rational matrix is scaled to integers by the lcm of its denominators. Every
@@ -519,9 +521,12 @@ def _signed_sums(sch: Scheme, M: Matrix, ops: OpCounter | None) -> tuple[int, in
         raise SizeMismatch(f"matrix is {M.n}x{M.n} but scheme expects n = {sch.n}")
     signed = _complete(sch)
     if ops is not None:
-        # the kernels' multiplications, run by run: fewer than n - 1 a
-        # product where swapped runs pair (see ``_run_sum``)
-        muls = sum(_run_sum(sch.n, length, p).muls * (len(firsts) // sch.n) for length, p, _, firsts in signed.runs)
+        # the kernels' multiplications, run by run and once a call: fewer
+        # than n - 1 a product where swapped runs pair (see ``_run_sum``)
+        muls = 0
+        for length, p, _, firsts in signed.runs:
+            kernel = _run_sum(sch.n, length, p)
+            muls += kernel.call_muls + kernel.muls * (len(firsts) // sch.n)
         ops.term(sch.n, signed.covered, chained=muls)
         # the first term landing in each running sum is not an addition
         ops.add(max(signed.covered - 2, 0))
@@ -549,15 +554,20 @@ def _swaps(n: int) -> bool:
     return n >= 5
 
 
-def _run_products(
-    n: int, length: int, p: int
-) -> tuple[tuple[tuple[str, tuple[str, ...]], ...], dict[Sign, list[list[str]]]]:
-    """The products a run kernel forms first, as (name, factors), and its
-    diagonal products by sign relative to the first window, each a list of
-    factors (see ``_run_sum``): at p >= 1 each diagonal's product S of the
-    rows that read neither position 0 nor p, then S times those two
-    entries, and S times them swapped, on the other side; at p = 0 nothing
-    first, and the entries, in row order."""
+def _run_products(n: int, length: int, p: int) -> tuple[
+    tuple[tuple[str, tuple[str, ...]], ...],
+    tuple[tuple[str, tuple[str, ...]], ...],
+    dict[Sign, list[list[str]]],
+]:
+    """The products a run kernel forms once a call and once a first window,
+    each as (name, factors), and its diagonal products by sign relative to
+    the first window, each a list of factors (see ``_run_sum``). At p = 0
+    nothing is formed first, and each diagonal product is its entries in row
+    order. At p >= 1 a call forms q{i}_{j}, the entry of column 3 in row i
+    times that of column 4 in row j, for each (i, j) its diagonals read; a
+    window forms each diagonal's product S of the rows that read neither
+    position 0 nor p; and the diagonal products are S times its q on its own
+    side and S times the q of its rows swapped on the other."""
     turn, flip = _sign_factors(n)
     diagonals: dict[Sign, list[list[tuple[int, int]]]] = {1: [], -1: []}
     for k in range(length):
@@ -565,17 +575,19 @@ def _run_products(
         if n > 1:  # at n = 1 the window is its own reverse
             diagonals[turn**k * flip].append([(r, (n - 1 - r + k) % n) for r in range(n)])
     if not p:
-        return (), {side: [[f"e{c}_{r}" for r, c in d] for d in ds] for side, ds in diagonals.items()}
+        return (), (), {side: [[f"e{c}_{r}" for r, c in d] for d in ds] for side, ds in diagonals.items()}
+    table: dict[str, tuple[str, ...]] = {}
     rests: list[tuple[str, tuple[str, ...]]] = []
     products: dict[Sign, list[list[str]]] = {1: [], -1: []}
     for side, ds in diagonals.items():
         for d in ds:
             name = f"s{len(rests)}"
             rests.append((name, tuple(f"e{c}_{r}" for r, c in d if c not in (0, p))))
-            (i, a), (j, b) = ((r, c) for r, c in d if c in (0, p))
-            products[side].append([name, f"e{a}_{i}", f"e{b}_{j}"])
-            products[-side].append([name, f"e{b}_{i}", f"e{a}_{j}"])
-    return tuple(rests), products
+            rows = {c: r for r, c in d}
+            for sign, i, j in ((side, rows[0], rows[p]), (-side, rows[p], rows[0])):
+                table[f"q{i}_{j}"] = (f"e0_{i}", f"e{p}_{j}")
+                products[sign].append([name, f"q{i}_{j}"])
+    return tuple(table.items()), tuple(rests), products
 
 
 @lru_cache(maxsize=None)
@@ -599,10 +611,14 @@ def _run_sum(n: int, length: int, p: int) -> Callable[[list, bytes, object, obje
     and 4, and their signs are opposite. So the pass records a full run
     whose partner's run is full too as one first window that starts with 3
     and has 4 at p in 1..n/2, and the kernel of (n, n, p) forms each of its
-    2n diagonals' product S over the n - 2 other rows once: S·a·b is the
-    diagonal's own term and S·a′·b′, with the entries of rows i and j
-    swapped, its partner's, on the other side. A pair costs 2n(n + 1)
-    multiplications, not 4n(n - 1).
+    2n diagonals' product S over the n - 2 other rows once: S·q{i}_{j} is
+    the diagonal's own term and S·q{j}_{i} its partner's, on the other side.
+    Every first window reads columns 3 and 4 at positions 0 and p, so the
+    kernel unpacks them once a call and forms the products q{i}_{j} of
+    their entries that its diagonals read, those with j - i = ±p mod n: 2n,
+    or n at p = n/2. This is the column-pair factor of Laplace's expansion
+    by complementary minors. A pair costs 2n(n - 1) multiplications, half
+    of 4n(n - 1), plus those of the table once a call.
 
     Products signed as the first window go to ``same``, the others to
     ``other``. Each run's products are summed before they meet the running
@@ -610,15 +626,23 @@ def _run_sum(n: int, length: int, p: int) -> Callable[[list, bytes, object, obje
     products costs t - 1 additions however its runs fall into kernels.
     Compiled from a fixed template, as ``oracle._expansion`` is, whose text
     depends on the ints n, length and p only. Its ``muls`` attribute is the
-    multiplications it runs on one first window: one fewer than its factors
-    per product formed first and per diagonal product.
+    multiplications it runs on one first window, and ``call_muls`` those it
+    runs once a call: one fewer than its factors per product formed first
+    and per diagonal product.
     """
-    first, products = _run_products(n, length, p)
+    table, rests, products = _run_products(n, length, p)
+    fixed = (0, p) if p else ()  # the positions that read columns 3 and 4
+
+    def unpack(j: int, column: str) -> str:
+        # e{j}_{r}: row r of the j-th column of the first window
+        return f"{', '.join(f'e{j}_{r}' for r in range(n))}, = columns[{column}]\n"
+
     source = "def run_sum(columns, firsts, same, other):\n"
-    source += f"    for {', '.join(f'c{j}' for j in range(n))}, in zip(*[iter(firsts)] * {n}):\n"
-    # e{j}_{r}: row r of the j-th column of the first window
-    source += "".join(f"        {', '.join(f'e{j}_{r}' for r in range(n))}, = columns[c{j}]\n" for j in range(n))
-    source += "".join(f"        {name} = {' * '.join(factors)}\n" for name, factors in first)
+    source += "".join(f"    {unpack(j, c)}" for j, c in zip(fixed, "34"))
+    source += "".join(f"    {name} = {' * '.join(factors)}\n" for name, factors in table)
+    source += f"    for {', '.join('_' if j in fixed else f'c{j}' for j in range(n))}, in zip(*[iter(firsts)] * {n}):\n"
+    source += "".join(f"        {unpack(j, f'c{j}')}" for j in range(n) if j not in fixed)
+    source += "".join(f"        {name} = {' * '.join(factors)}\n" for name, factors in rests)
     for name, side in (("same", 1), ("other", -1)):
         if products[side]:
             source += f"        t = {' + '.join(' * '.join(d) for d in products[side])}\n"
@@ -626,7 +650,8 @@ def _run_sum(n: int, length: int, p: int) -> Callable[[list, bytes, object, obje
     namespace: dict = {}
     exec(source + "    return same, other\n", namespace)
     run_sum = namespace["run_sum"]
-    run_sum.muls = sum(len(f) - 1 for _, f in first) + sum(len(d) - 1 for side in products.values() for d in side)
+    run_sum.call_muls = sum(len(f) - 1 for _, f in table)
+    run_sum.muls = sum(len(f) - 1 for _, f in rests) + sum(len(d) - 1 for side in products.values() for d in side)
     return run_sum
 
 

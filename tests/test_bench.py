@@ -30,8 +30,9 @@ from sarrus import (
     term_count_statement,
     validate,
 )
-from sarrus.bench import ORACLES, random_matrix
+from sarrus.bench import ORACLES, _scheme_for, random_matrix
 from sarrus.oracle import _expansion
+from sarrus.scheme import _signed_windows
 
 
 def cofactor_mult_count(n):
@@ -53,9 +54,10 @@ def test_scheme_and_leibniz_counts_match():
         assert s.term_count == l.term_count == math.factorial(n)
         assert s.multiplications_n_factors == math.factorial(n) * n
         # at n = 4 each product chains its 4 entries, 3 multiplications; at
-        # n = 5 each full run and its 3 <-> 4 swapped partner take 60
-        # together, against 80
-        assert s.multiplications_chained == {4: 72, 5: 360}[n]
+        # n = 5 each full run and its 3 <-> 4 swapped partner take 40
+        # together, against 80, and each of the 3 kernel calls forms 10
+        # column-3 x column-4 products first
+        assert s.multiplications_chained == {4: 72, 5: 270}[n]
         # Leibniz multiplies shared prefix and pair products, so its two
         # conventions coincide, at fewer multiplications than the scheme
         # chains: 50 against 72 at n = 4
@@ -118,9 +120,11 @@ def test_expansion_counts_are_exact(n):
         sch = Scheme(n=1, strips=(SchemeStrip(1, (1,), (1,)),)) if n == 1 else builtin_scheme(n)
         # the same terms and additions; the scheme chains n - 1 multiplications
         # a term, except at n = 5, where the built-in's 12 full runs make 6
-        # pairs, 3 and 4 swapped, of 60 each: 2 for each diagonal's 3 other
-        # entries, then 2 for its own term and 2 for its partner's
-        scheme_muls = 360 if n == 5 else terms * (n - 1)
+        # pairs, 3 and 4 swapped, of 40 each: 2 for each diagonal's 3 other
+        # entries, then 1 for its own term and 1 for its partner's, and each
+        # of its 3 kernel calls forms the 10 column-3 x column-4 products
+        # that those two read
+        scheme_muls = 270 if n == 5 else terms * (n - 1)
         assert _counts(positive_negative_sums, sch, M) == (terms, scheme_muls, side_adds, 0)
         assert _counts(evaluate, sch, M) == (terms, scheme_muls, side_adds + 1, 0)
 
@@ -300,10 +304,11 @@ def test_statement_sets_the_multiplications_beside_the_terms():
     lines = term_count_statement(reports).splitlines()
     assert len(lines) == 6
     swapped = (
-        "n + 1 per two products, a diagonal's and its partner's with the labels 3 and 4 "
-        "swapped, which share their n - 2 other entries"
+        "n - 1 per two products, a diagonal's and its partner's with the labels 3 and 4 "
+        "swapped, which share their n - 2 other entries, plus the up to 2n products of "
+        "a column-3 and a column-4 entry that each kernel call forms first"
     )
-    for n, scheme_muls, leibniz_muls in ((4, 72, 50), (5, 360, 222), (6, 2520, 1338)):
+    for n, scheme_muls, leibniz_muls in ((4, 72, 50), (5, 270, 222), (6, 1860, 1338)):
         terms, muls = lines[2 * (n - 4) : 2 * (n - 3)]
         assert terms.startswith(f"n={n}: scheme evaluation expands exactly {math.factorial(n)} ")
         per = swapped if n >= 5 else "n - 1 per product"
@@ -314,8 +319,11 @@ def test_statement_sets_the_multiplications_beside_the_terms():
             f"factoring, not by the scheme."
         )
         # every run is full: from n = 5, n!/4n pairs of runs, each of
-        # 2n(n + 1); at n = 4, n!/2n runs of 2n diagonals, each of n - 1
-        swapped_pairs = math.factorial(n) // (4 * n) * 2 * n * (n + 1)
+        # 2n(n - 1), and a table of 2n products, n at p = n/2, each kernel
+        # call; at n = 4, n!/2n runs of 2n diagonals, each of n - 1
+        runs = _signed_windows(_scheme_for(n, seed=0)).runs
+        tables = sum(n if 2 * p == n else 2 * n for _, p, _, _ in runs)
+        swapped_pairs = math.factorial(n) // (4 * n) * 2 * n * (n - 1) + tables
         assert scheme_muls == (swapped_pairs if n >= 5 else math.factorial(n) * (n - 1))
 
 

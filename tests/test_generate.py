@@ -293,9 +293,13 @@ def test_verify_generated_catches_a_kernel_that_drops_a_product(monkeypatch, n):
     # one product, the descending diagonal of the first run it is given.
     # Its entries have 62 bits, so the first sample catches it; drawn from
     # [-9, 9], each entry would be 0 one time in 19, and a 0 would hide it.
-    # From n = 5 that run is a pair of full runs, 3 and 4 swapped
+    # From n = 5 that run is a pair of full runs, 3 and 4 swapped, and the
+    # kernel drops the partner's product from the other side too: the
+    # swapped window's descending diagonal, whose column-3 x column-4
+    # product only the kernel's table forms
     sch = builtin_scheme(n) if n <= 5 else search_scheme(SearchConfig(n=n, random_seed=1))
     kernel, dropped = sarrus.scheme._run_sum, []
+    swap = bytes.maketrans(b"\3\4", b"\4\3")
 
     def dropping(n, length, p):
         run_sum = kernel(n, length, p)
@@ -305,6 +309,8 @@ def test_verify_generated_catches_a_kernel_that_drops_a_product(monkeypatch, n):
             if not dropped:
                 dropped.append(p)
                 same -= math.prod(columns[c][r] for r, c in enumerate(firsts[:n]))
+                if p:
+                    other -= math.prod(columns[c][r] for r, c in enumerate(firsts[:n].translate(swap)))
             return same, other
 
         return run_sum_less_one

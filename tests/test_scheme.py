@@ -739,28 +739,32 @@ def test_full_runs_without_a_full_partner_keep_their_own_kernels(n):
 
 def test_swapped_pairs_halve_the_run_record_at_odd_n():
     # det-large's seed-11 n = 7 scheme: 360 full runs make 180 pairs, each
-    # one first window, at 2n(n + 1) = 112 multiplications a pair
+    # one first window, at 2n(n - 1) = 84 multiplications a pair, and each
+    # of its 6 kernel calls, p in 1..3 of either sign, first forms the 2n =
+    # 14 column-3 x column-4 products its diagonals read
     scheme = search_scheme(SearchConfig(n=7, random_seed=11))
     runs = _signed_windows(scheme).runs
     assert sum(len(firsts) for _, _, _, firsts in runs) == 1260
     assert {p for _, p, _, _ in runs} == {1, 2, 3}
     ops = OpCounter()
     evaluate(scheme, Matrix.identity(7), ops=ops)
-    assert ops.mul_chained == 20160
+    assert ops.mul_chained == 15204 == 180 * 84 + 6 * 14
 
 
-@pytest.mark.parametrize("n, muls", [(6, 2520), (8, 181440)])
+@pytest.mark.parametrize("n, muls", [(6, 1860), (8, 141232)])
 def test_swapped_pairs_halve_the_run_record_at_even_n(n, muls):
     # the searched seed-11 schemes: n!/2n full runs make n!/4n pairs, each
-    # one first window with 4 at p in 1..n/2, at 2n(n + 1) multiplications
-    # a pair
+    # one first window with 4 at p in 1..n/2, at 2n(n - 1) multiplications
+    # a pair, and each kernel call first forms a table of 2n products, n
+    # at p = n/2
     scheme = search_scheme(SearchConfig(n=n, random_seed=11))
     runs = _signed_windows(scheme).runs
     assert sum(len(firsts) for _, _, _, firsts in runs) == math.factorial(n) // 4
     assert {p for _, p, _, _ in runs} == set(range(1, n // 2 + 1))
     ops = OpCounter()
     evaluate(scheme, Matrix.identity(n), ops=ops)
-    assert ops.mul_chained == muls == math.factorial(n) // (4 * n) * 2 * n * (n + 1)
+    tables = sum(n if 2 * p == n else 2 * n for _, p, _, _ in runs)
+    assert ops.mul_chained == muls == math.factorial(n) // (4 * n) * 2 * n * (n - 1) + tables
 
 
 def test_a_valid_eight_by_eight_pass_holds_little():
@@ -1055,16 +1059,41 @@ def test_kernels_pair_runs_from_n_5_only(n):
     # a p = 0 kernel forms no product first and takes each diagonal's
     # entries row by row, 2L(n - 1) multiplications for a run of L. From
     # n = 5, and of either parity, a full run and its swapped partner cost
-    # 2n(n + 1) together, against 4n(n - 1) apart, with 4 at any p in
-    # 1..n/2; below it no run pairs
+    # 2n(n - 1) together, half of 4n(n - 1) apart, with 4 at any p in
+    # 1..n/2, plus a table once a call; below it no run pairs
     for length in range(1, n + 1):
-        first, _ = _run_products(n, length, 0)
-        assert not first
-        assert _run_sum(n, length, 0).muls == 2 * length * (n - 1)
+        table, first, _ = _run_products(n, length, 0)
+        assert not table and not first
+        kernel = _run_sum(n, length, 0)
+        assert (kernel.muls, kernel.call_muls) == (2 * length * (n - 1), 0)
     for p in range(1, n // 2 + 1 if n >= 5 else 1):
-        assert _run_sum(n, n, p).muls == 2 * n * (n + 1) < 4 * n * (n - 1)
+        assert 2 * _run_sum(n, n, p).muls == 4 * n * (n - 1)
     if 2 <= n <= 8:
         assert {p > 0 for _, p, _, _ in _signed_windows(_scheme_for(n)).runs} == {n >= 5}
+
+
+@pytest.mark.parametrize("n", range(5, 11))
+def test_pair_kernels_sum_a_window_and_its_swap(n):
+    # a pair kernel gives exactly what the full-run kernel gives on its
+    # first windows, and on those windows with 3 and 4 swapped, to the
+    # opposite sides; n = 9 and 10 reach no scheme the other tests build.
+    # Its table costs 2n a call, n at p = n/2, where j - i = p and -p
+    # name the same pairs of rows
+    rng = random.Random(f"pair kernel:{n}")
+    columns = [(), *([rng.randrange(-(2**61), 2**61) for _ in range(n)] for _ in range(n))]
+    plain, swap = _run_sum(n, n, 0), bytes.maketrans(b"\3\4", b"\4\3")
+    for p in range(1, n // 2 + 1):
+        firsts = b""
+        for _ in range(3):
+            rest = [c for c in range(1, n + 1) if c not in (3, 4)]
+            rng.shuffle(rest)
+            firsts += bytes([3, *rest[: p - 1], 4, *rest[p - 1 :]])
+        kernel = _run_sum(n, n, p)
+        # each side from 0: at n = 5 and 9 a full run's terms all fall on one side
+        own, swapped = plain(columns, firsts, 0, 0), plain(columns, firsts.translate(swap), 0, 0)
+        assert kernel(columns, firsts, 0, 0) == (own[0] + swapped[1], own[1] + swapped[0])
+        assert kernel.muls == 2 * n * (n - 1)
+        assert kernel.call_muls == (n if 2 * p == n else 2 * n)
 
 
 def test_evaluate_float_is_the_exact_value_rounded_once():
