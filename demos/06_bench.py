@@ -4,15 +4,17 @@ Instrumented runs show scheme evaluation expands exactly n! signed products,
 the same count as the permutation expansion; only elimination changes the
 asymptotics. Multiplications are reported both as raw factors (n per product)
 and as the chained multiplications that run. Below n = 5 they are n-1 per
-product. From n = 5 each full run pairs with its partner, the class with
-the labels 3 and 4 swapped (the 5x5's two strips are each other's swap),
-and each of its diagonals shares its n-2 other entries with one of the
-partner's, while each kernel call forms the column-3 x column-4 products
-they read once: n-1 for the two products, plus up to 2n a call, 270 at
-n = 5 where chaining takes 480. The permutation expansion forms each term
-as one shared prefix product times one shared pair product, so from n = 4
-it runs fewer than the scheme (50 against 72 at n = 4, 222 against 270 at
-n = 5).
+product, and the permutation expansion, which forms each term as one shared
+prefix product times one shared pair product, runs fewer (50 against 72 at
+n = 4). From n = 5 each full run pairs with its partner, the class with
+the labels 3 and 4 swapped (the 5x5's two strips are each other's swap): a
+word and its partner's differ only in the two rows that read 3 and 4, so
+their two terms are one product of the n-2 other entries and a 2x2 minor
+on columns 3 and 4, which each kernel call forms once. That is Laplace's
+expansion by complementary minors, not the strip arrangement, and it takes
+the scheme below the permutation expansion: 210 against 222 at n = 5,
+where chaining every product takes 480. From n = 6 one product and two
+minors stand for four words.
 """
 
 from sarrus import bench, reports_to_jsonl, term_count_statement

@@ -3,9 +3,10 @@
 Counts come from an OpCounter threaded through the real evaluation code, so
 the reported numbers are measurements, not formulas. Multiplications are
 reported under both conventions (n factors per diagonal vs the chained
-multiplications that run: n-1 a diagonal, and fewer from n = 5, where a
-full run and its partner, the class with the labels 3 and 4 swapped, share
-each diagonal's n - 2 entries outside the rows that read 3 and 4); the
+multiplications that run: n-1 a diagonal, and fewer from n = 5, where one
+product of 2x2 minors, by Laplace's expansion by complementary minors,
+stands for the words of a full run and its partner, the class with the
+labels 3 and 4 swapped, and from n = 6 for those of two such pairs); the
 oracles multiply shared products, not diagonals, so for them the two
 coincide. Matrices are generated deterministically from the seed.
 The counted run goes first, so one-time work (the compiled Leibniz
@@ -27,7 +28,7 @@ from .counting import OpCounter
 from .errors import SizeLimitExceeded, UnsupportedSize, _guard, _quoted
 from .generate import SearchConfig, random_matrix, search_scheme
 from .oracle import bareiss_det, cofactor_det, leibniz_det
-from .scheme import Scheme, _swaps, evaluate
+from .scheme import Scheme, _quads, _swaps, evaluate
 
 ORACLES = {"leibniz": leibniz_det, "cofactor": cofactor_det, "bareiss": bareiss_det}
 METHODS = ("scheme", *ORACLES)
@@ -142,12 +143,14 @@ def term_count_statement(reports: list[BenchReport]) -> str:
     """The explicit takeaway on term counts, per size where both expansion
     methods were measured, each followed by the multiplications each ran:
     the same terms, multiplied out differently only by each route's
-    factoring. From n = 5 each diagonal of the scheme shares its n - 2
-    entries outside the rows that read columns 3 and 4 with a diagonal of
-    the partner run, its class with the labels 3 and 4 swapped, and each
-    kernel call first forms the up to 2n products of a column-3 and a
-    column-4 entry that its diagonals read, so the two products take n - 1
-    multiplications; below n = 5 each product takes n - 1."""
+    factoring. Below n = 5 each of the scheme's products takes n - 1. From
+    n = 5 a diagonal's word and its partner's, with the labels 3 and 4
+    swapped, share their n - 2 other entries and sum to those entries times
+    a 2x2 minor on columns 3 and 4; from n = 6 the two words with two more
+    columns exchanged join them, through a second minor. One product then
+    stands for two or four words, where the permutation expansion forms
+    each term, so from n = 5 the scheme runs fewer multiplications: the
+    saving is Laplace's expansion by complementary minors, not the strip."""
     by_key = {(r.method, r.n): r for r in reports}
     lines = []
     for n in sorted({r.n for r in reports}):
@@ -161,19 +164,32 @@ def term_count_statement(reports: list[BenchReport]) -> str:
             f"{verdict} the {l.term_count}-term permutation expansion; the strip "
             f"arrangement reorganizes the n!-term sum, it does not shrink it."
         )
-        if _swaps(n):
-            per = (
-                "n - 1 per two products, a diagonal's and its partner's with the labels 3 and 4 "
-                "swapped, which share their n - 2 other entries, plus the up to 2n products of "
-                "a column-3 and a column-4 entry that each kernel call forms first"
+        head = f"n={n}: scheme evaluation runs {s.multiplications_chained} chained multiplications"
+        against = (
+            f"against {l.multiplications_chained} in the permutation expansion, which forms each "
+            f"term as one shared prefix times one shared pair"
+        )
+        if not _swaps(n):
+            lines.append(
+                f"{head}, n - 1 per product, {against}; the counts differ by that factoring, "
+                f"not by the scheme."
+            )
+            continue
+        if _quads(n):
+            words, per = "four", (
+                "n - 3 per four words, a diagonal's, its partner's with the labels 3 and 4 swapped, "
+                "and those two with two more columns exchanged, whose n - 4 other entries "
+                "multiply a 2x2 minor on those two columns and one on columns 3 and 4"
             )
         else:
-            per = "n - 1 per product"
+            words, per = "two", (
+                "n - 2 per two words, a diagonal's and its partner's with the labels 3 and 4 "
+                "swapped, whose n - 2 other entries multiply a 2x2 minor on columns 3 and 4"
+            )
         lines.append(
-            f"n={n}: scheme evaluation runs {s.multiplications_chained} chained "
-            f"multiplications, {per}, against {l.multiplications_chained} in "
-            f"the permutation expansion, which forms each term as one shared prefix times "
-            f"one shared pair; the counts differ by that factoring, not by the scheme."
+            f"{head}, {per}, plus 2 per minor, {against}; the scheme runs fewer because one "
+            f"product of minors stands for {words} words, by Laplace's expansion by complementary "
+            f"minors, not by the strip arrangement."
         )
     return "\n".join(lines)
 

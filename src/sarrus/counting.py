@@ -7,13 +7,17 @@ Products are recorded under both conventions: a length-n diagonal has n
 factors, and the chained count is the multiplications that run. A diagonal
 chained on its own needs n-1. From n = 5 the swap of the labels 3 and 4
 pairs every necklace class with another, and a word and its swap differ
-only in the two rows that read 3 and 4. So a full run and its partner's
-share each diagonal's product S of the n - 2 other entries: n - 3
-multiplications, then 1 for each of the two terms, which read their
-column-3 x column-4 products from a table that each kernel call forms
-once: n - 1 for two products where chaining takes 2(n - 1), plus up to 2n
-a call. The oracles build their terms from shared products and record
-each multiplication they run under both.
+only in the two rows that read 3 and 4, with opposite signs. So the two
+terms sum to the product of their n - 2 other entries times a 2x2 minor
+on columns 3 and 4, which each kernel call forms once: n - 2
+multiplications for two words, where chaining takes 2(n - 1), plus 2 a
+minor. From n = 6 two such pairs whose words differ in two more rows make
+a quad, and one product of the n - 4 other entries, a minor on those rows'
+columns formed once a window, and the minor on columns 3 and 4 stands for
+four words: n - 3 multiplications, plus 2 a minor. This is Laplace's
+expansion by complementary minors, and each minor is also an addition. The
+oracles build their terms from shared products and record each
+multiplication they run under both.
 """
 
 from __future__ import annotations

@@ -31,27 +31,34 @@ of S_n, and the even words hit are half of S_n less the even ones missed.
 Evaluation reads the pass only, run by run, following the cyclic pattern
 of the diagonals: a run of L starts is its first window read along 2L broken
 diagonals, each signed from the run's first sign by ``perm._sign_factors``.
-One kernel per (n, L, p), ``_run_sum``, unpacks the n matrix columns that a
-first window names and adds its 2L diagonal products, with no walk of the
-strips and no table of words. One pair of running sums, even and odd, goes
-through every kernel, each side started by its first products, so a side of
-t products costs the t - 1 additions that ``OpCounter`` tallies. From
-n = 5 the paper's "very symmetric pattern" of the 5x5, whose odd strip is
-its even strip with the labels 3 and 4 swapped, pairs the runs: the swap σ
-fixes no necklace class there, so in an exact cover each full run of class
-C has a partner, the full run of class σC. A word x and σ∘x differ only in
-the two rows that read 3 and 4, and have opposite signs, so each diagonal
-of a run shares its other n - 2 entries with one of its partner's. The pass
-records such a pair once, by a first window that starts with 3 and has 4 at
-position p in 1..n/2, and the kernel of p forms each shared product once,
-and the products of a column-3 and a column-4 entry that its diagonals
-read once a call (see ``_run_sum``). Every other run reads its entries row
-by row.
+One kernel per (n, L, p, quad) and mode, ``_run_sum``, unpacks the n matrix
+columns that a first window names and adds its diagonal products to one
+running sum, with no walk of the strips and no table of words. Signed, that
+sum is D = S+ - S-, the determinant, which ``evaluate`` reads;
+``positive_negative_sums`` runs the same kernels once more with every sign
+and minor taken as "+", which sums P = S+ + S-, and returns (P + D)/2 and
+(P - D)/2. A sum of t products, started by its first, costs t - 1
+additions, plus one for each 2x2 minor that the kernels form.
+
+From n = 5 the paper's "very symmetric pattern" of the 5x5, whose odd
+strip is its even strip with the labels 3 and 4 swapped, pairs the runs:
+the swap σ fixes no necklace class there, so in an exact cover each full
+run of class C has a partner, the full run of class σC. A word x and σ∘x
+differ only in the two rows that read 3 and 4, and have opposite signs, so
+their two terms sum to the product of the other n - 2 entries times the
+2x2 minor of columns 3 and 4 on those rows: Laplace's expansion by
+complementary minors. The pass records such a pair once, by a first window
+that starts with 3 and has 4 at position p in 1..n/2. From n = 6 it also
+groups each pair with the pair of its first window with two more positions
+exchanged (``_exchange``), and records that quad once: each diagonal
+product of a quad is the product of its n - 4 other entries, a minor on
+two more columns and a minor on columns 3 and 4, and stands for four words
+(see ``_run_sum``). Every other run reads its entries row by row.
 
 Exact evaluation runs over cleared rows, as the oracles do: each row of a
 rational matrix is scaled to integers by the lcm of its denominators. Every
-window takes one entry from each row, so the even and the odd sums both scale
-by the product of those lcms, and are divided by it once at the end.
+window takes one entry from each row, so both sums scale by the product of
+those lcms, and are divided by it once at the end.
 
 Everything here is an immutable value and every function is pure, apart
 from the pass a scheme keeps, set on its first use, and the summary that pass
@@ -321,25 +328,30 @@ class _SignedWindows:
     report, since the report's missing words can number up to n!.
 
     ``runs`` holds, for an exact cover, every run of rotations that the walk
-    found, as (length, p, sign of its first descending word, first windows):
-    the first window of each run of that length, p and sign, n columns each,
-    in one ``bytes``, about a byte a start. Evaluation reads each run's
-    diagonals off its first window (see ``_run_sum``). From n = 5 a full run
-    whose 3 <-> 4 swapped partner's run is full too is recorded with it as
-    one pair, once, under p in 1..n/2: its window is the lesser key's class
-    word that starts with 3 and has 4 at p (``perm._swap_head``), signed
-    from the key's sign, and its partner's words are its own with 3 and 4
-    swapped. Every other run has p = 0. Columns fit in a byte because
-    every ``Scheme`` has n <= 10. A scheme that is no exact cover records no
-    runs, so ``runs`` is non-empty exactly when no window is invalid and the
-    diagonals hit every permutation once.
+    found, as (length, p, quad, sign of its first descending word, first
+    windows): the first window of each run of that length, p, quad and
+    sign, n columns each, in one ``bytes``, about a byte a start.
+    Evaluation reads each run's diagonals off its first window (see
+    ``_run_sum``). From n = 5 a full run whose 3 <-> 4 swapped partner's run
+    is full too is recorded with it as one pair, once, under p in 1..n/2:
+    its window is the lesser key's class word that starts with 3 and has 4
+    at p (``perm._swap_head``), signed from the key's sign, and its
+    partner's words are its own with 3 and 4 swapped. From n = 6 a pair
+    whose window, with the positions of ``_exchange(n, p)`` exchanged, lies
+    in another recorded pair is recorded with that pair as one quad, once,
+    under quad True, by the window of the pair met first; the exchanged
+    window's words, and their swaps, are the other pair's. Every other pair
+    has quad False, and every other run p = 0. Columns fit in a byte
+    because every ``Scheme`` has n <= 10. A scheme that is no exact cover
+    records no runs, so ``runs`` is non-empty exactly when no window is
+    invalid and the diagonals hit every permutation once.
     """
 
     invalid: tuple[tuple[int, int], ...]
     duplicates: tuple[tuple[tuple[int, ...], tuple[WindowRef, ...]], ...]
     covered: int
     cover: dict[tuple[int, ...], int]
-    runs: tuple[tuple[int, int, Sign, bytes], ...]
+    runs: tuple[tuple[int, int, bool, Sign, bytes], ...]
     summary: list[str] = field(default_factory=list, compare=False, repr=False)
 
 
@@ -376,7 +388,7 @@ def _walk(sch: Scheme) -> _SignedWindows:
     invalid: list[tuple[int, int]] = []
     cover: dict[tuple[int, ...], int] = {}  # the pairs hit, by class key
     twice: dict[tuple[int, ...], int] = {}  # the pairs hit more than once
-    firsts: defaultdict[tuple[int, int, Sign], list[int]] = defaultdict(list)
+    firsts: defaultdict[tuple[int, int, bool, Sign], list[int]] = defaultdict(list)
     # from n = 5, each full run by class key: (first window, its sign, the key's)
     full: dict[tuple[int, ...], tuple[tuple[int, ...], Sign, Sign]] = {}
     swaps = _swaps(n)
@@ -393,7 +405,7 @@ def _walk(sch: Scheme) -> _SignedWindows:
                 # w is the key rotated left by j, and reversed at step -1
                 full[key] = w, sign, sign * turn**j * flip ** (step < 0)
             else:
-                firsts[length, 0, sign] += w
+                firsts[length, 0, False, sign] += w
             # the run's first ``pairs`` starts hit an arc of its class's
             # cycle, and the rest wrap round and hit that arc again
             hit = _arc(pairs, j, step, length)
@@ -411,13 +423,21 @@ def _walk(sch: Scheme) -> _SignedWindows:
     short = not _is_factorial(covered, n)
     exact_cover = not invalid and not repeated and not short
     if exact_cover:
+        # each pair once, by its lesser key
+        paired: dict[tuple[int, ...], tuple[tuple[int, ...], int, Sign]] = {}
         for key, (w, sign, key_sign) in full.items():
             partner = _swap_key(key)
             if partner not in full:
-                firsts[n, 0, sign] += w
-            elif key < partner:  # each pair once, from its lesser key
+                firsts[n, 0, False, sign] += w
+            elif key < partner:
                 head, p, factor = _swap_head(key)
-                firsts[n, p, key_sign * factor] += head
+                paired[key] = head, p, key_sign * factor
+        for key in list(paired):
+            if key in paired:
+                head, p, sign = paired.pop(key)
+                # the exchanged window's pair, unless it is this one
+                quad = _quads(n) and paired.pop(_exchanged_pair(head, p), None) is not None
+                firsts[n, p, quad, sign] += head
     return _SignedWindows(
         invalid=tuple(invalid),
         duplicates=_where_hit(sch, repeated) if repeated else (),
@@ -515,38 +535,38 @@ def _complete(sch: Scheme) -> _SignedWindows:
     return signed
 
 
-def _signed_sums(sch: Scheme, M: Matrix, ops: OpCounter | None) -> tuple[int, int, int]:
-    """The even and odd window sums over the cleared rows, and the clearing."""
+def _signed_sums(sch: Scheme, M: Matrix, modes: str, ops: OpCounter | None) -> tuple[list, int]:
+    """The diagonal sum over the cleared rows in each mode of ``_run_sum``,
+    "-" for D = S+ - S- and "+" for P = S+ + S-, and the clearing."""
     if M.n != sch.n:
         raise SizeMismatch(f"matrix is {M.n}x{M.n} but scheme expects n = {sch.n}")
+    n = sch.n
     signed = _complete(sch)
     if ops is not None:
-        # the kernels' multiplications, run by run and once a call: fewer
-        # than n - 1 a product where swapped runs pair (see ``_run_sum``)
-        muls = 0
-        for length, p, _, firsts in signed.runs:
-            kernel = _run_sum(sch.n, length, p)
-            muls += kernel.call_muls + kernel.muls * (len(firsts) // sch.n)
-        ops.term(sch.n, signed.covered, chained=muls)
-        # the first term landing in each running sum is not an addition
-        ops.add(max(signed.covered - 2, 0))
+        # the kernels' operations, run by run and once a call, in each mode
+        muls = adds = 0
+        for length, p, quad, _, firsts in signed.runs:
+            kernel = _run_sum(n, length, p, quad, "-")
+            muls += kernel.call_muls + kernel.muls * (len(firsts) // n)
+            adds += kernel.call_adds + kernel.adds * (len(firsts) // n)
+        ops.term(n, signed.covered, chained=muls * len(modes))
+        # the first product landing in each sum is not an addition
+        ops.add((adds - 1) * len(modes))
     rows, clearing = _cleared_rows(M)
-    return *_even_odd_sums(sch.n, signed, rows), clearing
-
-
-def _even_odd_sums(n: int, signed: _SignedWindows, rows: Sequence[Sequence]) -> tuple:
-    """The even and the odd diagonal sums over rows, run by run from the pass:
-    one pair of running sums, each started by its first product, that every
-    kernel continues."""
     columns = [(), *zip(*rows)]  # 1-based, as the strips name them
-    even = odd = None
-    for length, p, sign, firsts in signed.runs:
-        if sign > 0:
-            even, odd = _run_sum(n, length, p)(columns, firsts, even, odd)
-        else:
-            odd, even = _run_sum(n, length, p)(columns, firsts, odd, even)
-    # only at n = 1 is a side, the odd one, left with no products
-    return even, 0 if odd is None else odd
+    sums = []
+    for mode in modes:
+        # one sum over the run groups, started by the first group's sum:
+        # signed by each group's sign in mode "-", unsigned in mode "+"
+        total = None
+        for length, p, quad, sign, firsts in signed.runs:
+            t = _run_sum(n, length, p, quad, mode)(columns, firsts)
+            if sign > 0 or mode == "+":
+                total = t if total is None else total + t
+            else:
+                total = -t if total is None else total - t
+        sums.append(total)
+    return sums, clearing
 
 
 def _swaps(n: int) -> bool:
@@ -554,49 +574,85 @@ def _swaps(n: int) -> bool:
     return n >= 5
 
 
-def _run_products(n: int, length: int, p: int) -> tuple[
-    tuple[tuple[str, tuple[str, ...]], ...],
-    tuple[tuple[str, tuple[str, ...]], ...],
-    dict[Sign, list[list[str]]],
+def _quads(n: int) -> bool:
+    """Whether pairs group into quads (see ``_exchange``): from n = 6."""
+    return n >= 6
+
+
+def _exchange(n: int, p: int) -> tuple[int, int]:
+    """The window positions u and v whose entries a quad exchanges, for a
+    first window with 3 at 0 and 4 at p: the two that x -> p - x (mod n)
+    fixes at even n and p, and p + 1 and n - 1, which it swaps, otherwise.
+    That reflection takes a pair's window to its partner's (see
+    ``perm._swap_head``) and maps {u, v} onto itself, so the exchange
+    commutes with it and leads from either window of a pair to the same
+    other pair. At n = 6 and even p the reflection swaps only p + 1 and
+    n - 1 besides 0 and p, and exchanging those would lead back to the pair
+    itself, as every exchange does at n = 5."""
+    return (p // 2, p // 2 + n // 2) if n % 2 == 0 == p % 2 else (p + 1, n - 1)
+
+
+def _exchanged_pair(head: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """The lesser key of the pair whose classes hold head with the entries
+    at the positions of ``_exchange`` exchanged, and its swap."""
+    u, v = _exchange(len(head), p)
+    word = list(head)
+    word[u], word[v] = word[v], word[u]
+    key = _class_place(tuple(word))[0]
+    return min(key, _swap_key(key))
+
+
+def _run_products(n: int, length: int, p: int, quad: bool) -> tuple[
+    tuple[tuple[str, tuple[str, str, str, str]], ...],
+    tuple[tuple[str, tuple[str, str, str, str]], ...],
+    tuple[tuple[Sign, list[str]], ...],
 ]:
-    """The products a run kernel forms once a call and once a first window,
-    each as (name, factors), and its diagonal products by sign relative to
-    the first window, each a list of factors (see ``_run_sum``). At p = 0
-    nothing is formed first, and each diagonal product is its entries in row
-    order. At p >= 1 a call forms q{i}_{j}, the entry of column 3 in row i
-    times that of column 4 in row j, for each (i, j) its diagonals read; a
-    window forms each diagonal's product S of the rows that read neither
-    position 0 nor p; and the diagonal products are S times its q on its own
-    side and S times the q of its rows swapped on the other."""
+    """The 2x2 minors a run kernel forms once a call and once a first
+    window, each as (name, (w, x, y, z)) for w·x - y·z, and its diagonal
+    terms, each as (sign relative to the first window, factors), the first
+    window's descending diagonal first (see ``_run_sum``). At p = 0 no
+    minor is formed and each term is its entries in row order. At p >= 1
+    a call forms d{i}_{j}, the minor of columns 3 and 4 (positions 0 and p)
+    on rows i and j, and a quad's window forms m{i}_{j}, that of the
+    columns at its positions u and v; each minor takes the orientation of
+    the first term that reads it, and a term that reads it the other way
+    takes the opposite sign. A term is the entries of its other rows, in
+    row order, times its m, times its d."""
     turn, flip = _sign_factors(n)
-    diagonals: dict[Sign, list[list[tuple[int, int]]]] = {1: [], -1: []}
+    diagonals: list[tuple[Sign, list[tuple[int, int]]]] = []
     for k in range(length):
-        diagonals[turn**k].append([(r, (r + k) % n) for r in range(n)])
+        diagonals.append((turn**k, [(r, (r + k) % n) for r in range(n)]))
         if n > 1:  # at n = 1 the window is its own reverse
-            diagonals[turn**k * flip].append([(r, (n - 1 - r + k) % n) for r in range(n)])
-    if not p:
-        return (), (), {side: [[f"e{c}_{r}" for r, c in d] for d in ds] for side, ds in diagonals.items()}
-    table: dict[str, tuple[str, ...]] = {}
-    rests: list[tuple[str, tuple[str, ...]]] = []
-    products: dict[Sign, list[list[str]]] = {1: [], -1: []}
-    for side, ds in diagonals.items():
-        for d in ds:
-            name = f"s{len(rests)}"
-            rests.append((name, tuple(f"e{c}_{r}" for r, c in d if c not in (0, p))))
-            rows = {c: r for r, c in d}
-            for sign, i, j in ((side, rows[0], rows[p]), (-side, rows[p], rows[0])):
-                table[f"q{i}_{j}"] = (f"e0_{i}", f"e{p}_{j}")
-                products[sign].append([name, f"q{i}_{j}"])
-    return tuple(table.items()), tuple(rests), products
+            diagonals.append((turn**k * flip, [(r, (n - 1 - r + k) % n) for r in range(n)]))
+    exchanges = ([("m", *_exchange(n, p))] if quad else []) + ([("d", 0, p)] if p else [])
+    in_minors = {x for _, *positions in exchanges for x in positions}
+    minors: dict[str, dict[str, tuple[str, str, str, str]]] = {"d": {}, "m": {}}
+    terms = []
+    for sign, d in diagonals:
+        read = {c: r for r, c in d}  # the row that reads each position
+        factors = [f"e{c}_{r}" for r, c in d if c not in in_minors]
+        for name, x, y in exchanges:
+            i, j = read[x], read[y]
+            if f"{name}{j}_{i}" in minors[name]:
+                factors.append(f"{name}{j}_{i}")
+                sign = -sign
+            else:
+                minors[name][f"{name}{i}_{j}"] = (f"e{x}_{i}", f"e{y}_{j}", f"e{x}_{j}", f"e{y}_{i}")
+                factors.append(f"{name}{i}_{j}")
+        terms.append((sign, factors))
+    return tuple(minors["d"].items()), tuple(minors["m"].items()), tuple(terms)
 
 
 @lru_cache(maxsize=None)
-def _run_sum(n: int, length: int, p: int) -> Callable[[list, bytes, object, object], tuple]:
-    """The function f(columns, firsts, same, other) that adds the diagonals of
-    runs of ``length`` rotations to a pair of running sums, given each run's
-    first window as n bytes of ``firsts``, and ``columns[c]``, column c of the
-    matrix by row. At p >= 1 each first window stands for a pair of full
-    runs: its own, and the run of its class with the labels 3 and 4 swapped.
+def _run_sum(n: int, length: int, p: int, quad: bool, mode: str) -> Callable[[list, bytes], object]:
+    """The function f(columns, firsts) that sums the diagonal products of
+    runs of ``length`` rotations, given each run's first window as n bytes
+    of ``firsts``, and ``columns[c]``, column c of the matrix by row. In
+    mode "-" each product takes its sign relative to the first window, so
+    the sum is that window's sign times S+ - S- of the runs; in mode "+"
+    every sign and minor is "+", and the sum is S+ + S-. At p >= 1 each
+    first window stands for a pair of full runs, its own and its class's
+    with the labels 3 and 4 swapped, and with quad for two such pairs.
 
     At offset k, row r of the descending diagonal reads column (r + k) mod n
     of the first window, and of the ascending one column (n - 1 - r + k) mod
@@ -608,74 +664,94 @@ def _run_sum(n: int, length: int, p: int) -> Callable[[list, bytes, object, obje
     reflection swaps (n - 1)/2 pairs of positions at odd n, and (n - 2)/2 or
     n/2 at even n, where σ swaps one pair; at n = 4 it fixes the class of
     (1, 3, 2, 4). A word x and σ∘x differ only in rows i and j, which read 3
-    and 4, and their signs are opposite. So the pass records a full run
-    whose partner's run is full too as one first window that starts with 3
-    and has 4 at p in 1..n/2, and the kernel of (n, n, p) forms each of its
-    2n diagonals' product S over the n - 2 other rows once: S·q{i}_{j} is
-    the diagonal's own term and S·q{j}_{i} its partner's, on the other side.
-    Every first window reads columns 3 and 4 at positions 0 and p, so the
-    kernel unpacks them once a call and forms the products q{i}_{j} of
-    their entries that its diagonals read, those with j - i = ±p mod n: 2n,
-    or n at p = n/2. This is the column-pair factor of Laplace's expansion
-    by complementary minors. A pair costs 2n(n - 1) multiplications, half
-    of 4n(n - 1), plus those of the table once a call.
+    and 4, and their signs are opposite, so their terms sum to the product
+    S of the other n - 2 entries times the minor d{i}_{j} of columns 3 and 4
+    on rows i and j. The pass records a full run whose partner's run is
+    full too as one first window that starts with 3 and has 4 at p in
+    1..n/2, so every first window of the kernel of (n, n, p) reads columns 3
+    and 4 at positions 0 and p, and the kernel forms their minors once a
+    call, before its loop: those on rows with j - i = ±p mod n, n of them,
+    or n/2 at p = n/2. A pair then costs 2n products of n - 1 factors.
 
-    Products signed as the first window go to ``same``, the others to
-    ``other``. Each run's products are summed before they meet the running
-    sum, and a sum that is still None starts from them, so a side of t
-    products costs t - 1 additions however its runs fall into kernels.
-    Compiled from a fixed template, as ``oracle._expansion`` is, whose text
-    depends on the ints n, length and p only. Its ``muls`` attribute is the
-    multiplications it runs on one first window, and ``call_muls`` those it
-    runs once a call: one fewer than its factors per product formed first
-    and per diagonal product.
+    From n = 6 the pass groups each pair with the pair of its first window
+    with the positions u and v of ``_exchange`` exchanged, and the quad
+    kernel of (n, p) also forms, once a window, the minors m{i}_{j} of the
+    two columns at u and v, on the rows that read them: n of them, each read
+    by a descending and an ascending diagonal, or n/2 where v - u = n/2.
+    A word x and x with rows i and j exchanged have opposite signs too, so
+    one product, the n - 4 other entries times m times d, stands for four
+    words of four classes: Laplace's expansion by complementary minors
+    along columns 3 and 4 and the columns at u and v, whose terms the
+    diagonals of one quad enumerate. A quad costs 2n products of n - 2
+    factors, plus 2 multiplications a minor.
+
+    Each window's products are summed before they meet the call's sum, and
+    that sum starts from them, so a call of t products and k minors costs
+    t - 1 + k additions. Compiled from a fixed template, as
+    ``oracle._expansion`` is, whose text depends on n, length, p, quad and
+    the mode only. Its ``muls`` and ``adds`` attributes are the
+    multiplications and additions it runs on one first window, counting the
+    addition that meets the call's sum, and ``call_muls`` and ``call_adds``
+    those it runs once a call.
     """
-    table, rests, products = _run_products(n, length, p)
+    calls, windows, terms = _run_products(n, length, p, quad)
     fixed = (0, p) if p else ()  # the positions that read columns 3 and 4
 
     def unpack(j: int, column: str) -> str:
         # e{j}_{r}: row r of the j-th column of the first window
         return f"{', '.join(f'e{j}_{r}' for r in range(n))}, = columns[{column}]\n"
 
-    source = "def run_sum(columns, firsts, same, other):\n"
+    def minor(name: str, factors: tuple[str, str, str, str]) -> str:
+        w, x, y, z = factors
+        return f"{name} = {w} * {x} {mode} {y} * {z}\n"
+
+    source = "def run_sum(columns, firsts):\n"
     source += "".join(f"    {unpack(j, c)}" for j, c in zip(fixed, "34"))
-    source += "".join(f"    {name} = {' * '.join(factors)}\n" for name, factors in table)
+    source += "".join(f"    {minor(*m)}" for m in calls)
+    source += "    total = None\n"
     source += f"    for {', '.join('_' if j in fixed else f'c{j}' for j in range(n))}, in zip(*[iter(firsts)] * {n}):\n"
     source += "".join(f"        {unpack(j, f'c{j}')}" for j in range(n) if j not in fixed)
-    source += "".join(f"        {name} = {' * '.join(factors)}\n" for name, factors in rests)
-    for name, side in (("same", 1), ("other", -1)):
-        if products[side]:
-            source += f"        t = {' + '.join(' * '.join(d) for d in products[side])}\n"
-            source += f"        {name} = t if {name} is None else {name} + t\n"
+    source += "".join(f"        {minor(*m)}" for m in windows)
+    (_, first), *rest = terms  # the first window's descending diagonal, signed "+"
+    source += f"        t = {' * '.join(first)}"
+    source += "".join(f" {'+' if sign > 0 else mode} {' * '.join(factors)}" for sign, factors in rest) + "\n"
+    source += "        total = t if total is None else total + t\n"
     namespace: dict = {}
-    exec(source + "    return same, other\n", namespace)
+    exec(source + "    return total\n", namespace)
     run_sum = namespace["run_sum"]
-    run_sum.call_muls = sum(len(f) - 1 for _, f in table)
-    run_sum.muls = sum(len(f) - 1 for _, f in rests) + sum(len(d) - 1 for side in products.values() for d in side)
+    run_sum.call_muls, run_sum.call_adds = 2 * len(calls), len(calls)
+    run_sum.muls = 2 * len(windows) + sum(len(factors) - 1 for _, factors in terms)
+    run_sum.adds = len(windows) + len(terms)
     return run_sum
 
 
 def evaluate(sch: Scheme, M: Matrix, *, ops: OpCounter | None = None) -> Scalar:
     """det(M) as the signed sum over every window's diagonal product.
 
-    Exact: the windows are summed over the cleared integer rows, and the
-    difference of the two sums is divided by the clearing once, so the result
-    is an int, or a Fraction when it is not integral. The optional ``ops``
-    counter tallies terms, multiplications (both conventions) and additions
-    on the real code path.
+    Exact: the windows are summed over the cleared integer rows into one
+    signed sum, S+ - S-, which is divided by the clearing once, so the
+    result is an int, or a Fraction when it is not integral. The optional
+    ``ops`` counter tallies terms, multiplications (both conventions) and
+    additions on the real code path.
     """
-    s_plus, s_minus, clearing = _signed_sums(sch, M, ops)
-    if ops is not None:
-        ops.add(1)
-    return _uncleared(s_plus - s_minus, clearing)
+    (det,), clearing = _signed_sums(sch, M, "-", ops)
+    return _uncleared(det, clearing)
 
 
 def positive_negative_sums(
     sch: Scheme, M: Matrix, *, ops: OpCounter | None = None
 ) -> tuple[Scalar, Scalar]:
-    """The even-window and odd-window product sums; det = S_plus - S_minus."""
-    s_plus, s_minus, clearing = _signed_sums(sch, M, ops)
-    return _uncleared(s_plus, clearing), _uncleared(s_minus, clearing)
+    """The even-window and odd-window product sums; det = S_plus - S_minus.
+
+    The kernels run twice, for D = S_plus - S_minus and P = S_plus +
+    S_minus, and S_plus = (P + D)/2, S_minus = P - S_plus, exactly: both are
+    sums of products over the cleared integer rows, so P + D is even.
+    """
+    (d, p), clearing = _signed_sums(sch, M, "-+", ops)
+    if ops is not None:
+        ops.add(2)
+    s_plus = (p + d) // 2
+    return _uncleared(s_plus, clearing), _uncleared(p - s_plus, clearing)
 
 
 def evaluate_float(sch: Scheme, rows: Sequence[Sequence[float]]) -> float:

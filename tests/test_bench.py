@@ -4,6 +4,7 @@ import json
 import math
 import random
 import statistics
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -32,7 +33,7 @@ from sarrus import (
 )
 from sarrus.bench import ORACLES, _scheme_for, random_matrix
 from sarrus.oracle import _expansion
-from sarrus.scheme import _signed_windows
+from sarrus.scheme import _exchange, _signed_windows
 
 
 def cofactor_mult_count(n):
@@ -54,16 +55,21 @@ def test_scheme_and_leibniz_counts_match():
         assert s.term_count == l.term_count == math.factorial(n)
         assert s.multiplications_n_factors == math.factorial(n) * n
         # at n = 4 each product chains its 4 entries, 3 multiplications; at
-        # n = 5 each full run and its 3 <-> 4 swapped partner take 40
-        # together, against 80, and each of the 3 kernel calls forms 10
-        # column-3 x column-4 products first
-        assert s.multiplications_chained == {4: 72, 5: 270}[n]
+        # n = 5 each full run and its 3 <-> 4 swapped partner take 2n = 10
+        # products of 3 other entries and a minor on columns 3 and 4, 30
+        # together, against 80 apart, and each of the 3 kernel calls forms
+        # the 5 minors first, at 2 each
+        assert s.multiplications_chained == {4: 72, 5: 6 * 30 + 3 * 10}[n]
         # Leibniz multiplies shared prefix and pair products, so its two
-        # conventions coincide, at fewer multiplications than the scheme
-        # chains: 50 against 72 at n = 4
+        # conventions coincide. It runs fewer multiplications than the
+        # scheme at n = 4, 50 against 72, and more from n = 5, where one
+        # product of the scheme stands for two words: 222 against 210
         assert l.multiplications_n_factors == l.multiplications_chained == LEIBNIZ_MULS[n]
-        assert l.multiplications_chained < s.multiplications_chained
-        assert s.additions == l.additions == math.factorial(n) - 1
+        assert (l.multiplications_chained < s.multiplications_chained) == (n == 4)
+        # one addition fewer than the terms for Leibniz; one fewer than the
+        # products for the scheme, and one for each minor it forms
+        assert l.additions == math.factorial(n) - 1
+        assert s.additions == {4: 23, 5: 6 * 10 - 1 + 3 * 5}[n]
 
 
 def test_counting_does_not_change_results():
@@ -118,15 +124,19 @@ def test_expansion_counts_are_exact(n):
     assert _counts(leibniz_det, M) == (terms, muls, side_adds + 1, 0)
     if n <= 5:
         sch = Scheme(n=1, strips=(SchemeStrip(1, (1,), (1,)),)) if n == 1 else builtin_scheme(n)
-        # the same terms and additions; the scheme chains n - 1 multiplications
-        # a term, except at n = 5, where the built-in's 12 full runs make 6
-        # pairs, 3 and 4 swapped, of 40 each: 2 for each diagonal's 3 other
-        # entries, then 1 for its own term and 1 for its partner's, and each
-        # of its 3 kernel calls forms the 10 column-3 x column-4 products
-        # that those two read
-        scheme_muls = 270 if n == 5 else terms * (n - 1)
-        assert _counts(positive_negative_sums, sch, M) == (terms, scheme_muls, side_adds, 0)
-        assert _counts(evaluate, sch, M) == (terms, scheme_muls, side_adds + 1, 0)
+        # the same terms; the scheme chains n - 1 multiplications a term and
+        # sums the terms, except at n = 5, where the built-in's 12 full runs
+        # make 6 pairs, 3 and 4 swapped, of 2n = 10 products each: 3 other
+        # entries times a minor on columns 3 and 4, 3 multiplications, and
+        # each of its 3 kernel calls forms the 5 minors, at 2
+        # multiplications and 1 subtraction each. The sums run the kernels
+        # twice, signed and unsigned, and take 2 additions to split the two
+        if n == 5:
+            scheme_muls, scheme_adds = 6 * 10 * 3 + 3 * 5 * 2, 6 * 10 - 1 + 3 * 5
+        else:
+            scheme_muls, scheme_adds = terms * (n - 1), terms - 1
+        assert _counts(evaluate, sch, M) == (terms, scheme_muls, scheme_adds, 0)
+        assert _counts(positive_negative_sums, sch, M) == (terms, 2 * scheme_muls, 2 * scheme_adds + 2, 0)
 
 
 class _Counted(int):
@@ -182,15 +192,38 @@ def _valid_scheme(n):
     return builtin_scheme(n) if n <= 5 else search_scheme(SearchConfig(n=n, random_seed=1))
 
 
+def _minors(n, x, y):
+    """The 2x2 minors a kernel forms on the columns at window positions x
+    and y: one for each pair of rows y - x apart, n of them, or n/2 where
+    y - x = n/2."""
+    return n // 2 if 2 * (y - x) % n == 0 else n
+
+
+def _pass_additions(sch):
+    """The additions of one pass of the kernels over a valid scheme: one
+    fewer than its diagonal products, 2L for each run of L (1 at n = 1) and
+    2n for each pair or quad window, plus one for each minor: those of
+    columns 3 and 4 once a kernel call, and those of the exchanged columns
+    once a quad window."""
+    n = sch.n
+    products = minors = 0
+    for length, p, quad, _, firsts in _signed_windows(sch).runs:
+        windows = len(firsts) // n
+        products += windows * (2 * length if n > 1 else 1)
+        minors += (_minors(n, 0, p) if p else 0) + (windows * _minors(n, *_exchange(n, p)) if quad else 0)
+    return products - 1 + minors
+
+
 def _assert_the_sums_run_their_tally(sch, rows):
-    # each side starts from its first product, so no 0 + sum runs: t - 1
-    # additions a side of t products, and one more for the difference
-    side_adds = max(math.factorial(sch.n) - 2, 0)
-    for f, adds in ((positive_negative_sums, side_adds), (evaluate, side_adds + 1)):
+    # each pass's sum starts from its first product, so no 0 + sum runs;
+    # the sums run a signed and an unsigned pass and split the two with 2
+    # more additions
+    adds = _pass_additions(sch)
+    for f, expected in ((positive_negative_sums, 2 * adds + 2), (evaluate, adds)):
         M = _counted(rows)
         ops = OpCounter()
         assert f(sch, M, ops=ops) == f(sch, Matrix(rows))
-        assert _Counted.adds == ops.adds == adds
+        assert _Counted.adds == ops.adds == expected
         assert _Counted.muls == ops.mul_chained
 
 
@@ -206,7 +239,12 @@ def _split_covers(draw):
     the paired kernels of every length below n run."""
     n = draw(st.integers(1, 8))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    share = draw(st.sampled_from([0.1, 0.5, 0.9]))
+    return _split_cover(n, rng, draw(st.sampled_from([0.1, 0.5, 0.9])))
+
+
+def _split_cover(n, rng, share):
+    """The valid scheme of n with each start moved, with probability share,
+    to a one-window strip of its own."""
     strips = []
     for strip in _valid_scheme(n).strips:
         kept = []
@@ -227,6 +265,26 @@ def test_split_covers_tally_the_additions_they_run(sch, seed):
     M = random_matrix(sch.n, random.Random(seed))
     assert evaluate(sch, M) == bareiss_det(M)
     _assert_the_sums_run_their_tally(sch, M.rows)
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_split_covers_run_quad_pair_and_single_kernels_together(n):
+    # a tenth of the starts moved out: the blocks left whole make quads,
+    # a pair whose exchanged pair lost a start keeps its pair kernel, and a
+    # full run whose partner lost one keeps its own, beside the cut runs
+    sch = _split_cover(n, random.Random(n), 0.1)
+    assert validate(sch).is_valid
+    assert {(p > 0) + quad for _, p, quad, _, _ in _signed_windows(sch).runs} == {0, 1, 2}
+    rng = random.Random(f"split:{n}")
+    for rows in (
+        random_matrix(n, rng).rows,
+        [[rng.randrange(-(2**61), 2**61) for _ in range(n)] for _ in range(n)],
+        [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)] for _ in range(n)],
+    ):
+        M = Matrix.from_rows(rows)
+        assert evaluate(sch, M) == bareiss_det(M)
+        assert positive_negative_sums(sch, M) == parity_partition_sums(M)
+    _assert_the_sums_run_their_tally(sch, random_matrix(n, rng).rows)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -303,28 +361,41 @@ def test_statement_sets_the_multiplications_beside_the_terms():
     reports = bench(["scheme", "leibniz"], [4, 5, 6], runs=1, seed=0)
     lines = term_count_statement(reports).splitlines()
     assert len(lines) == 6
-    swapped = (
-        "n - 1 per two products, a diagonal's and its partner's with the labels 3 and 4 "
-        "swapped, which share their n - 2 other entries, plus the up to 2n products of "
-        "a column-3 and a column-4 entry that each kernel call forms first"
-    )
-    for n, scheme_muls, leibniz_muls in ((4, 72, 50), (5, 270, 222), (6, 1860, 1338)):
+    per = {
+        4: "n - 1 per product",
+        5: "n - 2 per two words, a diagonal's and its partner's with the labels 3 and 4 swapped, "
+        "whose n - 2 other entries multiply a 2x2 minor on columns 3 and 4, plus 2 per minor",
+        6: "n - 3 per four words, a diagonal's, its partner's with the labels 3 and 4 swapped, "
+        "and those two with two more columns exchanged, whose n - 4 other entries multiply a "
+        "2x2 minor on those two columns and one on columns 3 and 4, plus 2 per minor",
+    }
+    why = {
+        4: "the counts differ by that factoring, not by the scheme.",
+        5: "the scheme runs fewer because one product of minors stands for two words, by "
+        "Laplace's expansion by complementary minors, not by the strip arrangement.",
+    }
+    why[6] = why[5].replace("two words", "four words")
+    for n, scheme_muls, leibniz_muls in ((4, 72, 50), (5, 210, 222), (6, 708, 1338)):
         terms, muls = lines[2 * (n - 4) : 2 * (n - 3)]
         assert terms.startswith(f"n={n}: scheme evaluation expands exactly {math.factorial(n)} ")
-        per = swapped if n >= 5 else "n - 1 per product"
         assert muls == (
-            f"n={n}: scheme evaluation runs {scheme_muls} chained multiplications, {per}, "
-            f"against {leibniz_muls} in the permutation expansion, which forms each "
-            f"term as one shared prefix times one shared pair; the counts differ by that "
-            f"factoring, not by the scheme."
+            f"n={n}: scheme evaluation runs {scheme_muls} chained multiplications, {per[n]}, "
+            f"against {leibniz_muls} in the permutation expansion, which forms each term as "
+            f"one shared prefix times one shared pair; {why[n]}"
         )
-        # every run is full: from n = 5, n!/4n pairs of runs, each of
-        # 2n(n - 1), and a table of 2n products, n at p = n/2, each kernel
-        # call; at n = 4, n!/2n runs of 2n diagonals, each of n - 1
+        # every run is full. At n = 4, n!/2n runs of 2n products of n - 1
+        # multiplications; at n = 5, n!/4n pairs of 2n products of n - 2;
+        # at n = 6, n!/8n quads, each of 2n products of n - 3 and the
+        # minors of its exchanged columns; and each minor 2
         runs = _signed_windows(_scheme_for(n, seed=0)).runs
-        tables = sum(n if 2 * p == n else 2 * n for _, p, _, _ in runs)
-        swapped_pairs = math.factorial(n) // (4 * n) * 2 * n * (n - 1) + tables
-        assert scheme_muls == (swapped_pairs if n >= 5 else math.factorial(n) * (n - 1))
+        assert all(length == n for length, *_ in runs)
+        minors = sum(
+            (_minors(n, 0, p) if p else 0) + (len(firsts) // n * _minors(n, *_exchange(n, p)) if quad else 0)
+            for _, p, quad, _, firsts in runs
+        )
+        factors = {4: n, 5: n - 1, 6: n - 2}[n]
+        products = math.factorial(n) // {4: 1, 5: 2, 6: 4}[n]
+        assert scheme_muls == products * (factors - 1) + 2 * minors
 
 
 def test_jsonl_output_parses():

@@ -290,28 +290,34 @@ def test_verify_generated_names_the_sample_the_oracle_refutes(monkeypatch):
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_verify_generated_catches_a_kernel_that_drops_a_product(monkeypatch, n):
     # the validation passes, so only the samples can tell: the kernel drops
-    # one product, the descending diagonal of the first run it is given.
-    # Its entries have 62 bits, so the first sample catches it; drawn from
-    # [-9, 9], each entry would be 0 one time in 19, and a 0 would hide it.
-    # From n = 5 that run is a pair of full runs, 3 and 4 swapped, and the
-    # kernel drops the partner's product from the other side too: the
-    # swapped window's descending diagonal, whose column-3 x column-4
-    # product only the kernel's table forms
+    # one word's product from the first run it is given. Its entries have
+    # 62 bits, so the first sample catches it; drawn from [-9, 9], each
+    # entry would be 0 one time in 19, and a 0 would hide it. Below n = 5
+    # the word is the run's first descending diagonal. From n = 5 that run
+    # is a pair of full runs, 3 and 4 swapped, and the word is the swapped
+    # window's descending diagonal, which only the minor of columns 3 and 4
+    # forms; from n = 6 it is a quad, two such pairs, and the word also has
+    # the entries at the exchanged positions u and v swapped, which only the
+    # product of both minors forms
     sch = builtin_scheme(n) if n <= 5 else search_scheme(SearchConfig(n=n, random_seed=1))
     kernel, dropped = sarrus.scheme._run_sum, []
     swap = bytes.maketrans(b"\3\4", b"\4\3")
 
-    def dropping(n, length, p):
-        run_sum = kernel(n, length, p)
+    def dropping(n, length, p, quad, mode):
+        run_sum = kernel(n, length, p, quad, mode)
 
-        def run_sum_less_one(columns, firsts, same, other):
-            same, other = run_sum(columns, firsts, same, other)
-            if not dropped:
-                dropped.append(p)
-                same -= math.prod(columns[c][r] for r, c in enumerate(firsts[:n]))
+        def run_sum_less_one(columns, firsts):
+            total = run_sum(columns, firsts)
+            if mode == "-" and not dropped:
+                dropped.append((p > 0, quad))
+                word, sign = bytearray(firsts[:n]), 1
                 if p:
-                    other -= math.prod(columns[c][r] for r, c in enumerate(firsts[:n].translate(swap)))
-            return same, other
+                    word, sign = bytearray(word.translate(swap)), -sign
+                if quad:
+                    u, v = sarrus.scheme._exchange(n, p)
+                    word[u], word[v], sign = word[v], word[u], -sign
+                total -= sign * math.prod(columns[c][r] for r, c in enumerate(word))
+            return total
 
         return run_sum_less_one
 
@@ -320,7 +326,7 @@ def test_verify_generated_catches_a_kernel_that_drops_a_product(monkeypatch, n):
         dropped.clear()
         with pytest.raises(VerificationFailed, match="^sample 0: "):
             verify_generated(sch, 5, seed=seed)
-        assert len(dropped) == 1 and bool(dropped[0]) == (n >= 5)
+        assert dropped == [(n >= 5, n >= 6)]
 
 
 def test_generated_schemes_survive_verification():

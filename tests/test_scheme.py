@@ -54,8 +54,10 @@ from sarrus import (
     windows,
 )
 from sarrus.bench import random_matrix
-from sarrus.perm import _class_place, _swap_key, _word_parity
-from sarrus.scheme import _diagonals, _run_products, _run_sum, _runs, _signed_windows
+from sarrus.perm import _class_place, _swap_head, _swap_key, _word_parity
+from sarrus.scheme import (
+    _diagonals, _exchange, _exchanged_pair, _run_products, _run_sum, _runs, _signed_windows
+)
 
 # the first junction of the even quilt: two 9-column layouts sharing one column
 P1_P2_PREFIX = (1, 2, 3, 4, 5, 1, 2, 3, 4, 3, 5, 2, 1, 4, 3, 5, 2)
@@ -459,7 +461,8 @@ def _partnerless_scheme(n):
 
 
 # exact covers, which random strips past n = 3 almost never are: full runs
-# recorded in swapped pairs at n = 5 and 7, and full runs with no partner
+# recorded in swapped pairs at n = 5, in quads at n = 7, and full runs with
+# no partner
 @example(builtin_scheme(5))
 @example(search_scheme(SearchConfig(n=7, random_seed=1)))
 @example(_partnerless_scheme(5))
@@ -504,31 +507,41 @@ def _expand_runs(n, runs):
     reverses, each taking (-1)**(n // 2) more; at n = 1 the window alone. A
     first window filed under p >= 1 starts with 3 and has 4 at p, and its
     2n words come with their 2n partners, 3 and 4 swapped, of the opposite
-    signs."""
-    assert len({(length, p, sign) for length, p, sign, _ in runs}) == len(runs)
+    signs. Filed as a quad, it stands also for the window with the entries
+    at the positions of ``_exchange(n, p)`` exchanged, of the opposite sign,
+    with its words and their partners."""
+    assert len({(length, p, quad, sign) for length, p, quad, sign, _ in runs}) == len(runs)
     words = {1: [], -1: []}
-    for length, p, sign, firsts in runs:
+    for length, p, quad, sign, firsts in runs:
         assert len(firsts) % n == 0
         for i in range(0, len(firsts), n):
-            first = tuple(firsts[i : i + n])
-            own = []
-            for k in range(length):
-                word, word_sign = first[k:] + first[:k], sign * (-1) ** ((n - 1) * k)
-                own.append((word, word_sign))
-                if n > 1:
-                    own.append((word[::-1], word_sign * (-1) ** (n // 2)))
-            if p:
-                assert length == n >= 5 and n % 2 and first[0] == 3 and first[p] == 4 and 2 * p < n
-                own += [(tuple(7 - c if c in (3, 4) else c for c in word), -s) for word, s in own]
-            for word, word_sign in own:
-                words[word_sign].append(word)
+            heads = [(tuple(firsts[i : i + n]), sign)]
+            if quad:
+                assert p and n >= 6
+                u, v = _exchange(n, p)
+                head = list(heads[0][0])
+                head[u], head[v] = head[v], head[u]
+                heads.append((tuple(head), -sign))
+            for first, first_sign in heads:
+                own = []
+                for k in range(length):
+                    word, word_sign = first[k:] + first[:k], first_sign * (-1) ** ((n - 1) * k)
+                    own.append((word, word_sign))
+                    if n > 1:
+                        own.append((word[::-1], word_sign * (-1) ** (n // 2)))
+                if p:
+                    assert length == n >= 5 and first[0] == 3 and first[p] == 4 and 2 * p <= n
+                    own += [(tuple(7 - c if c in (3, 4) else c for c in word), -s) for word, s in own]
+                for word, word_sign in own:
+                    words[word_sign].append(word)
     return words[1], words[-1]
 
 
 def test_a_cold_pass_takes_one_parity_per_block(monkeypatch):
     # inside a block each window is the one before it rotated left by one,
     # so only a block's first window needs its parity taken, and a block is
-    # one whole class, so it needs one class place
+    # one whole class, so it needs one class place; grouping the pairs of
+    # blocks into quads takes one more a quad, a quarter of the blocks
     scheme = search_scheme(SearchConfig(n=7, random_seed=1))
     blocks = sum(len(strip.starts) for strip in scheme.strips) // 7
     calls = []
@@ -542,7 +555,7 @@ def test_a_cold_pass_takes_one_parity_per_block(monkeypatch):
     # a fresh scheme is cold: the search validated the one it returned
     assert validate(Scheme(n=7, strips=scheme.strips)).is_valid
     assert 0 < len(calls) <= blocks
-    assert 0 < len(keys) <= blocks
+    assert 0 < len(keys) <= blocks + blocks // 4
 
 
 def _count_calls(monkeypatch, module, name):
@@ -709,7 +722,7 @@ def test_runs_shorter_than_n_evaluate_exactly(n):
     rng = random.Random(n)
     for sch in _short_run_schemes(n):
         assert validate(sch).is_valid
-        assert all(length < n for length, _, _, _ in _signed_windows(sch).runs) or n == 1
+        assert all(length < n for length, _, _, _, _ in _signed_windows(sch).runs) or n == 1
         for rational_share in (0.0, 1.0):
             rows = [
                 [Fraction(rng.randint(-9, 9), rng.randint(2, 9)) if rng.random() < rational_share
@@ -729,7 +742,7 @@ def test_full_runs_without_a_full_partner_keep_their_own_kernels(n):
     sch = _partnerless_scheme(n)
     assert validate(sch).is_valid
     runs = _signed_windows(sch).runs
-    assert {p for _, p, _, _ in runs} == {0} and any(length == n for length, _, _, _ in runs)
+    assert {p for _, p, _, _, _ in runs} == {0} and any(length == n for length, _, _, _, _ in runs)
     rng = random.Random(n)
     for kind in ("int", "all p/q"):
         M = random_matrix(n, rng) if kind == "int" else _rational_matrix(kind, n, rng)
@@ -737,34 +750,88 @@ def test_full_runs_without_a_full_partner_keep_their_own_kernels(n):
         assert positive_negative_sums(sch, M) == parity_partition_sums(M)
 
 
+def _minors(n, x, y):
+    """The 2x2 minors a kernel forms on the columns at window positions x
+    and y: one for each pair of rows y - x apart, n of them, or n/2 where
+    y - x = n/2."""
+    return n // 2 if 2 * (y - x) % n == 0 else n
+
+
 def test_swapped_pairs_halve_the_run_record_at_odd_n():
-    # det-large's seed-11 n = 7 scheme: 360 full runs make 180 pairs, each
-    # one first window, at 2n(n - 1) = 84 multiplications a pair, and each
-    # of its 6 kernel calls, p in 1..3 of either sign, first forms the 2n =
-    # 14 column-3 x column-4 products its diagonals read
+    # det-large's seed-11 n = 7 scheme: 360 full runs make 180 pairs, and
+    # those make 90 quads, each one first window. A quad forms the 7 minors
+    # of its two exchanged columns, at 2 multiplications each, then 2n = 14
+    # products of n - 2 = 5 factors: 70. Each of its 6 kernel calls, p in
+    # 1..3 of either sign, first forms the 7 minors of columns 3 and 4: 14
     scheme = search_scheme(SearchConfig(n=7, random_seed=11))
     runs = _signed_windows(scheme).runs
-    assert sum(len(firsts) for _, _, _, firsts in runs) == 1260
-    assert {p for _, p, _, _ in runs} == {1, 2, 3}
+    assert sum(len(firsts) for *_, firsts in runs) == 90 * 7
+    assert len(runs) == 6 and {(p, quad) for _, p, quad, _, _ in runs} == {(1, True), (2, True), (3, True)}
     ops = OpCounter()
     evaluate(scheme, Matrix.identity(7), ops=ops)
-    assert ops.mul_chained == 15204 == 180 * 84 + 6 * 14
+    assert ops.mul_chained == 6384 == 90 * (2 * 7 + 14 * 4) + 6 * 14
 
 
-@pytest.mark.parametrize("n, muls", [(6, 1860), (8, 141232)])
+@pytest.mark.parametrize("n, muls", [(6, 708), (8, 58432)])
 def test_swapped_pairs_halve_the_run_record_at_even_n(n, muls):
-    # the searched seed-11 schemes: n!/2n full runs make n!/4n pairs, each
-    # one first window with 4 at p in 1..n/2, at 2n(n - 1) multiplications
-    # a pair, and each kernel call first forms a table of 2n products, n
-    # at p = n/2
+    # the searched seed-11 schemes: n!/2n full runs make n!/8n quads, each
+    # one first window with 4 at p in 1..n/2, which forms the minors of its
+    # two exchanged columns, 2 multiplications each, then 2n products of
+    # n - 2 factors; each kernel call first forms the minors of columns 3
+    # and 4. Minors number n, or n/2 on two positions n/2 apart, as 0 and p
+    # are at p = n/2, and the exchanged positions at even p
     scheme = search_scheme(SearchConfig(n=n, random_seed=11))
     runs = _signed_windows(scheme).runs
-    assert sum(len(firsts) for _, _, _, firsts in runs) == math.factorial(n) // 4
-    assert {p for _, p, _, _ in runs} == set(range(1, n // 2 + 1))
+    assert sum(len(firsts) for *_, firsts in runs) == math.factorial(n) // 8
+    assert {(p, quad) for _, p, quad, _, _ in runs} == {(p, True) for p in range(1, n // 2 + 1)}
     ops = OpCounter()
     evaluate(scheme, Matrix.identity(n), ops=ops)
-    tables = sum(n if 2 * p == n else 2 * n for _, p, _, _ in runs)
-    assert ops.mul_chained == muls == math.factorial(n) // (4 * n) * 2 * n * (n - 1) + tables
+    quads = sum(
+        len(firsts) // n * (2 * _minors(n, *_exchange(n, p)) + 2 * n * (n - 3)) for _, p, _, _, firsts in runs
+    )
+    tables = sum(2 * _minors(n, 0, p) for _, p, _, _, _ in runs)
+    assert ops.mul_chained == muls == quads + tables
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_searched_schemes_record_quads_only(n):
+    # every pair of full runs meets the pair of its window with two
+    # positions exchanged: n!/8n first windows, all quads, and no pair
+    for seed in range(1, 6):
+        runs = _signed_windows(search_scheme(SearchConfig(n=n, random_seed=seed))).runs
+        assert all(p and quad for _, p, quad, _, _ in runs)
+        assert sum(len(firsts) for *_, firsts in runs) == math.factorial(n) // (8 * n) * n
+
+
+def test_the_five_by_five_records_six_pairs_and_no_quad():
+    # at n = 5 the exchange leads each pair back to itself
+    runs = _signed_windows(builtin_scheme(5)).runs
+    assert all(p and not quad for _, p, quad, _, _ in runs)
+    assert sum(len(firsts) for *_, firsts in runs) == 6 * 5
+
+
+@pytest.mark.parametrize("n", range(5, 11))
+def test_the_exchange_leads_to_another_pair_and_back(n):
+    # from either first window of a pair, its own and its partner class's
+    # (the reflection x -> p - x with 3 and 4 swapped), exchanging the
+    # entries at u and v leads to one pair, and from that pair's window
+    # back: four distinct classes from n = 6, and the pair itself at n = 5
+    rng = random.Random(f"exchange:{n}")
+    for _ in range(500):
+        key = _class_place(tuple(rng.sample(range(1, n + 1), n)))[0]
+        pair = min(key, _swap_key(key))
+        head, p, _ = _swap_head(pair)
+        u, v = _exchange(n, p)
+        assert len({0, p, u, v}) == 4
+        mirror = bytes(head[(p - x) % n] for x in range(n)).translate(bytes.maketrans(b"\3\4", b"\4\3"))
+        assert mirror[0] == 3 and mirror[p] == 4 and _class_place(tuple(mirror))[0] in (key, _swap_key(key))
+        other = _exchanged_pair(head, p)
+        assert _exchanged_pair(tuple(mirror), p) == other
+        if n == 5:
+            assert other == pair
+        else:
+            back, back_p, _ = _swap_head(other)
+            assert other != pair and back_p == p and _exchanged_pair(back, p) == pair
 
 
 def test_a_valid_eight_by_eight_pass_holds_little():
@@ -1056,44 +1123,83 @@ def test_paired_kernels_split_as_the_expansion(n, kind):
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_kernels_pair_runs_from_n_5_only(n):
-    # a p = 0 kernel forms no product first and takes each diagonal's
-    # entries row by row, 2L(n - 1) multiplications for a run of L. From
-    # n = 5, and of either parity, a full run and its swapped partner cost
-    # 2n(n - 1) together, half of 4n(n - 1) apart, with 4 at any p in
-    # 1..n/2, plus a table once a call; below it no run pairs
+    # a p = 0 kernel forms no minor and takes each diagonal's entries row
+    # by row, 2L(n - 1) multiplications for a run of L. From n = 5, and of
+    # either parity, a full run and its swapped partner cost 2n(n - 2)
+    # together, against 4n(n - 1) apart, with 4 at any p in 1..n/2, plus
+    # the minors of columns 3 and 4 once a call. From n = 6 a quad of two
+    # such pairs costs 2n(n - 3) and its window's minors, against 8n(n - 1)
+    # apart. Below n = 5 no run pairs, and below n = 6 no pair quads
     for length in range(1, n + 1):
-        table, first, _ = _run_products(n, length, 0)
-        assert not table and not first
-        kernel = _run_sum(n, length, 0)
+        calls, windows, _ = _run_products(n, length, 0, False)
+        assert not calls and not windows
+        kernel = _run_sum(n, length, 0, False, "-")
         assert (kernel.muls, kernel.call_muls) == (2 * length * (n - 1), 0)
     for p in range(1, n // 2 + 1 if n >= 5 else 1):
-        assert 2 * _run_sum(n, n, p).muls == 4 * n * (n - 1)
+        assert _run_sum(n, n, p, False, "-").muls == 2 * n * (n - 2)
+        if n >= 6:
+            assert _run_sum(n, n, p, True, "-").muls == 2 * n * (n - 3) + 2 * _minors(n, *_exchange(n, p))
     if 2 <= n <= 8:
-        assert {p > 0 for _, p, _, _ in _signed_windows(_scheme_for(n)).runs} == {n >= 5}
+        runs = _signed_windows(_scheme_for(n)).runs
+        assert {p > 0 for _, p, _, _, _ in runs} == {n >= 5}
+        assert {quad for _, _, quad, _, _ in runs} == {n >= 6}
+
+
+def _heads(n, p, rng):
+    """Three first windows that start with 3 and have 4 at p, in one bytes."""
+    firsts = b""
+    for _ in range(3):
+        rest = [c for c in range(1, n + 1) if c not in (3, 4)]
+        rng.shuffle(rest)
+        firsts += bytes([3, *rest[: p - 1], 4, *rest[p - 1 :]])
+    return firsts
 
 
 @pytest.mark.parametrize("n", range(5, 11))
 def test_pair_kernels_sum_a_window_and_its_swap(n):
-    # a pair kernel gives exactly what the full-run kernel gives on its
-    # first windows, and on those windows with 3 and 4 swapped, to the
-    # opposite sides; n = 9 and 10 reach no scheme the other tests build.
-    # Its table costs 2n a call, n at p = n/2, where j - i = p and -p
+    # in mode "-" a pair kernel gives exactly what the full-run kernel
+    # gives on its first windows less what it gives on those windows with 3
+    # and 4 swapped, whose words have the opposite signs, and in mode "+"
+    # the sum of the two; n = 9 and 10 reach no scheme the other tests
+    # build. A window costs 2n products of n - 1 factors, and a call n
+    # minors of 2 multiplications, n/2 at p = n/2, where j - i = p and -p
     # name the same pairs of rows
     rng = random.Random(f"pair kernel:{n}")
     columns = [(), *([rng.randrange(-(2**61), 2**61) for _ in range(n)] for _ in range(n))]
-    plain, swap = _run_sum(n, n, 0), bytes.maketrans(b"\3\4", b"\4\3")
+    swap = bytes.maketrans(b"\3\4", b"\4\3")
     for p in range(1, n // 2 + 1):
-        firsts = b""
-        for _ in range(3):
-            rest = [c for c in range(1, n + 1) if c not in (3, 4)]
-            rng.shuffle(rest)
-            firsts += bytes([3, *rest[: p - 1], 4, *rest[p - 1 :]])
-        kernel = _run_sum(n, n, p)
-        # each side from 0: at n = 5 and 9 a full run's terms all fall on one side
-        own, swapped = plain(columns, firsts, 0, 0), plain(columns, firsts.translate(swap), 0, 0)
-        assert kernel(columns, firsts, 0, 0) == (own[0] + swapped[1], own[1] + swapped[0])
-        assert kernel.muls == 2 * n * (n - 1)
-        assert kernel.call_muls == (n if 2 * p == n else 2 * n)
+        firsts = _heads(n, p, rng)
+        for mode, partner in (("-", -1), ("+", 1)):
+            plain, kernel = _run_sum(n, n, 0, False, mode), _run_sum(n, n, p, False, mode)
+            assert kernel(columns, firsts) == plain(columns, firsts) + partner * plain(columns, firsts.translate(swap))
+        assert kernel.muls == 2 * n * (n - 2)
+        assert kernel.call_muls == 2 * _minors(n, 0, p)
+
+
+@pytest.mark.parametrize("n", range(6, 11))
+def test_quad_kernels_sum_four_words_a_product(n):
+    # in mode "-" a quad kernel gives exactly the signed sum of what the
+    # full-run kernel gives on its first windows w, on σw, their 3 <-> 4
+    # swaps, on τw, w with the entries at the positions u and v of
+    # _exchange exchanged, and on στw, where σw and τw take the opposite
+    # sign; in mode "+" it gives the unsigned sum of the four. A window
+    # costs its minors on u and v, 2 multiplications each, and 2n products
+    # of n - 2 factors, and a call the minors of columns 3 and 4
+    rng = random.Random(f"quad kernel:{n}")
+    columns = [(), *([rng.randrange(-(2**61), 2**61) for _ in range(n)] for _ in range(n))]
+    swap = bytes.maketrans(b"\3\4", b"\4\3")
+    for p in range(1, n // 2 + 1):
+        u, v = _exchange(n, p)
+        firsts = _heads(n, p, rng)
+        exchanged = bytearray(firsts)
+        exchanged[u::n], exchanged[v::n] = firsts[v::n], firsts[u::n]
+        four = (firsts, firsts.translate(swap), bytes(exchanged), bytes(exchanged).translate(swap))
+        for mode, other in (("-", -1), ("+", 1)):
+            plain, kernel = _run_sum(n, n, 0, False, mode), _run_sum(n, n, p, True, mode)
+            signs = (1, other, other, 1)
+            assert kernel(columns, firsts) == sum(s * plain(columns, w) for s, w in zip(signs, four))
+        assert kernel.muls == 2 * _minors(n, u, v) + 2 * n * (n - 3)
+        assert kernel.call_muls == 2 * _minors(n, 0, p)
 
 
 def test_evaluate_float_is_the_exact_value_rounded_once():
