@@ -61,12 +61,12 @@ window takes one entry from each row, so both sums scale by the product of
 those lcms, and are divided by it once at the end.
 
 Everything here is an immutable value and every function is pure, apart
-from the pass a scheme keeps, set on its first use, and the summary that pass
-keeps of its last report. The pass is a pure function of its scheme, so
-evaluation and validation are safe to run concurrently: a first use from two
-threads at once computes equal passes, and either one is kept. Two equal
-schemes, such as a file loaded twice, each run their own pass. Exact
-arithmetic makes the order and grouping of products irrelevant.
+from the pass a scheme keeps, set on its first use. The pass is a pure
+function of its scheme, so evaluation and validation are safe to run
+concurrently: a first use from two threads at once computes equal passes,
+and either one is kept. Two equal schemes, such as a file loaded twice,
+each run their own pass. Exact arithmetic makes the order and grouping of
+products irrelevant.
 """
 
 from __future__ import annotations
@@ -318,14 +318,13 @@ class _SignedWindows:
     the pass is a pure function of the scheme.
 
     ``invalid`` holds the 1-based (strip, start) of each window that repeats a
-    column; ``duplicates`` each word hit more than once, in lexicographic
-    order, with where it was hit. ``covered`` counts distinct words.
-    When some words are missing, ``cover`` maps the key of each necklace
-    class hit to the bitmask of its pairs hit (see ``perm._class_place``);
-    otherwise it is empty. ``summary`` holds the summary of the last
-    ``validate`` report of a scheme that is no exact cover, so that a refusal
-    can quote it without listing missing words again; the text, not the
-    report, since the report's missing words can number up to n!.
+    column, and ``covered`` counts distinct words. When some words are
+    missing, ``cover`` maps the key of each necklace class hit to the
+    bitmask of its pairs hit (see ``perm._class_place``); otherwise it is
+    empty. ``twice`` maps the key of each class with a pair hit more than
+    once to the bitmask of those pairs. The pass lists no word and locates
+    no hit: ``validate`` does, from ``cover`` and ``twice``, each time it
+    is called.
 
     ``runs`` holds, for an exact cover, every run of rotations that the walk
     found, as (length, p, quad, sign of its first descending word, first
@@ -348,11 +347,10 @@ class _SignedWindows:
     """
 
     invalid: tuple[tuple[int, int], ...]
-    duplicates: tuple[tuple[tuple[int, ...], tuple[WindowRef, ...]], ...]
     covered: int
     cover: dict[tuple[int, ...], int]
+    twice: dict[tuple[int, ...], int]
     runs: tuple[tuple[int, int, bool, Sign, bytes], ...]
-    summary: list[str] = field(default_factory=list, compare=False, repr=False)
 
 
 def _factorial_text(n: int) -> str:
@@ -418,10 +416,9 @@ def _walk(sch: Scheme) -> _SignedWindows:
                 twice[key] = twice.get(key, 0) | again
     # two words a pair, and one at n = 1
     covered = sum(map(int.bit_count, cover.values())) * min(n, 2)
-    repeated = {w for key, bits in twice.items() for w in _class_words(key, bits)}
     # only a listing of missing words reads the cover again
     short = not _is_factorial(covered, n)
-    exact_cover = not invalid and not repeated and not short
+    exact_cover = not invalid and not twice and not short
     if exact_cover:
         # each pair once, by its lesser key
         paired: dict[tuple[int, ...], tuple[tuple[int, ...], int, Sign]] = {}
@@ -440,17 +437,19 @@ def _walk(sch: Scheme) -> _SignedWindows:
                 firsts[n, p, quad, sign] += head
     return _SignedWindows(
         invalid=tuple(invalid),
-        duplicates=_where_hit(sch, repeated) if repeated else (),
         covered=covered,
         cover=cover if short else {},
+        twice=twice,
         runs=tuple((*run, bytes(w)) for run, w in sorted(firsts.items())) if exact_cover else (),
     )
 
 
-def _where_hit(
-    sch: Scheme, repeated: set[tuple[int, ...]]
-) -> tuple[tuple[tuple[int, ...], tuple[WindowRef, ...]], ...]:
-    """Each repeated word, in lexicographic order, with every diagonal that hits it."""
+def _where_hit(sch: Scheme, signed: _SignedWindows) -> tuple[tuple[Permutation, tuple[WindowRef, ...]], ...]:
+    """Each word hit more than once, in lexicographic order, with every
+    diagonal that hits it: the words of the pairs of ``signed.twice``."""
+    repeated = {w for key, bits in signed.twice.items() for w in _class_words(key, bits)}
+    if not repeated:
+        return ()
     refs: dict[tuple[int, ...], list[WindowRef]] = {w: [] for w in sorted(repeated)}
     directions = ("both",) if sch.n == 1 else ("descending", "ascending")
     for si, strip in enumerate(sch.strips, start=1):
@@ -459,7 +458,7 @@ def _where_hit(
             for word, direction in zip((w, w[::-1]), directions):
                 if word in refs:
                     refs[word].append(WindowRef(si, p, direction))
-    return tuple((w, tuple(r)) for w, r in refs.items())
+    return tuple((Permutation(w), tuple(r)) for w, r in refs.items())
 
 
 def windows(s: SchemeStrip) -> list[Window]:
@@ -478,32 +477,34 @@ def windows(s: SchemeStrip) -> list[Window]:
 def validate(sch: Scheme) -> ValidationReport:
     """Check a scheme against S_n. Defects are reported, not raised.
 
-    Cost is O(total windows), plus a listing of the missing permutations when
-    some are missing: nearly n! of them when a few windows repeat n!/2 times.
     The pass reads the walk of each strip and records each run as the arc of
     its necklace class's pairs that it hits (see the module notes); for an
     exact cover it also records each run's first window, one for each
     swapped pair of full runs from n = 5, which is all evaluation reads.
-    The even count is half of S_n (its one word at n = 1) less the even
-    words missing.
+    That costs O(total windows), once a scheme. Each call then lists what
+    the pass counted: the duplicates, with a walk of the strips that locates
+    their hits, and the missing permutations, nearly n! of them when a few
+    windows repeat n!/2 times. The even count is half of S_n (its one word
+    at n = 1) less the even words missing.
     """
     n = sch.n
     signed = _signed_windows(sch)
+    # the duplicates first: past a memory limit the listing then fails in
+    # _missing, not in _where_hit with up to n! missing words held here,
+    # which can leave the CLI no memory to report the error
+    duplicates = _where_hit(sch, signed)
     missing = () if _is_factorial(signed.covered, n) else _missing(sch, signed)
     even = (math.factorial(n) + 1) // 2 - sum(_word_parity(p.images) > 0 for p in missing)
-    report = ValidationReport(
+    return ValidationReport(
         n=n,
         window_count=2 * sum(len(strip.starts) for strip in sch.strips),
         covered=signed.covered,
-        duplicates=tuple((Permutation(w), refs) for w, refs in signed.duplicates),
+        duplicates=duplicates,
         missing=missing,
         invalid_windows=signed.invalid,
         even_count=even,
         odd_count=signed.covered - even,
     )
-    if not signed.runs:
-        signed.summary[:] = [report.summary()]
-    return report
 
 
 def _missing(sch: Scheme, signed: _SignedWindows) -> tuple[Permutation, ...]:
@@ -529,9 +530,7 @@ def _missing(sch: Scheme, signed: _SignedWindows) -> tuple[Permutation, ...]:
 def _complete(sch: Scheme) -> _SignedWindows:
     signed = _signed_windows(sch)
     if not signed.runs:
-        # quote the report of an earlier validate, or make one
-        summary = signed.summary[0] if signed.summary else validate(sch).summary()
-        raise InvalidScheme("scheme failed validation:\n" + summary)
+        raise InvalidScheme("scheme failed validation:\n" + validate(sch).summary())
     return signed
 
 
@@ -614,10 +613,9 @@ def _run_products(n: int, length: int, p: int, quad: bool) -> tuple[
     minor is formed and each term is its entries in row order. At p >= 1
     a call forms d{i}_{j}, the minor of columns 3 and 4 (positions 0 and p)
     on rows i and j, and a quad's window forms m{i}_{j}, that of the
-    columns at its positions u and v; each minor takes the orientation of
-    the first term that reads it, and a term that reads it the other way
-    takes the opposite sign. A term is the entries of its other rows, in
-    row order, times its m, times its d."""
+    columns at its positions u and v, with i < j: a term that reads the
+    minor's columns on rows j and i takes the opposite sign. A term is the
+    entries of its other rows, in row order, times its m, times its d."""
     turn, flip = _sign_factors(n)
     diagonals: list[tuple[Sign, list[tuple[int, int]]]] = []
     for k in range(length):
@@ -633,12 +631,10 @@ def _run_products(n: int, length: int, p: int, quad: bool) -> tuple[
         factors = [f"e{c}_{r}" for r, c in d if c not in in_minors]
         for name, x, y in exchanges:
             i, j = read[x], read[y]
-            if f"{name}{j}_{i}" in minors[name]:
-                factors.append(f"{name}{j}_{i}")
-                sign = -sign
-            else:
-                minors[name][f"{name}{i}_{j}"] = (f"e{x}_{i}", f"e{y}_{j}", f"e{x}_{j}", f"e{y}_{i}")
-                factors.append(f"{name}{i}_{j}")
+            if i > j:
+                i, j, sign = j, i, -sign
+            minors[name][f"{name}{i}_{j}"] = (f"e{x}_{i}", f"e{y}_{j}", f"e{x}_{j}", f"e{y}_{i}")
+            factors.append(f"{name}{i}_{j}")
         terms.append((sign, factors))
     return tuple(minors["d"].items()), tuple(minors["m"].items()), tuple(terms)
 
@@ -712,7 +708,9 @@ def _run_sum(n: int, length: int, p: int, quad: bool, mode: str) -> Callable[[li
     source += f"    for {', '.join('_' if j in fixed else f'c{j}' for j in range(n))}, in zip(*[iter(firsts)] * {n}):\n"
     source += "".join(f"        {unpack(j, f'c{j}')}" for j in range(n) if j not in fixed)
     source += "".join(f"        {minor(*m)}" for m in windows)
-    (_, first), *rest = terms  # the first window's descending diagonal, signed "+"
+    # the first window's descending diagonal, signed "+": it reads each
+    # minor's columns on rows in increasing order, 0 < p and u < v
+    (_, first), *rest = terms
     source += f"        t = {' * '.join(first)}"
     source += "".join(f" {'+' if sign > 0 else mode} {' * '.join(factors)}" for sign, factors in rest) + "\n"
     source += "        total = t if total is None else total + t\n"

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import WORKED_DET, WORKED_SUMS
+from test_bench import _assert_the_sums_run_their_tally
 
 import sarrus.generate
 import sarrus.scheme
@@ -54,7 +55,9 @@ from sarrus import (
     windows,
 )
 from sarrus.bench import random_matrix
-from sarrus.perm import _class_place, _swap_head, _swap_key, _word_parity
+from sarrus.perm import (
+    _class_pairs, _class_place, _class_words, _least_words, _swap_head, _swap_key, _word_parity
+)
 from sarrus.scheme import (
     _diagonals, _exchange, _exchanged_pair, _run_products, _run_sum, _runs, _signed_windows
 )
@@ -373,7 +376,7 @@ def _reference_pass(sch):
         "invalid": invalid,
         "duplicates": duplicates,
         "covered": len(occurrences),
-        "even": sum(parity(Permutation(w)) == 1 for w in occurrences),
+        "even": len(set(plus)),
         "plus": plus,
         "minus": minus,
         "missing": [w for w in itertools.permutations(range(1, n + 1)) if w not in occurrences],
@@ -469,6 +472,10 @@ def _partnerless_scheme(n):
 @given(_strip_sets())
 @settings(max_examples=300, deadline=None)
 def test_pass_and_report_match_a_plain_reference(sch):
+    _assert_the_pass_and_report_match_a_plain_reference(sch)
+
+
+def _assert_the_pass_and_report_match_a_plain_reference(sch):
     ref = _reference_pass(sch)
     signed = _signed_windows(sch)
     assert [list(_diagonals(sch.n, strip)) for strip in sch.strips] == ref["strips"]
@@ -481,7 +488,10 @@ def test_pass_and_report_match_a_plain_reference(sch):
             last = strip.window_at(p - 1)
             assert not (sign and next_sign and p == first + length and strip.window_at(p) == last[1:] + last[:1])
     assert list(signed.invalid) == ref["invalid"]
-    assert [(w, [tuple(r) for r in refs]) for w, refs in signed.duplicates] == ref["duplicates"]
+    # the pass keeps the pairs hit twice; the report lists their words and hits
+    assert sorted(w for key, bits in signed.twice.items() for w in _class_words(key, bits)) == [
+        w for w, _ in ref["duplicates"]
+    ]
     assert signed.covered == ref["covered"]
     exact = not ref["invalid"] and not ref["duplicates"] and ref["covered"] == math.factorial(sch.n)
     assert bool(signed.runs) == exact
@@ -535,6 +545,99 @@ def _expand_runs(n, runs):
                 for word, word_sign in own:
                     words[word_sign].append(word)
     return words[1], words[-1]
+
+
+def _cover_runs(n, rng):
+    """The runs of a random exact cover, as (first window, length): each
+    class's cycle of pairs cut at random points into arcs, each arc laid as
+    one run of rotations, from its first pair forwards or from the reverse
+    of its last pair backwards. A share of the classes, drawn per cover, is
+    left whole, one full run each, so that pairs and quads form beside cut
+    runs. A class's arcs come in cycle order, or against it, so that two
+    laid back to back may go on from one another; the classes, or all the
+    runs, then come in random order."""
+    pairs = _class_pairs(n)
+    whole = rng.choice([0.0, 0.5, 0.9, 1.0])
+    groups = []
+    for key in _least_words(n):
+        if rng.random() < whole:
+            cuts = [rng.randrange(pairs)]
+        else:
+            cuts = sorted(rng.sample(range(pairs), rng.randint(1, pairs)))
+        arcs = []
+        for a, b in zip(cuts, [*cuts[1:], cuts[0] + pairs]):
+            last = (b - 1) % pairs
+            if rng.random() < 0.5:
+                arcs.append((key[a:] + key[:a], b - a))
+            else:
+                arcs.append(((key[last:] + key[:last])[::-1], b - a))
+        groups.append(arcs[::-1] if rng.random() < 0.5 else arcs)
+    rng.shuffle(groups)
+    runs = [run for arcs in groups for run in arcs]
+    if rng.random() < 0.5:
+        rng.shuffle(runs)
+    return runs
+
+
+def _lay_runs(n, runs, rng):
+    """Runs laid in order over 1-3 strips, as ([columns, starts] of each
+    strip, [(strip index, first window, length, starts) of each run]).
+    Between two runs go random filler columns, or none: the next run then
+    shares as many columns with the strip's end as match, up to n - 1, and
+    where it goes on from the last window, ``_runs`` merges the two."""
+    bounds = sorted(rng.sample(range(1, len(runs)), rng.randint(1, min(3, len(runs))) - 1))
+    strips, placed = [], []
+    for lo, hi in zip([0, *bounds], [*bounds, len(runs)]):
+        columns, starts = [], []
+        for word, length in runs[lo:hi]:
+            run = [word[k % n] for k in range(length + n - 1)]
+            shared = 0
+            if columns and rng.random() < 0.5:
+                columns += [rng.randint(1, n) for _ in range(rng.randint(1, n))]
+            else:
+                shared = max(k for k in range(min(n, len(columns) + 1)) if columns[len(columns) - k :] == run[:k])
+            first = len(columns) - shared + 1
+            columns += run[shared:]
+            run_starts = list(range(first, first + length))
+            starts += run_starts
+            placed.append((len(strips), word, length, run_starts))
+        strips.append([columns, starts])
+    return strips, placed
+
+
+def _scheme_of(n, strips):
+    return Scheme(n=n, strips=tuple(SchemeStrip(n, tuple(columns), tuple(starts)) for columns, starts in strips))
+
+
+# one n = 8 cover, whose quads run in the n = 8 kernels
+@example(8, 1, "dropped")
+@given(st.integers(1, 7), st.integers(0, 2**32 - 1), st.sampled_from(["dropped", "repeated", "changed"]))
+@settings(max_examples=20, deadline=None)
+def test_random_exact_covers_validate_and_evaluate_right(n, seed, defect):
+    rng = random.Random(seed)
+    strips, placed = _lay_runs(n, _cover_runs(n, rng), rng)
+    sch = _scheme_of(n, strips)
+    assert validate(sch).is_valid
+    # the runs of the pass expand to S_n with the reference signs
+    _assert_the_pass_and_report_match_a_plain_reference(sch)
+    wide = Matrix([[rng.randrange(-(2**61), 2**61) for _ in range(n)] for _ in range(n)])
+    ratios = Matrix([[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)] for _ in range(n)])
+    for M in (random_matrix(n, rng), wide, ratios):
+        assert evaluate(sch, M) == bareiss_det(M)
+        assert positive_negative_sums(sch, M) == parity_partition_sums(M)
+    _assert_the_sums_run_their_tally(sch, random_matrix(n, rng).rows)
+    # a defect drawn on top: one run's starts dropped, one run laid again in
+    # a strip of its own, or one column changed
+    si, word, length, run_starts = rng.choice(placed)
+    if defect == "dropped":
+        strips[si][1] = [p for p in strips[si][1] if p not in run_starts]
+    elif defect == "repeated":
+        strips.append([[word[k % n] for k in range(length + n - 1)], list(range(1, length + 1))])
+    else:
+        columns = strips[si][0]
+        i = rng.randrange(len(columns))
+        columns[i] = rng.choice([c for c in range(1, n + 1) if c != columns[i]] or [columns[i]])
+    _assert_the_pass_and_report_match_a_plain_reference(_scheme_of(n, strips))
 
 
 def test_a_cold_pass_takes_one_parity_per_block(monkeypatch):
@@ -854,8 +957,9 @@ def test_a_valid_eight_by_eight_pass_holds_little():
 
 
 def test_a_dropped_scheme_frees_its_pass():
-    # a refused pass keeps a ref per hit of each duplicate: the seed-1 n = 8
-    # scheme doubled holds ~15 MB of them, which go with the scheme
+    # the report of the seed-1 n = 8 scheme doubled holds ~15 MB of refs to
+    # the hits of its duplicates; once the report, the refusal and the
+    # scheme are dropped, nothing of them or of the pass stays
     strips = search_scheme(SearchConfig(n=8, random_seed=1)).strips
     gc.collect()
     tracemalloc.start()
@@ -870,6 +974,24 @@ def test_a_dropped_scheme_frees_its_pass():
     finally:
         tracemalloc.stop()
     assert held < 0.1 * 2**20
+
+
+def test_a_refused_pass_holds_no_listing():
+    # the pass keeps the bitmasks of the pairs hit twice, not their words or
+    # where they were hit: the seed-1 n = 7 scheme doubled once held ~1.9 MB
+    # of refs in its pass for as long as the scheme lived
+    doubled = Scheme(n=7, strips=search_scheme(SearchConfig(n=7, random_seed=1)).strips * 2)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert validate(doubled).duplicates
+        with pytest.raises(InvalidScheme):
+            evaluate(doubled, Matrix.identity(7))
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert _signed_windows(doubled).twice and held < 256 * 2**10
 
 
 def _plain_missing(sch):
@@ -931,8 +1053,10 @@ def test_a_refusal_after_validate_quotes_its_report(monkeypatch):
     report = validate(mutant)
     with pytest.raises(InvalidScheme) as refused:
         evaluate(mutant, Matrix.identity(7))
+    # the refusal lists the missing words again, and quotes a report equal
+    # to the one validate returned
     assert report.missing
-    assert sweeps == [mutant]
+    assert sweeps == [mutant, mutant]
     assert str(refused.value) == str(cold.value) == "scheme failed validation:\n" + report.summary()
 
 

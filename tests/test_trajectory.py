@@ -144,19 +144,11 @@ def test_flags_that_cannot_pair_are_refused_before_any_run(argv, capsys):
 
 @pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
 def test_committed_records_keep_the_schema(path):
-    # schema 1 records, which hold single runs, hold every workload; a
-    # paired record holds the workloads it measured, each of its runs with
-    # no failed output
+    # every record is paired: it holds the workloads it measured, each of
+    # its runs with no failed output
     rec = json.loads(path.read_text(encoding="utf-8"))
-    assert rec["schema"] in (1, trajectory.SCHEMA) and path.name == f"BENCH_{rec['tag']}.json"
-    names = set(trajectory.workloads(ROOT))
-    if "against" in rec:
-        assert set(rec["workloads"]) <= names
-        for entry in rec["workloads"].values():
-            assert set(entry["metrics"]) == set(BOUNDS)
-            assert all(failed == 0 for side in entry["runs"].values() for failed in side["failed"])
-        return
-    assert set(rec["workloads"]) == names
+    assert rec["schema"] == trajectory.SCHEMA and "against" in rec and path.name == f"BENCH_{rec['tag']}.json"
+    assert set(rec["workloads"]) <= set(trajectory.workloads(ROOT))
     for entry in rec["workloads"].values():
         assert set(entry["metrics"]) == set(BOUNDS)
-        assert entry["failed"] == 0
+        assert all(failed == 0 for side in entry["runs"].values() for failed in side["failed"])
