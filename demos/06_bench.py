@@ -11,10 +11,13 @@ the labels 3 and 4 swapped (the 5x5's two strips are each other's swap): a
 word and its partner's differ only in the two rows that read 3 and 4, so
 their two terms are one product of the n-2 other entries and a 2x2 minor
 on columns 3 and 4, which each kernel call forms once. That is Laplace's
-expansion by complementary minors, not the strip arrangement, and it takes
-the scheme below the permutation expansion: 210 against 222 at n = 5,
-where chaining every product takes 480. From n = 6 one product and two
-minors stand for four words.
+expansion by complementary minors, not the strip arrangement. The two
+diagonals that read one such minor then share one product, their shared
+entry times the sum of their other entries' products times the minor, so
+one product stands for four words, and the scheme runs below the
+permutation expansion: 150 against 222 at n = 5, where chaining every
+product takes 480. From n = 6 one product and two minors stand for eight
+words or more.
 """
 
 from sarrus import bench, reports_to_jsonl, term_count_statement

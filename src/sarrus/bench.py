@@ -147,10 +147,13 @@ def term_count_statement(reports: list[BenchReport]) -> str:
     n = 5 a diagonal's word and its partner's, with the labels 3 and 4
     swapped, share their n - 2 other entries and sum to those entries times
     a 2x2 minor on columns 3 and 4; from n = 6 the two words with two more
-    columns exchanged join them, through a second minor. One product then
-    stands for two or four words, where the permutation expansion forms
-    each term, so from n = 5 the scheme runs fewer multiplications: the
-    saving is Laplace's expansion by complementary minors, not the strip."""
+    columns exchanged join them, through a second minor. The diagonals that
+    read the same minors, two or four, then make one product: the entries
+    they share times the sum of their other entries' products times the
+    minors. One product stands for four words at n = 5, and for eight or
+    sixteen from n = 6, where the permutation expansion forms each term,
+    so from n = 5 the scheme runs fewer multiplications: the saving is
+    Laplace's expansion by complementary minors, not the strip."""
     by_key = {(r.method, r.n): r for r in reports}
     lines = []
     for n in sorted({r.n for r in reports}):
@@ -176,19 +179,23 @@ def term_count_statement(reports: list[BenchReport]) -> str:
             )
             continue
         if _quads(n):
-            words, per = "four", (
-                "n - 3 per four words, a diagonal's, its partner's with the labels 3 and 4 swapped, "
-                "and those two with two more columns exchanged, whose n - 4 other entries "
-                "multiply a 2x2 minor on those two columns and one on columns 3 and 4"
+            words, per = "eight words or more", (
+                "one product for the two or four diagonals that read the same 2x2 minors, on "
+                "columns 3 and 4 and on two more columns, the entries all of them read times the "
+                "sum of their other entries' products times the two minors, so one for eight or "
+                "sixteen words, theirs, their partners' with the labels 3 and 4 swapped, and those "
+                "with the two columns exchanged"
             )
         else:
-            words, per = "two", (
-                "n - 2 per two words, a diagonal's and its partner's with the labels 3 and 4 "
-                "swapped, whose n - 2 other entries multiply a 2x2 minor on columns 3 and 4"
+            words, per = "four words", (
+                "one product for the two diagonals that read a 2x2 minor on columns 3 and 4 on "
+                "the same rows, the entries both read times the sum of their other entries' "
+                "products times that minor, so one for four words, theirs and their partners' "
+                "with the labels 3 and 4 swapped"
             )
         lines.append(
             f"{head}, {per}, plus 2 per minor, {against}; the scheme runs fewer because one "
-            f"product of minors stands for {words} words, by Laplace's expansion by complementary "
+            f"product of minors stands for {words}, by Laplace's expansion by complementary "
             f"minors, not by the strip arrangement."
         )
     return "\n".join(lines)

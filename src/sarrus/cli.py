@@ -228,8 +228,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except MemoryError:
-        print("error: out of memory", file=sys.stderr)
-        return 2
+        pass
+    # past the handler, once the traceback and every frame it held are freed
+    print("error: out of memory", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

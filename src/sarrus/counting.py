@@ -9,15 +9,19 @@ chained on its own needs n-1. From n = 5 the swap of the labels 3 and 4
 pairs every necklace class with another, and a word and its swap differ
 only in the two rows that read 3 and 4, with opposite signs. So the two
 terms sum to the product of their n - 2 other entries times a 2x2 minor
-on columns 3 and 4, which each kernel call forms once: n - 2
-multiplications for two words, where chaining takes 2(n - 1), plus 2 a
-minor. From n = 6 two such pairs whose words differ in two more rows make
-a quad, and one product of the n - 4 other entries, a minor on those rows'
-columns formed once a window, and the minor on columns 3 and 4 stands for
-four words: n - 3 multiplications, plus 2 a minor. This is Laplace's
-expansion by complementary minors, and each minor is also an addition. The
-oracles build their terms from shared products and record each
-multiplication they run under both.
+on columns 3 and 4, which each kernel call forms once, plus 2
+multiplications a minor. From n = 6 two such pairs whose words differ in
+two more rows make a quad, and one product of the n - 4 other entries, a
+minor on those rows' columns formed once a window, and the minor on
+columns 3 and 4 stands for four words. This is Laplace's expansion by
+complementary minors, and each minor is also an addition. The two (or
+four) diagonals of a window that read the same minors then make one
+product: the entries they share, times the sum of their other entries'
+products, times the minors. At odd n two such diagonals share one entry,
+so the four words of a pair take 2(n - 3) multiplications, where chaining
+takes 4(n - 1), and the eight of a quad 2n - 9, where chaining takes
+8(n - 1), plus 2 a minor. The oracles build their terms from shared
+products and record each multiplication they run under both.
 """
 
 from __future__ import annotations

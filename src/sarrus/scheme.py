@@ -37,8 +37,8 @@ running sum, with no walk of the strips and no table of words. Signed, that
 sum is D = S+ - S-, the determinant, which ``evaluate`` reads;
 ``positive_negative_sums`` runs the same kernels once more with every sign
 and minor taken as "+", which sums P = S+ + S-, and returns (P + D)/2 and
-(P - D)/2. A sum of t products, started by its first, costs t - 1
-additions, plus one for each 2x2 minor that the kernels form.
+(P - D)/2. A sum of t diagonal products, started by its first, costs
+t - 1 additions, plus one for each 2x2 minor that the kernels form.
 
 From n = 5 the paper's "very symmetric pattern" of the 5x5, whose odd
 strip is its even strip with the labels 3 and 4 swapped, pairs the runs:
@@ -52,8 +52,12 @@ that starts with 3 and has 4 at position p in 1..n/2. From n = 6 it also
 groups each pair with the pair of its first window with two more positions
 exchanged (``_exchange``), and records that quad once: each diagonal
 product of a quad is the product of its n - 4 other entries, a minor on
-two more columns and a minor on columns 3 and 4, and stands for four words
-(see ``_run_sum``). Every other run reads its entries row by row.
+two more columns and a minor on columns 3 and 4, and stands for four
+words. The diagonals of a window that read the same minors, two or four,
+then share one product: the entries they all read, times the sum of their
+other entries, times the minors, so no window multiplies a product of
+minors twice (see ``_run_sum``). Every other run reads its entries row by
+row.
 
 Exact evaluation runs over cleared rows, as the oracles do: each row of a
 rational matrix is scaled to integers by the lcm of its denominators. Every
@@ -604,15 +608,15 @@ def _exchanged_pair(head: tuple[int, ...], p: int) -> tuple[int, ...]:
 def _run_products(n: int, length: int, p: int, quad: bool) -> tuple[
     tuple[tuple[str, tuple[str, str, str, str]], ...],
     tuple[tuple[str, tuple[str, str, str, str]], ...],
-    tuple[tuple[Sign, list[str]], ...],
+    tuple[tuple[Sign, list[str], tuple[str, ...]], ...],
 ]:
     """The 2x2 minors a run kernel forms once a call and once a first
     window, each as (name, (w, x, y, z)) for w·x - y·z, and its diagonal
-    terms, each as (sign relative to the first window, factors), the first
-    window's descending diagonal first (see ``_run_sum``). At p = 0 no
-    minor is formed and each term is its entries in row order. At p >= 1
-    a call forms d{i}_{j}, the minor of columns 3 and 4 (positions 0 and p)
-    on rows i and j, and a quad's window forms m{i}_{j}, that of the
+    terms, each as (sign relative to the first window, entries, minors),
+    the first window's descending diagonal first (see ``_run_sum``). At
+    p = 0 no minor is formed and each term is its entries in row order. At
+    p >= 1 a call forms d{i}_{j}, the minor of columns 3 and 4 (positions 0
+    and p) on rows i and j, and a quad's window forms m{i}_{j}, that of the
     columns at its positions u and v, with i < j: a term that reads the
     minor's columns on rows j and i takes the opposite sign. A term is the
     entries of its other rows, in row order, times its m, times its d."""
@@ -628,14 +632,15 @@ def _run_products(n: int, length: int, p: int, quad: bool) -> tuple[
     terms = []
     for sign, d in diagonals:
         read = {c: r for r, c in d}  # the row that reads each position
-        factors = [f"e{c}_{r}" for r, c in d if c not in in_minors]
+        entries = [f"e{c}_{r}" for r, c in d if c not in in_minors]
+        names = []
         for name, x, y in exchanges:
             i, j = read[x], read[y]
             if i > j:
                 i, j, sign = j, i, -sign
             minors[name][f"{name}{i}_{j}"] = (f"e{x}_{i}", f"e{y}_{j}", f"e{x}_{j}", f"e{y}_{i}")
-            factors.append(f"{name}{i}_{j}")
-        terms.append((sign, factors))
+            names.append(f"{name}{i}_{j}")
+        terms.append((sign, entries, tuple(names)))
     return tuple(minors["d"].items()), tuple(minors["m"].items()), tuple(terms)
 
 
@@ -667,7 +672,7 @@ def _run_sum(n: int, length: int, p: int, quad: bool, mode: str) -> Callable[[li
     1..n/2, so every first window of the kernel of (n, n, p) reads columns 3
     and 4 at positions 0 and p, and the kernel forms their minors once a
     call, before its loop: those on rows with j - i = ±p mod n, n of them,
-    or n/2 at p = n/2. A pair then costs 2n products of n - 1 factors.
+    or n/2 at p = n/2. Each diagonal is then a product of n - 1 factors.
 
     From n = 6 the pass groups each pair with the pair of its first window
     with the positions u and v of ``_exchange`` exchanged, and the quad
@@ -678,14 +683,28 @@ def _run_sum(n: int, length: int, p: int, quad: bool, mode: str) -> Callable[[li
     one product, the n - 4 other entries times m times d, stands for four
     words of four classes: Laplace's expansion by complementary minors
     along columns 3 and 4 and the columns at u and v, whose terms the
-    diagonals of one quad enumerate. A quad costs 2n products of n - 2
-    factors, plus 2 multiplications a minor.
+    diagonals of one quad enumerate. Each diagonal is then a product of
+    n - 2 factors, and each minor 2 multiplications.
+
+    Two diagonals of a window read one d, or one m and one d, on the same
+    rows: the descending diagonal at offset k and the ascending one at
+    p + 1 - k; and four, with the descending one at k - p and the ascending
+    at 1 - k, where the minors' two positions are n/2 apart. Each such
+    group is one product, in the order of its first diagonal: the entries
+    every member reads, times the sum of the members' other entries, each
+    signed relative to the first member, times the minors. At odd n two
+    members share one entry, so the sum is a 2x2 minor, and a pair window
+    costs 2n(n - 3) multiplications, against 2n(n - 2) ungrouped, and a
+    quad window n(2n - 9), against 2n(n - 3), plus 2 a minor. A diagonal
+    that reads no minor is a product alone, so a kernel at p = 0 runs 2L
+    products of n - 1 multiplications.
 
     Each window's products are summed before they meet the call's sum, and
-    that sum starts from them, so a call of t products and k minors costs
-    t - 1 + k additions. Compiled from a fixed template, as
-    ``oracle._expansion`` is, whose text depends on n, length, p, quad and
-    the mode only. Its ``muls`` and ``adds`` attributes are the
+    that sum starts from them, so a call of t diagonals and k minors costs
+    t - 1 + k additions: a group of g takes g - 1 in its sum and one to
+    meet the rest, as its g diagonals would alone. Compiled from a fixed
+    template, as ``oracle._expansion`` is, whose text depends on n, length,
+    p, quad and the mode only. Its ``muls`` and ``adds`` attributes are the
     multiplications and additions it runs on one first window, counting the
     addition that meets the call's sum, and ``call_muls`` and ``call_adds``
     those it runs once a call.
@@ -708,9 +727,26 @@ def _run_sum(n: int, length: int, p: int, quad: bool, mode: str) -> Callable[[li
     source += f"    for {', '.join('_' if j in fixed else f'c{j}' for j in range(n))}, in zip(*[iter(firsts)] * {n}):\n"
     source += "".join(f"        {unpack(j, f'c{j}')}" for j in range(n) if j not in fixed)
     source += "".join(f"        {minor(*m)}" for m in windows)
-    # the first window's descending diagonal, signed "+": it reads each
-    # minor's columns on rows in increasing order, 0 < p and u < v
-    (_, first), *rest = terms
+    # one product for the terms that read one tuple of minors, and one for
+    # each term that reads none: each member's other entries take one
+    # multiplication fewer than they number, and each shared entry and
+    # minor one
+    groups: dict[object, list[tuple[Sign, list[str], tuple[str, ...]]]] = {}
+    for i, term in enumerate(terms):
+        groups.setdefault(term[2] or i, []).append(term)
+    products = []
+    muls = 2 * len(windows)
+    for members in groups.values():
+        (sign, leader, minors), *others = members
+        common = [e for e in leader if all(e in entries for _, entries, _ in others)]
+        (_, own), *more = rests = [(s * sign, [e for e in entries if e not in common]) for s, entries, _ in members]
+        bracket = " * ".join(own) + "".join(f" {'+' if s > 0 else mode} {' * '.join(r)}" for s, r in more)
+        products.append((sign, [*common, f"({bracket})", *minors] if others else [*common, *minors]))
+        muls += sum(len(r) - 1 for _, r in rests) + len(common) + len(minors)
+    # the first window's descending diagonal leads the first product, signed
+    # "+": it reads each minor's columns on rows in increasing order, 0 < p
+    # and u < v
+    (_, first), *rest = products
     source += f"        t = {' * '.join(first)}"
     source += "".join(f" {'+' if sign > 0 else mode} {' * '.join(factors)}" for sign, factors in rest) + "\n"
     source += "        total = t if total is None else total + t\n"
@@ -718,7 +754,7 @@ def _run_sum(n: int, length: int, p: int, quad: bool, mode: str) -> Callable[[li
     exec(source + "    return total\n", namespace)
     run_sum = namespace["run_sum"]
     run_sum.call_muls, run_sum.call_adds = 2 * len(calls), len(calls)
-    run_sum.muls = 2 * len(windows) + sum(len(factors) - 1 for _, factors in terms)
+    run_sum.muls = muls
     run_sum.adds = len(windows) + len(terms)
     return run_sum
 

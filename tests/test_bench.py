@@ -55,15 +55,17 @@ def test_scheme_and_leibniz_counts_match():
         assert s.term_count == l.term_count == math.factorial(n)
         assert s.multiplications_n_factors == math.factorial(n) * n
         # at n = 4 each product chains its 4 entries, 3 multiplications; at
-        # n = 5 each full run and its 3 <-> 4 swapped partner take 2n = 10
-        # products of 3 other entries and a minor on columns 3 and 4, 30
-        # together, against 80 apart, and each of the 3 kernel calls forms
-        # the 5 minors first, at 2 each
-        assert s.multiplications_chained == {4: 72, 5: 6 * 30 + 3 * 10}[n]
+        # n = 5 each full run and its 3 <-> 4 swapped partner take n = 5
+        # products, each of the two diagonals that read one minor on columns
+        # 3 and 4: the entry both read, times the 2x2 minor of their other 2
+        # entries, times that minor, 4 multiplications, 20 together against
+        # 80 apart, and each of the 3 kernel calls forms the 5 minors first,
+        # at 2 each
+        assert s.multiplications_chained == {4: 72, 5: 6 * 20 + 3 * 10}[n]
         # Leibniz multiplies shared prefix and pair products, so its two
         # conventions coincide. It runs fewer multiplications than the
         # scheme at n = 4, 50 against 72, and more from n = 5, where one
-        # product of the scheme stands for two words: 222 against 210
+        # product of the scheme stands for four words: 222 against 150
         assert l.multiplications_n_factors == l.multiplications_chained == LEIBNIZ_MULS[n]
         assert (l.multiplications_chained < s.multiplications_chained) == (n == 4)
         # one addition fewer than the terms for Leibniz; one fewer than the
@@ -126,13 +128,16 @@ def test_expansion_counts_are_exact(n):
         sch = Scheme(n=1, strips=(SchemeStrip(1, (1,), (1,)),)) if n == 1 else builtin_scheme(n)
         # the same terms; the scheme chains n - 1 multiplications a term and
         # sums the terms, except at n = 5, where the built-in's 12 full runs
-        # make 6 pairs, 3 and 4 swapped, of 2n = 10 products each: 3 other
-        # entries times a minor on columns 3 and 4, 3 multiplications, and
-        # each of its 3 kernel calls forms the 5 minors, at 2
-        # multiplications and 1 subtraction each. The sums run the kernels
-        # twice, signed and unsigned, and take 2 additions to split the two
+        # make 6 pairs, 3 and 4 swapped, of 2n = 10 diagonals each, and the
+        # two diagonals that read one minor on columns 3 and 4 make one
+        # product, n = 5 a pair: their shared entry times the 2x2 minor of
+        # their other 2 entries times that minor, 4 multiplications, and 1
+        # subtraction in the 2x2 minor. Each of its 3 kernel calls forms the
+        # 5 minors, at 2 multiplications and 1 subtraction each. The sums
+        # run the kernels twice, signed and unsigned, and take 2 additions
+        # to split the two
         if n == 5:
-            scheme_muls, scheme_adds = 6 * 10 * 3 + 3 * 5 * 2, 6 * 10 - 1 + 3 * 5
+            scheme_muls, scheme_adds = 6 * 5 * 4 + 3 * 5 * 2, 6 * 10 - 1 + 3 * 5
         else:
             scheme_muls, scheme_adds = terms * (n - 1), terms - 1
         assert _counts(evaluate, sch, M) == (terms, scheme_muls, scheme_adds, 0)
@@ -197,6 +202,27 @@ def _minors(n, x, y):
     and y: one for each pair of rows y - x apart, n of them, or n/2 where
     y - x = n/2."""
     return n // 2 if 2 * (y - x) % n == 0 else n
+
+
+def _window_muls(n, p, quad):
+    """The multiplications of one pair or quad window, the minors on its
+    exchanged columns included. The descending diagonal at offset k and the
+    ascending one at p + 1 - k read columns 3 and 4, and the columns at u
+    and v, on the same rows, so they share one product; so do four, with
+    the descending ones at k - p and the ascending at 1 - k, where those
+    positions are n/2 apart: at p = n/2, and for a quad at n divisible by
+    4. Two diagonals meet in one entry at odd n, and at even n and even p in
+    two, at positions p/2 and p/2 + n/2, which are a quad's u and v. A
+    product of g diagonals of e entries, c read by all, costs g(e - c - 1)
+    + c multiplications, and one more for each minor it reads. So at odd n
+    a pair window costs 2n(n - 3), and a quad window n(2n - 9) and 2 for
+    each of its n minors on u and v."""
+    u, v = _exchange(n, p)
+    g = 4 if 2 * p == n and (not quad or 2 * (v - u) == n) else 2
+    entries = n - 4 if quad else n - 2
+    common = 0 if g == 4 else 1 if n % 2 else 2 if p % 2 == 0 and not quad else 0
+    products = 2 * n // g * (g * (entries - common - 1) + common + (2 if quad else 1))
+    return products + (2 * _minors(n, u, v) if quad else 0)
 
 
 def _pass_additions(sch):
@@ -363,19 +389,23 @@ def test_statement_sets_the_multiplications_beside_the_terms():
     assert len(lines) == 6
     per = {
         4: "n - 1 per product",
-        5: "n - 2 per two words, a diagonal's and its partner's with the labels 3 and 4 swapped, "
-        "whose n - 2 other entries multiply a 2x2 minor on columns 3 and 4, plus 2 per minor",
-        6: "n - 3 per four words, a diagonal's, its partner's with the labels 3 and 4 swapped, "
-        "and those two with two more columns exchanged, whose n - 4 other entries multiply a "
-        "2x2 minor on those two columns and one on columns 3 and 4, plus 2 per minor",
+        5: "one product for the two diagonals that read a 2x2 minor on columns 3 and 4 on the "
+        "same rows, the entries both read times the sum of their other entries' products times "
+        "that minor, so one for four words, theirs and their partners' with the labels 3 and 4 "
+        "swapped, plus 2 per minor",
+        6: "one product for the two or four diagonals that read the same 2x2 minors, on columns "
+        "3 and 4 and on two more columns, the entries all of them read times the sum of their "
+        "other entries' products times the two minors, so one for eight or sixteen words, "
+        "theirs, their partners' with the labels 3 and 4 swapped, and those with the two "
+        "columns exchanged, plus 2 per minor",
     }
     why = {
         4: "the counts differ by that factoring, not by the scheme.",
-        5: "the scheme runs fewer because one product of minors stands for two words, by "
+        5: "the scheme runs fewer because one product of minors stands for four words, by "
         "Laplace's expansion by complementary minors, not by the strip arrangement.",
     }
-    why[6] = why[5].replace("two words", "four words")
-    for n, scheme_muls, leibniz_muls in ((4, 72, 50), (5, 210, 222), (6, 708, 1338)):
+    why[6] = why[5].replace("four words", "eight words or more")
+    for n, scheme_muls, leibniz_muls in ((4, 72, 50), (5, 150, 222), (6, 528, 1338)):
         terms, muls = lines[2 * (n - 4) : 2 * (n - 3)]
         assert terms.startswith(f"n={n}: scheme evaluation expands exactly {math.factorial(n)} ")
         assert muls == (
@@ -384,18 +414,16 @@ def test_statement_sets_the_multiplications_beside_the_terms():
             f"one shared prefix times one shared pair; {why[n]}"
         )
         # every run is full. At n = 4, n!/2n runs of 2n products of n - 1
-        # multiplications; at n = 5, n!/4n pairs of 2n products of n - 2;
-        # at n = 6, n!/8n quads, each of 2n products of n - 3 and the
-        # minors of its exchanged columns; and each minor 2
+        # multiplications; at n = 5, n!/4n pairs, and at n = 6, n!/8n quads,
+        # each window at the cost of _window_muls; and each minor of columns
+        # 3 and 4, formed once a kernel call, 2
         runs = _signed_windows(_scheme_for(n, seed=0)).runs
         assert all(length == n for length, *_ in runs)
-        minors = sum(
-            (_minors(n, 0, p) if p else 0) + (len(firsts) // n * _minors(n, *_exchange(n, p)) if quad else 0)
-            for _, p, quad, _, firsts in runs
+        windows = sum(
+            len(firsts) // n * (_window_muls(n, p, quad) if p else 2 * n * (n - 1)) for _, p, quad, _, firsts in runs
         )
-        factors = {4: n, 5: n - 1, 6: n - 2}[n]
-        products = math.factorial(n) // {4: 1, 5: 2, 6: 4}[n]
-        assert scheme_muls == products * (factors - 1) + 2 * minors
+        calls = sum(2 * _minors(n, 0, p) for _, p, _, _, _ in runs if p)
+        assert scheme_muls == windows + calls
 
 
 def test_jsonl_output_parses():

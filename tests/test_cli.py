@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -286,6 +287,31 @@ def test_running_out_of_memory_exits_2_with_one_line(capsys, monkeypatch):
 
     monkeypatch.setitem(importlib.import_module("sarrus.cli")._COMMANDS, "validate", exhausted)
     assert run(capsys, "validate", "--builtin", "3") == (2, "", "error: out of memory\n")
+
+
+def test_out_of_memory_is_reported_once_the_failed_frames_are_freed(monkeypatch):
+    # the line is written past the handler, so that what the failed frames
+    # allocated is freed first and the report has room to run
+    refs, alive = [], []
+
+    class Held:
+        pass
+
+    def exhausted(args):
+        held = Held()
+        refs.append(weakref.ref(held))
+        raise MemoryError
+
+    class Stderr(io.StringIO):
+        def write(self, text):
+            alive.append(refs[0]() is not None)
+            return super().write(text)
+
+    monkeypatch.setitem(importlib.import_module("sarrus.cli")._COMMANDS, "validate", exhausted)
+    monkeypatch.setattr(sys, "stderr", Stderr())
+    assert main(["validate", "--builtin", "3"]) == 2
+    assert sys.stderr.getvalue() == "error: out of memory\n"
+    assert alive and not any(alive)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")

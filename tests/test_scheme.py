@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import WORKED_DET, WORKED_SUMS
-from test_bench import _assert_the_sums_run_their_tally
+from test_bench import _assert_the_sums_run_their_tally, _window_muls
 
 import sarrus.generate
 import sarrus.scheme
@@ -863,35 +864,37 @@ def _minors(n, x, y):
 def test_swapped_pairs_halve_the_run_record_at_odd_n():
     # det-large's seed-11 n = 7 scheme: 360 full runs make 180 pairs, and
     # those make 90 quads, each one first window. A quad forms the 7 minors
-    # of its two exchanged columns, at 2 multiplications each, then 2n = 14
-    # products of n - 2 = 5 factors: 70. Each of its 6 kernel calls, p in
-    # 1..3 of either sign, first forms the 7 minors of columns 3 and 4: 14
+    # of its two exchanged columns, at 2 multiplications each, then n = 7
+    # products, each of two diagonals that read the same two minors: the
+    # entry both read, times the 2x2 minor of their other 2 entries, times
+    # the two minors, 5 multiplications: 49 = n(2n - 9) + 2n. Each of its 6
+    # kernel calls, p in 1..3 of either sign, first forms the 7 minors of
+    # columns 3 and 4: 14
     scheme = search_scheme(SearchConfig(n=7, random_seed=11))
     runs = _signed_windows(scheme).runs
     assert sum(len(firsts) for *_, firsts in runs) == 90 * 7
     assert len(runs) == 6 and {(p, quad) for _, p, quad, _, _ in runs} == {(1, True), (2, True), (3, True)}
     ops = OpCounter()
     evaluate(scheme, Matrix.identity(7), ops=ops)
-    assert ops.mul_chained == 6384 == 90 * (2 * 7 + 14 * 4) + 6 * 14
+    assert ops.mul_chained == 4494 == 90 * (7 * 5 + 2 * 7) + 6 * 14
 
 
-@pytest.mark.parametrize("n, muls", [(6, 708), (8, 58432)])
+@pytest.mark.parametrize("n, muls", [(6, 528), (8, 47632)])
 def test_swapped_pairs_halve_the_run_record_at_even_n(n, muls):
     # the searched seed-11 schemes: n!/2n full runs make n!/8n quads, each
     # one first window with 4 at p in 1..n/2, which forms the minors of its
-    # two exchanged columns, 2 multiplications each, then 2n products of
-    # n - 2 factors; each kernel call first forms the minors of columns 3
-    # and 4. Minors number n, or n/2 on two positions n/2 apart, as 0 and p
-    # are at p = n/2, and the exchanged positions at even p
+    # two exchanged columns, 2 multiplications each, then one product for
+    # each two diagonals that read the same two minors, or four at n = 8,
+    # p = 4 (see _window_muls); each kernel call first forms the minors of
+    # columns 3 and 4. Minors number n, or n/2 on two positions n/2 apart,
+    # as 0 and p are at p = n/2, and the exchanged positions at even p
     scheme = search_scheme(SearchConfig(n=n, random_seed=11))
     runs = _signed_windows(scheme).runs
     assert sum(len(firsts) for *_, firsts in runs) == math.factorial(n) // 8
     assert {(p, quad) for _, p, quad, _, _ in runs} == {(p, True) for p in range(1, n // 2 + 1)}
     ops = OpCounter()
     evaluate(scheme, Matrix.identity(n), ops=ops)
-    quads = sum(
-        len(firsts) // n * (2 * _minors(n, *_exchange(n, p)) + 2 * n * (n - 3)) for _, p, _, _, firsts in runs
-    )
+    quads = sum(len(firsts) // n * _window_muls(n, p, True) for _, p, _, _, firsts in runs)
     tables = sum(2 * _minors(n, 0, p) for _, p, _, _, _ in runs)
     assert ops.mul_chained == muls == quads + tables
 
@@ -1249,20 +1252,21 @@ def test_paired_kernels_split_as_the_expansion(n, kind):
 def test_kernels_pair_runs_from_n_5_only(n):
     # a p = 0 kernel forms no minor and takes each diagonal's entries row
     # by row, 2L(n - 1) multiplications for a run of L. From n = 5, and of
-    # either parity, a full run and its swapped partner cost 2n(n - 2)
-    # together, against 4n(n - 1) apart, with 4 at any p in 1..n/2, plus
-    # the minors of columns 3 and 4 once a call. From n = 6 a quad of two
-    # such pairs costs 2n(n - 3) and its window's minors, against 8n(n - 1)
-    # apart. Below n = 5 no run pairs, and below n = 6 no pair quads
+    # either parity, a full run and its swapped partner cost 2n(n - 3) at
+    # odd n (see _window_muls), against 4n(n - 1) apart, with 4 at any p in
+    # 1..n/2, plus the minors of columns 3 and 4 once a call. From n = 6 a
+    # quad of two such pairs costs n(2n - 9) at odd n, and its window's
+    # minors, against 8n(n - 1) apart. Below n = 5 no run pairs, and below
+    # n = 6 no pair quads
     for length in range(1, n + 1):
         calls, windows, _ = _run_products(n, length, 0, False)
         assert not calls and not windows
         kernel = _run_sum(n, length, 0, False, "-")
         assert (kernel.muls, kernel.call_muls) == (2 * length * (n - 1), 0)
     for p in range(1, n // 2 + 1 if n >= 5 else 1):
-        assert _run_sum(n, n, p, False, "-").muls == 2 * n * (n - 2)
+        assert _run_sum(n, n, p, False, "-").muls == _window_muls(n, p, False)
         if n >= 6:
-            assert _run_sum(n, n, p, True, "-").muls == 2 * n * (n - 3) + 2 * _minors(n, *_exchange(n, p))
+            assert _run_sum(n, n, p, True, "-").muls == _window_muls(n, p, True)
     if 2 <= n <= 8:
         runs = _signed_windows(_scheme_for(n)).runs
         assert {p > 0 for _, p, _, _, _ in runs} == {n >= 5}
@@ -1285,9 +1289,10 @@ def test_pair_kernels_sum_a_window_and_its_swap(n):
     # gives on its first windows less what it gives on those windows with 3
     # and 4 swapped, whose words have the opposite signs, and in mode "+"
     # the sum of the two; n = 9 and 10 reach no scheme the other tests
-    # build. A window costs 2n products of n - 1 factors, and a call n
-    # minors of 2 multiplications, n/2 at p = n/2, where j - i = p and -p
-    # name the same pairs of rows
+    # build. A window costs one product for each two diagonals that read
+    # one minor, or four at p = n/2 (see _window_muls), and a call n minors
+    # of 2 multiplications, n/2 at p = n/2, where j - i = p and -p name the
+    # same pairs of rows
     rng = random.Random(f"pair kernel:{n}")
     columns = [(), *([rng.randrange(-(2**61), 2**61) for _ in range(n)] for _ in range(n))]
     swap = bytes.maketrans(b"\3\4", b"\4\3")
@@ -1296,7 +1301,7 @@ def test_pair_kernels_sum_a_window_and_its_swap(n):
         for mode, partner in (("-", -1), ("+", 1)):
             plain, kernel = _run_sum(n, n, 0, False, mode), _run_sum(n, n, p, False, mode)
             assert kernel(columns, firsts) == plain(columns, firsts) + partner * plain(columns, firsts.translate(swap))
-        assert kernel.muls == 2 * n * (n - 2)
+        assert kernel.muls == _window_muls(n, p, False)
         assert kernel.call_muls == 2 * _minors(n, 0, p)
 
 
@@ -1307,8 +1312,9 @@ def test_quad_kernels_sum_four_words_a_product(n):
     # swaps, on τw, w with the entries at the positions u and v of
     # _exchange exchanged, and on στw, where σw and τw take the opposite
     # sign; in mode "+" it gives the unsigned sum of the four. A window
-    # costs its minors on u and v, 2 multiplications each, and 2n products
-    # of n - 2 factors, and a call the minors of columns 3 and 4
+    # costs its minors on u and v, 2 multiplications each, and one product
+    # for each two or four diagonals that read the same two minors (see
+    # _window_muls), and a call the minors of columns 3 and 4
     rng = random.Random(f"quad kernel:{n}")
     columns = [(), *([rng.randrange(-(2**61), 2**61) for _ in range(n)] for _ in range(n))]
     swap = bytes.maketrans(b"\3\4", b"\4\3")
@@ -1322,8 +1328,50 @@ def test_quad_kernels_sum_four_words_a_product(n):
             plain, kernel = _run_sum(n, n, 0, False, mode), _run_sum(n, n, p, True, mode)
             signs = (1, other, other, 1)
             assert kernel(columns, firsts) == sum(s * plain(columns, w) for s, w in zip(signs, four))
-        assert kernel.muls == 2 * _minors(n, u, v) + 2 * n * (n - 3)
+        assert kernel.muls == _window_muls(n, p, True)
         assert kernel.call_muls == 2 * _minors(n, 0, p)
+
+
+def _window_products(source):
+    """The products a kernel's source sums a window into, as text: the
+    terms of its "t = " line outside brackets."""
+    (line,) = (line for line in source.splitlines() if line.startswith("        t = "))
+    products, depth, start = [], 0, len("        t = ")
+    for i, char in enumerate(line):
+        depth += (char == "(") - (char == ")")
+        if depth == 0 and line[i : i + 3] in (" + ", " - "):
+            products.append(line[start:i])
+            start = i + 3
+    return products + [line[start:]]
+
+
+@pytest.mark.parametrize("n", range(5, 11))
+def test_kernels_multiply_each_tuple_of_minors_once(monkeypatch, n):
+    # every diagonal of a pair or quad window that reads one minor d, or
+    # one pair of minors m and d, lies in the one product that multiplies
+    # it: two diagonals a product, or four at p = n/2 for a pair, and for a
+    # quad at n = 8, p = 4. The products are read off the generated source
+    sources = []
+
+    def recording(source, namespace):
+        sources.append(source)
+        exec(source, namespace)
+
+    monkeypatch.setattr(sarrus.scheme, "exec", recording, raising=False)
+    for p in range(1, n // 2 + 1):
+        u, v = _exchange(n, p)
+        for quad in (False, True) if n >= 6 else (False,):
+            for mode in "-+":
+                sources.clear()
+                _run_sum.__wrapped__(n, n, p, quad, mode)
+                products = _window_products(sources[0])
+                minors = [tuple(re.findall(r"\b[md]\d+_\d+\b", product)) for product in products]
+                assert all(len(names) == 1 + quad for names in minors)
+                assert len(set(minors)) == len(minors)
+                g = 4 if 2 * p == n and (not quad or 2 * (v - u) == n) else 2
+                assert len(products) == 2 * n // g
+                # each product sums g diagonals inside its bracket
+                assert all(product.count(" + ") + product.count(" - ") == g - 1 for product in products)
 
 
 def test_evaluate_float_is_the_exact_value_rounded_once():
