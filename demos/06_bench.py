@@ -15,7 +15,7 @@ expansion by complementary minors, not the strip arrangement. The two
 diagonals that read one such minor then share one product, their shared
 entry times the sum of their other entries' products times the minor, so
 one product stands for four words, and the scheme runs below the
-permutation expansion: 150 against 222 at n = 5, where chaining every
+permutation expansion: 140 against 222 at n = 5, where chaining every
 product takes 480. From n = 6 one product and two minors stand for eight
 words or more.
 """

@@ -53,11 +53,16 @@ groups each pair with the pair of its first window with two more positions
 exchanged (``_exchange``), and records that quad once: each diagonal
 product of a quad is the product of its n - 4 other entries, a minor on
 two more columns and a minor on columns 3 and 4, and stands for four
-words. The diagonals of a window that read the same minors, two or four,
-then share one product: the entries they all read, times the sum of their
-other entries, times the minors, so no window multiplies a product of
-minors twice (see ``_run_sum``). Every other run reads its entries row by
-row.
+words. Either window of a pair, and either pair's window of a quad, lists
+the same words through the same kernel, so the pass records each by an
+even window where one exists: a quad always has one, since its two pairs'
+windows are one transposition apart, and a pair where its partner class's
+window has the other sign, as at n = 5. So an exact cover of full runs
+makes one kernel call a p. The diagonals of a window that read the same
+minors, two or four, then share one product: the entries they all read,
+times the sum of their other entries, times the minors, so no window
+multiplies a product of minors twice (see ``_run_sum``). Every other run
+reads its entries row by row.
 
 Exact evaluation runs over cleared rows, as the oracles do: each row of a
 rational matrix is scaled to integers by the lcm of its denominators. Every
@@ -337,14 +342,17 @@ class _SignedWindows:
     Evaluation reads each run's diagonals off its first window (see
     ``_run_sum``). From n = 5 a full run whose 3 <-> 4 swapped partner's run
     is full too is recorded with it as one pair, once, under p in 1..n/2:
-    its window is the lesser key's class word that starts with 3 and has 4
-    at p (``perm._swap_head``), signed from the key's sign, and its
-    partner's words are its own with 3 and 4 swapped. From n = 6 a pair
-    whose window, with the positions of ``_exchange(n, p)`` exchanged, lies
-    in another recorded pair is recorded with that pair as one quad, once,
-    under quad True, by the window of the pair met first; the exchanged
-    window's words, and their swaps, are the other pair's. Every other pair
-    has quad False, and every other run p = 0. Columns fit in a byte
+    its window is the class word of the lesser key that starts with 3 and
+    has 4 at p (``perm._swap_head``), or the partner class's where only
+    that one is even, and its partner's words are its own with 3 and 4
+    swapped. From n = 6 a pair whose window, with the positions of
+    ``_exchange(n, p)`` exchanged, lies in another recorded pair is
+    recorded with that pair as one quad, once, under quad True, by
+    whichever of the two windows is even; the other window's words, and
+    their swaps, are the other pair's. Every other pair has quad False,
+    and every other run p = 0. So a pair or quad is recorded once, by an
+    even window where one exists, and both signs are filed only for runs
+    at p = 0 and pairs with no even window. Columns fit in a byte
     because every ``Scheme`` has n <= 10. A scheme that is no exact cover
     records no runs, so ``runs`` is non-empty exactly when no window is
     invalid and the diagonals hit every permutation once.
@@ -432,12 +440,24 @@ def _walk(sch: Scheme) -> _SignedWindows:
                 firsts[n, 0, False, sign] += w
             elif key < partner:
                 head, p, factor = _swap_head(key)
-                paired[key] = head, p, key_sign * factor
+                sign = key_sign * factor
+                if sign < 0:
+                    # the partner class's window where it is even, as at n = 5
+                    other, _, factor = _swap_head(partner)
+                    if full[partner][2] * factor > 0:
+                        head, sign = other, 1
+                paired[key] = head, p, sign
         for key in list(paired):
             if key in paired:
                 head, p, sign = paired.pop(key)
                 # the exchanged window's pair, unless it is this one
-                quad = _quads(n) and paired.pop(_exchanged_pair(head, p), None) is not None
+                quad = False
+                if _quads(n):
+                    exchanged, other = _exchanged_pair(head, p)
+                    quad = paired.pop(other, None) is not None
+                    if quad and sign < 0:
+                        # one transposition away, so even
+                        head, sign = exchanged, 1
                 firsts[n, p, quad, sign] += head
     return _SignedWindows(
         invalid=tuple(invalid),
@@ -595,14 +615,15 @@ def _exchange(n: int, p: int) -> tuple[int, int]:
     return (p // 2, p // 2 + n // 2) if n % 2 == 0 == p % 2 else (p + 1, n - 1)
 
 
-def _exchanged_pair(head: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """The lesser key of the pair whose classes hold head with the entries
-    at the positions of ``_exchange`` exchanged, and its swap."""
+def _exchanged_pair(head: tuple[int, ...], p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(word, key): head with the entries at the positions of ``_exchange``
+    exchanged, which still has 3 at 0 and 4 at p, and the lesser key of the
+    pair whose classes hold it and its swap."""
     u, v = _exchange(len(head), p)
     word = list(head)
     word[u], word[v] = word[v], word[u]
     key = _class_place(tuple(word))[0]
-    return min(key, _swap_key(key))
+    return tuple(word), min(key, _swap_key(key))
 
 
 def _run_products(n: int, length: int, p: int, quad: bool) -> tuple[

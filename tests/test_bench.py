@@ -59,19 +59,19 @@ def test_scheme_and_leibniz_counts_match():
         # products, each of the two diagonals that read one minor on columns
         # 3 and 4: the entry both read, times the 2x2 minor of their other 2
         # entries, times that minor, 4 multiplications, 20 together against
-        # 80 apart, and each of the 3 kernel calls forms the 5 minors first,
-        # at 2 each
-        assert s.multiplications_chained == {4: 72, 5: 6 * 20 + 3 * 10}[n]
+        # 80 apart, and each of the 2 kernel calls, one per p, forms the 5
+        # minors first, at 2 each
+        assert s.multiplications_chained == {4: 72, 5: 6 * 20 + 2 * 10}[n]
         # Leibniz multiplies shared prefix and pair products, so its two
         # conventions coincide. It runs fewer multiplications than the
         # scheme at n = 4, 50 against 72, and more from n = 5, where one
-        # product of the scheme stands for four words: 222 against 150
+        # product of the scheme stands for four words: 222 against 140
         assert l.multiplications_n_factors == l.multiplications_chained == LEIBNIZ_MULS[n]
         assert (l.multiplications_chained < s.multiplications_chained) == (n == 4)
         # one addition fewer than the terms for Leibniz; one fewer than the
         # products for the scheme, and one for each minor it forms
         assert l.additions == math.factorial(n) - 1
-        assert s.additions == {4: 23, 5: 6 * 10 - 1 + 3 * 5}[n]
+        assert s.additions == {4: 23, 5: 6 * 10 - 1 + 2 * 5}[n]
 
 
 def test_counting_does_not_change_results():
@@ -132,12 +132,12 @@ def test_expansion_counts_are_exact(n):
         # two diagonals that read one minor on columns 3 and 4 make one
         # product, n = 5 a pair: their shared entry times the 2x2 minor of
         # their other 2 entries times that minor, 4 multiplications, and 1
-        # subtraction in the 2x2 minor. Each of its 3 kernel calls forms the
-        # 5 minors, at 2 multiplications and 1 subtraction each. The sums
-        # run the kernels twice, signed and unsigned, and take 2 additions
-        # to split the two
+        # subtraction in the 2x2 minor. Each of its 2 kernel calls, one per
+        # p, forms the 5 minors, at 2 multiplications and 1 subtraction
+        # each. The sums run the kernels twice, signed and unsigned, and
+        # take 2 additions to split the two
         if n == 5:
-            scheme_muls, scheme_adds = 6 * 5 * 4 + 3 * 5 * 2, 6 * 10 - 1 + 3 * 5
+            scheme_muls, scheme_adds = 6 * 5 * 4 + 2 * 5 * 2, 6 * 10 - 1 + 2 * 5
         else:
             scheme_muls, scheme_adds = terms * (n - 1), terms - 1
         assert _counts(evaluate, sch, M) == (terms, scheme_muls, scheme_adds, 0)
@@ -405,7 +405,7 @@ def test_statement_sets_the_multiplications_beside_the_terms():
         "Laplace's expansion by complementary minors, not by the strip arrangement.",
     }
     why[6] = why[5].replace("four words", "eight words or more")
-    for n, scheme_muls, leibniz_muls in ((4, 72, 50), (5, 150, 222), (6, 528, 1338)):
+    for n, scheme_muls, leibniz_muls in ((4, 72, 50), (5, 140, 222), (6, 498, 1338)):
         terms, muls = lines[2 * (n - 4) : 2 * (n - 3)]
         assert terms.startswith(f"n={n}: scheme evaluation expands exactly {math.factorial(n)} ")
         assert muls == (

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import WORKED_DET, WORKED_SUMS
-from test_bench import _assert_the_sums_run_their_tally, _window_muls
+from test_bench import _assert_the_sums_run_their_tally, _minors, _window_muls
 
 import sarrus.generate
 import sarrus.scheme
@@ -621,6 +621,8 @@ def test_random_exact_covers_validate_and_evaluate_right(n, seed, defect):
     assert validate(sch).is_valid
     # the runs of the pass expand to S_n with the reference signs
     _assert_the_pass_and_report_match_a_plain_reference(sch)
+    # a quad is recorded by an even window, and so is a pair at n = 5
+    assert all(sign > 0 for _, p, quad, sign, _ in _signed_windows(sch).runs if quad or p and n == 5)
     wide = Matrix([[rng.randrange(-(2**61), 2**61) for _ in range(n)] for _ in range(n)])
     ratios = Matrix([[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)] for _ in range(n)])
     for M in (random_matrix(n, rng), wide, ratios):
@@ -854,39 +856,33 @@ def test_full_runs_without_a_full_partner_keep_their_own_kernels(n):
         assert positive_negative_sums(sch, M) == parity_partition_sums(M)
 
 
-def _minors(n, x, y):
-    """The 2x2 minors a kernel forms on the columns at window positions x
-    and y: one for each pair of rows y - x apart, n of them, or n/2 where
-    y - x = n/2."""
-    return n // 2 if 2 * (y - x) % n == 0 else n
-
-
 def test_swapped_pairs_halve_the_run_record_at_odd_n():
     # det-large's seed-11 n = 7 scheme: 360 full runs make 180 pairs, and
     # those make 90 quads, each one first window. A quad forms the 7 minors
     # of its two exchanged columns, at 2 multiplications each, then n = 7
     # products, each of two diagonals that read the same two minors: the
     # entry both read, times the 2x2 minor of their other 2 entries, times
-    # the two minors, 5 multiplications: 49 = n(2n - 9) + 2n. Each of its 6
-    # kernel calls, p in 1..3 of either sign, first forms the 7 minors of
-    # columns 3 and 4: 14
+    # the two minors, 5 multiplications: 49 = n(2n - 9) + 2n. Each quad is
+    # recorded by an even window, so each of its 3 kernel calls, one per p
+    # in 1..3, first forms the 7 minors of columns 3 and 4: 14
     scheme = search_scheme(SearchConfig(n=7, random_seed=11))
     runs = _signed_windows(scheme).runs
     assert sum(len(firsts) for *_, firsts in runs) == 90 * 7
-    assert len(runs) == 6 and {(p, quad) for _, p, quad, _, _ in runs} == {(1, True), (2, True), (3, True)}
+    assert len(runs) == 3 and {(p, quad) for _, p, quad, _, _ in runs} == {(1, True), (2, True), (3, True)}
     ops = OpCounter()
     evaluate(scheme, Matrix.identity(7), ops=ops)
-    assert ops.mul_chained == 4494 == 90 * (7 * 5 + 2 * 7) + 6 * 14
+    assert ops.mul_chained == 4452 == 90 * 49 + 3 * 14
 
 
-@pytest.mark.parametrize("n, muls", [(6, 528), (8, 47632)])
+@pytest.mark.parametrize("n, muls", [(6, 498), (8, 47576)])
 def test_swapped_pairs_halve_the_run_record_at_even_n(n, muls):
     # the searched seed-11 schemes: n!/2n full runs make n!/8n quads, each
     # one first window with 4 at p in 1..n/2, which forms the minors of its
     # two exchanged columns, 2 multiplications each, then one product for
     # each two diagonals that read the same two minors, or four at n = 8,
-    # p = 4 (see _window_muls); each kernel call first forms the minors of
-    # columns 3 and 4. Minors number n, or n/2 on two positions n/2 apart,
+    # p = 4 (see _window_muls); each quad is recorded by an even window, so
+    # one kernel call a p first forms the minors of columns 3 and 4. Minors
+    # number n, or n/2 on two positions n/2 apart,
     # as 0 and p are at p = n/2, and the exchanged positions at even p
     scheme = search_scheme(SearchConfig(n=n, random_seed=11))
     runs = _signed_windows(scheme).runs
@@ -909,11 +905,27 @@ def test_searched_schemes_record_quads_only(n):
         assert sum(len(firsts) for *_, firsts in runs) == math.factorial(n) // (8 * n) * n
 
 
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_searched_schemes_record_one_even_group_per_p(n):
+    # a quad whose first window is odd is recorded by the other pair's
+    # window, one transposition away: one kernel call a p, signed +1
+    for seed in range(1, 6):
+        runs = _signed_windows(search_scheme(SearchConfig(n=n, random_seed=seed))).runs
+        assert [(p, sign) for _, p, _, sign, _ in runs] == [(p, 1) for p in range(1, n // 2 + 1)]
+
+
 def test_the_five_by_five_records_six_pairs_and_no_quad():
     # at n = 5 the exchange leads each pair back to itself
     runs = _signed_windows(builtin_scheme(5)).runs
     assert all(p and not quad for _, p, quad, _, _ in runs)
     assert sum(len(firsts) for *_, firsts in runs) == 6 * 5
+
+
+def test_the_five_by_five_records_its_pairs_by_even_windows():
+    # at n = 5 a pair's window and its partner class's have opposite signs,
+    # so every pair is recorded by the even one: one group a p, signed +1
+    runs = _signed_windows(builtin_scheme(5)).runs
+    assert [(p, quad, sign) for _, p, quad, sign, _ in runs] == [(1, False, 1), (2, False, 1)]
 
 
 @pytest.mark.parametrize("n", range(5, 11))
@@ -931,13 +943,13 @@ def test_the_exchange_leads_to_another_pair_and_back(n):
         assert len({0, p, u, v}) == 4
         mirror = bytes(head[(p - x) % n] for x in range(n)).translate(bytes.maketrans(b"\3\4", b"\4\3"))
         assert mirror[0] == 3 and mirror[p] == 4 and _class_place(tuple(mirror))[0] in (key, _swap_key(key))
-        other = _exchanged_pair(head, p)
-        assert _exchanged_pair(tuple(mirror), p) == other
+        _, other = _exchanged_pair(head, p)
+        assert _exchanged_pair(tuple(mirror), p)[1] == other
         if n == 5:
             assert other == pair
         else:
             back, back_p, _ = _swap_head(other)
-            assert other != pair and back_p == p and _exchanged_pair(back, p) == pair
+            assert other != pair and back_p == p and _exchanged_pair(back, p)[1] == pair
 
 
 def test_a_valid_eight_by_eight_pass_holds_little():
