@@ -7,9 +7,11 @@ share a column. For n >= 3 every class has full size 2n and contains exactly
 two heads beginning with any given value (one from the shift family, one from
 the reversed family), so the chain can always be extended: one greedy pass
 over the classes builds it, with no search to undo. The pass runs on raw
-words: classes are listed by their least words, without visiting S_n, and a
-``Permutation`` is built only for each chosen head; the parity split below
-signs the raw representatives.
+words and builds no ``Permutation``: classes are listed by their least
+words, without visiting S_n; each class shuffles the places of its words in
+lexicographic order and builds only the word at the place it picks; the
+chosen heads are stitched as raw words; and the parity split below signs
+the raw representatives.
 
 Strip grouping follows the class parity structure: for n ≡ 1 (mod 4) classes
 are parity-pure and split into an even strip and an odd strip; for even n and
@@ -25,8 +27,8 @@ from dataclasses import dataclass
 from .errors import NotFound, SizeTooSmall, VerificationFailed, _guard, _int_n, _quoted
 from .matrix import Matrix
 from .oracle import bareiss_det
-from .perm import Permutation, _class_pairs, _class_words, _least_words, _sign_factors, _word_parity
-from .scheme import Scheme, ValidationReport, evaluate, stitch_blocks, validate
+from .perm import Permutation, _class_pairs, _class_words, _least_words, _place_word, _sign_factors, _word_parity
+from .scheme import Scheme, ValidationReport, _stitch, evaluate, validate
 
 _CLASS_LIMIT = 8
 
@@ -108,23 +110,31 @@ def _chain_group(
     """Order the classes of a group into chains of heads; each chain becomes one strip.
 
     One pass over the class representatives in shuffled order. Each class
-    lists its members when the pass reaches it and contributes the first of
-    them, shuffled, that starts with column n - 1 of the previous head, or any
-    member when a chain starts. For n >= 3 such a member always exists, so no
-    choice is ever undone.
+    shuffles the places 0..2n-1 of its words in lexicographic order when the
+    pass reaches it, and contributes the word at the first of them whose
+    word starts with column n - 1 of the previous head (places 2(v - 1) and
+    2v - 1 start with v; see ``perm._place_word``), or at the first place
+    when a chain starts. Only that word is built. ``random.shuffle`` draws
+    by length alone, so the places draw as the sorted words would. For
+    n >= 3 such a word always exists, so no choice is ever undone.
     """
     n = len(reps[0])
     class_order = list(reps)
     rng.shuffle(class_order)
     chains: list[list[tuple[int, ...]]] = [[]]
     for rep in class_order:
-        members = sorted(_class_words(rep, -1))
-        rng.shuffle(members)
+        places = list(range(2 * n))
+        rng.shuffle(places)
         if len(chains[-1]) == max_blocks:
             chains.append([])
         chain = chains[-1]
-        need = chain[-1][n - 2] if chain else None
-        chain.append(next(h for h in members if need is None or h[0] == need))
+        if chain:
+            k = 2 * chain[-1][n - 2] - 2
+            if places.index(k + 1) < places.index(k):
+                k += 1
+        else:
+            k = places[0]
+        chain.append(_place_word(rep, k))
     return chains
 
 
@@ -147,7 +157,7 @@ def search_scheme(cfg: SearchConfig) -> Scheme:
         groups = [[rep for rep, s in zip(groups[0], signs) if s == sign] for sign in (1, -1)]
     rng = random.Random(cfg.random_seed)
     strips = tuple(
-        stitch_blocks([Permutation(h) for h in chain])
+        _stitch(chain)
         for group in groups
         for chain in _chain_group(group, rng, cfg.max_blocks_per_strip)
     )

@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Literal
 
-from .errors import IndexOutOfRange, SizeMismatch, _quoted
+from .errors import _FACTORIAL_LIMIT, IndexOutOfRange, SizeMismatch, _quoted
 
 # +1 for even permutations, -1 for odd ones.
 Sign = Literal[1, -1]
@@ -127,11 +127,15 @@ def _class_place(word: tuple[int, ...]) -> tuple[tuple[int, ...], int, Sign]:
     return (1, *r[:0:-1]), (k + 1) % n, -1
 
 
+# the values 0..10 with 3 and 4 swapped, read by value; no scheme is past n = 10
+_SWAP_3_4 = (0, 1, 2, 4, 3, *range(5, _FACTORIAL_LIMIT + 1))
+
+
 def _swap_key(key: tuple[int, ...]) -> tuple[int, ...]:
     """The key of the class of key's words with the values 3 and 4 swapped
-    (n >= 4): swap them in key, keep 1 in front, and read towards the
+    (4 <= n <= 10): swap them in key, keep 1 in front, and read towards the
     smaller neighbour. O(n)."""
-    r = tuple(7 - v if v in (3, 4) else v for v in key)
+    r = tuple([_SWAP_3_4[v] for v in key])
     return r if r[1] < r[-1] else (1, *r[:0:-1])
 
 
@@ -156,6 +160,20 @@ def _class_words(key: tuple[int, ...], bits: int) -> list[tuple[int, ...]]:
     sets every pair): two words a pair, and one, the key, at n = 1."""
     shifts = [key[j:] + key[:j] for j in range(_class_pairs(len(key))) if bits >> j & 1]
     return shifts + [w[::-1] for w in shifts if len(w) > 1]
+
+
+def _place_word(key: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """The word at place k of key's class in lexicographic order, that is
+    ``sorted(_class_words(key, -1))[k]`` (n >= 3), built alone: places
+    2(v - 1) and 2v - 1 hold the two words that start with v, the key
+    rotated to v and its reversal read from v, and the one with the lesser
+    second entry comes first. O(n)."""
+    i = key.index(k // 2 + 1)
+    rotation = key[i:] + key[:i]
+    # the reversal's second entry is the rotation's last
+    if (rotation[1] < rotation[-1]) == (k % 2 == 0):
+        return rotation
+    return (rotation[0], *rotation[:0:-1])
 
 
 def _least_words(n: int) -> list[tuple[int, ...]]:

@@ -269,9 +269,15 @@ def stitch_blocks(heads: Sequence[Permutation]) -> SchemeStrip:
     """
     if not heads:
         raise ValueError("nothing to stitch")
-    n = heads[0].n
-    columns = [heads[0].images[0]]
-    for i, head in enumerate(h.images for h in heads):
+    return _stitch([h.images for h in heads])
+
+
+def _stitch(words: Sequence[tuple[int, ...]]) -> SchemeStrip:
+    """``stitch_blocks`` on the heads' raw words, at least one; the search
+    chains raw words and hands them here."""
+    n = len(words[0])
+    columns = [words[0][0]]
+    for i, head in enumerate(words):
         if len(head) != n:
             raise SizeMismatch("heads of different sizes")
         if columns[-1] != head[0]:
@@ -281,7 +287,7 @@ def stitch_blocks(heads: Sequence[Permutation]) -> SchemeStrip:
                 f"but next block starts with {head[0]}",
             )
         columns += head[1:] + head[: n - 1]
-    starts = tuple(i * (2 * n - 2) + p for i in range(len(heads)) for p in range(1, n + 1))
+    starts = tuple(i * (2 * n - 2) + p for i in range(len(words)) for p in range(1, n + 1))
     return SchemeStrip(n=n, columns=tuple(columns), starts=starts)
 
 

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -11,6 +12,8 @@ import pytest
 
 import sarrus.generate
 import sarrus.scheme
+from sarrus.generate import _chain_group
+from sarrus.perm import _class_words, _least_words
 from sarrus import (
     NotFound,
     Permutation,
@@ -168,21 +171,50 @@ def test_search_n2_fails_cleanly():
     assert "self-symmetric" in str(err.value)
 
 
-def test_search_builds_a_permutation_per_chosen_head_only(monkeypatch):
-    # the search runs on raw words, one head per class: n = 7 has 360 classes,
-    # and n = 5 has 12, which the parity split signs without a Permutation
+def test_search_builds_no_permutation(monkeypatch):
+    # the search runs on raw words: it builds each chosen head alone from
+    # its place, stitches the raw heads, and the parity split at n = 5 signs
+    # the raw representatives; nor does the validation of a valid scheme
+    # build one
     built = []
+    check = Permutation.__post_init__
 
-    def counting(images):
-        built.append(images)
-        return Permutation(images)
+    def counting(self):
+        built.append(self.images)
+        check(self)
 
-    monkeypatch.setattr(sarrus.generate, "Permutation", counting)
-    for n, classes in ((7, 360), (5, 12)):
+    monkeypatch.setattr(Permutation, "__post_init__", counting)
+    for n in (7, 5):
         built.clear()
         sch = search_scheme(SearchConfig(n=n, random_seed=7))
+        assert built == []
         assert validate(sch).is_valid
-        assert len(built) <= classes
+
+
+def _sorted_chain_group(reps, rng, max_blocks):
+    # the chaining as it was before the place pick: each class lists its
+    # words, sorts and shuffles them, and takes the first that continues
+    n = len(reps[0])
+    class_order = list(reps)
+    rng.shuffle(class_order)
+    chains = [[]]
+    for rep in class_order:
+        members = sorted(_class_words(rep, -1))
+        rng.shuffle(members)
+        if len(chains[-1]) == max_blocks:
+            chains.append([])
+        chain = chains[-1]
+        need = chain[-1][n - 2] if chain else None
+        chain.append(next(h for h in members if need is None or h[0] == need))
+    return chains
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_place_pick_chains_as_the_sorted_shuffled_words_did(n):
+    reps = _least_words(n)
+    for seed, max_blocks in itertools.product(range(20), (None, 1, 3)):
+        want = _sorted_chain_group(reps, random.Random(seed), max_blocks)
+        assert _chain_group(reps, random.Random(seed), max_blocks) == want
 
 
 def test_search_config_validation():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -15,7 +16,9 @@ from sarrus import (
     relabel_values,
     reverse,
 )
-from sarrus.perm import _class_pairs, _class_place, _class_words, _least_words, _swap_head, _swap_key, _word_parity
+from sarrus.perm import (
+    _class_pairs, _class_place, _class_words, _least_words, _place_word, _swap_head, _swap_key, _word_parity
+)
 
 
 @pytest.mark.parametrize(
@@ -243,6 +246,32 @@ def test_the_swap_of_3_and_4_pairs_every_class_from_n_5(n):
         if partner == key:
             fixed.append(key)
     assert fixed == ([(1, 3, 2, 4)] if n == 4 else [])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_the_word_at_a_place_is_the_sorted_word_there(n):
+    for key in _least_words(n):
+        words = sorted(_class_words(key, -1))
+        assert [_place_word(key, k) for k in range(2 * n)] == words
+
+
+def _generator_swap_key(key):
+    # _swap_key as it was before its lookup table
+    r = tuple(7 - v if v in (3, 4) else v for v in key)
+    return r if r[1] < r[-1] else (1, *r[:0:-1])
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9, 10])
+def test_the_swap_table_swaps_as_the_generator_did(n):
+    # every key up to n = 9; a seeded sample of the 181,440 at n = 10
+    if n < 10:
+        keys = _least_words(n)
+    else:
+        rng = random.Random(10)
+        tails = [rng.sample(range(2, 11), 9) for _ in range(2000)]
+        keys = [(1, *(t if t[0] < t[-1] else t[::-1])) for t in tails]
+    for key in keys:
+        assert _swap_key(key) == _generator_swap_key(key)
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
