@@ -6,12 +6,15 @@ asymptotics. Multiplications are reported both as raw factors (n per product)
 and as the chained multiplications that run. Below n = 5 they are n-1 per
 product, and the permutation expansion, which forms each term as one shared
 prefix product times one shared pair product, runs fewer (50 against 72 at
-n = 4). From n = 5 each full run pairs with its partner, the class with
-the labels 3 and 4 swapped (the 5x5's two strips are each other's swap): a
-word and its partner's differ only in the two rows that read 3 and 4, so
-their two terms are one product of the n-2 other entries and a 2x2 minor
-on columns 3 and 4, which each kernel call forms once. That is Laplace's
-expansion by complementary minors, not the strip arrangement. The two
+n = 4). An exact cover's products are every word of S_n once, so any
+valid scheme of n is evaluated from one record of n's necklace classes,
+and its counts depend on n alone. From n = 5 each class pairs with its
+partner, the class with the labels 3 and 4 swapped (the 5x5's two strips
+are each other's swap): a word and its partner's differ only in the two
+rows that read 3 and 4, so their two terms are one product of the n-2
+other entries and a 2x2 minor on columns 3 and 4, which each kernel call
+forms once. That is Laplace's expansion by complementary minors, not the
+strip arrangement. The two
 diagonals that read one such minor then share one product, their shared
 entry times the sum of their other entries' products times the minor, so
 one product stands for four words, and the scheme runs below the

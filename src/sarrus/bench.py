@@ -5,13 +5,14 @@ the reported numbers are measurements, not formulas. Multiplications are
 reported under both conventions (n factors per diagonal vs the chained
 multiplications that run: n-1 a diagonal, and fewer from n = 5, where one
 product of 2x2 minors, by Laplace's expansion by complementary minors,
-stands for the words of a full run and its partner, the class with the
-labels 3 and 4 swapped, and from n = 6 for those of two such pairs); the
-oracles multiply shared products, not diagonals, so for them the two
-coincide. Matrices are generated deterministically from the seed.
-The counted run goes first, so one-time work (the compiled Leibniz
-expansion, a scheme's signed-window pass and its run kernels) is done
-before the timed runs start.
+stands for the words of a class and its partner, the class with the labels
+3 and 4 swapped, and from n = 6 for those of two such pairs); the oracles
+multiply shared products, not diagonals, so for them the two coincide.
+Every exact cover of n, whatever its strips, evaluates from one record of
+n's classes, so its counts are those of n alone. Matrices are generated
+deterministically from the seed. The counted run goes first, so one-time
+work (the compiled Leibniz expansion, a scheme's validation pass, and the
+record and kernels of its n) is done before the timed runs start.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .counting import OpCounter
 from .errors import SizeLimitExceeded, UnsupportedSize, _guard, _quoted
 from .generate import SearchConfig, random_matrix, search_scheme
 from .oracle import bareiss_det, cofactor_det, leibniz_det
-from .scheme import Scheme, _quads, _swaps, evaluate
+from .scheme import Scheme, evaluate
 
 ORACLES = {"leibniz": leibniz_det, "cofactor": cofactor_det, "bareiss": bareiss_det}
 METHODS = ("scheme", *ORACLES)
@@ -172,13 +173,13 @@ def term_count_statement(reports: list[BenchReport]) -> str:
             f"against {l.multiplications_chained} in the permutation expansion, which forms each "
             f"term as one shared prefix times one shared pair"
         )
-        if not _swaps(n):
+        if n < 5:
             lines.append(
                 f"{head}, n - 1 per product, {against}; the counts differ by that factoring, "
                 f"not by the scheme."
             )
             continue
-        if _quads(n):
+        if n >= 6:
             words, per = "eight words or more", (
                 "one product for the two or four diagonals that read the same 2x2 minors, on "
                 "columns 3 and 4 and on two more columns, the entries all of them read times the "

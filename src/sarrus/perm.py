@@ -139,20 +139,18 @@ def _swap_key(key: tuple[int, ...]) -> tuple[int, ...]:
     return r if r[1] < r[-1] else (1, *r[:0:-1])
 
 
-def _swap_head(key: tuple[int, ...]) -> tuple[tuple[int, ...], int, Sign]:
-    """(word, p, factor): the word of key's class, n >= 5, that starts with
-    3 and has 4 at position p in 1..n/2, found by rotating key left by k
-    and, where 4 would sit past n/2, reversing it and rotating 3 back to the
-    front. Its sign is key's times factor: turn**k, or turn**(k + n - 1) *
-    flip when reversed (see ``_sign_factors``). O(n)."""
+def _swap_head(key: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """(word, p): the word of key's class, n >= 5, that starts with 3 and
+    has 4 at position p in 1..n/2, found by rotating 3 to the front and,
+    where 4 would sit past n/2, reading the rotation backwards from 3.
+    O(n)."""
     n = len(key)
-    turn, flip = _sign_factors(n)
     k = key.index(3)
     word = key[k:] + key[:k]
     p = word.index(4)
     if 2 * p <= n:
-        return word, p, turn**k
-    return (3, *word[:0:-1]), n - p, turn ** (k + n - 1) * flip
+        return word, p
+    return (3, *word[:0:-1]), n - p
 
 
 def _class_words(key: tuple[int, ...], bits: int) -> list[tuple[int, ...]]:

@@ -9,60 +9,62 @@ never stored in a scheme: each window contributes with the sign of its
 permutation, which is what makes a complete scheme compute the determinant.
 
 One walk, ``_runs``, takes a strip to its signed diagonals; validation,
-evaluation, the sums, float evaluation, ``windows`` and rendering all read
-it. It cuts the starts into maximal runs in which each window is the one
-before it rotated left by one: when the column entering at p is the one
-leaving, the window at p is the window at p - 1 rotated, so it is valid too
-and its sign is the previous sign times (-1)**(n - 1). A window is checked
-and signed only where a run begins, once per block.
+``windows`` and rendering read it. It cuts the starts into maximal runs in
+which each window is the one before it rotated left by one: when the column
+entering at p is the one leaving, the window at p is the window at p - 1
+rotated, so it is valid too and its sign is the previous sign times
+(-1)**(n - 1). A window is checked and signed only where a run begins, once
+per block.
 
-One pass per scheme reads the walk and keeps its verdict and, for an
-exact cover, the first window of each run, with no record per start. Cover
-is checked per necklace class, by the paper's cyclic pattern: a class is n
-pairs, each rotation of a word with its reverse, and a window rotated left
-by one lies in the next pair round the cycle. So every run, of any length,
-hits an arc of consecutive pairs, found from its first window
-(``perm._class_place``), and is recorded in a bitmask under its class's key.
-A run longer than the cycle wraps round, and the pairs it hits again, as
-those another run hit, are duplicates. Below n = 3 a class is one pair. The
-missing words are the unset pairs of the class keys, listed without a sweep
-of S_n, and the even words hit are half of S_n less the even ones missed.
+One pass per scheme reads the walk and keeps its verdict, with no record
+per start. Cover is checked per necklace class, by the paper's cyclic
+pattern: a class is n pairs, each rotation of a word with its reverse, and
+a window rotated left by one lies in the next pair round the cycle. So
+every run, of any length, hits an arc of consecutive pairs, found from its
+first window (``perm._class_place``), and is recorded in a bitmask under
+its class's key. A run longer than the cycle wraps round, and the pairs it
+hits again, as those another run hit, are duplicates. Below n = 3 a class
+is one pair. The missing words are the unset pairs of the class keys,
+listed without a sweep of S_n, and the even words hit are half of S_n less
+the even ones missed.
 
-Evaluation reads the pass only, run by run, following the cyclic pattern
-of the diagonals: a run of L starts is its first window read along 2L broken
-diagonals, each signed from the run's first sign by ``perm._sign_factors``.
-One kernel per (n, L, p, quad) and mode, ``_run_sum``, unpacks the n matrix
-columns that a first window names and adds its diagonal products to one
-running sum, with no walk of the strips and no table of words. Signed, that
-sum is D = S+ - S-, the determinant, which ``evaluate`` reads;
+Evaluation reads no strip. The diagonals of an exact cover are every word
+of S_n once, so their signed sum is the same however the strips cut them
+into runs: every exact cover of n evaluates from one record, ``_record(n)``,
+built from the class keys alone. Following the cyclic pattern of the
+diagonals, a class is one even window read along the broken diagonals of
+its pairs, 2n from n = 3, each signed from the window's sign by
+``perm._sign_factors``. One kernel per (n, p, quad) and mode, ``_run_sum``,
+unpacks the n matrix columns that a window names and adds its diagonal
+products to one running sum, with no table of words. Signed, that sum is
+D = S+ - S-, the determinant, which ``evaluate`` reads;
 ``positive_negative_sums`` runs the same kernels once more with every sign
 and minor taken as "+", which sums P = S+ + S-, and returns (P + D)/2 and
 (P - D)/2. A sum of t diagonal products, started by its first, costs
 t - 1 additions, plus one for each 2x2 minor that the kernels form.
 
 From n = 5 the paper's "very symmetric pattern" of the 5x5, whose odd
-strip is its even strip with the labels 3 and 4 swapped, pairs the runs:
-the swap σ fixes no necklace class there, so in an exact cover each full
-run of class C has a partner, the full run of class σC. A word x and σ∘x
-differ only in the two rows that read 3 and 4, and have opposite signs, so
-their two terms sum to the product of the other n - 2 entries times the
-2x2 minor of columns 3 and 4 on those rows: Laplace's expansion by
-complementary minors. The pass records such a pair once, by a first window
-that starts with 3 and has 4 at position p in 1..n/2. From n = 6 it also
-groups each pair with the pair of its first window with two more positions
-exchanged (``_exchange``), and records that quad once: each diagonal
-product of a quad is the product of its n - 4 other entries, a minor on
-two more columns and a minor on columns 3 and 4, and stands for four
-words. Either window of a pair, and either pair's window of a quad, lists
-the same words through the same kernel, so the pass records each by an
-even window where one exists: a quad always has one, since its two pairs'
-windows are one transposition apart, and a pair where its partner class's
-window has the other sign, as at n = 5. So an exact cover of full runs
-makes one kernel call a p. The diagonals of a window that read the same
-minors, two or four, then share one product: the entries they all read,
-times the sum of their other entries, times the minors, so no window
-multiplies a product of minors twice (see ``_run_sum``). Every other run
-reads its entries row by row.
+strip is its even strip with the labels 3 and 4 swapped, pairs the
+classes: the swap σ fixes no necklace class there, so each class C has a
+partner, σC. A word x and σ∘x differ only in the two rows that read 3 and
+4, and have opposite signs, so their two terms sum to the product of the
+other n - 2 entries times the 2x2 minor of columns 3 and 4 on those rows:
+Laplace's expansion by complementary minors. The record holds such a pair
+once, by a window that starts with 3 and has 4 at position p in 1..n/2.
+From n = 6 it also groups each pair with the pair of its window with two
+more positions exchanged (``_exchange``), and holds that quad once: each
+diagonal product of a quad is the product of its n - 4 other entries, a
+minor on two more columns and a minor on columns 3 and 4, and stands for
+four words. Either window of a pair, and either pair's window of a quad,
+lists the same words through the same kernel, so the record holds each by
+an even one: a window with the two positions exchanged is one
+transposition away, in the quad's other pair, or at n = 5 in the pair
+itself. So evaluation makes one kernel call below n = 5, and one a p from n = 5. The
+diagonals of a window that read the same minors, two or four, then share
+one product: the entries they all read, times the sum of their other
+entries, times the minors, so no window multiplies a product of minors
+twice (see ``_run_sum``). Below n = 5 a window reads its entries row by
+row.
 
 Exact evaluation runs over cleared rows, as the oracles do: each row of a
 rational matrix is scaled to integers by the lcm of its denominators. Every
@@ -81,7 +83,6 @@ products irrelevant.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -339,36 +340,14 @@ class _SignedWindows:
     empty. ``twice`` maps the key of each class with a pair hit more than
     once to the bitmask of those pairs. The pass lists no word and locates
     no hit: ``validate`` does, from ``cover`` and ``twice``, each time it
-    is called.
-
-    ``runs`` holds, for an exact cover, every run of rotations that the walk
-    found, as (length, p, quad, sign of its first descending word, first
-    windows): the first window of each run of that length, p, quad and
-    sign, n columns each, in one ``bytes``, about a byte a start.
-    Evaluation reads each run's diagonals off its first window (see
-    ``_run_sum``). From n = 5 a full run whose 3 <-> 4 swapped partner's run
-    is full too is recorded with it as one pair, once, under p in 1..n/2:
-    its window is the class word of the lesser key that starts with 3 and
-    has 4 at p (``perm._swap_head``), or the partner class's where only
-    that one is even, and its partner's words are its own with 3 and 4
-    swapped. From n = 6 a pair whose window, with the positions of
-    ``_exchange(n, p)`` exchanged, lies in another recorded pair is
-    recorded with that pair as one quad, once, under quad True, by
-    whichever of the two windows is even; the other window's words, and
-    their swaps, are the other pair's. Every other pair has quad False,
-    and every other run p = 0. So a pair or quad is recorded once, by an
-    even window where one exists, and both signs are filed only for runs
-    at p = 0 and pairs with no even window. Columns fit in a byte
-    because every ``Scheme`` has n <= 10. A scheme that is no exact cover
-    records no runs, so ``runs`` is non-empty exactly when no window is
-    invalid and the diagonals hit every permutation once.
+    is called. Nor does it hold what evaluation reads: an exact cover
+    evaluates from ``_record(n)``, the same for every scheme of n.
     """
 
     invalid: tuple[tuple[int, int], ...]
     covered: int
     cover: dict[tuple[int, ...], int]
     twice: dict[tuple[int, ...], int]
-    runs: tuple[tuple[int, int, bool, Sign, bytes], ...]
 
 
 def _factorial_text(n: int) -> str:
@@ -398,30 +377,19 @@ def _signed_windows(sch: Scheme) -> _SignedWindows:
 
 
 def _walk(sch: Scheme) -> _SignedWindows:
-    # the verdict and each run's first window, not the words
+    # the verdict, not the words
     n = sch.n
     pairs = _class_pairs(n)
     invalid: list[tuple[int, int]] = []
     cover: dict[tuple[int, ...], int] = {}  # the pairs hit, by class key
     twice: dict[tuple[int, ...], int] = {}  # the pairs hit more than once
-    firsts: defaultdict[tuple[int, int, bool, Sign], list[int]] = defaultdict(list)
-    # from n = 5, each full run by class key: (first window, its sign, the key's)
-    full: dict[tuple[int, ...], tuple[tuple[int, ...], Sign, Sign]] = {}
-    swaps = _swaps(n)
-    turn, flip = _sign_factors(n)
     for si, strip in enumerate(sch.strips, start=1):
         columns = strip.columns
         for first, length, sign in _runs(n, strip):
             if not sign:
                 invalid.append((si, first))
                 continue
-            w = columns[first - 1 : first + n - 1]
-            key, j, step = _class_place(w)
-            if swaps and length == n:
-                # w is the key rotated left by j, and reversed at step -1
-                full[key] = w, sign, sign * turn**j * flip ** (step < 0)
-            else:
-                firsts[length, 0, False, sign] += w
+            key, j, step = _class_place(columns[first - 1 : first + n - 1])
             # the run's first ``pairs`` starts hit an arc of its class's
             # cycle, and the rest wrap round and hit that arc again
             hit = _arc(pairs, j, step, length)
@@ -435,42 +403,8 @@ def _walk(sch: Scheme) -> _SignedWindows:
     # two words a pair, and one at n = 1
     covered = sum(map(int.bit_count, cover.values())) * min(n, 2)
     # only a listing of missing words reads the cover again
-    short = not _is_factorial(covered, n)
-    exact_cover = not invalid and not twice and not short
-    if exact_cover:
-        # each pair once, by its lesser key
-        paired: dict[tuple[int, ...], tuple[tuple[int, ...], int, Sign]] = {}
-        for key, (w, sign, key_sign) in full.items():
-            partner = _swap_key(key)
-            if partner not in full:
-                firsts[n, 0, False, sign] += w
-            elif key < partner:
-                head, p, factor = _swap_head(key)
-                sign = key_sign * factor
-                if sign < 0:
-                    # the partner class's window where it is even, as at n = 5
-                    other, _, factor = _swap_head(partner)
-                    if full[partner][2] * factor > 0:
-                        head, sign = other, 1
-                paired[key] = head, p, sign
-        for key in list(paired):
-            if key in paired:
-                head, p, sign = paired.pop(key)
-                # the exchanged window's pair, unless it is this one
-                quad = False
-                if _quads(n):
-                    exchanged, other = _exchanged_pair(head, p)
-                    quad = paired.pop(other, None) is not None
-                    if quad and sign < 0:
-                        # one transposition away, so even
-                        head, sign = exchanged, 1
-                firsts[n, p, quad, sign] += head
     return _SignedWindows(
-        invalid=tuple(invalid),
-        covered=covered,
-        cover=cover if short else {},
-        twice=twice,
-        runs=tuple((*run, bytes(w)) for run, w in sorted(firsts.items())) if exact_cover else (),
+        invalid=tuple(invalid), covered=covered, cover={} if _is_factorial(covered, n) else cover, twice=twice
     )
 
 
@@ -508,10 +442,8 @@ def validate(sch: Scheme) -> ValidationReport:
     """Check a scheme against S_n. Defects are reported, not raised.
 
     The pass reads the walk of each strip and records each run as the arc of
-    its necklace class's pairs that it hits (see the module notes); for an
-    exact cover it also records each run's first window, one for each
-    swapped pair of full runs from n = 5, which is all evaluation reads.
-    That costs O(total windows), once a scheme. Each call then lists what
+    its necklace class's pairs that it hits (see the module notes). That
+    costs O(total windows), once a scheme. Each call then lists what
     the pass counted: the duplicates, with a walk of the strips that locates
     their hits, and the missing permutations, nearly n! of them when a few
     windows repeat n!/2 times. The even count is half of S_n (its one word
@@ -557,11 +489,11 @@ def _missing(sch: Scheme, signed: _SignedWindows) -> tuple[Permutation, ...]:
     return tuple(map(Permutation, sorted(words)))
 
 
-def _complete(sch: Scheme) -> _SignedWindows:
+def _complete(sch: Scheme) -> None:
+    """Refuse a scheme that is no exact cover, quoting its report."""
     signed = _signed_windows(sch)
-    if not signed.runs:
+    if signed.invalid or signed.twice or not _is_factorial(signed.covered, sch.n):
         raise InvalidScheme("scheme failed validation:\n" + validate(sch).summary())
-    return signed
 
 
 def _signed_sums(sch: Scheme, M: Matrix, modes: str, ops: OpCounter | None) -> tuple[list, int]:
@@ -570,47 +502,65 @@ def _signed_sums(sch: Scheme, M: Matrix, modes: str, ops: OpCounter | None) -> t
     if M.n != sch.n:
         raise SizeMismatch(f"matrix is {M.n}x{M.n} but scheme expects n = {sch.n}")
     n = sch.n
-    signed = _complete(sch)
+    _complete(sch)
+    record = _record(n)
     if ops is not None:
-        # the kernels' operations, run by run and once a call, in each mode
+        # the kernels' operations, window by window and once a call, in each mode
         muls = adds = 0
-        for length, p, quad, _, firsts in signed.runs:
-            kernel = _run_sum(n, length, p, quad, "-")
+        for p, quad, firsts in record:
+            kernel = _run_sum(n, p, quad, "-")
             muls += kernel.call_muls + kernel.muls * (len(firsts) // n)
             adds += kernel.call_adds + kernel.adds * (len(firsts) // n)
-        ops.term(n, signed.covered, chained=muls * len(modes))
+        ops.term(n, math.factorial(n), chained=muls * len(modes))
         # the first product landing in each sum is not an addition
         ops.add((adds - 1) * len(modes))
     rows, clearing = _cleared_rows(M)
-    columns = [(), *zip(*rows)]  # 1-based, as the strips name them
+    columns = [(), *zip(*rows)]  # 1-based, as the windows name them
     sums = []
     for mode in modes:
-        # one sum over the run groups, started by the first group's sum:
-        # signed by each group's sign in mode "-", unsigned in mode "+"
+        # one sum over the kernel calls, started by the first call's sum
         total = None
-        for length, p, quad, sign, firsts in signed.runs:
-            t = _run_sum(n, length, p, quad, mode)(columns, firsts)
-            if sign > 0 or mode == "+":
-                total = t if total is None else total + t
-            else:
-                total = -t if total is None else total - t
+        for p, quad, firsts in record:
+            t = _run_sum(n, p, quad, mode)(columns, firsts)
+            total = t if total is None else total + t
         sums.append(total)
     return sums, clearing
 
 
-def _swaps(n: int) -> bool:
-    """Whether full runs pair with their 3 <-> 4 swapped partners: from n = 5."""
-    return n >= 5
-
-
-def _quads(n: int) -> bool:
-    """Whether pairs group into quads (see ``_exchange``): from n = 6."""
-    return n >= 6
+@lru_cache(maxsize=None)
+def _record(n: int) -> tuple[tuple[int, bool, bytes], ...]:
+    """What every exact cover of n evaluates from: (p, quad, windows) for
+    each kernel call, each window even, n columns in a byte each (every
+    ``Scheme`` has n <= 10), read along the diagonals of its class's pairs
+    (see ``_run_sum``). Below n = 5 one call at p = 0 holds a window of
+    each class. From n = 5 each class and its 3 <-> 4 swapped partner make
+    a pair, held once under p in 1..n/2 by the window of the lesser key
+    that starts with 3 and has 4 at p (``perm._swap_head``), or, where that
+    one is odd, by that window with the positions of ``_exchange(n, p)``
+    exchanged, one transposition away. That window lies in the pair itself
+    at n = 5, and from n = 6 in another pair, with which the pair makes a
+    quad, held once under quad True: (n - 1)!/8 quads and no pair left
+    over."""
+    if n < 5:
+        heads = [next(w for w in _class_words(key, -1) if _word_parity(w) > 0) for key in _least_words(n)]
+        return ((0, False, bytes(c for w in heads for c in w)),)
+    groups: dict[int, bytearray] = {}
+    done = set()  # the lesser keys of the pairs held so far
+    for key in _least_words(n):
+        if key > _swap_key(key) or key in done:
+            continue
+        head, p = _swap_head(key)
+        exchanged, other = _exchanged_pair(head, p)
+        done.add(other)
+        if _word_parity(head) < 0:
+            head = exchanged
+        groups.setdefault(p, bytearray()).extend(head)
+    return tuple((p, n >= 6, bytes(groups[p])) for p in sorted(groups))
 
 
 def _exchange(n: int, p: int) -> tuple[int, int]:
     """The window positions u and v whose entries a quad exchanges, for a
-    first window with 3 at 0 and 4 at p: the two that x -> p - x (mod n)
+    window with 3 at 0 and 4 at p: the two that x -> p - x (mod n)
     fixes at even n and p, and p + 1 and n - 1, which it swaps, otherwise.
     That reflection takes a pair's window to its partner's (see
     ``perm._swap_head``) and maps {u, v} onto itself, so the exchange
@@ -632,15 +582,15 @@ def _exchanged_pair(head: tuple[int, ...], p: int) -> tuple[tuple[int, ...], tup
     return tuple(word), min(key, _swap_key(key))
 
 
-def _run_products(n: int, length: int, p: int, quad: bool) -> tuple[
+def _run_products(n: int, p: int, quad: bool) -> tuple[
     tuple[tuple[str, tuple[str, str, str, str]], ...],
     tuple[tuple[str, tuple[str, str, str, str]], ...],
     tuple[tuple[Sign, list[str], tuple[str, ...]], ...],
 ]:
-    """The 2x2 minors a run kernel forms once a call and once a first
-    window, each as (name, (w, x, y, z)) for w·x - y·z, and its diagonal
-    terms, each as (sign relative to the first window, entries, minors),
-    the first window's descending diagonal first (see ``_run_sum``). At
+    """The 2x2 minors a kernel forms once a call and once a window, each
+    as (name, (w, x, y, z)) for w·x - y·z, and its diagonal terms, each as
+    (sign relative to the window, entries, minors), the window's
+    descending diagonal first (see ``_run_sum``). At
     p = 0 no minor is formed and each term is its entries in row order. At
     p >= 1 a call forms d{i}_{j}, the minor of columns 3 and 4 (positions 0
     and p) on rows i and j, and a quad's window forms m{i}_{j}, that of the
@@ -649,7 +599,7 @@ def _run_products(n: int, length: int, p: int, quad: bool) -> tuple[
     entries of its other rows, in row order, times its m, times its d."""
     turn, flip = _sign_factors(n)
     diagonals: list[tuple[Sign, list[tuple[int, int]]]] = []
-    for k in range(length):
+    for k in range(_class_pairs(n)):
         diagonals.append((turn**k, [(r, (r + k) % n) for r in range(n)]))
         if n > 1:  # at n = 1 the window is its own reverse
             diagonals.append((turn**k * flip, [(r, (n - 1 - r + k) % n) for r in range(n)]))
@@ -672,20 +622,20 @@ def _run_products(n: int, length: int, p: int, quad: bool) -> tuple[
 
 
 @lru_cache(maxsize=None)
-def _run_sum(n: int, length: int, p: int, quad: bool, mode: str) -> Callable[[list, bytes], object]:
+def _run_sum(n: int, p: int, quad: bool, mode: str) -> Callable[[list, bytes], object]:
     """The function f(columns, firsts) that sums the diagonal products of
-    runs of ``length`` rotations, given each run's first window as n bytes
-    of ``firsts``, and ``columns[c]``, column c of the matrix by row. In
-    mode "-" each product takes its sign relative to the first window, so
-    the sum is that window's sign times S+ - S- of the runs; in mode "+"
-    every sign and minor is "+", and the sum is S+ + S-. At p >= 1 each
-    first window stands for a pair of full runs, its own and its class's
-    with the labels 3 and 4 swapped, and with quad for two such pairs.
+    whole classes, given an even window of each as n bytes of ``firsts``,
+    and ``columns[c]``, column c of the matrix by row (see ``_record``). In
+    mode "-" each product takes its sign relative to the window, so the sum
+    is S+ - S- of the classes; in mode "+" every sign and minor is "+", and
+    the sum is S+ + S-. At p >= 1 each window stands for a pair of classes,
+    its own and the one with the labels 3 and 4 swapped, and with quad for
+    two such pairs.
 
-    At offset k, row r of the descending diagonal reads column (r + k) mod n
-    of the first window, and of the ascending one column (n - 1 - r + k) mod
-    n. At p = 0 each product takes its rows in order, at n - 1
-    multiplications.
+    At offset k, for k below ``_class_pairs(n)``, row r of the descending
+    diagonal reads column (r + k) mod n of the window, and of the ascending
+    one column (n - 1 - r + k) mod n; at n = 1 the two are one. At p = 0
+    each product takes its rows in order, at n - 1 multiplications.
 
     From n = 5 the swap σ of the labels 3 and 4 pairs the classes: σ fixes
     no class, since a rotation of the n-cycle moves every position and a
@@ -694,15 +644,14 @@ def _run_sum(n: int, length: int, p: int, quad: bool, mode: str) -> Callable[[li
     (1, 3, 2, 4). A word x and σ∘x differ only in rows i and j, which read 3
     and 4, and their signs are opposite, so their terms sum to the product
     S of the other n - 2 entries times the minor d{i}_{j} of columns 3 and 4
-    on rows i and j. The pass records a full run whose partner's run is
-    full too as one first window that starts with 3 and has 4 at p in
-    1..n/2, so every first window of the kernel of (n, n, p) reads columns 3
-    and 4 at positions 0 and p, and the kernel forms their minors once a
-    call, before its loop: those on rows with j - i = ±p mod n, n of them,
+    on rows i and j. The record holds each pair as one window that starts
+    with 3 and has 4 at p in 1..n/2, so every window of the kernel of
+    (n, p) reads columns 3 and 4 at positions 0 and p, and the kernel forms
+    their minors once a call, before its loop: those on rows with j - i = ±p mod n, n of them,
     or n/2 at p = n/2. Each diagonal is then a product of n - 1 factors.
 
-    From n = 6 the pass groups each pair with the pair of its first window
-    with the positions u and v of ``_exchange`` exchanged, and the quad
+    From n = 6 the record groups each pair with the pair of its window with
+    the positions u and v of ``_exchange`` exchanged, and the quad
     kernel of (n, p) also forms, once a window, the minors m{i}_{j} of the
     two columns at u and v, on the rows that read them: n of them, each read
     by a descending and an ascending diagonal, or n/2 where v - u = n/2.
@@ -723,24 +672,24 @@ def _run_sum(n: int, length: int, p: int, quad: bool, mode: str) -> Callable[[li
     members share one entry, so the sum is a 2x2 minor, and a pair window
     costs 2n(n - 3) multiplications, against 2n(n - 2) ungrouped, and a
     quad window n(2n - 9), against 2n(n - 3), plus 2 a minor. A diagonal
-    that reads no minor is a product alone, so a kernel at p = 0 runs 2L
-    products of n - 1 multiplications.
+    that reads no minor is a product alone, so a kernel at p = 0 runs 2n
+    products of n - 1 multiplications a window from n = 3.
 
     Each window's products are summed before they meet the call's sum, and
     that sum starts from them, so a call of t diagonals and k minors costs
     t - 1 + k additions: a group of g takes g - 1 in its sum and one to
     meet the rest, as its g diagonals would alone. Compiled from a fixed
-    template, as ``oracle._expansion`` is, whose text depends on n, length,
-    p, quad and the mode only. Its ``muls`` and ``adds`` attributes are the
-    multiplications and additions it runs on one first window, counting the
+    template, as ``oracle._expansion`` is, whose text depends on n, p, quad
+    and the mode only. Its ``muls`` and ``adds`` attributes are the
+    multiplications and additions it runs on one window, counting the
     addition that meets the call's sum, and ``call_muls`` and ``call_adds``
     those it runs once a call.
     """
-    calls, windows, terms = _run_products(n, length, p, quad)
+    calls, windows, terms = _run_products(n, p, quad)
     fixed = (0, p) if p else ()  # the positions that read columns 3 and 4
 
     def unpack(j: int, column: str) -> str:
-        # e{j}_{r}: row r of the j-th column of the first window
+        # e{j}_{r}: row r of the j-th column of the window
         return f"{', '.join(f'e{j}_{r}' for r in range(n))}, = columns[{column}]\n"
 
     def minor(name: str, factors: tuple[str, str, str, str]) -> str:
@@ -770,7 +719,7 @@ def _run_sum(n: int, length: int, p: int, quad: bool, mode: str) -> Callable[[li
         bracket = " * ".join(own) + "".join(f" {'+' if s > 0 else mode} {' * '.join(r)}" for s, r in more)
         products.append((sign, [*common, f"({bracket})", *minors] if others else [*common, *minors]))
         muls += sum(len(r) - 1 for _, r in rests) + len(common) + len(minors)
-    # the first window's descending diagonal leads the first product, signed
+    # the window's descending diagonal leads the first product, signed
     # "+": it reads each minor's columns on rows in increasing order, 0 < p
     # and u < v
     (_, first), *rest = products

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sarrus.scheme
 from sarrus import (
     Matrix,
     OpCounter,
@@ -31,9 +32,10 @@ from sarrus import (
     term_count_statement,
     validate,
 )
-from sarrus.bench import ORACLES, _scheme_for, random_matrix
+from sarrus.bench import ORACLES, random_matrix
 from sarrus.oracle import _expansion
-from sarrus.scheme import _exchange, _signed_windows
+from sarrus.perm import _class_pairs
+from sarrus.scheme import _exchange, _record
 
 
 def cofactor_mult_count(n):
@@ -227,15 +229,15 @@ def _window_muls(n, p, quad):
 
 def _pass_additions(sch):
     """The additions of one pass of the kernels over a valid scheme: one
-    fewer than its diagonal products, 2L for each run of L (1 at n = 1) and
-    2n for each pair or quad window, plus one for each minor: those of
+    fewer than the diagonal products of its n's record, 2 for each pair of
+    a window's class (1 at n = 1), plus one for each minor: those of
     columns 3 and 4 once a kernel call, and those of the exchanged columns
     once a quad window."""
     n = sch.n
     products = minors = 0
-    for length, p, quad, _, firsts in _signed_windows(sch).runs:
+    for p, quad, firsts in _record(n):
         windows = len(firsts) // n
-        products += windows * (2 * length if n > 1 else 1)
+        products += windows * (2 * _class_pairs(n) if n > 1 else 1)
         minors += (_minors(n, 0, p) if p else 0) + (windows * _minors(n, *_exchange(n, p)) if quad else 0)
     return products - 1 + minors
 
@@ -251,6 +253,31 @@ def _assert_the_sums_run_their_tally(sch, rows):
         assert f(sch, M, ops=ops) == f(sch, Matrix(rows))
         assert _Counted.adds == ops.adds == expected
         assert _Counted.muls == ops.mul_chained
+
+
+def _kernel_calls(sch, M):
+    """The kernels that evaluate(sch, M) calls, by (n, p, quad, mode), in
+    order, and its tally."""
+    calls, kernel = [], sarrus.scheme._run_sum
+
+    def recording(*key):
+        calls.append(key)
+        return kernel(*key)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sarrus.scheme, "_run_sum", recording)
+        evaluate(sch, M)
+    ops = OpCounter()
+    evaluate(sch, M, ops=ops)
+    return calls, ops
+
+
+def _assert_it_evaluates_as_the_searched_scheme(sch):
+    # the same kernel calls and counts as the searched scheme of its n, or
+    # the built-in below n = 6: every exact cover of n evaluates from one
+    # record, however its strips cut the classes into runs
+    M = random_matrix(sch.n, random.Random(sch.n))
+    assert _kernel_calls(sch, M) == _kernel_calls(_valid_scheme(sch.n), M)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -294,13 +321,12 @@ def test_split_covers_tally_the_additions_they_run(sch, seed):
 
 
 @pytest.mark.parametrize("n", [6, 7, 8])
-def test_split_covers_run_quad_pair_and_single_kernels_together(n):
-    # a tenth of the starts moved out: the blocks left whole make quads,
-    # a pair whose exchanged pair lost a start keeps its pair kernel, and a
-    # full run whose partner lost one keeps its own, beside the cut runs
+def test_split_covers_run_the_searched_schemes_kernels(n):
+    # a tenth of the starts moved out: blocks left whole, blocks cut, and
+    # one-window strips
     sch = _split_cover(n, random.Random(n), 0.1)
     assert validate(sch).is_valid
-    assert {(p > 0) + quad for _, p, quad, _, _ in _signed_windows(sch).runs} == {0, 1, 2}
+    _assert_it_evaluates_as_the_searched_scheme(sch)
     rng = random.Random(f"split:{n}")
     for rows in (
         random_matrix(n, rng).rows,
@@ -413,16 +439,15 @@ def test_statement_sets_the_multiplications_beside_the_terms():
             f"against {leibniz_muls} in the permutation expansion, which forms each term as "
             f"one shared prefix times one shared pair; {why[n]}"
         )
-        # every run is full. At n = 4, n!/2n runs of 2n products of n - 1
-        # multiplications; at n = 5, n!/4n pairs, and at n = 6, n!/8n quads,
-        # each window at the cost of _window_muls; and each minor of columns
-        # 3 and 4, formed once a kernel call, 2
-        runs = _signed_windows(_scheme_for(n, seed=0)).runs
-        assert all(length == n for length, *_ in runs)
+        # at n = 4, n!/2n classes of 2n products of n - 1 multiplications;
+        # at n = 5, n!/4n pairs, and at n = 6, n!/8n quads, each window at
+        # the cost of _window_muls; and each minor of columns 3 and 4,
+        # formed once a kernel call, 2
+        record = _record(n)
         windows = sum(
-            len(firsts) // n * (_window_muls(n, p, quad) if p else 2 * n * (n - 1)) for _, p, quad, _, firsts in runs
+            len(firsts) // n * (_window_muls(n, p, quad) if p else 2 * n * (n - 1)) for p, quad, firsts in record
         )
-        calls = sum(2 * _minors(n, 0, p) for _, p, _, _, _ in runs if p)
+        calls = sum(2 * _minors(n, 0, p) for p, _, _ in record if p)
         assert scheme_muls == windows + calls
 
 

@@ -322,21 +322,21 @@ def test_verify_generated_names_the_sample_the_oracle_refutes(monkeypatch):
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_verify_generated_catches_a_kernel_that_drops_a_product(monkeypatch, n):
     # the validation passes, so only the samples can tell: the kernel drops
-    # one word's product from the first run it is given. Its entries have
+    # one word's product from the first window it is given. Its entries have
     # 62 bits, so the first sample catches it; drawn from [-9, 9], each
     # entry would be 0 one time in 19, and a 0 would hide it. Below n = 5
-    # the word is the run's first descending diagonal. From n = 5 that run
-    # is a pair of full runs, 3 and 4 swapped, and the word is the swapped
-    # window's descending diagonal, which only the minor of columns 3 and 4
-    # forms; from n = 6 it is a quad, two such pairs, and the word also has
-    # the entries at the exchanged positions u and v swapped, which only the
-    # product of both minors forms
+    # the word is the window's descending diagonal. From n = 5 that window
+    # stands for a pair of classes, 3 and 4 swapped, and the word is the
+    # swapped window's descending diagonal, which only the minor of columns
+    # 3 and 4 forms; from n = 6 it is a quad, two such pairs, and the word
+    # also has the entries at the exchanged positions u and v swapped, which
+    # only the product of both minors forms
     sch = builtin_scheme(n) if n <= 5 else search_scheme(SearchConfig(n=n, random_seed=1))
     kernel, dropped = sarrus.scheme._run_sum, []
     swap = bytes.maketrans(b"\3\4", b"\4\3")
 
-    def dropping(n, length, p, quad, mode):
-        run_sum = kernel(n, length, p, quad, mode)
+    def dropping(n, p, quad, mode):
+        run_sum = kernel(n, p, quad, mode)
 
         def run_sum_less_one(columns, firsts):
             total = run_sum(columns, firsts)

@@ -13,7 +13,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import WORKED_DET, WORKED_SUMS
-from test_bench import _assert_the_sums_run_their_tally, _minors, _window_muls
+from test_bench import (
+    _assert_it_evaluates_as_the_searched_scheme, _assert_the_sums_run_their_tally, _kernel_calls, _minors, _window_muls
+)
 
 import sarrus.generate
 import sarrus.scheme
@@ -60,7 +62,7 @@ from sarrus.perm import (
     _class_pairs, _class_place, _class_words, _least_words, _swap_head, _swap_key, _word_parity
 )
 from sarrus.scheme import (
-    _diagonals, _exchange, _exchanged_pair, _run_products, _run_sum, _runs, _signed_windows
+    _diagonals, _exchange, _exchanged_pair, _record, _run_products, _run_sum, _runs, _signed_windows
 )
 
 # the first junction of the even quilt: two 9-column layouts sharing one column
@@ -464,9 +466,8 @@ def _partnerless_scheme(n):
     return Scheme(n, tuple(strips))
 
 
-# exact covers, which random strips past n = 3 almost never are: full runs
-# recorded in swapped pairs at n = 5, in quads at n = 7, and full runs with
-# no partner
+# exact covers, which random strips past n = 3 almost never are: the 5x5
+# built-in, a searched n = 7 scheme, and full runs with no full partner
 @example(builtin_scheme(5))
 @example(search_scheme(SearchConfig(n=7, random_seed=1)))
 @example(_partnerless_scheme(5))
@@ -495,12 +496,15 @@ def _assert_the_pass_and_report_match_a_plain_reference(sch):
     ]
     assert signed.covered == ref["covered"]
     exact = not ref["invalid"] and not ref["duplicates"] and ref["covered"] == math.factorial(sch.n)
-    assert bool(signed.runs) == exact
+    # an exact cover evaluates from the record of its n, which expands to
+    # its own words with their signs; anything else is refused
     if exact:
-        plus, minus = _expand_runs(sch.n, signed.runs)
+        assert evaluate(sch, Matrix.identity(sch.n)) == 1
+        plus, minus = _expand_record(sch.n)
         assert (sorted(plus), sorted(minus)) == (sorted(ref["plus"]), sorted(ref["minus"]))
     else:
-        assert signed.runs == ()
+        with pytest.raises(InvalidScheme):
+            evaluate(sch, Matrix.identity(sch.n))
     report = validate(sch)
     assert report.window_count == 2 * sum(len(s.starts) for s in sch.strips)
     assert list(report.invalid_windows) == ref["invalid"]
@@ -512,40 +516,65 @@ def _assert_the_pass_and_report_match_a_plain_reference(sch):
     assert report.is_valid == exact
 
 
-def _expand_runs(n, runs):
-    """The even and the odd words of recorded runs: each first window's
-    rotations, each rotation taking the sign times (-1)**(n - 1), and their
-    reverses, each taking (-1)**(n // 2) more; at n = 1 the window alone. A
-    first window filed under p >= 1 starts with 3 and has 4 at p, and its
-    2n words come with their 2n partners, 3 and 4 swapped, of the opposite
-    signs. Filed as a quad, it stands also for the window with the entries
-    at the positions of ``_exchange(n, p)`` exchanged, of the opposite sign,
-    with its words and their partners."""
-    assert len({(length, p, quad, sign) for length, p, quad, sign, _ in runs}) == len(runs)
+def _expand_record(n):
+    """The even and the odd words of ``_record(n)``, taking each window as
+    even: its rotations below ``_class_pairs(n)``, each taking its sign
+    times (-1)**(n - 1), and their reverses, each taking (-1)**(n // 2)
+    more; at n = 1 the window alone. A window filed under p >= 1 starts
+    with 3 and has 4 at p, and its 2n words come with their 2n partners, 3
+    and 4 swapped, of the opposite signs. Filed as a quad, it stands also
+    for the window with the entries at the positions of ``_exchange(n, p)``
+    exchanged, of the opposite sign, with its words and their partners."""
+    record = _record(n)
+    assert len({(p, quad) for p, quad, _ in record}) == len(record)
     words = {1: [], -1: []}
-    for length, p, quad, sign, firsts in runs:
+    for p, quad, firsts in record:
         assert len(firsts) % n == 0
         for i in range(0, len(firsts), n):
-            heads = [(tuple(firsts[i : i + n]), sign)]
+            heads = [(tuple(firsts[i : i + n]), 1)]
             if quad:
                 assert p and n >= 6
                 u, v = _exchange(n, p)
                 head = list(heads[0][0])
                 head[u], head[v] = head[v], head[u]
-                heads.append((tuple(head), -sign))
+                heads.append((tuple(head), -1))
             for first, first_sign in heads:
                 own = []
-                for k in range(length):
+                for k in range(_class_pairs(n)):
                     word, word_sign = first[k:] + first[:k], first_sign * (-1) ** ((n - 1) * k)
                     own.append((word, word_sign))
                     if n > 1:
                         own.append((word[::-1], word_sign * (-1) ** (n // 2)))
                 if p:
-                    assert length == n >= 5 and first[0] == 3 and first[p] == 4 and 2 * p <= n
+                    assert n >= 5 and first[0] == 3 and first[p] == 4 and 2 * p <= n
                     own += [(tuple(7 - c if c in (3, 4) else c for c in word), -s) for word, s in own]
                 for word, word_sign in own:
                     words[word_sign].append(word)
     return words[1], words[-1]
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_the_record_holds_every_class_once_by_even_windows(n):
+    # one group of a window a class below n = 5; 6 pairs at n = 5 and
+    # (n - 1)!/8 quads from n = 6, one group a p, with no pair left over.
+    # Up to n = 9 every window is even, and from n = 5 starts with 3 and has
+    # 4 at p; up to n = 8 the record expands to S_n once with the reference
+    # signs. At n = 10 the counts alone, the record's ~0.6 s of set-up
+    record = _record(n)
+    windows = [(p, tuple(firsts[i : i + n])) for p, _, firsts in record for i in range(0, len(firsts), n)]
+    if n < 5:
+        assert [(p, quad) for p, quad, _ in record] == [(0, False)]
+        assert len(windows) == max(math.factorial(n - 1) // 2, 1)
+    else:
+        assert [(p, quad) for p, quad, _ in record] == [(p, n >= 6) for p in range(1, n // 2 + 1)]
+        assert len(windows) == (6 if n == 5 else math.factorial(n - 1) // 8)
+    if n <= 9:
+        assert all(_word_parity(w) > 0 for _, w in windows)
+        assert all(w[0] == 3 and w[p] == 4 for p, w in windows) or n < 5
+    if n <= 8:
+        plus, minus = _expand_record(n)
+        assert sorted(plus + minus) == list(itertools.permutations(range(1, n + 1)))
+        assert {_word_parity(w) for w in plus} <= {1} and {_word_parity(w) for w in minus} <= {-1}
 
 
 def _cover_runs(n, rng):
@@ -621,8 +650,7 @@ def test_random_exact_covers_validate_and_evaluate_right(n, seed, defect):
     assert validate(sch).is_valid
     # the runs of the pass expand to S_n with the reference signs
     _assert_the_pass_and_report_match_a_plain_reference(sch)
-    # a quad is recorded by an even window, and so is a pair at n = 5
-    assert all(sign > 0 for _, p, quad, sign, _ in _signed_windows(sch).runs if quad or p and n == 5)
+    _assert_it_evaluates_as_the_searched_scheme(sch)
     wide = Matrix([[rng.randrange(-(2**61), 2**61) for _ in range(n)] for _ in range(n)])
     ratios = Matrix([[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)] for _ in range(n)])
     for M in (random_matrix(n, rng), wide, ratios):
@@ -646,8 +674,8 @@ def test_random_exact_covers_validate_and_evaluate_right(n, seed, defect):
 def test_a_cold_pass_takes_one_parity_per_block(monkeypatch):
     # inside a block each window is the one before it rotated left by one,
     # so only a block's first window needs its parity taken, and a block is
-    # one whole class, so it needs one class place; grouping the pairs of
-    # blocks into quads takes one more a quad, a quarter of the blocks
+    # one whole class, so it needs one class place; the pass pairs no
+    # class with its 3 <-> 4 swapped partner, which only the record does
     scheme = search_scheme(SearchConfig(n=7, random_seed=1))
     blocks = sum(len(strip.starts) for strip in scheme.strips) // 7
     calls = []
@@ -658,10 +686,13 @@ def test_a_cold_pass_takes_one_parity_per_block(monkeypatch):
 
     monkeypatch.setattr(sarrus.scheme, "_word_parity", counted)
     keys = _count_calls(monkeypatch, sarrus.scheme, "_class_place")
+    heads = _count_calls(monkeypatch, sarrus.scheme, "_swap_head")
+    partners = _count_calls(monkeypatch, sarrus.scheme, "_swap_key")
     # a fresh scheme is cold: the search validated the one it returned
     assert validate(Scheme(n=7, strips=scheme.strips)).is_valid
     assert 0 < len(calls) <= blocks
-    assert 0 < len(keys) <= blocks + blocks // 4
+    assert 0 < len(keys) <= blocks
+    assert not heads and not partners
 
 
 def _count_calls(monkeypatch, module, name):
@@ -714,7 +745,7 @@ def test_a_refused_mutant_records_no_runs_and_sweeps_no_symmetric_group(monkeypa
     report = validate(mutant)
     with pytest.raises(InvalidScheme):
         evaluate(mutant, Matrix.identity(7))
-    assert report.missing and _signed_windows(mutant).runs == ()
+    assert report.missing
     # the class walk permutes n - 1 values, never n
     assert sweeps and all(len(args[0]) < 7 for args in sweeps)
 
@@ -744,7 +775,7 @@ def test_evaluations_run_the_pass_once(monkeypatch):
             float(bareiss_det(M)), abs=1e-6
         )
     assert walks == [(scheme,)]
-    plus, minus = _expand_runs(7, _signed_windows(scheme).runs)
+    plus, minus = _expand_record(7)
     assert len(plus) == len(minus) == math.factorial(7) // 2
 
 
@@ -828,7 +859,7 @@ def test_runs_shorter_than_n_evaluate_exactly(n):
     rng = random.Random(n)
     for sch in _short_run_schemes(n):
         assert validate(sch).is_valid
-        assert all(length < n for length, _, _, _, _ in _signed_windows(sch).runs) or n == 1
+        _assert_it_evaluates_as_the_searched_scheme(sch)
         for rational_share in (0.0, 1.0):
             rows = [
                 [Fraction(rng.randint(-9, 9), rng.randint(2, 9)) if rng.random() < rational_share
@@ -844,11 +875,10 @@ def test_runs_shorter_than_n_evaluate_exactly(n):
 
 
 @pytest.mark.parametrize("n", [5, 7])
-def test_full_runs_without_a_full_partner_keep_their_own_kernels(n):
+def test_full_runs_without_a_full_partner_run_the_searched_schemes_kernels(n):
     sch = _partnerless_scheme(n)
     assert validate(sch).is_valid
-    runs = _signed_windows(sch).runs
-    assert {p for _, p, _, _, _ in runs} == {0} and any(length == n for length, _, _, _, _ in runs)
+    _assert_it_evaluates_as_the_searched_scheme(sch)
     rng = random.Random(n)
     for kind in ("int", "all p/q"):
         M = random_matrix(n, rng) if kind == "int" else _rational_matrix(kind, n, rng)
@@ -857,8 +887,8 @@ def test_full_runs_without_a_full_partner_keep_their_own_kernels(n):
 
 
 def test_swapped_pairs_halve_the_run_record_at_odd_n():
-    # det-large's seed-11 n = 7 scheme: 360 full runs make 180 pairs, and
-    # those make 90 quads, each one first window. A quad forms the 7 minors
+    # det-large's seed-11 n = 7 scheme: its 360 classes make 180 pairs, and
+    # those make 90 quads, each one window of the record. A quad forms the 7 minors
     # of its two exchanged columns, at 2 multiplications each, then n = 7
     # products, each of two diagonals that read the same two minors: the
     # entry both read, times the 2x2 minor of their other 2 entries, times
@@ -866,9 +896,9 @@ def test_swapped_pairs_halve_the_run_record_at_odd_n():
     # recorded by an even window, so each of its 3 kernel calls, one per p
     # in 1..3, first forms the 7 minors of columns 3 and 4: 14
     scheme = search_scheme(SearchConfig(n=7, random_seed=11))
-    runs = _signed_windows(scheme).runs
-    assert sum(len(firsts) for *_, firsts in runs) == 90 * 7
-    assert len(runs) == 3 and {(p, quad) for _, p, quad, _, _ in runs} == {(1, True), (2, True), (3, True)}
+    record = _record(7)
+    assert sum(len(firsts) for *_, firsts in record) == 90 * 7
+    assert len(record) == 3 and {(p, quad) for p, quad, _ in record} == {(1, True), (2, True), (3, True)}
     ops = OpCounter()
     evaluate(scheme, Matrix.identity(7), ops=ops)
     assert ops.mul_chained == 4452 == 90 * 49 + 3 * 14
@@ -876,8 +906,8 @@ def test_swapped_pairs_halve_the_run_record_at_odd_n():
 
 @pytest.mark.parametrize("n, muls", [(6, 498), (8, 47576)])
 def test_swapped_pairs_halve_the_run_record_at_even_n(n, muls):
-    # the searched seed-11 schemes: n!/2n full runs make n!/8n quads, each
-    # one first window with 4 at p in 1..n/2, which forms the minors of its
+    # the searched seed-11 schemes: n!/2n classes make n!/8n quads, each
+    # one window of the record with 4 at p in 1..n/2, which forms the minors of its
     # two exchanged columns, 2 multiplications each, then one product for
     # each two diagonals that read the same two minors, or four at n = 8,
     # p = 4 (see _window_muls); each quad is recorded by an even window, so
@@ -885,47 +915,54 @@ def test_swapped_pairs_halve_the_run_record_at_even_n(n, muls):
     # number n, or n/2 on two positions n/2 apart,
     # as 0 and p are at p = n/2, and the exchanged positions at even p
     scheme = search_scheme(SearchConfig(n=n, random_seed=11))
-    runs = _signed_windows(scheme).runs
-    assert sum(len(firsts) for *_, firsts in runs) == math.factorial(n) // 8
-    assert {(p, quad) for _, p, quad, _, _ in runs} == {(p, True) for p in range(1, n // 2 + 1)}
+    record = _record(n)
+    assert sum(len(firsts) for *_, firsts in record) == math.factorial(n) // 8
+    assert {(p, quad) for p, quad, _ in record} == {(p, True) for p in range(1, n // 2 + 1)}
     ops = OpCounter()
     evaluate(scheme, Matrix.identity(n), ops=ops)
-    quads = sum(len(firsts) // n * _window_muls(n, p, True) for _, p, _, _, firsts in runs)
-    tables = sum(2 * _minors(n, 0, p) for _, p, _, _, _ in runs)
+    quads = sum(len(firsts) // n * _window_muls(n, p, True) for p, _, firsts in record)
+    tables = sum(2 * _minors(n, 0, p) for p, _, _ in record)
     assert ops.mul_chained == muls == quads + tables
 
 
 @pytest.mark.parametrize("n", [6, 7, 8])
 def test_searched_schemes_record_quads_only(n):
-    # every pair of full runs meets the pair of its window with two
-    # positions exchanged: n!/8n first windows, all quads, and no pair
+    # every pair meets the pair of its window with two positions exchanged:
+    # n!/8n windows, all quads, and no pair, which every searched scheme
+    # runs through the quad kernels alone
+    record = _record(n)
+    assert all(p and quad for p, quad, _ in record)
+    assert sum(len(firsts) for *_, firsts in record) == math.factorial(n) // (8 * n) * n
     for seed in range(1, 6):
-        runs = _signed_windows(search_scheme(SearchConfig(n=n, random_seed=seed))).runs
-        assert all(p and quad for _, p, quad, _, _ in runs)
-        assert sum(len(firsts) for *_, firsts in runs) == math.factorial(n) // (8 * n) * n
+        calls, _ = _kernel_calls(search_scheme(SearchConfig(n=n, random_seed=seed)), Matrix.identity(n))
+        assert calls == [(n, p, True, "-") for p in range(1, n // 2 + 1)]
 
 
 @pytest.mark.parametrize("n", [6, 7, 8])
 def test_searched_schemes_record_one_even_group_per_p(n):
-    # a quad whose first window is odd is recorded by the other pair's
-    # window, one transposition away: one kernel call a p, signed +1
-    for seed in range(1, 6):
-        runs = _signed_windows(search_scheme(SearchConfig(n=n, random_seed=seed))).runs
-        assert [(p, sign) for _, p, _, sign, _ in runs] == [(p, 1) for p in range(1, n // 2 + 1)]
+    # a quad whose lesser key's window is odd is recorded by the other pair's
+    # window, one transposition away: one kernel call a p, on even windows
+    record = _record(n)
+    assert [p for p, _, _ in record] == list(range(1, n // 2 + 1))
+    assert all(_word_parity(tuple(firsts[i : i + n])) > 0 for *_, firsts in record for i in range(0, len(firsts), n))
 
 
 def test_the_five_by_five_records_six_pairs_and_no_quad():
     # at n = 5 the exchange leads each pair back to itself
-    runs = _signed_windows(builtin_scheme(5)).runs
-    assert all(p and not quad for _, p, quad, _, _ in runs)
-    assert sum(len(firsts) for *_, firsts in runs) == 6 * 5
+    record = _record(5)
+    assert all(p and not quad for p, quad, _ in record)
+    assert sum(len(firsts) for *_, firsts in record) == 6 * 5
+    calls, _ = _kernel_calls(builtin_scheme(5), Matrix.identity(5))
+    assert calls == [(5, 1, False, "-"), (5, 2, False, "-")]
 
 
 def test_the_five_by_five_records_its_pairs_by_even_windows():
-    # at n = 5 a pair's window and its partner class's have opposite signs,
-    # so every pair is recorded by the even one: one group a p, signed +1
-    runs = _signed_windows(builtin_scheme(5)).runs
-    assert [(p, quad, sign) for _, p, quad, sign, _ in runs] == [(1, False, 1), (2, False, 1)]
+    # at n = 5 every word of a class has one sign, and its partner class's
+    # the other, so a pair whose head is odd is recorded by the head with
+    # two positions exchanged, an even word of the partner: one group a p
+    record = _record(5)
+    assert [(p, quad) for p, quad, _ in record] == [(1, False), (2, False)]
+    assert all(_word_parity(tuple(firsts[i : i + 5])) > 0 for *_, firsts in record for i in range(0, len(firsts), 5))
 
 
 @pytest.mark.parametrize("n", range(5, 11))
@@ -938,7 +975,7 @@ def test_the_exchange_leads_to_another_pair_and_back(n):
     for _ in range(500):
         key = _class_place(tuple(rng.sample(range(1, n + 1), n)))[0]
         pair = min(key, _swap_key(key))
-        head, p, _ = _swap_head(pair)
+        head, p = _swap_head(pair)
         u, v = _exchange(n, p)
         assert len({0, p, u, v}) == 4
         mirror = bytes(head[(p - x) % n] for x in range(n)).translate(bytes.maketrans(b"\3\4", b"\4\3"))
@@ -948,13 +985,14 @@ def test_the_exchange_leads_to_another_pair_and_back(n):
         if n == 5:
             assert other == pair
         else:
-            back, back_p, _ = _swap_head(other)
+            back, back_p = _swap_head(other)
             assert other != pair and back_p == p and _exchanged_pair(back, p)[1] == pair
 
 
 def test_a_valid_eight_by_eight_pass_holds_little():
-    # the pass keeps a first window per run, ~20 kB at n = 8; the table of
-    # 8! words it replaces held ~4.6 MB
+    # the pass keeps its verdict, and evaluation the record of n = 8, made
+    # once for every scheme of n = 8 by the first evaluate; the table of 8!
+    # words it replaces held ~4.6 MB
     searched = search_scheme(SearchConfig(n=8, random_seed=1))
     M = random_matrix(8, random.Random(8))
     assert evaluate(searched, M) == bareiss_det(M)  # compiles the kernels first
@@ -1253,7 +1291,7 @@ def test_rational_evaluation_matches_the_oracles(n, kind):
 @pytest.mark.parametrize("kind", ["int", "all p/q"])
 def test_paired_kernels_split_as_the_expansion(n, kind):
     # from n = 5 the kernels share each product of n - 2 entries between a
-    # run and its 3 <-> 4 swapped partner; each side of the split still
+    # class and its 3 <-> 4 swapped partner; each side of the split still
     # equals the n!-term expansion's
     rng = random.Random(f"paired:{kind}:{n}")
     M = random_matrix(n, rng) if kind == "int" else _rational_matrix(kind, n, rng)
@@ -1263,30 +1301,29 @@ def test_paired_kernels_split_as_the_expansion(n, kind):
 @pytest.mark.parametrize("n", range(1, 11))
 def test_kernels_pair_runs_from_n_5_only(n):
     # a p = 0 kernel forms no minor and takes each diagonal's entries row
-    # by row, 2L(n - 1) multiplications for a run of L. From n = 5, and of
-    # either parity, a full run and its swapped partner cost 2n(n - 3) at
+    # by row, 2n(n - 1) multiplications a class from n = 3. From n = 5, and
+    # of either parity, a class and its swapped partner cost 2n(n - 3) at
     # odd n (see _window_muls), against 4n(n - 1) apart, with 4 at any p in
     # 1..n/2, plus the minors of columns 3 and 4 once a call. From n = 6 a
     # quad of two such pairs costs n(2n - 9) at odd n, and its window's
-    # minors, against 8n(n - 1) apart. Below n = 5 no run pairs, and below
-    # n = 6 no pair quads
-    for length in range(1, n + 1):
-        calls, windows, _ = _run_products(n, length, 0, False)
-        assert not calls and not windows
-        kernel = _run_sum(n, length, 0, False, "-")
-        assert (kernel.muls, kernel.call_muls) == (2 * length * (n - 1), 0)
+    # minors, against 8n(n - 1) apart. Below n = 5 no class pairs, and
+    # below n = 6 no pair quads
+    calls, windows, _ = _run_products(n, 0, False)
+    assert not calls and not windows
+    kernel = _run_sum(n, 0, False, "-")
+    assert (kernel.muls, kernel.call_muls) == (2 * _class_pairs(n) * (n - 1), 0)
     for p in range(1, n // 2 + 1 if n >= 5 else 1):
-        assert _run_sum(n, n, p, False, "-").muls == _window_muls(n, p, False)
+        assert _run_sum(n, p, False, "-").muls == _window_muls(n, p, False)
         if n >= 6:
-            assert _run_sum(n, n, p, True, "-").muls == _window_muls(n, p, True)
-    if 2 <= n <= 8:
-        runs = _signed_windows(_scheme_for(n)).runs
-        assert {p > 0 for _, p, _, _, _ in runs} == {n >= 5}
-        assert {quad for _, _, quad, _, _ in runs} == {n >= 6}
+            assert _run_sum(n, p, True, "-").muls == _window_muls(n, p, True)
+    if n <= 9:
+        record = _record(n)
+        assert {p > 0 for p, _, _ in record} == {n >= 5}
+        assert {quad for _, quad, _ in record} == {n >= 6}
 
 
 def _heads(n, p, rng):
-    """Three first windows that start with 3 and have 4 at p, in one bytes."""
+    """Three windows that start with 3 and have 4 at p, in one bytes."""
     firsts = b""
     for _ in range(3):
         rest = [c for c in range(1, n + 1) if c not in (3, 4)]
@@ -1297,8 +1334,8 @@ def _heads(n, p, rng):
 
 @pytest.mark.parametrize("n", range(5, 11))
 def test_pair_kernels_sum_a_window_and_its_swap(n):
-    # in mode "-" a pair kernel gives exactly what the full-run kernel
-    # gives on its first windows less what it gives on those windows with 3
+    # in mode "-" a pair kernel gives exactly what the p = 0 kernel gives
+    # on its windows less what it gives on those windows with 3
     # and 4 swapped, whose words have the opposite signs, and in mode "+"
     # the sum of the two; n = 9 and 10 reach no scheme the other tests
     # build. A window costs one product for each two diagonals that read
@@ -1311,7 +1348,7 @@ def test_pair_kernels_sum_a_window_and_its_swap(n):
     for p in range(1, n // 2 + 1):
         firsts = _heads(n, p, rng)
         for mode, partner in (("-", -1), ("+", 1)):
-            plain, kernel = _run_sum(n, n, 0, False, mode), _run_sum(n, n, p, False, mode)
+            plain, kernel = _run_sum(n, 0, False, mode), _run_sum(n, p, False, mode)
             assert kernel(columns, firsts) == plain(columns, firsts) + partner * plain(columns, firsts.translate(swap))
         assert kernel.muls == _window_muls(n, p, False)
         assert kernel.call_muls == 2 * _minors(n, 0, p)
@@ -1320,7 +1357,7 @@ def test_pair_kernels_sum_a_window_and_its_swap(n):
 @pytest.mark.parametrize("n", range(6, 11))
 def test_quad_kernels_sum_four_words_a_product(n):
     # in mode "-" a quad kernel gives exactly the signed sum of what the
-    # full-run kernel gives on its first windows w, on σw, their 3 <-> 4
+    # p = 0 kernel gives on its windows w, on σw, their 3 <-> 4
     # swaps, on τw, w with the entries at the positions u and v of
     # _exchange exchanged, and on στw, where σw and τw take the opposite
     # sign; in mode "+" it gives the unsigned sum of the four. A window
@@ -1337,7 +1374,7 @@ def test_quad_kernels_sum_four_words_a_product(n):
         exchanged[u::n], exchanged[v::n] = firsts[v::n], firsts[u::n]
         four = (firsts, firsts.translate(swap), bytes(exchanged), bytes(exchanged).translate(swap))
         for mode, other in (("-", -1), ("+", 1)):
-            plain, kernel = _run_sum(n, n, 0, False, mode), _run_sum(n, n, p, True, mode)
+            plain, kernel = _run_sum(n, 0, False, mode), _run_sum(n, p, True, mode)
             signs = (1, other, other, 1)
             assert kernel(columns, firsts) == sum(s * plain(columns, w) for s, w in zip(signs, four))
         assert kernel.muls == _window_muls(n, p, True)
@@ -1375,7 +1412,7 @@ def test_kernels_multiply_each_tuple_of_minors_once(monkeypatch, n):
         for quad in (False, True) if n >= 6 else (False,):
             for mode in "-+":
                 sources.clear()
-                _run_sum.__wrapped__(n, n, p, quad, mode)
+                _run_sum.__wrapped__(n, p, quad, mode)
                 products = _window_products(sources[0])
                 minors = [tuple(re.findall(r"\b[md]\d+_\d+\b", product)) for product in products]
                 assert all(len(names) == 1 + quad for names in minors)
