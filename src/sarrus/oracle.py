@@ -73,7 +73,7 @@ def _expansion(k: int) -> Callable[[list, tuple], tuple[int, int]]:
     count picks: 20 + 60 prefixes, 20 pairs and 120 terms at k = 5, 220
     multiplications against 480 for the products written out in full. At
     k = 2 a term is its pair, at k = 1 its entry, and the odd side is 0.
-    Compiled from a fixed template, as ``scheme._run_sum`` is from n, L, p,
+    Compiled from a fixed template, as ``scheme._run_sum`` is from n, p,
     quad and its mode; this text depends on the int k only.
     """
 

@@ -492,7 +492,8 @@ def _missing(sch: Scheme, signed: _SignedWindows) -> tuple[Permutation, ...]:
 def _complete(sch: Scheme) -> None:
     """Refuse a scheme that is no exact cover, quoting its report."""
     signed = _signed_windows(sch)
-    if signed.invalid or signed.twice or not _is_factorial(signed.covered, sch.n):
+    # every Scheme has n <= 10, so n! is cheap
+    if signed.invalid or signed.twice or signed.covered != math.factorial(sch.n):
         raise InvalidScheme("scheme failed validation:\n" + validate(sch).summary())
 
 
