@@ -888,13 +888,14 @@ def test_full_runs_without_a_full_partner_run_the_searched_schemes_kernels(n):
 
 def test_swapped_pairs_halve_the_run_record_at_odd_n():
     # det-large's seed-11 n = 7 scheme: its 360 classes make 180 pairs, and
-    # those make 90 quads, each one window of the record. A quad forms the 7 minors
-    # of its two exchanged columns, at 2 multiplications each, then n = 7
-    # products, each of two diagonals that read the same two minors: the
-    # entry both read, times the 2x2 minor of their other 2 entries, times
-    # the two minors, 5 multiplications: 49 = n(2n - 9) + 2n. Each quad is
-    # recorded by an even window, so each of its 3 kernel calls, one per p
-    # in 1..3, first forms the 7 minors of columns 3 and 4: 14
+    # those make 90 quads, each one window of the record. A quad forms the
+    # 7 minors of its two exchanged columns, at 2 multiplications each,
+    # then n = 7 products, each of two diagonals that read the same two
+    # minors: the entry both read, times the 2x2 minor of their other 2
+    # entries, times the two minors, 5 multiplications: 49 = n(2n - 9) +
+    # 2n. Each quad is recorded by an even window, so each of its 3 kernel
+    # calls, one per p in 1..3, first forms the 7 minors of columns 3 and
+    # 4: 14
     scheme = search_scheme(SearchConfig(n=7, random_seed=11))
     record = _record(7)
     assert sum(len(firsts) for *_, firsts in record) == 90 * 7
@@ -907,13 +908,13 @@ def test_swapped_pairs_halve_the_run_record_at_odd_n():
 @pytest.mark.parametrize("n, muls", [(6, 498), (8, 47576)])
 def test_swapped_pairs_halve_the_run_record_at_even_n(n, muls):
     # the searched seed-11 schemes: n!/2n classes make n!/8n quads, each
-    # one window of the record with 4 at p in 1..n/2, which forms the minors of its
-    # two exchanged columns, 2 multiplications each, then one product for
-    # each two diagonals that read the same two minors, or four at n = 8,
-    # p = 4 (see _window_muls); each quad is recorded by an even window, so
-    # one kernel call a p first forms the minors of columns 3 and 4. Minors
-    # number n, or n/2 on two positions n/2 apart,
-    # as 0 and p are at p = n/2, and the exchanged positions at even p
+    # one window of the record with 4 at p in 1..n/2, which forms the
+    # minors of its two exchanged columns, 2 multiplications each, then one
+    # product for each two diagonals that read the same two minors, or four
+    # at n = 8, p = 4 (see _window_muls); each quad is recorded by an even
+    # window, so one kernel call a p first forms the minors of columns 3
+    # and 4. Minors number n, or n/2 on two positions n/2 apart, as 0 and p
+    # are at p = n/2, and the exchanged positions at even p
     scheme = search_scheme(SearchConfig(n=n, random_seed=11))
     record = _record(n)
     assert sum(len(firsts) for *_, firsts in record) == math.factorial(n) // 8
